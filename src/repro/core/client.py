@@ -689,84 +689,175 @@ class PrecursorClient:
         """
         return max(1, self._layout.slot_count // 2)
 
+    def _submit_window(self, entries) -> None:
+        """Seal ``(control, payload)`` pairs as one batch; submit in order.
+
+        Session IVs are drawn in submission order and the reply credit
+        cannot move while nothing is polled, so every frame is
+        byte-identical to sealing and submitting one request at a time.
+        """
+        aad = struct.pack(">I", self.client_id)
+        sealed = self.provider.transport_seal_many(
+            self.session, [(control.encode(), aad) for control, _pl in entries]
+        )
+        credit = self._reply_consumer.consumed
+        for (control, payload), message in zip(entries, sealed):
+            try:
+                self._submit(
+                    Request(
+                        client_id=self.client_id,
+                        sealed_control=message,
+                        payload=payload,
+                        reply_credit=credit,
+                    )
+                )
+            except BaseException:
+                # As if this frame had been the last one built: the oids
+                # of the unsent rest are handed back.
+                self._oid = control.oid
+                raise
+
+    def _collect_window(self, entries):
+        """Await a window's replies, then authenticate them in one batch.
+
+        Returns ``(replies, error)``: ``(response, control)`` for the
+        leading replies that opened and answered their oid, and the
+        exception that cut the window short (``None`` if nothing did).
+        The first failure in submission order wins, as it would
+        collecting one reply at a time.
+        """
+        oids = [control.oid for control, _payload in entries]
+        responses = []
+        error = None
+        for _oid in oids:
+            try:
+                responses.append(self._await_response())
+            except PrecursorError as exc:
+                error = exc
+                break
+        aad = b"resp" + struct.pack(">I", self.client_id)
+        blobs = self.provider.transport_open_many(
+            self.session.key,
+            [(response.sealed_control, aad) for response in responses],
+        )
+        replies = []
+        for oid, response, blob in zip(oids, responses, blobs):
+            try:
+                if blob is None:
+                    raise AuthenticationError("authentication tag mismatch")
+                control = ResponseControl.decode(blob)
+                if control.oid != oid:
+                    raise ProtocolError(
+                        f"response oid {control.oid} does not match request "
+                        f"{oid}"
+                    )
+                if control.status is Status.REPLAY:
+                    raise ReplayError(f"server rejected oid {oid} as a replay")
+            except PrecursorError as exc:
+                return replies, exc
+            replies.append((response, control))
+        return replies, error
+
     def put_many(self, items) -> int:
         """Pipeline several puts: submit a window of frames, then collect.
 
         Amortises server pumping and exploits the ring's depth (with
         selective signaling, batches are how one-sided designs reach their
-        throughput).  Returns the number of stored items; raises on the
-        first failed reply.
+        throughput).  Each window's payloads are encrypted and MACed, its
+        control segments sealed, and its replies opened as one batch
+        each.  Returns the number of stored items; raises on the first
+        failed reply.
         """
         items = list(items)
+        for key, _value in items:
+            self._check_key(key)
         window = self._batch_window()
         stored = 0
         for start in range(0, len(items), window):
-            pending = []
-            for key, value in items[start : start + window]:
-                self._check_key(key)
-                k_operation = self.keygen.operation_key()
-                payload = self.provider.payload_encrypt(k_operation, value)
-                control = self._next_control(OpCode.PUT, key, k_operation)
-                request = self._seal_control(control)
-                request = Request(
-                    client_id=request.client_id,
-                    sealed_control=request.sealed_control,
-                    payload=payload,
-                    reply_credit=request.reply_credit,
+            chunk = items[start : start + window]
+            k_operations = [self.keygen.operation_key() for _item in chunk]
+            payloads = self.provider.payload_encrypt_many(
+                [
+                    (k_operation, value)
+                    for k_operation, (_key, value) in zip(k_operations, chunk)
+                ]
+            )
+            entries = [
+                (self._next_control(OpCode.PUT, key, k_operation), payload)
+                for k_operation, (key, _value), payload in zip(
+                    k_operations, chunk, payloads
                 )
-                self._submit(request)
-                pending.append(control.oid)
-            self.operations += len(pending)
-            for oid in pending:
-                control_resp = self._open_response(self._await_response(), oid)
-                if control_resp.status is not Status.OK:
+            ]
+            self._submit_window(entries)
+            self.operations += len(entries)
+            replies, error = self._collect_window(entries)
+            for _response, control in replies:
+                if control.status is not Status.OK:
                     raise PrecursorError(
-                        f"batched put failed at oid {oid}: "
-                        f"{control_resp.status.name}"
+                        f"batched put failed at oid {control.oid}: "
+                        f"{control.status.name}"
                     )
                 stored += 1
+            if error is not None:
+                raise error
         return stored
 
     def get_many(self, keys) -> list:
         """Pipeline several gets; returns values aligned with ``keys``.
 
-        Raises :class:`KeyNotFoundError` on the first missing key and
-        :class:`IntegrityError` if any fetched payload fails verification.
+        Each window's control segments are sealed, its replies opened
+        and its payload MACs verified as one batch each.  Raises on the
+        first failure in key order: :class:`KeyNotFoundError` for a
+        missing key, :class:`IntegrityError` for a payload that fails
+        verification (counted in :attr:`integrity_failures`).
         """
         keys = list(keys)
+        for key in keys:
+            self._check_key(key)
         window = self._batch_window()
         values = []
         for start in range(0, len(keys), window):
-            pending = []
-            for key in keys[start : start + window]:
-                self._check_key(key)
-                control = self._next_control(OpCode.GET, key)
-                self._submit(self._seal_control(control))
-                pending.append((control.oid, key))
-            self.operations += len(pending)
-            for oid, key in pending:
-                response = self._await_response()
-                control_resp = self._open_response(response, oid)
-                if control_resp.status is Status.NOT_FOUND:
-                    raise KeyNotFoundError(key)
-                if control_resp.status is not Status.OK:
-                    raise PrecursorError(
-                        f"batched get failed: {control_resp.status.name}"
+            chunk = keys[start : start + window]
+            entries = [
+                (self._next_control(OpCode.GET, key), None) for key in chunk
+            ]
+            self._submit_window(entries)
+            self.operations += len(entries)
+            replies, error = self._collect_window(entries)
+            # Walk in key order up to the first failure; the payloads
+            # before it are verified and decrypted together.
+            verify = []
+            for (response, control), key in zip(replies, chunk):
+                if control.status is Status.NOT_FOUND:
+                    error = KeyNotFoundError(key)
+                    break
+                if control.status is not Status.OK:
+                    error = PrecursorError(
+                        f"batched get failed: {control.status.name}"
                     )
-                if response.payload is None or control_resp.k_operation is None:
-                    raise ProtocolError(
+                    break
+                if response.payload is None or control.k_operation is None:
+                    error = ProtocolError(
                         "GET response missing payload or key material"
                     )
+                    break
                 payload = response.payload
-                if control_resp.mac is not None:
+                if control.mac is not None:
+                    # Strict-integrity mode (§3.9), as in get().
                     payload = EncryptedPayload(
-                        ciphertext=payload.ciphertext, mac=control_resp.mac
+                        ciphertext=payload.ciphertext, mac=control.mac
                     )
-                values.append(
-                    self.provider.payload_decrypt(
-                        control_resp.k_operation, payload
-                    )
+                verify.append((control.k_operation, payload))
+            opened = self.provider.payload_decrypt_many(verify)
+            failures = opened.count(None)
+            if failures:
+                self.integrity_failures += failures
+                raise IntegrityError(
+                    "payload MAC mismatch: untrusted server memory was modified"
                 )
+            if error is not None:
+                raise error
+            values.extend(opened)
         return values
 
     @staticmethod

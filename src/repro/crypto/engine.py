@@ -34,7 +34,13 @@ from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Union
 
 from repro.crypto import cmac as _cmac_module
-from repro.crypto.fastcrypto import FastAesGcm, FastCmac, FastSalsa20
+from repro.crypto.fastcrypto import (
+    FastAesGcm,
+    FastCmac,
+    FastSalsa20,
+    _cmac_many,
+    _salsa_many,
+)
 from repro.crypto.gcm import AesGcm
 from repro.crypto.salsa20 import Salsa20
 from repro.errors import ConfigurationError
@@ -96,6 +102,24 @@ class CryptoEngine:
         """AES-128-CMAC of ``message`` (32-byte keys are XOR-folded)."""
         raise NotImplementedError
 
+    def salsa20_encrypt_many(self, items) -> list:
+        """Salsa20 over ``(key, nonce, data)`` triples from counter 0.
+
+        Byte-identical to one :meth:`salsa20_encrypt` per item, which is
+        what this default does; engines may batch the work.
+        """
+        return [
+            self.salsa20_encrypt(key, nonce, data) for key, nonce, data in items
+        ]
+
+    def aes_cmac_many(self, items) -> list:
+        """AES-128-CMAC over ``(key, message)`` pairs, in order.
+
+        Byte-identical to one :meth:`aes_cmac` per item, which is what
+        this default does; engines may batch the work.
+        """
+        return [self.aes_cmac(key, message) for key, message in items]
+
     def cmac_verify(self, key: bytes, message: bytes, mac: bytes) -> bool:
         """Constant-time AES-CMAC verification."""
         expected = self.aes_cmac(key, message)
@@ -152,6 +176,14 @@ class FastEngine(CryptoEngine):
     def aes_cmac(self, key: bytes, message: bytes) -> bytes:
         """CMAC with cached key schedule and subkeys."""
         return self._cmac_cache.get(bytes(key)).mac(message)
+
+    def salsa20_encrypt_many(self, items) -> list:
+        """Every block of every message in one lane pass, per-lane keys."""
+        return _salsa_many(items)
+
+    def aes_cmac_many(self, items) -> list:
+        """The messages' CBC chains side by side in the lane AES kernel."""
+        return _cmac_many(items)
 
     def gcm(self, key: bytes) -> FastAesGcm:
         """Cached :class:`~repro.crypto.fastcrypto.FastAesGcm` for ``key``."""
@@ -318,4 +350,62 @@ def parity_check(seed: int = 2021, rounds: int = 8) -> List[str]:
                     f"{engine.name} open_many tamper isolation broke "
                     f"at {size} B"
                 )
+    failures += _lane_parity(ref, fast, rand)
+    return failures
+
+
+def _lane_parity(ref, fast, rand) -> List[str]:
+    """Payload batch APIs on both engines against per-call reference.
+
+    One batch mixes message lengths and 16-/32-byte keys; fast-engine
+    batches then straddle the lane kernels' scalar fallback
+    (``_LANE_MIN``) and their per-pass lane cap (``_LANE_BATCH``).
+    """
+    from repro.crypto.fastcrypto import _LANE_BATCH, _LANE_MIN
+    from repro.crypto.provider import CryptoProvider, EncryptedPayload
+
+    failures: List[str] = []
+    mixed = [
+        (rand(b"lane-k%d" % j, 16 if j % 2 else 32), rand(b"lane-m%d" % j, size))
+        for j, size in enumerate((0, 1, 15, 16, 17, 4096, 17, 16, 1, 0))
+    ]
+    salsa_items = [(key, rand(b"lane-n", 8), msg) for key, msg in mixed]
+    salsa_expected = [ref.salsa20_encrypt(*item) for item in salsa_items]
+    cmac_expected = [ref.aes_cmac(*item) for item in mixed]
+    for engine in (ref, fast):
+        if engine.salsa20_encrypt_many(salsa_items) != salsa_expected:
+            failures.append(f"{engine.name} salsa20_encrypt_many differs")
+        if engine.aes_cmac_many(mixed) != cmac_expected:
+            failures.append(f"{engine.name} aes_cmac_many differs")
+    for count in (_LANE_MIN - 1, _LANE_MIN, _LANE_BATCH + 1):
+        items = [
+            (rand(b"cnt-k%d" % j, 32), rand(b"cnt-m%d" % j, 1 + j % 40))
+            for j in range(count)
+        ]
+        if fast.aes_cmac_many(items) != [fast.aes_cmac(*i) for i in items]:
+            failures.append(f"fast aes_cmac_many differs at {count} lanes")
+        gcm = fast.gcm(rand(b"cnt-s", 16))
+        sealed = [
+            (rand(b"cnt-i%d" % j, 12), msg, b"")
+            for j, (_key, msg) in enumerate(items)
+        ]
+        if gcm.seal_many(sealed) != [gcm.seal(*entry) for entry in sealed]:
+            failures.append(f"fast gcm seal_many differs at {count} messages")
+    for engine in (ref, fast):
+        provider = CryptoProvider(engine=engine)
+        payloads = provider.payload_encrypt_many(mixed)
+        if payloads != [provider.payload_encrypt(*pair) for pair in mixed]:
+            failures.append(f"{engine.name} payload_encrypt_many differs")
+        bad = payloads[3]
+        flipped = bytes([bad.mac[0] ^ 1]) + bad.mac[1:]
+        payloads[3] = EncryptedPayload(ciphertext=bad.ciphertext, mac=flipped)
+        opened = provider.payload_decrypt_many(
+            [(key, payload) for (key, _msg), payload in zip(mixed, payloads)]
+        )
+        expected = [msg for _key, msg in mixed]
+        expected[3] = None
+        if opened != expected:
+            failures.append(
+                f"{engine.name} payload_decrypt_many tamper isolation broke"
+            )
     return failures

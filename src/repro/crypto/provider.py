@@ -21,6 +21,7 @@ instead), so correctness and performance modelling stay decoupled.
 
 from __future__ import annotations
 
+import hmac
 from dataclasses import dataclass
 
 from repro.crypto.engine import resolve_engine
@@ -104,6 +105,58 @@ class CryptoProvider:
         return engine.salsa20_encrypt(
             k_operation, _ONE_TIME_NONCE, payload.ciphertext
         )
+
+    def payload_encrypt_many(self, items) -> list:
+        """:meth:`payload_encrypt` over ``(k_operation, value)`` pairs.
+
+        Byte-identical to one call per pair; the engine runs the Salsa20
+        and CMAC work of the whole batch together (the fast engine as
+        lane passes across the one-time keys).
+        """
+        items = list(items)
+        engine = self.engine
+        ciphertexts = engine.salsa20_encrypt_many(
+            [(k_operation, _ONE_TIME_NONCE, value) for k_operation, value in items]
+        )
+        macs = engine.aes_cmac_many(
+            [
+                (k_operation, ciphertext)
+                for (k_operation, _value), ciphertext in zip(items, ciphertexts)
+            ]
+        )
+        return [
+            EncryptedPayload(ciphertext=ciphertext, mac=mac)
+            for ciphertext, mac in zip(ciphertexts, macs)
+        ]
+
+    def payload_decrypt_many(self, items) -> list:
+        """:meth:`payload_decrypt` over ``(k_operation, payload)`` pairs.
+
+        Returns the plaintext per entry, or ``None`` where the MAC does
+        not verify -- like ``transport_open_many`` nothing raises, so one
+        tampered value never hides its batch-mates' results, and a
+        failed entry is never decrypted: unauthenticated plaintext does
+        not exist.  MACs are compared in constant time.
+        """
+        items = list(items)
+        engine = self.engine
+        expected = engine.aes_cmac_many(
+            [(k_operation, payload.ciphertext) for k_operation, payload in items]
+        )
+        valid = [
+            hmac.compare_digest(mac, payload.mac)
+            for mac, (_k_operation, payload) in zip(expected, items)
+        ]
+        plaintexts = iter(
+            engine.salsa20_encrypt_many(
+                [
+                    (k_operation, _ONE_TIME_NONCE, payload.ciphertext)
+                    for (k_operation, payload), ok in zip(items, valid)
+                    if ok
+                ]
+            )
+        )
+        return [next(plaintexts) if ok else None for ok in valid]
 
     def payload_mac_valid(self, k_operation: bytes, payload: EncryptedPayload) -> bool:
         """Non-raising MAC check (used by the server-encryption variant)."""

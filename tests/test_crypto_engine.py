@@ -1,11 +1,11 @@
 """Crypto engine layer: published vectors on BOTH engines, parity, selection.
 
 The ``fast`` engine re-implements every primitive with different data
-structures (pair-table AES, lane-parallel Salsa20, table-driven GHASH),
-so each one is pinned to the same published vectors as the readable
-reference -- a shared bug in both engines cannot hide behind a
-parity-only check -- and a randomized cross-engine matrix then proves
-the two interoperate on every path the stack uses.
+structures (byte-position-table and lane AES, lane-parallel Salsa20,
+table-driven GHASH), so each one is pinned to the same published vectors
+as the readable reference -- a shared bug in both engines cannot hide
+behind a parity-only check -- and a randomized cross-engine matrix then
+proves the two interoperate on every path the stack uses.
 """
 
 import random
@@ -251,3 +251,147 @@ class TestFastKernelEdges:
         key32 = bytes(range(32))
         for n in (0, 1, 16, 17, 100):
             assert FastCmac(key32).mac(b"z" * n) == aes_cmac(key32, b"z" * n)
+
+
+ECRYPT_SET1_V0_KEY = bytes([0x80] + [0] * 31)
+ECRYPT_SET1_V0_STREAM = bytes.fromhex(
+    "e3be8fdd8beca2e3ea8ef9475b29a6e7"
+    "003951e1097a5c38d23b7a5fad9f6844"
+    "b22c97559e2723c7cbbd3fe4fc8d9a07"
+    "44652a83e72a9c461876af4d7ef1a117"
+)
+RFC4493_MACS = {
+    0: "bb1d6929e95937287fa37d129b756746",
+    16: "070a16b46b4d4144f79bdd9dd04a287c",
+    40: "dfa66747de9ae63030ca32611497c827",
+    64: "51f0bebf7e3b9d92fc49741779363cfe",
+}
+
+
+def _mixed_batch(rng, count, sizes=(0, 1, 15, 16, 17, 4096)):
+    """``count`` (key, message) pairs cycling sizes and 16/32-byte keys."""
+    return [
+        (rng.randbytes(16 if j % 3 == 1 else 32), rng.randbytes(sizes[j % len(sizes)]))
+        for j in range(count)
+    ]
+
+
+class TestLaneBatchApis:
+    """``*_many`` engine/provider calls, the lane kernels behind them."""
+
+    def test_mixed_batch_matches_reference_per_call(self, engine):
+        rng = random.Random(41)
+        ref = get_engine("reference")
+        items = _mixed_batch(rng, 12)
+        assert engine.aes_cmac_many(items) == [ref.aes_cmac(*i) for i in items]
+        triples = [(key, rng.randbytes(8), msg) for key, msg in items]
+        assert engine.salsa20_encrypt_many(triples) == [
+            ref.salsa20_encrypt(*t) for t in triples
+        ]
+
+    def test_rfc4493_vectors_through_the_lanes(self, engine):
+        # Twice over, so the batch is wide enough for the lane kernel.
+        lengths = sorted(RFC4493_MACS) * 2
+        macs = engine.aes_cmac_many(
+            [(RFC4493_KEY, RFC4493_MSG[:n]) for n in lengths]
+        )
+        assert [m.hex() for m in macs] == [RFC4493_MACS[n] for n in lengths]
+
+    def test_ecrypt_vector_through_the_lanes(self, engine):
+        rng = random.Random(43)
+        triples = [(rng.randbytes(32), rng.randbytes(8), rng.randbytes(100))
+                   for _ in range(5)]
+        triples.insert(2, (ECRYPT_SET1_V0_KEY, b"\x00" * 8, b"\x00" * 64))
+        out = engine.salsa20_encrypt_many(triples)
+        assert out[2] == ECRYPT_SET1_V0_STREAM
+
+    def test_fips197_block_through_the_lanes(self):
+        from repro.crypto.fastcrypto import (
+            _LANE_MIN,
+            _aes_blocks,
+            _broadcast_tables,
+            _expand_key_128,
+        )
+
+        rk = _expand_key_128(bytes.fromhex("000102030405060708090a0b0c0d0e0f"))
+        blocks = bytes.fromhex("00112233445566778899aabbccddeeff") * _LANE_MIN
+        out = _aes_blocks(rk, _broadcast_tables(rk), blocks)
+        assert out == bytes.fromhex("69c4e0d86a7b0430d8cdb78070b4c55a") * _LANE_MIN
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    @pytest.mark.parametrize("edge", ["min", "batch"])
+    def test_lane_counts_straddle_fallback_and_cap(self, edge, offset):
+        from repro.crypto.fastcrypto import _LANE_BATCH, _LANE_MIN
+
+        count = (_LANE_MIN if edge == "min" else _LANE_BATCH) + offset
+        rng = random.Random(count)
+        fast = get_engine("fast")
+        items = _mixed_batch(rng, count, sizes=(0, 1, 17, 32, 33))
+        assert fast.aes_cmac_many(items) == [fast.aes_cmac(*i) for i in items]
+        triples = [(key, b"\x05" * 8, msg) for key, msg in items]
+        assert fast.salsa20_encrypt_many(triples) == [
+            fast.salsa20_encrypt(*t) for t in triples
+        ]
+        gcm = fast.gcm(rng.randbytes(16))
+        # One-block messages: ``count`` CTR blocks plus ``count`` J0s.
+        sealed = [(rng.randbytes(12), msg[:16], b"a") for _key, msg in items]
+        assert gcm.seal_many(sealed) == [gcm.seal(*s) for s in sealed]
+
+    def test_cmac_chains_of_uneven_length_finish_on_the_scalar_tail(
+        self, monkeypatch
+    ):
+        # Long chains outlive the short ones: the lane pass shrinks, then
+        # the last few chains finish on the scalar kernel, so no lane pass
+        # ever runs narrower than _LANE_MIN.
+        from repro.crypto import fastcrypto
+
+        widths = []
+        lane_aes = fastcrypto._lane_aes
+
+        def recording(x, rks, lanes):
+            widths.append(lanes)
+            return lane_aes(x, rks, lanes)
+
+        monkeypatch.setattr(fastcrypto, "_lane_aes", recording)
+        rng = random.Random(47)
+        fast = get_engine("fast")
+        items = [(rng.randbytes(32), rng.randbytes(16 * (1 + j % 9) + j % 2))
+                 for j in range(24)]
+        items += [(rng.randbytes(32), rng.randbytes(4096)) for _ in range(2)]
+        macs = fast.aes_cmac_many(items)
+        assert widths[0] == len(items) and min(widths) >= fastcrypto._LANE_MIN
+        assert len(set(widths)) > 2  # the pass shrank as chains ended
+        assert macs == [fast.aes_cmac(*i) for i in items]
+
+    def test_many_rejects_bad_key_sizes(self):
+        fast = get_engine("fast")
+        with pytest.raises(ConfigurationError):
+            fast.aes_cmac_many([(b"k" * 24, b"m")] * 8)
+        with pytest.raises(ConfigurationError):
+            fast.salsa20_encrypt_many([(b"k" * 24, b"n" * 8, b"m" * 70)])
+
+    def test_payload_many_roundtrip_and_tamper_isolation(self, engine):
+        from repro.crypto.provider import EncryptedPayload
+
+        rng = random.Random(53)
+        provider = CryptoProvider(engine=engine)
+        pairs = [(rng.randbytes(32), rng.randbytes(n))
+                 for n in (0, 1, 15, 16, 17, 4096, 32, 33)]
+        payloads = provider.payload_encrypt_many(pairs)
+        assert payloads == [provider.payload_encrypt(*p) for p in pairs]
+        mac = bytearray(payloads[4].mac)
+        mac[-1] ^= 0x80
+        payloads[4] = EncryptedPayload(payloads[4].ciphertext, bytes(mac))
+        opened = provider.payload_decrypt_many(
+            [(key, payload) for (key, _v), payload in zip(pairs, payloads)]
+        )
+        expected = [value for _k, value in pairs]
+        expected[4] = None
+        assert opened == expected
+
+    def test_empty_batches(self, engine):
+        provider = CryptoProvider(engine=engine)
+        assert engine.aes_cmac_many([]) == []
+        assert engine.salsa20_encrypt_many([]) == []
+        assert provider.payload_encrypt_many([]) == []
+        assert provider.payload_decrypt_many([]) == []
