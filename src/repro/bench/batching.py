@@ -1,12 +1,12 @@
-"""Wall-clock batching benchmark: serial request path vs batched pipeline.
+"""Wall-clock batching benchmark: the request pipeline's drain window K.
 
-Measures the **real** server-side cost of the batched request pipeline
-(``repro.core.batch``, ``docs/BATCHING.md``) against the serial path on
-a YCSB-A-style workload: four clients stage waves of 50/50 get/put
-operations into their rings, and only the server's drain-and-reply pump
-(``process_pending``) is timed -- the region where batching changes
-anything.  Client-side seal/verify work is identical on both paths and
-would only dilute the ratio, so it stays outside the timed region.
+Measures the **real** server-side cost of the request pipeline
+(``repro.core.batch``, ``docs/BATCHING.md``) at drain windows K > 1
+against K=1 on a YCSB-A-style workload: four clients stage waves of
+50/50 get/put operations into their rings, and only the server's
+drain-and-reply pump (``process_pending``) is timed -- the region where
+K changes anything.  Client-side seal/verify work is identical at every
+K and would only dilute the ratio, so it stays outside the timed region.
 
 Methodology: this machine's wall clock is extremely noisy (cross-run
 swings of +/- 30 % from frequency drift on a seconds timescale), so the
@@ -19,11 +19,11 @@ the same round's K time; pairing cancels drift that min-of-N can still
 be unlucky about).
 
 A behavioural-identity self-check runs first: the steady traffic
-scenario must produce **byte-identical** report JSON at K=0 (serial),
-K=1 and K=16, and a seeded chaos run must produce the same fault-log
-fingerprint and state digest at K=0 and K=1.  A benchmark of two paths
-that disagree on bytes would be meaningless, so identity failure fails
-the whole run (exit code 1), exactly like cryptobench's parity gate.
+scenario must produce **byte-identical** report JSON at K=1 and K=16,
+and a seeded chaos run at K=1 must verify clean.  A benchmark of two
+windows that disagree on bytes would be meaningless, so identity failure
+fails the whole run (exit code 1), exactly like cryptobench's parity
+gate.
 
 The report also enforces a floor on the K=16 speedup (default 1.3x on
 the full run) so CI catches a batching performance regression the way
@@ -47,7 +47,7 @@ from typing import Dict, List, Optional, Tuple
 __all__ = ["BatchBenchResult", "run_batchbench", "DEFAULT_KS", "write_json"]
 
 #: Batch windows swept by the full benchmark.  16 is the window the
-#: acceptance floor is defined on; 1 is the amortization-free baseline.
+#: acceptance floor is defined on; 1 is the one-frame baseline.
 DEFAULT_KS = (1, 4, 16, 64)
 
 _QUICK_KS = (1, 16)
@@ -70,14 +70,12 @@ def _ycsb_a_pump(
 ) -> float:
     """Seconds spent in the server pump for ``ops`` YCSB-A operations.
 
-    ``k=0`` runs the serial path; ``k>=1`` the batched pipeline with
-    window K.  Clients are built with ``auto_pump=False`` so request
-    staging and reply verification happen outside the timed region;
-    each wave stages up to ``wave`` operations per client (within the
-    64-slot ring's credit budget), then a single timed
-    ``process_pending`` drains every ring -- the batched path sees full
-    drain windows instead of the one-op-per-pump a pumping client
-    would give it.
+    Clients are built with ``auto_pump=False`` so request staging and
+    reply verification happen outside the timed region; each wave
+    stages up to ``wave`` operations per client (within the 64-slot
+    ring's credit budget), then a single timed ``process_pending``
+    drains every ring -- the pipeline sees full drain windows instead
+    of the one-op-per-pump a pumping client would give it.
 
     The mix is the YCSB-A contract (50/50 read/update, seeded) over a
     skewed key popularity (cubed-uniform, so a few records absorb most
@@ -90,9 +88,7 @@ def _ycsb_a_pump(
     from repro.core.server import PrecursorServer, ServerConfig
     from repro.crypto.keys import KeyGenerator
 
-    server = PrecursorServer(
-        config=ServerConfig(ecall_batch=k) if k else None
-    )
+    server = PrecursorServer(config=ServerConfig(ecall_batch=k))
     sessions = [
         PrecursorClient(
             server,
@@ -160,7 +156,7 @@ def _ycsb_a_pump(
 
 
 def _identity_checks(scenario_ops: int, chaos_ops: int) -> List[str]:
-    """Byte-identity gate: batching must not change observable behaviour.
+    """Byte-identity gate: K must not change observable behaviour.
 
     Returns a list of human-readable failures (empty = all held).
     """
@@ -172,7 +168,7 @@ def _identity_checks(scenario_ops: int, chaos_ops: int) -> List[str]:
     failures: List[str] = []
 
     digests = {}
-    for k in (0, 1, 16):
+    for k in (1, 16):
         report = run_scenario(
             "steady",
             seed=11,
@@ -183,29 +179,13 @@ def _identity_checks(scenario_ops: int, chaos_ops: int) -> List[str]:
         )
         blob = json.dumps(report.to_dict(), sort_keys=True).encode()
         digests[k] = hashlib.sha256(blob).hexdigest()
-    for k in (1, 16):
-        if digests[k] != digests[0]:
-            failures.append(
-                f"steady scenario report diverged at K={k}: "
-                f"{digests[k][:16]} != serial {digests[0][:16]}"
-            )
+    if digests[16] != digests[1]:
+        failures.append(
+            "steady scenario report diverged at K=16: "
+            f"{digests[16][:16]} != K=1 {digests[1][:16]}"
+        )
 
-    chaos = {
-        k: run_chaos(7, _CHAOS_SCHEDULE, ops=chaos_ops, ecall_batch=k)
-        for k in (0, 1)
-    }
-    if chaos[1].fault_fingerprint != chaos[0].fault_fingerprint:
-        failures.append(
-            "chaos fault fingerprint diverged at K=1: "
-            f"{chaos[1].fault_fingerprint[:16]} != "
-            f"{chaos[0].fault_fingerprint[:16]}"
-        )
-    if chaos[1].state_digest != chaos[0].state_digest:
-        failures.append(
-            "chaos state digest diverged at K=1: "
-            f"{chaos[1].state_digest[:16]} != {chaos[0].state_digest[:16]}"
-        )
-    if not (chaos[0].ok and chaos[1].ok):
+    if not run_chaos(7, _CHAOS_SCHEDULE, ops=chaos_ops, ecall_batch=1).ok:
         failures.append("chaos verification failed during identity check")
     return failures
 
@@ -306,10 +286,10 @@ class BatchBenchResult:
     def report(self) -> str:
         """Human-readable table."""
         lines = [
-            "Batched request pipeline benchmark: serial vs K-frame drain"
+            "Request pipeline benchmark: K-frame drain vs K=1"
             + ("  [quick]" if self.quick else ""),
             "=" * 70,
-            "identity self-check (K=0 vs K=1/K=16 reports + chaos): "
+            "identity self-check (K=1 vs K=16 reports + chaos): "
             + ("OK (byte-identical)" if not self.identity_failures
                else f"FAILED: {self.identity_failures}"),
             "",

@@ -758,7 +758,7 @@ def run_batchbench_cmd(
     Measurements land in ``BENCH_batching.json`` (full run, repo root)
     or ``bench_reports/BENCH_batching_quick.json`` (quick run) -- same
     split as cryptobench, so CI smoke runs never clobber the committed
-    full trajectory.  Exit code 0 when the K=0/K=1/K=16
+    full trajectory.  Exit code 0 when the K=1/K=16
     behavioural-identity gate held and the K=16 speedup floor was met;
     1 otherwise.
     """
@@ -989,7 +989,7 @@ def build_parser() -> argparse.ArgumentParser:
         "'shard' for a functional sharded-cluster run, 'chaos' for a "
         "seeded fault-injection run with shadow verification, "
         "'cryptobench' for the wall-clock reference-vs-fast crypto "
-        "benchmark, 'batchbench' for the serial-vs-batched request "
+        "benchmark, 'batchbench' for the K-frame-vs-K=1 request "
         "pipeline benchmark, 'replica' for a replicated failover chaos "
         "run, "
         "'health' for a windowed SLO report over a deterministic "
@@ -1241,8 +1241,8 @@ def main(argv=None) -> int:
               "verification")
         print("cryptobench  wall-clock reference-vs-fast crypto engine "
               "benchmark")
-        print("batchbench  serial-vs-batched request pipeline benchmark "
-              "(K-frame drain)")
+        print("batchbench  request pipeline benchmark "
+              "(K-frame drain vs K=1)")
         print("replica    replicated failover chaos run (promotion + "
               "client loss detection)")
         print("health     windowed SLO report over a deterministic "

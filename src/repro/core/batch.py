@@ -1,316 +1,212 @@
-"""The batched request pipeline: K control messages per enclave transition.
+"""The server's request pipeline: every ring drains in cycles of K frames.
 
-The serial polling loop (:meth:`PrecursorServer.process_client`) pays
-every fixed cost once per frame: one modeled enclave crossing, one GCM
-cipher warm-up, one reply doorbell.  The paper's transition-cost argument
-(~13 100 cycles per crossing, §1/§2.1) says the win is amortization:
-drain the ring in batches and carry K control messages across the
-boundary at once.  :class:`BatchPipeline` is that engine.  One *cycle*
+A trusted thread enters the enclave once, through the ``start_polling``
+ecall, and then polls the client rings from inside it (paper §3.8), so
+no request crosses the enclave boundary.  :class:`BatchPipeline` is that
+polling loop and the only way a
+:class:`~repro.core.server.PrecursorServer` drains a ring.  One *cycle*
 over one client's ring runs five phases:
 
 1. **drain** -- poll up to K ready frames from the request ring;
 2. **parse** -- decode the untrusted framing, validate the client id and
-   apply reply-ring credits (per-frame rejects are recorded exactly as
-   the serial path records them);
-3. **batched ecall + open** -- record one batched enclave entry carrying
-   the cycle's messages, then authenticate every sealed control segment
-   with one fused :meth:`~repro.crypto.provider.CryptoProvider.transport_open_many`
+   apply reply-ring credits (a malformed frame is dropped and counted);
+3. **open** -- authenticate every sealed control segment with one fused
+   :meth:`~repro.crypto.provider.CryptoProvider.transport_open_many`
    call.  A frame that fails authentication is dropped *alone*: its
    batch-mates proceed;
-4. **dispatch** -- run each authenticated request through the unmodified
-   serial dispatch (:meth:`PrecursorServer._process_control_blob`:
-   replay filter, duplicate-reply cache, table update, replication
-   hook), with replies *staged* instead of sealed inline;
+4. **dispatch** -- run each authenticated request through
+   :meth:`PrecursorServer._process_control_blob` (replay filter,
+   duplicate-reply cache, table update, replication hook), with replies
+   *staged*;
 5. **seal + coalesced reply** -- seal the staged replies in dispatch
-   order (session IVs are drawn in the same order the serial path would
-   draw them, so every reply is byte-identical to its serial twin) and
-   write them through one gather work request per cycle.
+   order with one fused call (session IVs are drawn in dispatch order)
+   and write them through one gather work request per cycle.
 
-Equivalence contract: with ``ecall_batch=1`` every phase degenerates to
-exactly the serial sequence -- same frame order, same per-message seals,
-same single-frame reply writes (``produce_many`` falls back to
-``produce``), same credit write -- so the K=1 pipeline is byte-identical
-to the pre-batching server, fault-injection judgements included.
-``tests/test_batch_equivalence.py`` holds this to store digests, raw
-reply-ring bytes and duplicate-reply-cache contents at every tested K.
-The identity covers wire bytes and protocol behaviour, not modeled cost
-telemetry: the batched path records one modeled ecall per cycle where
-the serial path records none (its thread entered once via
-``start_polling``), and ``server_handle_ns`` spans dispatch only -- both
-asymmetries are spelled out in ``docs/BATCHING.md``.
+Equivalence contract: K=1 reproduces the pre-pipeline serial server
+byte for byte (pinned digests) -- same frame order, same per-message
+seals, same single-frame reply writes (``produce_many`` falls back to
+``produce``), same credit write, fault-injection judgements included --
+and every K > 1 is observably identical to it.
+``tests/test_batch_equivalence.py`` holds store digests, raw reply-ring
+bytes and duplicate-reply-cache contents to the pinned serial digests at
+every tested K.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
 
-from repro.core.protocol import Request
+from repro.core.protocol import Request, Response
 from repro.errors import CapacityError, ConfigurationError, ProtocolError
 
 __all__ = ["BatchPipeline"]
 
 
-@dataclass
-class _ParsedFrame:
-    """One drained frame after the untrusted parse phase."""
-
-    request: Optional[Request]  # None -> rejected before the enclave
-    control_blob: Optional[bytes] = None  # filled by the open phase
-
-
 class BatchPipeline:
-    """Batch-oriented polling engine bolted onto a :class:`PrecursorServer`.
+    """The trusted polling engine of a :class:`PrecursorServer`.
 
     Owns no protocol state of its own: replay filters, duplicate-reply
-    caches, tenant grants and replication hooks all live in the server
-    and are exercised through the same code paths the serial loop uses.
-    The pipeline only changes *when* the crypto and the reply writes
-    happen -- grouped across the drained frame set instead of interleaved
-    per frame.
+    caches, tenant grants and replication hooks all live in the server.
+    The pipeline only decides *when* the crypto and the reply writes
+    happen -- grouped across the drained frame set.
     """
 
     def __init__(self, server, k: int):
-        if k < 1:
-            raise ConfigurationError(
-                f"ecall_batch must be >= 1 to enable batching: {k}"
-            )
         self.server = server
         self.k = k
-        shard_labels = (
-            {"shard": server.shard_name}
-            if server.shard_name is not None
-            else None
+        shard = (
+            {"shard": server.shard_name} if server.shard_name is not None else {}
         )
         registry = server.obs.registry
         self._obs_batch_size = registry.histogram(
-            "server_batch_size",
-            "frames carried per batched enclave entry",
-            shard_labels,
+            "server_batch_size", "frames drained per cycle", shard or None
         )
         self._obs_cycles = registry.counter(
             "server_batch_cycles_total",
-            "drain cycles run by the batched pipeline",
-            shard_labels,
+            "drain cycles run by the pipeline",
+            shard or None,
+        )
+        self._obs_messages = registry.counter(
+            "sgx_batched_messages_total",
+            "control messages drained inside the enclave",
+            {"enclave": server.enclave.name, **shard},
         )
 
-    # -- public driver -----------------------------------------------------
-
     def process_client(self, client_id: int, batch: int = 64) -> int:
-        """Batched twin of :meth:`PrecursorServer.process_client`.
+        """Drain one client's ring: the unit of work of a trusted thread.
 
-        Drains the client's ring in cycles of up to ``ecall_batch``
-        frames until the ring is empty or ``batch`` frames were handled,
-        then pushes the credit update -- one credit write per call, same
-        as the serial path.
+        Runs cycles of up to K frames until the ring is empty or
+        ``batch`` frames were handled, then pushes one credit update.
         """
         server = self.server
         server._check_alive()
         channel = server._channel(client_id)
         if channel.revoked:
             return 0
+        consumer = channel.request_consumer
+        k = self.k
         handled = 0
         while handled < batch:
-            cycle = self._run_cycle(channel, min(self.k, batch - handled))
-            if cycle == 0:
+            frames = consumer.poll(min(k, batch - handled))
+            if not frames:
                 break
-            handled += cycle
-        credit = channel.request_consumer.credits_due()
+            self._run_cycle(channel, frames)
+            handled += len(frames)
+        credit = consumer.credits_due()
         if credit is not None:
             server._rdma_write(
-                channel,
-                channel.credit_rkey,
-                0,
-                struct.pack(">Q", credit),
+                channel, channel.credit_rkey, 0, struct.pack(">Q", credit)
             )
         return handled
 
-    def process_pending(self, batch: int = 64) -> int:
-        """Batched twin of :meth:`PrecursorServer.process_pending`.
-
-        Clients are visited in admission order and each is drained
-        before the next -- the same total order the serial loop
-        produces.
-        """
-        server = self.server
-        server._check_alive()
-        if not server._started:
-            raise ConfigurationError("server not started")
-        handled = 0
-        for client_id in list(server._channels):
-            handled += self.process_client(client_id, batch)
-        return handled
-
-    # -- one drain cycle ---------------------------------------------------
-
-    def _run_cycle(self, channel, budget: int) -> int:
-        """Run one drain-parse-open-dispatch-seal cycle; returns frames."""
-        server = self.server
-        frames = channel.request_consumer.poll(budget)
-        if not frames:
-            return 0
-        self._obs_cycles.inc()
-        self._obs_batch_size.record(len(frames))
-
-        parsed = self._parse_phase(channel, frames)
-
-        # The batched enclave entry: one modeled world switch carries the
-        # whole cycle (the serial path conceptually pays one per frame).
-        # Recorded through the accounting object, not Enclave.ecall: the
-        # trusted thread never actually leaves the enclave between frames
-        # (it entered once via start_polling), and dispatch may re-enter
-        # sealing via the replication hook, which the real ecall gate
-        # would reject as nesting.
-        server.enclave.transitions.record_batched_ecall(len(frames))
-
-        self._open_phase(channel, parsed)
-
-        staged: List[Tuple[object, object, object]] = []
-        server._reply_sink = staged
-        try:
-            self._dispatch_phase(channel, parsed)
-        finally:
-            server._reply_sink = None
-
-        self._reply_phase(channel, staged)
-        return len(frames)
-
-    def _parse_phase(self, channel, frames) -> List[_ParsedFrame]:
-        """Decode untrusted framing and apply credits, in frame order."""
+    def _run_cycle(self, channel, frames) -> None:
+        """Parse, open, dispatch and seal one drained frame set."""
         server = self.server
         stats = server.stats
         rejects = server._obs_rejects
-        parsed: List[_ParsedFrame] = []
+        count = len(frames)
+        self._obs_cycles.inc()
+        self._obs_batch_size.record(count)
+        self._obs_messages.inc(count)
+
+        # Parse: decode the untrusted framing and apply credits.
+        aad = struct.pack(">I", channel.client_id)
+        requests = []
+        live = []  # (sealed control, aad) of the frames that parsed
         for frame in frames:
             try:
                 request = Request.decode(frame)
-            except ProtocolError:
-                stats.protocol_errors += 1
-                rejects.inc()
-                parsed.append(_ParsedFrame(request=None))
-                continue
-            if request.client_id != channel.client_id:
-                stats.protocol_errors += 1
-                rejects.inc()
-                parsed.append(_ParsedFrame(request=None))
-                continue
-            try:
+                if request.client_id != channel.client_id:
+                    # A client cannot speak for another: its frames
+                    # arrive only in its own ring.
+                    raise ProtocolError("client id does not match its ring")
+                # The credit rides outside the sealed segment, so a
+                # corrupted frame can carry an impossible value.
                 channel.reply_producer.credit_update(request.reply_credit)
-            except ConfigurationError:
+            except (ProtocolError, ConfigurationError):
                 stats.protocol_errors += 1
                 rejects.inc()
-                parsed.append(_ParsedFrame(request=None))
-                continue
-            parsed.append(_ParsedFrame(request=request))
-        return parsed
-
-    def _open_phase(self, channel, parsed: List[_ParsedFrame]) -> None:
-        """Authenticate every surviving control segment in one fused call."""
-        server = self.server
-        live = [entry for entry in parsed if entry.request is not None]
-        if not live:
-            return
-        session = server._sessions[channel.client_id]
-        aad = struct.pack(">I", channel.client_id)
-        with server.obs.tracer.stage("server.unseal_batch"):
-            blobs = server.provider.transport_open_many(
-                session.key,
-                [(entry.request.sealed_control, aad) for entry in live],
-            )
-        for entry, blob in zip(live, blobs):
-            if blob is None:
-                server.stats.auth_failures += 1
-                server._obs_rejects.inc()
-                entry.request = None  # poisoned alone; batch-mates proceed
+                request = None
             else:
-                entry.control_blob = blob
+                live.append((request.sealed_control, aad))
+            requests.append(request)
 
-    def _dispatch_phase(self, channel, parsed: List[_ParsedFrame]) -> None:
-        """Run the serial dispatch per frame, replies staged not sealed.
-
-        Follows :meth:`PrecursorServer._handle_frame`'s sequence: every
-        drained frame -- including ones rejected in earlier phases --
-        gets its service hook call and its ``server_handle_ns`` sample,
-        in frame order, so modeled-latency harnesses observe the same
-        per-frame event sequence the serial loop produces.  One timing
-        caveat: the batched sample spans *dispatch only* -- frame
-        decode, the credit update and the GCM open already happened in
-        the parse/open phases, outside this timed region (they are
-        covered by the cycle's ``server.unseal_batch`` tracer stage
-        instead), whereas the serial sample includes them.  At K=1 the
-        behaviour is still byte-identical; the per-frame latency *split*
-        is not (``docs/BATCHING.md``).
-        """
-        server = self.server
-        clock = server.obs.tracer.clock
-        for entry in parsed:
-            entered_ns = clock.now_ns()
-            try:
-                if entry.request is not None:
-                    server._process_control_blob(
-                        channel, entry.control_blob, entry.request
+        # Open: one fused call authenticates every surviving segment.
+        if live:
+            with server.obs.tracer.stage("server.unseal_control"):
+                opened = iter(
+                    server.provider.transport_open_many(
+                        server._sessions[channel.client_id].key, live
                     )
-                hook = server.service_hook
-                if hook is not None:
-                    hook()
-            finally:
-                server._obs_handle_ns.record(
-                    max(0, clock.now_ns() - entered_ns)
                 )
+
+        # Dispatch in frame order, replies staged.  Every drained frame
+        # -- dropped ones included -- gets its service hook call and its
+        # server_handle_ns sample (per-frame dispatch time), so
+        # modeled-latency harnesses observe one event per frame.
+        clock = server.obs.tracer.clock
+        staged = []
+        server._reply_sink = staged
+        try:
+            for request in requests:
+                entered_ns = clock.now_ns()
+                try:
+                    if request is not None:
+                        blob = next(opened)
+                        if blob is None:
+                            # Failed authentication: dropped alone, its
+                            # batch-mates proceed.
+                            stats.auth_failures += 1
+                            rejects.inc()
+                        else:
+                            server._process_control_blob(channel, blob, request)
+                    hook = server.service_hook
+                    if hook is not None:
+                        hook()
+                finally:
+                    server._obs_handle_ns.record(
+                        max(0, clock.now_ns() - entered_ns)
+                    )
+        finally:
+            server._reply_sink = None
+        self._reply_phase(channel, staged)
 
     def _reply_phase(self, cycle_channel, staged) -> None:
         """Seal staged replies in dispatch order; coalesce the writes.
 
-        Session IVs are drawn in exactly the order the serial path's
-        per-reply seals would have drawn them, so every reply ring slot
-        receives byte-identical contents at any K; only the transport is
-        coalesced (one gather work request per channel per cycle).
-
         Seal keys and reply rings are per-channel state, so both are
         keyed off each staged entry's *own* channel, never the cycle
-        argument: today's dispatch paths always reply on the cycle
-        channel (one group, one gather write), but an entry staged for a
-        different channel must never be sealed under the wrong session
-        or land in the wrong ring.
+        argument: dispatch always replies on the cycle channel today,
+        but an entry staged for a different channel must never be sealed
+        under the wrong session or land in the wrong ring.
         """
         del cycle_channel  # sealing is keyed per staged entry, see above
-        if not staged:
-            return
         server = self.server
-        from repro.core.protocol import Response
-
+        tracer = server.obs.tracer
         # Group by entry channel, preserving dispatch order within each
         # group and first-appearance order across groups.
-        groups: List[Tuple[object, List[Tuple[object, object]]]] = []
-        slots = {}
-        for entry_channel, control, payload in staged:
-            slot = slots.get(id(entry_channel))
-            if slot is None:
-                slot = len(groups)
-                slots[id(entry_channel)] = slot
-                groups.append((entry_channel, []))
-            groups[slot][1].append((control, payload))
-        for entry_channel, entries in groups:
-            session = server._sessions[entry_channel.client_id]
-            aad = b"resp" + struct.pack(">I", entry_channel.client_id)
-            with server.obs.tracer.stage("server.seal_batch"):
+        groups = {}
+        for entry in staged:
+            groups.setdefault(id(entry[0]), []).append(entry)
+        for entries in groups.values():
+            channel = entries[0][0]
+            aad = b"resp" + struct.pack(">I", channel.client_id)
+            with tracer.stage("server.seal_reply"):
                 sealed = server.provider.transport_seal_many(
-                    session,
-                    [(control.encode(), aad) for control, _pl in entries],
+                    server._sessions[channel.client_id],
+                    [(control.encode(), aad) for _ch, control, _pl in entries],
                 )
             encoded = [
                 Response(sealed_control=blob, payload=payload).encode()
-                for (_control, payload), blob in zip(entries, sealed)
+                for (_ch, _control, payload), blob in zip(entries, sealed)
             ]
-            with server.obs.tracer.stage("server.reply_write"):
+            with tracer.stage("server.reply_write"):
                 try:
-                    entry_channel.reply_producer.produce_many(encoded)
+                    channel.reply_producer.produce_many(encoded)
                 except CapacityError:
                     # produce_many is all-or-nothing and raises before
                     # writing anything, so replay the group per frame:
                     # the leading replies that fit are delivered and the
-                    # failure surfaces on the same frame the serial
-                    # per-reply path would have failed on.
+                    # failure surfaces on the frame that did not fit.
                     for blob in encoded:
-                        entry_channel.reply_producer.produce(blob)
+                        channel.reply_producer.produce(blob)

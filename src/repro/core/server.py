@@ -31,21 +31,20 @@ import threading
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.crypto.provider import CryptoProvider, EncryptedPayload, SealedMessage
+from repro.crypto.provider import CryptoProvider, EncryptedPayload
 from repro.crypto.keys import KeyGenerator, SessionKey
+from repro.core.batch import BatchPipeline
 from repro.core.payload_store import PayloadPointer, PayloadStore
 from repro.core.protocol import (
     ControlData,
     OpCode,
     Request,
-    Response,
     ResponseControl,
     Status,
 )
 from repro.core.replay import ReplayGuard
 from repro.core.ring_buffer import RingConsumer, RingLayout, RingProducer
 from repro.errors import (
-    AuthenticationError,
     ConfigurationError,
     KeyNotFoundError,
     ProtocolError,
@@ -115,13 +114,18 @@ class ServerConfig:
     #: entry.  The "traditional access control schemes on top" the paper's
     #: per-pair key design enables (§3.3).
     tenant_isolation: bool = False
-    #: Control messages per batched enclave transition.  0 (the default)
-    #: keeps the original serial request path.  K >= 1 routes polling
-    #: through the batched pipeline (:mod:`repro.core.batch`): drain up
-    #: to K frames per cycle, one modeled enclave entry per cycle,
+    #: Frames per drain cycle, >= 1.  Every ring drains through the
+    #: pipeline (:mod:`repro.core.batch`): up to K frames per cycle,
     #: phase-grouped GCM open/seal across the cycle and one gather reply
-    #: write per cycle.  K=1 is byte-identical to the serial path.
-    ecall_batch: int = 0
+    #: write per cycle.  K=1 reproduces the pre-pipeline serial server
+    #: byte for byte.
+    ecall_batch: int = 1
+
+    def __post_init__(self) -> None:
+        if self.ecall_batch < 1:
+            raise ConfigurationError(
+                f"ecall_batch must be >= 1, got {self.ecall_batch}"
+            )
 
 
 @dataclass
@@ -249,7 +253,7 @@ class PrecursorServer:
         )
         self._obs_handle_ns = registry.histogram(
             "server_handle_ns",
-            "per-frame trusted handling time",
+            "per-frame dispatch time",
             shard_labels or None,
         )
         self.enclave.allocator.allocate(cfg.misc_trusted_bytes, "misc")
@@ -286,28 +290,20 @@ class PrecursorServer:
         #: commit, *before* the client's ack is produced, which is what
         #: makes sync/semi-sync acknowledged-write contracts real.
         self.replication_hook: Optional[Callable[[str, bytes], None]] = None
-        #: Service-time seam: when set, called once per handled frame,
-        #: inside the timed region of :meth:`_handle_frame`.  The health
+        #: Service-time seam: when set, called once per drained frame,
+        #: inside its timed dispatch region (``server_handle_ns``).  The health
         #: harness installs a closure here that advances a manual clock
         #: by a modelled per-shard service latency, which is what makes
         #: deterministic hot-shard p99 experiments possible.
         self.service_hook: Optional[Callable[[], None]] = None
-        #: Reply staging seam for the batched pipeline (exposed as the
-        #: thread-local :attr:`_reply_sink` property): when a cycle
-        #: installs a staging list, :meth:`_send_response` appends
-        #: ``(channel, control, payload)`` instead of sealing and
-        #: writing inline; the pipeline seals the whole cycle in
-        #: dispatch order afterwards.  The duplicate-reply cache still
-        #: updates at staging time, so cache-before-write semantics are
-        #: untouched.
+        #: Reply staging seam (exposed as the thread-local
+        #: :attr:`_reply_sink` property): each drain cycle installs a
+        #: staging list, :meth:`_send_response` appends
+        #: ``(channel, control, payload)`` to it, and the pipeline seals
+        #: the whole cycle in dispatch order afterwards.
         self._reply_staging = threading.local()
-        #: The batched polling engine; ``None`` keeps the serial path.
-        if cfg.ecall_batch:
-            from repro.core.batch import BatchPipeline
-
-            self._batcher = BatchPipeline(self, cfg.ecall_batch)
-        else:
-            self._batcher = None
+        #: The polling engine every ring drains through.
+        self._batcher = BatchPipeline(self, cfg.ecall_batch)
 
     # -- ecall implementations (trusted side) ------------------------------
 
@@ -571,16 +567,13 @@ class PrecursorServer:
     ) -> None:
         """Post one gather WRITE landing several ``(offset, data)`` slices.
 
-        The coalesced-reply transport of the batched pipeline: one WQE,
-        one doorbell, K reply slots.  A single-entry list degenerates to
-        the plain write so the wire behaviour (and the fault-injection
-        judgement sequence) of a batch of one matches the serial path.
+        The coalesced-reply transport of the request pipeline: one WQE,
+        one doorbell, K reply slots.  ``RingProducer.produce_many`` sends
+        a batch of one as a plain write instead, so a one-frame cycle's
+        wire behaviour (and fault-injection judgement sequence) matches
+        the pre-pipeline serial server.
         """
         writes = list(writes)
-        if len(writes) == 1:
-            offset, data = writes[0]
-            self._rdma_write(channel, rkey, offset, data)
-            return
         data = b"".join(payload for _offset, payload in writes)
         self.fabric.post_send(
             channel.qp,
@@ -605,97 +598,30 @@ class PrecursorServer:
 
         The paper assigns each trusted thread a *subset* of the client
         rings (§3.8); :class:`~repro.core.threading.ServerThreadPool`
-        partitions clients over threads by calling this.
-
-        With ``config.ecall_batch >= 1`` the batched pipeline
-        (:mod:`repro.core.batch`) services the ring instead, draining it
-        in cycles of K frames per modeled enclave transition.
+        partitions clients over threads by calling this.  The ring
+        drains through :class:`~repro.core.batch.BatchPipeline` in
+        cycles of up to ``config.ecall_batch`` frames.
         """
-        if self._batcher is not None:
-            return self._batcher.process_client(client_id, batch)
-        self._check_alive()
-        channel = self._channel(client_id)
-        if channel.revoked:
-            return 0
-        handled = 0
-        for frame in channel.request_consumer.poll(batch):
-            self._handle_frame(channel, frame)
-            handled += 1
-        credit = channel.request_consumer.credits_due()
-        if credit is not None:
-            self._rdma_write(
-                channel,
-                channel.credit_rkey,
-                0,
-                struct.pack(">Q", credit),
-            )
-        return handled
+        return self._batcher.process_client(client_id, batch)
 
     def process_pending(self, batch: int = 64) -> int:
         """One iteration of the trusted polling loop over every client ring.
 
         Returns the number of requests handled.  In the real system this
         loop runs forever inside the enclave; in-process callers pump it.
+        Clients are visited in admission order and each is drained
+        before the next.
         """
-        if self._batcher is not None:
-            return self._batcher.process_pending(batch)
         self._check_alive()
         if not self._started:
             raise ConfigurationError("server not started")
+        drain = self._batcher.process_client
         handled = 0
         for client_id in list(self._channels):
-            handled += self.process_client(client_id, batch)
+            handled += drain(client_id, batch)
         return handled
 
     # -- request handling (trusted side) ------------------------------------
-
-    def _handle_frame(self, channel: _ClientChannel, frame: bytes) -> None:
-        clock = self.obs.tracer.clock
-        entered_ns = clock.now_ns()
-        try:
-            self._handle_frame_inner(channel, frame)
-            hook = self.service_hook
-            if hook is not None:
-                hook()
-        finally:
-            self._obs_handle_ns.record(max(0, clock.now_ns() - entered_ns))
-
-    def _handle_frame_inner(self, channel: _ClientChannel, frame: bytes) -> None:
-        try:
-            request = Request.decode(frame)
-        except ProtocolError:
-            self.stats.protocol_errors += 1
-            self._obs_rejects.inc()
-            return
-        if request.client_id != channel.client_id:
-            # A client cannot speak for another: its frames arrive only in
-            # its own ring, so a mismatched id is a protocol violation.
-            self.stats.protocol_errors += 1
-            self._obs_rejects.inc()
-            return
-        try:
-            channel.reply_producer.credit_update(request.reply_credit)
-        except ConfigurationError:
-            # The credit rides outside the sealed segment, so a corrupted
-            # frame can carry an impossible value.  Treat it like any
-            # other malformed field: drop the frame, never crash the
-            # polling loop (the sender's retry re-ships a clean credit).
-            self.stats.protocol_errors += 1
-            self._obs_rejects.inc()
-            return
-
-        session = self._sessions[channel.client_id]
-        aad = struct.pack(">I", channel.client_id)
-        try:
-            with self.obs.tracer.stage("server.unseal_control"):
-                control_blob = self.provider.transport_open(
-                    session.key, request.sealed_control, aad=aad
-                )
-        except AuthenticationError:
-            self.stats.auth_failures += 1
-            self._obs_rejects.inc()
-            return  # unauthenticated -> drop silently
-        self._process_control_blob(channel, control_blob, request)
 
     def _process_control_blob(
         self, channel: _ClientChannel, control_blob: bytes, request: Request
@@ -967,8 +893,8 @@ class PrecursorServer:
 
         Thread-local on purpose: :class:`~repro.core.threading.ServerThreadPool`
         runs :meth:`process_client` from several trusted threads at
-        once, and with batching enabled each worker stages the replies
-        of its own drain cycle.  A process-wide attribute would let one
+        once, and each worker stages the replies of its own drain
+        cycle.  A process-wide attribute would let one
         thread's cycle capture (and, via its ``finally`` clause, then
         discard) replies another thread's dispatch was staging, sealing
         them under the wrong session and writing them into the wrong
@@ -988,38 +914,22 @@ class PrecursorServer:
         control: ResponseControl,
         payload: Optional[EncryptedPayload] = None,
     ) -> None:
-        sink = self._reply_sink
-        if sink is not None:
-            # Batched pipeline: stage the reply for the cycle's seal
-            # phase.  The duplicate-reply cache updates here -- the same
-            # logical point the serial path updates it (before any reply
-            # bytes can be lost in transit), and early enough that a
-            # retransmission arriving later in the *same* cycle sees it.
-            if control.status is not Status.REPLAY:
-                channel.last_oid = control.oid
-                channel.last_reply_control = control
-                channel.last_reply_payload = payload
-            sink.append((channel, control, payload))
-            return
-        session = self._sessions[channel.client_id]
-        aad = b"resp" + struct.pack(">I", channel.client_id)
-        with self.obs.tracer.stage("server.seal_reply"):
-            sealed = self.provider.transport_seal(
-                session, control.encode(), aad=aad
-            )
-            response = Response(sealed_control=sealed, payload=payload)
+        """Stage one reply for the current drain cycle's seal phase.
+
+        ``control`` is the reply body the cycle seals: a
+        :class:`ResponseControl`, or the server-encryption variant's body.
+        """
         if control.status is not Status.REPLAY:
-            # Cache the reply for the duplicate filter BEFORE attempting
-            # the reply write: if the write itself is lost to a transport
-            # fault, the retried request can still recover the genuine
-            # ack from the cache.  (REPLAY rejections are themselves never
-            # cached: a replayed frame must not overwrite the genuine
-            # reply it duplicates.)
+            # Cache the reply for the duplicate filter BEFORE any reply
+            # bytes exist: if the write is later lost to a transport
+            # fault, the retried request still recovers the genuine ack
+            # -- and a retransmission later in the *same* cycle sees it.
+            # (REPLAY rejections are never cached: a replayed frame must
+            # not overwrite the genuine reply it duplicates.)
             channel.last_oid = control.oid
             channel.last_reply_control = control
             channel.last_reply_payload = payload
-        with self.obs.tracer.stage("server.reply_write"):
-            channel.reply_producer.produce(response.encode())
+        self._reply_sink.append((channel, control, payload))
 
     # -- trusted memory accounting -----------------------------------------
 

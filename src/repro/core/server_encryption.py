@@ -183,19 +183,24 @@ class PrecursorServerEncryption(PrecursorServer):
     def _process_control_blob(
         self, channel: _ClientChannel, control_blob: bytes, request: Request
     ) -> None:
+        # Drops and replays count in server_rejected_requests_total, as
+        # on the client-centric server.
         if request.payload is not None:
             self.stats.protocol_errors += 1
+            self._obs_rejects.inc()
             return
         try:
             control = _SEControl.decode(control_blob)
         except ProtocolError:
             self.stats.protocol_errors += 1
+            self._obs_rejects.inc()
             return
         try:
             self._replay.check_and_advance(channel.client_id, control.oid)
         except ReplayError:
             self.stats.replay_rejections += 1
-            self._send_se_response(
+            self._obs_rejects.inc()
+            self._send_response(
                 channel, _SEResponse(status=Status.REPLAY, oid=control.oid)
             )
             return
@@ -210,7 +215,7 @@ class PrecursorServerEncryption(PrecursorServer):
         self.stats.puts += 1
         if control.value is None:
             self.stats.protocol_errors += 1
-            self._send_se_response(
+            self._send_response(
                 channel, _SEResponse(status=Status.ERROR, oid=control.oid)
             )
             return
@@ -232,7 +237,7 @@ class PrecursorServerEncryption(PrecursorServer):
             self._charge_table_growth()
         if old is not None:
             self.payload_store.release(old.ptr)
-        self._send_se_response(
+        self._send_response(
             channel, _SEResponse(status=Status.OK, oid=control.oid)
         )
 
@@ -251,7 +256,7 @@ class PrecursorServerEncryption(PrecursorServer):
                 sealed_value = self.payload_store.load(entry.ptr)
         if entry is None:
             self.stats.misses += 1
-            self._send_se_response(
+            self._send_response(
                 channel, _SEResponse(status=Status.NOT_FOUND, oid=control.oid)
             )
             return
@@ -261,12 +266,12 @@ class PrecursorServerEncryption(PrecursorServer):
         except GcmFailure:
             # Untrusted memory corrupted: detected *server-side* here (in
             # client-encryption Precursor the client detects it instead).
-            self._send_se_response(
+            self._send_response(
                 channel, _SEResponse(status=Status.ERROR, oid=control.oid)
             )
             return
         self.enclave_crypto_bytes += len(value)
-        self._send_se_response(
+        self._send_response(
             channel,
             _SEResponse(status=Status.OK, oid=control.oid, value=value),
         )
@@ -286,20 +291,8 @@ class PrecursorServerEncryption(PrecursorServer):
         else:
             self.payload_store.release(entry.ptr)
             status = Status.OK
-        self._send_se_response(
+        self._send_response(
             channel, _SEResponse(status=status, oid=control.oid)
-        )
-
-    def _send_se_response(
-        self, channel: _ClientChannel, body: _SEResponse
-    ) -> None:
-        session = self._sessions[channel.client_id]
-        aad = b"resp" + struct.pack(">I", channel.client_id)
-        sealed = self.provider.transport_seal(session, body.encode(), aad=aad)
-        from repro.core.protocol import Response
-
-        channel.reply_producer.produce(
-            Response(sealed_control=sealed, payload=None).encode()
         )
 
 

@@ -55,6 +55,7 @@ never silently diverge from the spec-mirroring reference code.
 
 from __future__ import annotations
 
+import functools
 import struct
 from typing import Dict, List, Tuple
 
@@ -353,16 +354,20 @@ def _broadcast_tables(rk: tuple) -> tuple:
     return tuple(tables)
 
 
-def _broadcast_keys(tables: tuple, lanes: int) -> list:
+@functools.lru_cache(maxsize=16)
+def _broadcast_keys(tables: tuple, lanes: int) -> tuple:
     """One shared key schedule as plane-layout round keys for ``lanes``.
 
     Plane q of the pattern is ``lanes`` copies of the byte q, so
     translating it through a round key's table broadcasts that key to
-    every lane.
+    every lane.  Cached: a session key meets the same few lane counts
+    again and again (4 or 5 blocks for a one-frame drain cycle, a fixed
+    window's worth for ``put_many``), and the broadcast is about a fifth
+    of a small pass.  Sixteen entries hold at most 1.4 MiB.
     """
     pattern = b"".join([bytes((q,)) * lanes for q in range(16)])
     fb = int.from_bytes
-    return [fb(pattern.translate(t), "big") for t in tables]
+    return tuple([fb(pattern.translate(t), "big") for t in tables])
 
 
 def _lane_schedule(key: int, lanes: int) -> list:

@@ -211,7 +211,7 @@ class _ChaosRun:
         obs: Optional[ObsContext],
         replicas: int = 0,
         ack_mode: str = "sync",
-        ecall_batch: int = 0,
+        ecall_batch: int = 1,
         near_cache: bool = False,
         read_offload: bool = False,
         autoscale: bool = False,
@@ -230,6 +230,7 @@ class _ChaosRun:
                 "the near-cache and the read offload live in the routing "
                 "client (pass shards >= 1)"
             )
+        server_config = ServerConfig(ecall_batch=ecall_batch)
         self.ops = ops
         self.keyspace = keyspace
         self.value_size = value_size
@@ -255,9 +256,6 @@ class _ChaosRun:
         self.uncertain: set = set()
         self.down: Dict[str, int] = {}  # shard name -> restore-at op index
 
-        server_config = (
-            ServerConfig(ecall_batch=ecall_batch) if ecall_batch else None
-        )
         if shards is None:
             self.cluster = None
             self.cache_clock = None
@@ -740,7 +738,7 @@ def run_chaos(
     obs: Optional[ObsContext] = None,
     replicas: int = 0,
     ack_mode: str = "sync",
-    ecall_batch: int = 0,
+    ecall_batch: int = 1,
     near_cache: bool = False,
     read_offload: bool = False,
     autoscale: bool = False,

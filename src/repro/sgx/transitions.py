@@ -48,15 +48,9 @@ class TransitionAccounting:
         self.ecalls = 0
         self.ocalls = 0
         self.epc_faults = 0
-        #: Batched crossings: ``batched_ecalls`` transitions carried
-        #: ``batched_messages`` control messages in total (K per crossing).
-        self.batched_ecalls = 0
-        self.batched_messages = 0
         self._obs_ecalls = None
         self._obs_ocalls = None
         self._obs_faults = None
-        self._obs_batched = None
-        self._obs_batched_msgs = None
 
     def bind_obs(self, registry, labels: dict = None) -> None:
         """Mirror crossings into ``registry`` (monotonic, survives reset)."""
@@ -68,16 +62,6 @@ class TransitionAccounting:
         )
         self._obs_faults = registry.counter(
             "sgx_epc_faults_total", "EPC page faults serviced", labels
-        )
-        self._obs_batched = registry.counter(
-            "sgx_batched_ecalls_total",
-            "enclave entries that carried a message batch",
-            labels,
-        )
-        self._obs_batched_msgs = registry.counter(
-            "sgx_batched_messages_total",
-            "control messages carried across batched enclave entries",
-            labels,
         )
 
     def record_ecall(self) -> None:
@@ -98,58 +82,6 @@ class TransitionAccounting:
         if self._obs_faults is not None:
             self._obs_faults.inc(count)
 
-    def record_batched_ecall(self, messages: int) -> None:
-        """Count one enclave entry that carries ``messages`` requests.
-
-        This is the amortization the paper's transition-cost argument
-        asks for: one world switch (one ``ecall_cycles`` charge), K
-        control messages processed inside.  ``sgx_ecalls_total`` still
-        counts the single crossing; the batched counters record how many
-        messages it carried so the amortized cost per message
-        (:meth:`amortization`) is observable.
-        """
-        if messages < 1:
-            raise ConfigurationError(
-                f"a batched ecall must carry >= 1 message: {messages}"
-            )
-        self.ecalls += 1
-        self.batched_ecalls += 1
-        self.batched_messages += messages
-        if self._obs_ecalls is not None:
-            self._obs_ecalls.inc()
-        if self._obs_batched is not None:
-            self._obs_batched.inc()
-            self._obs_batched_msgs.inc(messages)
-
-    def amortization(self) -> dict:
-        """Transition-cost amortization achieved by batching so far.
-
-        Returns mean messages per batched crossing and the modeled
-        per-message transition cycles both as-batched and as K=1 would
-        have paid (``messages`` crossings instead of ``batched_ecalls``).
-        """
-        crossings = self.batched_ecalls
-        messages = self.batched_messages
-        ecall_cycles = self.costs.ecall_cycles
-        if crossings == 0 or messages == 0:
-            return {
-                "batched_ecalls": crossings,
-                "batched_messages": messages,
-                "mean_batch": 0.0,
-                "cycles_per_message": ecall_cycles,
-                "serial_cycles_per_message": ecall_cycles,
-                "amortization_factor": 1.0,
-            }
-        mean_batch = messages / crossings
-        return {
-            "batched_ecalls": crossings,
-            "batched_messages": messages,
-            "mean_batch": mean_batch,
-            "cycles_per_message": ecall_cycles / mean_batch,
-            "serial_cycles_per_message": ecall_cycles,
-            "amortization_factor": mean_batch,
-        }
-
     def total_cycles(self) -> float:
         """Aggregate cycle cost of everything recorded so far."""
         costs = self.costs
@@ -164,5 +96,3 @@ class TransitionAccounting:
         self.ecalls = 0
         self.ocalls = 0
         self.epc_faults = 0
-        self.batched_ecalls = 0
-        self.batched_messages = 0

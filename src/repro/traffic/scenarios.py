@@ -249,7 +249,7 @@ def run_scenario(
     slo: Optional[str] = None,
     tick_every_ms: float = 5.0,
     window_ticks: int = 3,
-    ecall_batch: int = 0,
+    ecall_batch: int = 1,
     near_cache: bool = False,
     read_offload: bool = False,
     cache_entries: int = 256,
@@ -264,12 +264,11 @@ def run_scenario(
     probes ``steady`` this way); ``schedule`` arms a
     :class:`~repro.faults.engine.FaultEngine` with ``kind:rate`` syntax
     *after* the preload, so warm-up writes are fault-free and the fault
-    log fingerprints deterministically.  ``ecall_batch`` routes every
-    shard server through the batched request pipeline
-    (``docs/BATCHING.md``); 0 keeps the serial path and K=1 must produce
-    a byte-identical report.  ``near_cache``/``read_offload`` enable the
-    client-verified near-cache and the freshness-token backup reads
-    (``docs/CACHING.md``) on every pooled connection; both default off
+    log fingerprints deterministically.  ``ecall_batch`` sets every
+    shard server's drain window (``docs/BATCHING.md``); every K >= 1
+    must produce a byte-identical report.  ``near_cache``/``read_offload``
+    enable the client-verified near-cache and the freshness-token backup
+    reads (``docs/CACHING.md``) on every pooled connection; both default off
     and the default report stays byte-identical to before they existed.
     ``autoscale`` puts the elastic controller
     (``docs/AUTOSCALING.md``) in the loop: every telemetry window feeds
@@ -303,10 +302,6 @@ def run_scenario(
     from repro.core.server import ServerConfig
     from repro.shard.cluster import ShardedCluster
 
-    if ecall_batch < 0:
-        raise ConfigurationError(
-            f"ecall_batch must be >= 0, got {ecall_batch}"
-        )
     clock = ManualClock()
     obs = ObsContext.create(clock=clock)
     if autoscale:
@@ -322,9 +317,7 @@ def run_scenario(
         obs=obs,
         replicas=replicas,
         ack_mode=ack_mode,
-        config=(
-            ServerConfig(ecall_batch=ecall_batch) if ecall_batch else None
-        ),
+        config=ServerConfig(ecall_batch=ecall_batch),
     )
     if cache_lease_ms <= 0:
         raise ConfigurationError(

@@ -6,11 +6,11 @@ Three contracts:
   runs (drop/duplicate/delay/corruption) verify clean against the
   shadow model at every batch window, and are deterministic --
   same seed, same K, same fingerprint.
-* The serial path's behaviour is *pinned*: the fault-log fingerprints
-  and state digests below were captured on the pre-batching serial
-  request path, and both K=0 and K=1 must still reproduce them
-  byte-for-byte.  A refactor that shifts even one fault judgement
-  changes these hashes.
+* The pre-pipeline serial server's behaviour is *pinned*: the fault-log
+  fingerprints and state digests below were captured on the serial
+  request path before the pipeline existed, and K=1 must still
+  reproduce them byte-for-byte.  A refactor that shifts even one fault
+  judgement changes these hashes.
 * A corrupted frame poisons only itself: the server drops the
   unauthenticatable frame silently and every other frame in the same
   drained batch completes normally.
@@ -42,7 +42,7 @@ PINNED = {
 
 class TestPinnedSerialBehaviour:
     @pytest.mark.parametrize("seed", sorted(PINNED))
-    @pytest.mark.parametrize("k", [0, 1])
+    @pytest.mark.parametrize("k", [1])
     def test_fingerprint_and_digest_match_pre_batching_capture(
         self, seed, k
     ):
@@ -141,11 +141,11 @@ class TestPoisonedFrameIsolation:
         # The unauthenticatable frame is dropped silently; batch-mates
         # drained ahead of it complete normally, and frames behind it
         # hit the strictly-monotonic replay filter -- the same shape,
-        # reply for reply, as the serial path (the retry engine's
+        # reply for reply, as the one-frame window (the retry engine's
         # reconnect/resync recovers from there; the chaos runs above
         # prove that end to end).
         oids, rounds, stats = self._corrupted_run(k=8)
-        serial_oids, serial_rounds, serial_stats = self._corrupted_run(k=0)
+        serial_oids, serial_rounds, serial_stats = self._corrupted_run(k=1)
         assert oids == serial_oids
 
         flat = [reply for round_ in rounds for reply in round_]
@@ -162,12 +162,12 @@ class TestPoisonedFrameIsolation:
     def test_garbage_slot_isolated_like_serial(self):
         # A frame whose *header* is trashed (rogue length) stops that
         # poll; the consumer skips the slot defensively on the next
-        # poll.  The reply stream is identical on both paths -- the
-        # batched drain merely recovers within the same pump (its next
-        # drain cycle re-polls), where the serial path waits for the
-        # next process_pending call.
+        # poll.  The reply stream is identical at both windows -- the
+        # K=8 drain recovers within the same pump (its next drain cycle
+        # polls past the skipped slot), where the one-frame window stops
+        # at the garbage slot and waits for the next process_pending.
         per_path = {}
-        for k in (0, 8):
+        for k in (1, 8):
             server, (client,) = self._pair(k=k)
             for i in range(4):
                 client.put(b"key-%d" % i, b"v%d" % i)
@@ -182,7 +182,7 @@ class TestPoisonedFrameIsolation:
             )
             per_path[k] = oids, self._drain_rounds(server, client)
 
-        oids, serial_rounds = per_path[0]
+        oids, serial_rounds = per_path[1]
         assert per_path[8][0] == oids
         expected = [
             (oids[0], Status.OK),
@@ -191,8 +191,8 @@ class TestPoisonedFrameIsolation:
         ]
         assert [r for rs in serial_rounds for r in rs] == expected
         assert [r for rs in per_path[8][1] for r in rs] == expected
-        # Granularity difference, byte-identical content: serial defers
-        # the post-garbage frames to the second pump, the batched drain
-        # reaches them in its second cycle of the first pump.
+        # Granularity difference, byte-identical content: K=1 defers
+        # the post-garbage frames to the second pump, K=8 reaches them
+        # in its second cycle of the first pump.
         assert serial_rounds[0] == expected[:1]
         assert per_path[8][1][0] == expected

@@ -1,18 +1,18 @@
-"""Unit tests for the seams the batched pipeline is built from.
+"""Unit tests for the seams the request pipeline is built from.
 
 The end-to-end equivalence suite (test_batch_equivalence.py) proves the
-assembled pipeline matches the serial path; these tests pin each layer
-in isolation so a regression points at the seam that broke:
+assembled pipeline matches the pinned serial behaviour; these tests pin
+each layer in isolation so a regression points at the seam that broke:
 
-* transition accounting: one batched ecall = one world switch carrying
-  K messages, and the amortization math exposed to the reports;
 * verbs: the gather-segment validation on ``WorkRequest``;
 * fabric: a gather write lands each slice at its own remote offset;
 * crypto provider: ``transport_seal_many``/``transport_open_many`` are
   byte-identical to their serial twins (same IV draw order) and a
   tampered entry fails alone;
 * both GCM engines: batch seal/open parity and edge cases;
-* the thread pool's adaptive idle backoff.
+* the pipeline's counters, reply staging and reply phase;
+* the pipeline under real polling threads, and the thread pool's
+  adaptive idle backoff.
 """
 
 import random
@@ -29,71 +29,7 @@ from repro.crypto.engine import get_engine
 from repro.crypto.keys import KeyGenerator, SessionKey
 from repro.crypto.provider import CryptoProvider
 from repro.errors import ConfigurationError
-from repro.obs.metrics import MetricsRegistry
 from repro.rdma import AccessFlags, Fabric, Opcode, WorkRequest
-from repro.sgx.transitions import TransitionAccounting, TransitionCosts
-
-
-class TestBatchedTransitionAccounting:
-    def test_one_crossing_many_messages(self):
-        acct = TransitionAccounting(TransitionCosts(ecall_cycles=13_000.0))
-        acct.record_batched_ecall(16)
-        assert acct.ecalls == 1
-        assert acct.batched_ecalls == 1
-        assert acct.batched_messages == 16
-        # The cycle charge is ONE world switch, not sixteen.
-        assert acct.total_cycles() == 13_000.0
-
-    def test_rejects_empty_batch(self):
-        acct = TransitionAccounting()
-        with pytest.raises(ConfigurationError):
-            acct.record_batched_ecall(0)
-        with pytest.raises(ConfigurationError):
-            acct.record_batched_ecall(-3)
-        assert acct.ecalls == 0 and acct.batched_ecalls == 0
-
-    def test_amortization_math(self):
-        acct = TransitionAccounting(TransitionCosts(ecall_cycles=13_000.0))
-        acct.record_batched_ecall(16)
-        acct.record_batched_ecall(8)
-        view = acct.amortization()
-        assert view["batched_ecalls"] == 2
-        assert view["batched_messages"] == 24
-        assert view["mean_batch"] == 12.0
-        assert view["cycles_per_message"] == pytest.approx(13_000.0 / 12)
-        assert view["serial_cycles_per_message"] == 13_000.0
-        assert view["amortization_factor"] == 12.0
-
-    def test_amortization_zero_case(self):
-        view = TransitionAccounting().amortization()
-        assert view["mean_batch"] == 0.0
-        assert view["amortization_factor"] == 1.0
-        assert (
-            view["cycles_per_message"] == view["serial_cycles_per_message"]
-        )
-
-    def test_reset_zeroes_batched_counters(self):
-        acct = TransitionAccounting()
-        acct.record_batched_ecall(4)
-        acct.reset()
-        assert acct.ecalls == 0
-        assert acct.batched_ecalls == 0
-        assert acct.batched_messages == 0
-        assert acct.amortization()["amortization_factor"] == 1.0
-
-    def test_obs_counters_mirror_crossings(self):
-        registry = MetricsRegistry()
-        acct = TransitionAccounting()
-        acct.bind_obs(registry)
-        acct.record_ecall()
-        acct.record_batched_ecall(5)
-        acct.record_batched_ecall(3)
-        assert registry.get("sgx_ecalls_total").value == 3
-        assert registry.get("sgx_batched_ecalls_total").value == 2
-        assert registry.get("sgx_batched_messages_total").value == 8
-        # Monotonic exporter series survive an accounting reset.
-        acct.reset()
-        assert registry.get("sgx_batched_messages_total").value == 8
 
 
 class TestGatherSegmentsValidation:
@@ -356,6 +292,21 @@ class TestGcmEngineBatch:
             gcm.open_many([(b"short-iv", b"x" * 20, b"")])
 
 
+class TestDrainWindow:
+    def test_zero_window_is_refused(self):
+        """Every ring drains through the pipeline: there is no K=0."""
+        from repro.faults.harness import run_chaos
+        from repro.traffic.scenarios import run_scenario
+
+        with pytest.raises(ConfigurationError):
+            ServerConfig(ecall_batch=0)
+        with pytest.raises(ConfigurationError):
+            run_scenario("steady", ecall_batch=0)
+        with pytest.raises(ConfigurationError):
+            run_chaos(7, "drop:0.05", ops=10, ecall_batch=0)
+        assert ServerConfig().ecall_batch == 1
+
+
 class TestBatchedServerObservability:
     def _batched_run(self, k=8, ops=24):
         server = PrecursorServer(config=ServerConfig(ecall_batch=k))
@@ -387,13 +338,11 @@ class TestBatchedServerObservability:
         cycles = server.obs.registry.get("server_batch_cycles_total")
         assert cycles.value == histogram.count
 
-    def test_enclave_amortization_is_observable(self):
+    def test_drained_messages_are_counted(self):
         server = self._batched_run(k=8, ops=24)
-        view = server.enclave.transitions.amortization()
-        assert view["batched_messages"] == 24
-        assert view["mean_batch"] == 8.0
-        assert view["amortization_factor"] == 8.0
-        counter = server.obs.registry.get(
+        registry = server.obs.registry
+        assert registry.get("server_batch_cycles_total").value == 3
+        counter = registry.get(
             "sgx_batched_messages_total",
             labels={"enclave": server.enclave.name},
         )
@@ -429,13 +378,16 @@ class TestReplySinkThreadLocal:
 
 
 class TestBatchedThreadedServer:
-    def test_concurrent_clients_with_batching(self):
-        """Batching composed with real polling threads: every client's
-        data lands and verifies, with no cross-thread reply corruption
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("k", [1, 4, 16])
+    def test_concurrent_clients_with_batching(self, k, threads):
+        """The pipeline under real polling threads: every client's data
+        lands and verifies, with no cross-thread reply corruption
         (wrong-key seals would surface as client MAC failures) and no
-        silently dead workers."""
-        server = PrecursorServer(config=ServerConfig(ecall_batch=4))
-        pool = ServerThreadPool(server, threads=3)
+        silently dead workers, and the final store matches what the
+        clients wrote."""
+        server = PrecursorServer(config=ServerConfig(ecall_batch=k))
+        pool = ServerThreadPool(server, threads=threads)
         clients = [
             PrecursorClient(
                 server,
@@ -446,6 +398,11 @@ class TestBatchedThreadedServer:
             )
             for i in range(4)
         ]
+        expected = {
+            f"b{c}-{i}".encode(): f"b{c}-value-{i}".encode()
+            for c in range(len(clients))
+            for i in range(30)
+        }
         errors = []
 
         def worker(client, tag):
@@ -458,19 +415,22 @@ class TestBatchedThreadedServer:
                 errors.append((tag, exc))
 
         with pool:
-            threads = [
+            client_threads = [
                 threading.Thread(target=worker, args=(client, f"b{i}"))
                 for i, client in enumerate(clients)
             ]
-            for thread in threads:
+            for thread in client_threads:
                 thread.start()
-            for thread in threads:
+            for thread in client_threads:
                 thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in client_threads)
         assert errors == []
         assert pool.errors == []
-        assert server.key_count == 4 * 30
+        assert server.key_count == len(expected)
         assert server.stats.auth_failures == 0
         assert server.stats.replay_rejections == 0
+        reader = PrecursorClient(server, client_id=99, keygen=KeyGenerator(99))
+        assert {key: reader.get(key) for key in expected} == expected
 
 
 class TestReplyPhaseChannelGrouping:

@@ -128,10 +128,13 @@ class TestSgxDiscipline:
             "start_polling",
         ]
 
-    def test_transitions_do_not_scale_with_requests(self, pair):
+    @pytest.mark.parametrize("ecall_batch", [1, 16])
+    def test_transitions_do_not_scale_with_requests(self, ecall_batch):
         """Startup takes 2 ecalls + 1 per client; steady-state requests
-        cross the boundary zero times (R2)."""
-        server, client = pair
+        cross the boundary zero times (R2), at every drain window."""
+        server, client = make_pair(
+            config=ServerConfig(ecall_batch=ecall_batch), seed=1234
+        )
         baseline = server.enclave.transitions.ecalls
         for i in range(100):
             client.put(f"k{i}".encode(), b"v")

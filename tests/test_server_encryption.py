@@ -1,5 +1,7 @@
 """The server-encryption variant: functionality and cost asymmetry."""
 
+import struct
+
 import pytest
 
 from repro.core import (
@@ -7,6 +9,7 @@ from repro.core import (
     ServerEncryptionClient,
     make_pair,
 )
+from repro.core.protocol import Request
 from repro.errors import KeyNotFoundError, PrecursorError, ReplayError
 
 
@@ -122,3 +125,38 @@ class TestFactory:
         server, client = make_pair(seed=1, server_encryption=True)
         assert isinstance(server, PrecursorServerEncryption)
         assert isinstance(client, ServerEncryptionClient)
+
+
+class TestRejectedRequestsCounter:
+    """Both servers count dropped and replayed frames the same way."""
+
+    @pytest.mark.parametrize("server_encryption", [False, True])
+    def test_undecodable_and_replayed_frames_are_counted(
+        self, server_encryption
+    ):
+        server, client = make_pair(seed=5, server_encryption=server_encryption)
+        rejected = server.obs.registry.get("server_rejected_requests_total")
+        client.put(b"k", b"v")
+        assert rejected.value == 0
+
+        # Authentic (sealed under the session key) but undecodable.
+        aad = struct.pack(">I", client.client_id)
+        sealed = client.provider.transport_seal(
+            client.session, b"\xff", aad=aad
+        )
+        client._submit(
+            Request(
+                client_id=client.client_id,
+                sealed_control=sealed,
+                reply_credit=client._reply_consumer.consumed,
+            )
+        )
+        server.process_pending()
+        assert server.stats.protocol_errors == 1
+        assert rejected.value == 1
+
+        client._oid -= 1  # reuse the put's oid
+        with pytest.raises(ReplayError):
+            client.put(b"k", b"v2")
+        assert server.stats.replay_rejections == 1
+        assert rejected.value == 2

@@ -3,8 +3,10 @@
 import pytest
 
 from repro.errors import EnclaveError
+from repro.obs.metrics import MetricsRegistry
 from repro.sgx import Enclave, TransitionCosts, TrustedAllocator
 from repro.sgx.epc import PAGE_SIZE
+from repro.sgx.transitions import TransitionAccounting
 
 
 class TestTrustedAllocator:
@@ -139,6 +141,20 @@ class TestTransitionAccounting:
         enclave.transitions.record_ecall()
         enclave.transitions.reset()
         assert enclave.transitions.total_cycles() == 0
+
+    def test_obs_counters_mirror_crossings(self):
+        registry = MetricsRegistry()
+        acct = TransitionAccounting()
+        acct.bind_obs(registry)
+        acct.record_ecall()
+        acct.record_ecall()
+        acct.record_ocall()
+        assert registry.get("sgx_ecalls_total").value == 2
+        assert registry.get("sgx_ocalls_total").value == 1
+        # Monotonic exporter series survive an accounting reset.
+        acct.reset()
+        assert acct.ecalls == 0
+        assert registry.get("sgx_ecalls_total").value == 2
 
     def test_paper_constants(self):
         """The paper's headline costs: ~13 K cycles per transition and
