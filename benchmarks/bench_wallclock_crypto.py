@@ -11,19 +11,18 @@ Set ``REPRO_BENCH_QUICK=1`` for the shortened CI variant.
 
 from conftest import quick_mode
 
-from repro.bench.cryptobench import run_cryptobench, write_json
+from repro.bench.artifacts import write_artifact
+from repro.bench.cryptobench import run_cryptobench
 from repro.crypto.engine import get_engine
 
 
 def bench_cryptobench_engines(benchmark, report_sink):
     quick = quick_mode()
     result = benchmark.pedantic(
-        run_cryptobench, kwargs={"quick": quick, "floor": 5.0},
-        rounds=1, iterations=1,
+        run_cryptobench, kwargs={"quick": quick}, rounds=1, iterations=1,
     )
     report_sink("cryptobench", result.report())
-    write_json(result, "bench_reports/BENCH_crypto_quick.json"
-               if quick else "BENCH_crypto.json")
+    write_artifact("cryptobench", result, quick=quick)
     assert not result.parity_failures, result.parity_failures
     assert not result.floor_failures, result.floor_failures
 

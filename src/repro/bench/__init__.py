@@ -1,28 +1,17 @@
-"""Benchmark harnesses: one generator per figure/table of the paper.
+"""Benchmark harnesses: the paper's figures and table, and later benches.
 
-Every experiment in §5 of the paper is regenerated here:
-
-========  ============================================  =======================
-ID        Paper artifact                                Entry point
-========  ============================================  =======================
-fig1      crypto throughput vs RDMA line rate           :func:`repro.bench.experiments.run_fig1`
-fig4      throughput vs read ratio (4 mixes)            :func:`repro.bench.experiments.run_fig4`
-fig5a/b   throughput vs value size (read / update)      :func:`repro.bench.experiments.run_fig5`
-fig6      throughput vs client count                    :func:`repro.bench.experiments.run_fig6`
-fig7      get() latency CDFs (+ EPC paging)             :func:`repro.bench.experiments.run_fig7`
-fig8      latency breakdown networking vs server        :func:`repro.bench.experiments.run_fig8`
-tab1      EPC working set vs inserted keys              :func:`repro.bench.experiments.run_table1`
-scaleout  throughput/latency vs shard count (1-8)       :func:`repro.bench.scaleout.run_scaleout`
-========  ============================================  =======================
-
-``scaleout`` goes beyond the paper: it models the sharded deployment of
-:mod:`repro.shard` (one server machine per shard) with the same
-calibrated simulator.
+Every artifact the CLI regenerates -- the paper's §5 figures and
+Table 1, and the benches beyond the paper (``scaleout``, ``faulttail``
+and the gated ``BENCH_*.json`` ones) -- is one entry of
+:data:`repro.bench.artifacts.ARTIFACTS`, which names its runner;
+:func:`repro.bench.artifacts.write_artifact` writes its files.
+``python -m repro.cli list`` prints the registry.
 
 Throughput/latency numbers come from a discrete-event simulation of the
 testbed (:mod:`repro.bench.simulation`) whose cost constants are documented
 in :mod:`repro.bench.calibration`; Table 1 runs the *functional* servers and
-counts real trusted allocations.
+counts real trusted allocations.  ``cryptobench`` and ``batchbench`` time
+the real put/get path on the wall clock.
 """
 
 from repro.bench.calibration import Calibration

@@ -25,11 +25,11 @@ windows that disagree on bytes would be meaningless, so identity failure
 fails the whole run (exit code 1), exactly like cryptobench's parity
 gate.
 
-The report also enforces a floor on the K=16 speedup (default 1.3x on
-the full run) so CI catches a batching performance regression the way
-it catches a functional one.  Quick runs shrink op counts below the
-noise floor of a reliable ratio, so ``batch-smoke`` gates them at a
-lower floor.
+The report also enforces a floor on the K=16 speedup (:data:`FLOOR`,
+1.3x on the full run) so CI catches a batching performance regression
+the way it catches a functional one.  Quick runs shrink op counts below
+the noise floor of a reliable ratio, so they gate at
+:data:`QUICK_FLOOR` (1.05x).
 
 Entry points: :func:`run_batchbench` (library) and
 ``python -m repro.cli batchbench`` (shell); the full run refreshes the
@@ -42,15 +42,31 @@ import json
 import statistics
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-__all__ = ["BatchBenchResult", "run_batchbench", "DEFAULT_KS", "write_json"]
+__all__ = [
+    "BatchBenchResult",
+    "run_batchbench",
+    "DEFAULT_KS",
+    "FLOOR",
+    "QUICK_FLOOR",
+]
 
 #: Batch windows swept by the full benchmark.  16 is the window the
 #: acceptance floor is defined on; 1 is the one-frame baseline.
 DEFAULT_KS = (1, 4, 16, 64)
 
 _QUICK_KS = (1, 16)
+
+#: Minimum accepted K=16-over-K=1 speedup of a full run.
+FLOOR = 1.3
+#: The same for a quick run, whose op counts sit near the timing noise
+#: floor of a reliable ratio.
+QUICK_FLOOR = 1.05
+
+#: Interleaved measurement rounds and pumped ops per round.
+_ROUNDS, _ROUNDS_QUICK = 5, 3
+_OPS, _OPS_QUICK = 2500, 600
 
 #: Loose run-level SLO for the identity scenarios: the point is byte
 #: identity, not SLO verdicts, so nothing should trip.
@@ -328,24 +344,19 @@ class BatchBenchResult:
         return "\n".join(lines)
 
 
-def run_batchbench(
-    quick: bool = False,
-    floor: float = 1.3,
-    rounds: Optional[int] = None,
-    ops: Optional[int] = None,
-) -> BatchBenchResult:
+def run_batchbench(quick: bool = False) -> BatchBenchResult:
     """Run the full (or quick) benchmark; never raises on perf failure.
 
-    ``quick`` shrinks op counts and the K sweep for CI smoke runs (pass
-    a lower ``floor`` with it: short runs sit near the timing noise
-    floor); ``floor`` is the minimum accepted K=16-over-K=1 speedup on
-    the *better* of the two estimators (min-of-rounds and paired
-    median) -- on a drifting clock either one alone can be unlucky, but
-    a real regression drags both down.
+    ``quick`` shrinks op counts and the K sweep for CI smoke runs and
+    gates on :data:`QUICK_FLOOR` instead of :data:`FLOOR`.  The floor
+    applies to the *better* of the two estimators (min-of-rounds and
+    paired median) -- on a drifting clock either one alone can be
+    unlucky, but a real regression drags both down.
     """
     ks = _QUICK_KS if quick else DEFAULT_KS
-    rounds = rounds if rounds is not None else (3 if quick else 5)
-    ops = ops if ops is not None else (600 if quick else 2500)
+    rounds = _ROUNDS_QUICK if quick else _ROUNDS
+    ops = _OPS_QUICK if quick else _OPS
+    floor = QUICK_FLOOR if quick else FLOOR
     result = BatchBenchResult(quick=quick, floor=floor, ks=ks)
     result.workload = {
         "ops": ops,
@@ -390,12 +401,3 @@ def run_batchbench(
                 f"paired {gate['median_paired']:.2f}x)"
             )
     return result
-
-
-def write_json(result: BatchBenchResult, path) -> None:
-    """Serialise ``result`` to ``path`` as indented JSON."""
-    import pathlib
-
-    p = pathlib.Path(path)
-    p.parent.mkdir(parents=True, exist_ok=True)
-    p.write_text(json.dumps(result.to_dict(), indent=2, sort_keys=True) + "\n")

@@ -16,9 +16,9 @@ means and medians fold scheduler noise in.
 A cross-engine parity self-check runs first; a benchmark of two engines
 that disagree on bytes would be meaningless, so parity failure fails the
 whole run (exit code 1).  The report also enforces a floor on the
-fast/reference speedup (default 5x on the 4 KiB payload path) so CI
-catches a performance regression of the fast kernels the way it catches
-a functional one.
+fast/reference speedup (:data:`FLOOR`, 5x on the 4 KiB payload path) so
+CI catches a performance regression of the fast kernels the way it
+catches a functional one.
 
 Entry points: :func:`run_cryptobench` (library),
 ``python -m repro.cli cryptobench`` (shell), and
@@ -27,14 +27,17 @@ Entry points: :func:`run_cryptobench` (library),
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from repro.crypto.engine import get_engine, parity_check, use_engine
 
-__all__ = ["CryptoBenchResult", "run_cryptobench", "DEFAULT_SIZES"]
+__all__ = ["CryptoBenchResult", "run_cryptobench", "DEFAULT_SIZES", "FLOOR"]
+
+#: Minimum accepted fast/reference speedup on the 4 KiB payload
+#: (Salsa20+CMAC) and transport (GCM seal) checkpoints.
+FLOOR = 5.0
 
 #: Value sizes swept by the full benchmark (bytes).  4096 is the size the
 #: acceptance floors are defined on.
@@ -276,16 +279,13 @@ def _bench_e2e(
     return out
 
 
-def run_cryptobench(
-    quick: bool = False, floor: float = 5.0
-) -> CryptoBenchResult:
+def run_cryptobench(quick: bool = False) -> CryptoBenchResult:
     """Run the full (or quick) benchmark; never raises on perf failure.
 
-    ``quick`` shrinks sizes/repeats/op-counts for CI smoke runs;
-    ``floor`` is the minimum accepted fast/reference speedup on the
-    4 KiB payload (Salsa20+CMAC) and transport (GCM seal) checkpoints.
+    ``quick`` shrinks sizes/repeats/op-counts for CI smoke runs; both
+    runs gate on :data:`FLOOR`.
     """
-    result = CryptoBenchResult(quick=quick, floor=floor)
+    result = CryptoBenchResult(quick=quick, floor=FLOOR)
     result.parity_failures = parity_check()
     if result.parity_failures:
         return result  # benchmarking divergent engines is meaningless
@@ -326,16 +326,16 @@ def run_cryptobench(
         result.speedups[f"e2e_{metric}"] = re2e[metric] / fe2e[metric]
 
     payload_key = f"payload_{probe}B_salsa20+cmac"
-    if result.speedups[payload_key] < floor:
+    if result.speedups[payload_key] < FLOOR:
         result.floor_failures.append(
             f"{payload_key} speedup "
-            f"{result.speedups[payload_key]:.1f}x < floor {floor}x"
+            f"{result.speedups[payload_key]:.1f}x < floor {FLOOR}x"
         )
     seal_key = f"transport_{probe}B_gcm_seal"
-    if result.speedups[seal_key] < floor:
+    if result.speedups[seal_key] < FLOOR:
         result.floor_failures.append(
             f"{seal_key} speedup "
-            f"{result.speedups[seal_key]:.1f}x < floor {floor}x"
+            f"{result.speedups[seal_key]:.1f}x < floor {FLOOR}x"
         )
     for eng in _ENGINES:
         if result.e2e[eng].get("chaos_ok") != 1.0:
@@ -343,12 +343,3 @@ def run_cryptobench(
                 f"chaos smoke failed under {eng} engine"
             )
     return result
-
-
-def write_json(result: CryptoBenchResult, path) -> None:
-    """Serialise ``result`` to ``path`` as indented JSON."""
-    import pathlib
-
-    p = pathlib.Path(path)
-    p.parent.mkdir(parents=True, exist_ok=True)
-    p.write_text(json.dumps(result.to_dict(), indent=2, sort_keys=True) + "\n")

@@ -27,7 +27,6 @@ must yield the identical file.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Dict, List
 
@@ -40,7 +39,6 @@ __all__ = [
     "HALF_GAP_MAX",
     "LoadKneeResult",
     "run_loadknee",
-    "write_json",
 ]
 
 #: Minimum corrected/uncorrected p99 ratio required at 2x the knee.
@@ -221,14 +219,3 @@ def run_loadknee(quick: bool = False, seed: int = _SEED) -> LoadKneeResult:
                 f"{prev} shard(s) -> {knees[nxt]} ops/s at {nxt}"
             )
     return result
-
-
-def write_json(result: LoadKneeResult, path) -> None:
-    """Serialise ``result`` to ``path`` as indented JSON."""
-    import pathlib
-
-    target = pathlib.Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(
-        json.dumps(result.to_dict(), indent=2, sort_keys=True) + "\n"
-    )

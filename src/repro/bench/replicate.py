@@ -297,15 +297,3 @@ def run_replication(
             "async: model produced no acked loss to detect"
         )
     return result
-
-
-def write_json(result: ReplicationResult, path) -> None:
-    """Write the measurements as sorted, indented JSON."""
-    import json
-    import pathlib
-
-    target = pathlib.Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(
-        json.dumps(result.to_dict(), indent=2, sort_keys=True) + "\n"
-    )

@@ -7,8 +7,10 @@ Usage::
     python -m repro.cli fig5 --quick
     python -m repro.cli all --quick --out bench_reports/
 
-Each command prints the paper-style report (and optionally writes it to a
-file); ``all`` runs every artifact in sequence.
+Each artifact of the registry (:mod:`repro.bench.artifacts`) prints its
+paper-style report; gated benches also write their ``BENCH_*.json`` by
+the registry's path rule.  ``all`` runs every artifact in sequence and
+``list`` describes every command.
 
 Observability commands (see docs/OBSERVABILITY.md)::
 
@@ -25,13 +27,13 @@ Sharded-cluster command (see docs/SHARDING.md)::
 Crypto-benchmark command (see docs/PERFORMANCE.md)::
 
     python -m repro.cli cryptobench          # full run -> BENCH_crypto.json
-    python -m repro.cli cryptobench --quick --floor 5   # CI smoke
+    python -m repro.cli cryptobench --quick  # CI smoke, same 5x floor
     python -m repro.cli cryptobench --json
 
 Batching benchmark (see docs/BATCHING.md)::
 
     python -m repro.cli batchbench           # full run -> BENCH_batching.json
-    python -m repro.cli batchbench --quick --floor 1.05   # CI smoke
+    python -m repro.cli batchbench --quick   # CI smoke, floor 1.05
     python -m repro.cli batchbench --json
 
 Fault-injection commands (see docs/FAULTS.md)::
@@ -79,179 +81,80 @@ Autoscaler commands (see docs/AUTOSCALING.md)::
     python -m repro.cli chaos --shards 3 --replicas 1 --autoscale
     python -m repro.cli autoscalebench --quick           # elasticity smoke
     python -m repro.cli autoscalebench  # full run -> BENCH_autoscale.json
+
+Exit codes: 0 success, 1 a failed gate or verdict, 2 bad configuration
+(one ``error: ...`` line on stderr).
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
+import json
 import pathlib
 import sys
-from typing import Callable, Dict
+from functools import partial
 
-from repro.bench import experiments
+from repro.bench.artifacts import ARTIFACTS, write_artifact
+from repro.errors import ConfigurationError
 
 __all__ = ["main"]
 
-def _run_scaleout_runner(quick: bool = False):
-    from repro.bench.scaleout import run_scaleout
 
-    return run_scaleout(quick=quick)
-
-
-def _run_faulttail_runner(quick: bool = False):
-    from repro.bench.faulttail import run_faulttail
-
-    return run_faulttail(quick=quick)
-
-
-def _run_replicate_runner(quick: bool = False):
-    from repro.bench.replicate import run_replication
-
-    return run_replication(quick=quick)
-
-
-def _run_loadknee_runner(quick: bool = False):
-    from repro.bench.loadknee import run_loadknee
-
-    return run_loadknee(quick=quick)
-
-
-def _run_nearcachebench_runner(quick: bool = False):
-    from repro.bench.nearcache import run_nearcachebench
-
-    return run_nearcachebench(quick=quick)
-
-
-def _run_autoscalebench_runner(quick: bool = False):
-    from repro.bench.autoscale import run_autoscalebench
-
-    return run_autoscalebench(quick=quick)
-
-
-_RUNNERS: Dict[str, Callable] = {
-    "fig1": experiments.run_fig1,
-    "fig4": experiments.run_fig4,
-    "fig5": experiments.run_fig5,
-    "fig6": experiments.run_fig6,
-    "fig7": experiments.run_fig7,
-    "fig8": experiments.run_fig8,
-    "table1": experiments.run_table1,
-    "scaleout": _run_scaleout_runner,
-    "faulttail": _run_faulttail_runner,
-    "replicate": _run_replicate_runner,
-    "loadknee": _run_loadknee_runner,
-    "nearcachebench": _run_nearcachebench_runner,
-    "autoscalebench": _run_autoscalebench_runner,
-}
-
-_DESCRIPTIONS = {
-    "fig1": "crypto decrypt+encrypt throughput vs 40 Gbit RDMA line rate",
-    "fig4": "throughput vs read ratio (YCSB mixes, 32 B, 50 clients)",
-    "fig5": "throughput vs value size, read-only + update-mostly",
-    "fig6": "read-only throughput vs client count (10-100)",
-    "fig7": "get() latency CDFs incl. the EPC-paging run",
-    "fig8": "get() latency breakdown: networking vs server processing",
-    "table1": "EPC working set at 0/1/100k inserted keys",
-    "scaleout": "throughput/latency + EPC working set vs shard count (1-8)",
-    "faulttail": "get() tail latency vs transport fault rate (retry cost)",
-    "replicate": "failover latency + acked-write loss vs replication "
-    "ack mode",
-    "loadknee": "SLO-bounded throughput knee + corrected-vs-uncorrected "
-    "tails per shard topology",
-    "nearcachebench": "near-cache + backup-read-offload knee shift, "
-    "primary-GET shed and state-equivalence gates",
-    "autoscalebench": "elastic-vs-static knee grid, flash-crowd SLO "
-    "recovery, shard-ms dividend + zero-flapping gates",
-}
-
-
-def _run_one(
-    name: str,
-    quick: bool,
-    out_dir: pathlib.Path = None,
-    csv: bool = False,
-) -> "tuple":
-    """Run one registered artifact; returns ``(text, exit_code)``.
-
-    Artifacts whose results carry gates (``loadknee``,
-    ``nearcachebench``, ``autoscalebench``) surface them through
-    ``exit_code``; everything else exits 0.
-    """
-    runner = _RUNNERS[name]
-    if name in ("fig1", "fig8"):
-        result = runner()  # analytic, no quick knob
-    else:
-        result = runner(quick=quick)
-    text = result.report()
-    if name == "replicate":
-        # Like cryptobench: the full run refreshes the committed
-        # measurement file, the quick run stays out of its way.
-        from repro.bench.replicate import write_json
-
-        json_name = (
-            "BENCH_replication_quick.json" if quick
-            else "BENCH_replication.json"
-        )
-        if out_dir is not None:
-            json_path = out_dir / json_name
-        elif quick:
-            json_path = pathlib.Path("bench_reports") / json_name
-        else:
-            json_path = pathlib.Path(json_name)
-        write_json(result, json_path)
-        text += f"\n[measurements saved to {json_path}]"
-    if name == "loadknee":
-        from repro.bench.loadknee import write_json
-
-        json_name = (
-            "BENCH_traffic_quick.json" if quick else "BENCH_traffic.json"
-        )
-        if out_dir is not None:
-            json_path = out_dir / json_name
-        elif quick:
-            json_path = pathlib.Path("bench_reports") / json_name
-        else:
-            json_path = pathlib.Path(json_name)
-        write_json(result, json_path)
-        text += f"\n[measurements saved to {json_path}]"
-    if name == "nearcachebench":
-        from repro.bench.nearcache import write_json
-
-        json_name = (
-            "BENCH_nearcache_quick.json" if quick
-            else "BENCH_nearcache.json"
-        )
-        if out_dir is not None:
-            json_path = out_dir / json_name
-        elif quick:
-            json_path = pathlib.Path("bench_reports") / json_name
-        else:
-            json_path = pathlib.Path(json_name)
-        write_json(result, json_path)
-        text += f"\n[measurements saved to {json_path}]"
-    if name == "autoscalebench":
-        from repro.bench.autoscale import write_json
-
-        json_name = (
-            "BENCH_autoscale_quick.json" if quick
-            else "BENCH_autoscale.json"
-        )
-        if out_dir is not None:
-            json_path = out_dir / json_name
-        elif quick:
-            json_path = pathlib.Path("bench_reports") / json_name
-        else:
-            json_path = pathlib.Path(json_name)
-        write_json(result, json_path)
-        text += f"\n[measurements saved to {json_path}]"
+def _save(out_dir: pathlib.Path, filename: str, text: str) -> None:
+    """Write ``text`` to ``out_dir/filename`` when ``--out`` was given."""
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / f"{name}.txt").write_text(text + "\n")
-        if csv:
-            from repro.bench.export import to_csv
+        (out_dir / filename).write_text(text + "\n")
 
-            (out_dir / f"{name}.csv").write_text(to_csv(result))
-    return text, getattr(result, "exit_code", 0)
+
+def _render(report, as_json: bool) -> str:
+    """A report's JSON form under ``--json``, its text table otherwise."""
+    if as_json:
+        return json.dumps(report.to_dict(), indent=2, sort_keys=True)
+    return report.report()
+
+
+def run_artifacts(
+    names,
+    quick: bool = False,
+    out_dir: pathlib.Path = None,
+    csv: bool = False,
+    as_json: bool = False,
+) -> "tuple":
+    """Run registry artifacts in order, printing each report as it lands.
+
+    Returns ``(None, worst exit code)``: results that carry gates
+    surface them through ``exit_code``, everything else exits 0.
+    ``--csv`` on a single artifact without an exporter is refused before
+    anything runs; ``all --csv`` writes every CSV there is.
+    """
+    if csv and len(names) == 1 and not ARTIFACTS[names[0]].csv:
+        raise ConfigurationError(f"'{names[0]}' has no CSV exporter")
+    worst = 0
+    for name in names:
+        result = ARTIFACTS[name].run(quick=quick)
+        text = write_artifact(
+            name, result, quick=quick, out_dir=out_dir, csv=csv
+        )
+        if as_json and ARTIFACTS[name].stem is not None:
+            text = _render(result, as_json=True)
+        print(text)
+        print()
+        worst = max(worst, getattr(result, "exit_code", 0))
+    return None, worst
+
+
+def run_scorecard_cmd(
+    quick: bool = False, out_dir: pathlib.Path = None
+) -> "tuple":
+    """Pass/fail verdict on every paper claim; exit code 1 if any fails."""
+    from repro.bench.scorecard import run_scorecard
+
+    result = run_scorecard(quick=quick)
+    text = result.report()
+    _save(out_dir, "scorecard.txt", text)
+    return text, 0 if result.passed == result.total else 1
 
 
 def _obs_workload(op: str, value_size: int, ops: int):
@@ -260,6 +163,10 @@ def _obs_workload(op: str, value_size: int, ops: int):
     from repro.core.server import PrecursorServer
     from repro.rdma.fabric import Fabric
 
+    if value_size < 0:
+        raise ConfigurationError(
+            f"--value-size must be non-negative, got {value_size}"
+        )
     server = PrecursorServer(fabric=Fabric())
     client = PrecursorClient(server)
     value = bytes(value_size)
@@ -278,7 +185,7 @@ def run_trace(
     value_size: int = 128,
     as_json: bool = False,
     out_dir: pathlib.Path = None,
-) -> str:
+) -> "tuple":
     """One traced operation against an in-process server; render it."""
     from repro.obs.exporters import stage_latency_table, traces_to_json_lines
 
@@ -290,11 +197,8 @@ def run_trace(
         text = stage_latency_table(
             traces, title=f"Per-stage latency: {op}({value_size} B value)"
         )
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        suffix = "jsonl" if as_json else "txt"
-        (out_dir / f"trace.{suffix}").write_text(text + "\n")
-    return text
+    _save(out_dir, "trace.jsonl" if as_json else "trace.txt", text)
+    return text, 0
 
 
 def run_metrics(
@@ -302,16 +206,14 @@ def run_metrics(
     value_size: int = 128,
     ops: int = 32,
     out_dir: pathlib.Path = None,
-) -> str:
+) -> "tuple":
     """Short in-process workload; dump the metrics registry."""
     from repro.obs.exporters import prometheus_text
 
     client = _obs_workload(op, value_size, ops=ops)
-    text = prometheus_text(client.obs.registry)
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "metrics.prom").write_text(text)
-    return text.rstrip("\n")
+    text = prometheus_text(client.obs.registry).rstrip("\n")
+    _save(out_dir, "metrics.prom", text)
+    return text, 0
 
 
 def run_shard(
@@ -321,7 +223,7 @@ def run_shard(
     seed: int = 11,
     as_json: bool = False,
     out_dir: pathlib.Path = None,
-) -> str:
+) -> "tuple":
     """Functional sharded run: real crypto, routing and live migration.
 
     Stands up ``shards`` servers behind a consistent-hash map, drives a
@@ -329,10 +231,8 @@ def run_shard(
     joins one more shard live and re-reads a sample of keys through the
     (now stale) router to exercise the epoch-retry protocol.
     """
-    import json
     from dataclasses import replace as dc_replace
 
-    from repro.errors import ConfigurationError
     from repro.shard import ShardedCluster, ShardedClient
     from repro.ycsb.driver import WorkloadDriver
     from repro.ycsb.generator import make_key
@@ -412,11 +312,8 @@ def run_shard(
             f"key placement   {counts}",
         ]
         text = "\n".join(lines)
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        suffix = "json" if as_json else "txt"
-        (out_dir / f"shard.{suffix}").write_text(text + "\n")
-    return text
+    _save(out_dir, "shard.json" if as_json else "shard.txt", text)
+    return text, 0
 
 
 def run_chaos_cmd(
@@ -430,7 +327,7 @@ def run_chaos_cmd(
     out_dir: pathlib.Path = None,
     out_name: str = "chaos",
     autoscale: bool = False,
-    autoscale_policy: str = None,
+    policy: str = None,
 ) -> "tuple":
     """Seeded chaos run; returns ``(text, exit_code)``.
 
@@ -441,10 +338,9 @@ def run_chaos_cmd(
     promotion is itself a contract violation, so client-detected losses
     and group-reported lost records also flip the exit code.  With
     ``autoscale`` the elastic controller runs live during the schedule
-    (``docs/AUTOSCALING.md``) and any flapping also forces exit 1.
+    under ``policy`` (``docs/AUTOSCALING.md``) and any flapping also
+    forces exit 1.
     """
-    import json
-
     from repro.faults import run_chaos
 
     report = run_chaos(
@@ -455,7 +351,7 @@ def run_chaos_cmd(
         replicas=replicas,
         ack_mode=ack_mode,
         autoscale=autoscale,
-        autoscale_policy=autoscale_policy,
+        autoscale_policy=policy,
     )
     contract_broken = (
         replicas > 0
@@ -518,15 +414,13 @@ def run_chaos_cmd(
             )
         lines.append(f"verdict           {verdict}")
         text = "\n".join(lines)
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        suffix = "json" if as_json else "txt"
-        (out_dir / f"{out_name}.{suffix}").write_text(text + "\n")
-        if report.flight_dump is not None:
-            (out_dir / f"{out_name}_flight.json").write_text(
-                json.dumps(report.flight_dump, indent=2, sort_keys=True)
-                + "\n"
-            )
+    _save(out_dir, f"{out_name}.{'json' if as_json else 'txt'}", text)
+    if report.flight_dump is not None:
+        _save(
+            out_dir,
+            f"{out_name}_flight.json",
+            json.dumps(report.flight_dump, indent=2, sort_keys=True),
+        )
     code = report.exit_code
     if contract_broken and code == 0:
         code = 1
@@ -555,7 +449,6 @@ def run_replica_cmd(
     client, none silent); 1 means it did not; 2 means the configuration
     was invalid.
     """
-    from repro.errors import ConfigurationError
     from repro.replica import ACK_MODES
 
     if replicas < 1:
@@ -602,8 +495,6 @@ def run_health_cmd(
     least one rule breached (the report names the offending shard with
     its windowed percentile evidence).
     """
-    import json
-
     from repro.faults import run_health
 
     report = run_health(
@@ -618,14 +509,8 @@ def run_health_cmd(
         schedule=schedule,
         slo=slo,
     )
-    if as_json:
-        text = json.dumps(report.to_dict(), indent=2, sort_keys=True)
-    else:
-        text = report.report()
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        suffix = "json" if as_json else "txt"
-        (out_dir / f"health.{suffix}").write_text(text + "\n")
+    text = _render(report, as_json)
+    _save(out_dir, "health.json" if as_json else "health.txt", text)
     return text, report.exit_code
 
 
@@ -641,7 +526,6 @@ def run_flightrec_cmd(
     slo: str = None,
     load: pathlib.Path = None,
     trace_id: str = None,
-    as_json: bool = False,
     out_dir: pathlib.Path = None,
 ) -> "tuple":
     """Flight-recorder demo / offline reader; returns ``(text, exit_code)``.
@@ -655,19 +539,20 @@ def run_flightrec_cmd(
     With ``--load PATH``, reads a previously written dump instead:
     validates it, prints its summary, and with ``--trace ID``
     reconstructs that request's causal hop timeline from the frozen
-    contexts.  Exit code 0 on a valid dump, 2 on unreadable/invalid
-    input or an unknown trace id.
+    contexts.  An unreadable or invalid dump and an unknown trace id
+    are configuration errors (exit code 2).
     """
-    import json
-
+    from repro.errors import ObservabilityError
     from repro.faults import run_health
     from repro.obs import FlightRecorder
 
     if load is not None:
-        dump = FlightRecorder.load(str(load))
-        FlightRecorder.validate(dump)
-        if trace_id is not None:
-            return FlightRecorder.render_trace(dump, trace_id), 0
+        try:
+            dump = FlightRecorder.load(str(load))
+            if trace_id is not None:
+                return FlightRecorder.render_trace(dump, trace_id), 0
+        except ObservabilityError as exc:
+            raise ConfigurationError(str(exc)) from exc
         trigger = dump["trigger"]
         traces = [c.get("trace_id") for c in dump["contexts"]]
         lines = [
@@ -701,90 +586,9 @@ def run_flightrec_cmd(
     FlightRecorder.validate(report.dump)
     text = json.dumps(report.dump, indent=2, sort_keys=True)
     if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "flightrec.json").write_text(text + "\n")
+        _save(out_dir, "flightrec.json", text)
         text += f"\n[flight dump saved to {out_dir / 'flightrec.json'}]"
     return text, 0
-
-
-def run_cryptobench_cmd(
-    quick: bool = False,
-    floor: float = 5.0,
-    as_json: bool = False,
-    out_dir: pathlib.Path = None,
-) -> "tuple":
-    """Wall-clock crypto benchmark; returns ``(text, exit_code)``.
-
-    Measurements land in ``BENCH_crypto.json`` (full run, repo root) or
-    ``bench_reports/BENCH_crypto_quick.json`` (quick run) -- the quick
-    path is separate so CI smoke runs never clobber the committed full
-    trajectory.  ``--out DIR`` redirects either file into ``DIR``.
-    Exit code 0 when cross-engine parity held and every speedup floor
-    was met; 1 otherwise.
-    """
-    import json
-
-    from repro.bench.cryptobench import run_cryptobench, write_json
-    from repro.errors import ConfigurationError
-
-    if floor < 0:
-        raise ConfigurationError(
-            f"--floor must be non-negative, got {floor}"
-        )
-    result = run_cryptobench(quick=quick, floor=floor)
-    name = "BENCH_crypto_quick.json" if quick else "BENCH_crypto.json"
-    if out_dir is not None:
-        path = out_dir / name
-    elif quick:
-        path = pathlib.Path("bench_reports") / name
-    else:
-        path = pathlib.Path(name)
-    write_json(result, path)
-    if as_json:
-        text = json.dumps(result.to_dict(), indent=2, sort_keys=True)
-    else:
-        text = result.report() + f"\n[measurements saved to {path}]"
-    return text, result.exit_code
-
-
-def run_batchbench_cmd(
-    quick: bool = False,
-    floor: float = 1.3,
-    as_json: bool = False,
-    out_dir: pathlib.Path = None,
-) -> "tuple":
-    """Batched-pipeline benchmark; returns ``(text, exit_code)``.
-
-    Measurements land in ``BENCH_batching.json`` (full run, repo root)
-    or ``bench_reports/BENCH_batching_quick.json`` (quick run) -- same
-    split as cryptobench, so CI smoke runs never clobber the committed
-    full trajectory.  Exit code 0 when the K=1/K=16
-    behavioural-identity gate held and the K=16 speedup floor was met;
-    1 otherwise.
-    """
-    import json
-
-    from repro.bench.batching import run_batchbench, write_json
-    from repro.errors import ConfigurationError
-
-    if floor < 0:
-        raise ConfigurationError(
-            f"--floor must be non-negative, got {floor}"
-        )
-    result = run_batchbench(quick=quick, floor=floor)
-    name = "BENCH_batching_quick.json" if quick else "BENCH_batching.json"
-    if out_dir is not None:
-        path = out_dir / name
-    elif quick:
-        path = pathlib.Path("bench_reports") / name
-    else:
-        path = pathlib.Path(name)
-    write_json(result, path)
-    if as_json:
-        text = json.dumps(result.to_dict(), indent=2, sort_keys=True)
-    else:
-        text = result.report() + f"\n[measurements saved to {path}]"
-    return text, result.exit_code
 
 
 def run_traffic_cmd(
@@ -810,8 +614,6 @@ def run_traffic_cmd(
     the configuration was invalid (unknown scenario, bad SLO spec, bad
     fault schedule).
     """
-    import json
-
     from repro.traffic import run_scenario
 
     report = run_scenario(
@@ -825,14 +627,8 @@ def run_traffic_cmd(
         schedule=schedule,
         slo=slo,
     )
-    if as_json:
-        text = json.dumps(report.to_dict(), indent=2, sort_keys=True)
-    else:
-        text = report.report()
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        suffix = "json" if as_json else "txt"
-        (out_dir / f"traffic.{suffix}").write_text(text + "\n")
+    text = _render(report, as_json)
+    _save(out_dir, "traffic.json" if as_json else "traffic.txt", text)
     return text, report.exit_code
 
 
@@ -863,9 +659,6 @@ def run_nearcache_cmd(
     including asking for neither feature (use 'traffic' for that) or
     for ``--offload`` without any backups to offload onto.
     """
-    import json
-
-    from repro.errors import ConfigurationError
     from repro.traffic import run_scenario
 
     if not cache and not offload:
@@ -891,14 +684,8 @@ def run_nearcache_cmd(
         cache_entries=cache_entries,
         cache_lease_ms=cache_lease_ms,
     )
-    if as_json:
-        text = json.dumps(report.to_dict(), indent=2, sort_keys=True)
-    else:
-        text = report.report()
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        suffix = "json" if as_json else "txt"
-        (out_dir / f"nearcache.{suffix}").write_text(text + "\n")
+    text = _render(report, as_json)
+    _save(out_dir, "nearcache.json" if as_json else "nearcache.txt", text)
     return text, report.exit_code
 
 
@@ -931,9 +718,6 @@ def run_autoscale_cmd(
     observed flapping; 2 means the configuration was invalid (unknown
     scenario, malformed policy spec, bad bounds).
     """
-    import json
-
-    from repro.errors import ConfigurationError
     from repro.traffic import run_scenario
 
     if max_shards < shards:
@@ -953,14 +737,8 @@ def run_autoscale_cmd(
         autoscale_policy=policy,
         autoscale_max_shards=max_shards,
     )
-    if as_json:
-        text = json.dumps(report.to_dict(), indent=2, sort_keys=True)
-    else:
-        text = report.report()
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        suffix = "json" if as_json else "txt"
-        (out_dir / f"autoscale.{suffix}").write_text(text + "\n")
+    text = _render(report, as_json)
+    _save(out_dir, "autoscale.json" if as_json else "autoscale.txt", text)
     code = report.exit_code
     summary = report.autoscale_summary or {}
     if summary.get("flapping", 0) and code == 0:
@@ -968,49 +746,97 @@ def run_autoscale_cmd(
     return text, code
 
 
+def run_list() -> "tuple":
+    """One line per command: its name and what it does."""
+    width = max(map(len, _COMMANDS))
+    return "\n".join(
+        f"{name:<{width}}  {desc}" for name, (_, desc) in _COMMANDS.items()
+    ), 0
+
+
+#: Every command: name -> (handler, one-line description).  The artifact
+#: registry supplies the first entries.  Every handler returns
+#: ``(text, exit_code)``; artifact runs print as they go and return no
+#: text.
+_COMMANDS = {
+    **{
+        name: (partial(run_artifacts, (name,)), entry.description)
+        for name, entry in ARTIFACTS.items()
+    },
+    "all": (
+        partial(run_artifacts, tuple(ARTIFACTS)),
+        "every artifact above, in sequence",
+    ),
+    "scorecard": (run_scorecard_cmd, "pass/fail verdict on every paper claim"),
+    "trace": (run_trace, "per-stage span breakdown of one live operation"),
+    "metrics": (run_metrics, "Prometheus-style dump of the metrics registry"),
+    "shard": (
+        run_shard,
+        "functional sharded run: routing, live join, epoch retry",
+    ),
+    "chaos": (
+        run_chaos_cmd,
+        "seeded fault-injection run with shadow-model verification",
+    ),
+    "replica": (
+        run_replica_cmd,
+        "replicated failover chaos run (promotion + client loss detection)",
+    ),
+    "health": (
+        run_health_cmd,
+        "windowed SLO report over a deterministic cluster run",
+    ),
+    "flightrec": (
+        run_flightrec_cmd,
+        "breach-triggered flight-recorder dump (or --load to replay one)",
+    ),
+    "traffic": (
+        run_traffic_cmd,
+        "open-loop scenario run with coordinated-omission-corrected tails",
+    ),
+    "nearcache": (
+        run_nearcache_cmd,
+        "open-loop scenario with the client-verified near-cache / "
+        "backup-read offload",
+    ),
+    "autoscale": (
+        run_autoscale_cmd,
+        "open-loop scenario with the SLO-driven elastic control plane live",
+    ),
+    "list": (run_list, "describe every command"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    """Construct the argument parser (exposed for testing/docs)."""
+    """Construct the argument parser (exposed for testing/docs).
+
+    Options the user does not give stay out of the parsed namespace, so
+    each default lives only in the signature of the command's handler.
+    """
     parser = argparse.ArgumentParser(
         prog="python -m repro.cli",
         description=(
             "Regenerate the evaluation artifacts of 'Precursor' "
             "(Middleware '21)."
         ),
+        argument_default=argparse.SUPPRESS,
     )
     parser.add_argument(
         "artifact",
-        choices=sorted(_RUNNERS)
-        + ["all", "list", "scorecard", "trace", "metrics", "shard",
-           "chaos", "cryptobench", "batchbench", "replica", "health",
-           "flightrec", "traffic", "nearcache", "autoscale"],
-        help="which figure/table to regenerate ('all' for everything, "
-        "'list' to enumerate, 'scorecard' for pass/fail vs the paper, "
-        "'trace'/'metrics' to exercise the observability subsystem, "
-        "'shard' for a functional sharded-cluster run, 'chaos' for a "
-        "seeded fault-injection run with shadow verification, "
-        "'cryptobench' for the wall-clock reference-vs-fast crypto "
-        "benchmark, 'batchbench' for the K-frame-vs-K=1 request "
-        "pipeline benchmark, 'replica' for a replicated failover chaos "
-        "run, "
-        "'health' for a windowed SLO report over a deterministic "
-        "cluster run, 'flightrec' to produce or replay a "
-        "flight-recorder dump, 'traffic' for an open-loop scenario "
-        "with coordinated-omission-corrected tails, 'nearcache' for the "
-        "same with the client-verified near-cache and/or backup-read "
-        "offload enabled, 'autoscale' for the same with the SLO-driven "
-        "elastic control plane live)",
+        choices=list(_COMMANDS),
+        help="artifact or command to run ('list' describes each)",
     )
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="shortened simulations (smoke-test quality)",
+        help="shortened runs (smoke-test quality); gated benches write "
+        "bench_reports/<stem>_quick.json",
     )
     parser.add_argument(
         "--out",
         type=pathlib.Path,
-        default=None,
         metavar="DIR",
-        help="also write each report to DIR/<artifact>.txt",
+        help="also write each report (and measurement JSON) into DIR",
     )
     parser.add_argument(
         "--csv",
@@ -1022,34 +848,30 @@ def build_parser() -> argparse.ArgumentParser:
     obs.add_argument(
         "--op",
         choices=["get", "put", "delete"],
-        default="get",
         help="operation to trace (default: get)",
     )
     obs.add_argument(
         "--value-size",
         type=int,
-        default=128,
         metavar="BYTES",
         help="payload size for the traced operation (default: 128)",
     )
     obs.add_argument(
         "--ops",
         type=int,
-        default=None,
         metavar="N",
-        help="workload size for the 'metrics' (default: 32) and 'shard' "
-        "(default: 1000) commands",
+        help="workload size (each command has its own default)",
     )
     obs.add_argument(
         "--json",
         action="store_true",
-        help="with 'trace'/'shard': emit JSON instead of the text report",
+        dest="as_json",
+        help="emit JSON instead of the text report",
     )
     shard = parser.add_argument_group("sharding ('shard'/'chaos')")
     shard.add_argument(
         "--shards",
         type=int,
-        default=None,
         metavar="N",
         help="shard count for the functional cluster ('shard' default: 2; "
         "'chaos' default: single unsharded server)",
@@ -1057,33 +879,18 @@ def build_parser() -> argparse.ArgumentParser:
     shard.add_argument(
         "--workload",
         choices=["a", "b", "c"],
-        default="b",
         help="YCSB mix to drive through the router (default: b)",
     )
     shard.add_argument(
         "--seed",
         type=int,
-        default=11,
         metavar="S",
         help="deterministic seed for ring placement + workload "
         "(default: 11)",
     )
-    bench = parser.add_argument_group(
-        "benchmarks ('cryptobench'/'batchbench')"
-    )
-    bench.add_argument(
-        "--floor",
-        type=float,
-        default=None,
-        metavar="X",
-        help="minimum accepted speedup: fast/reference on the 4 KiB "
-        "crypto checkpoints for 'cryptobench' (default: 5.0), K=16 over "
-        "K=1 for 'batchbench' (default: 1.3); exit code 1 below it",
-    )
     chaos = parser.add_argument_group("fault injection ('chaos'/'replica')")
     chaos.add_argument(
         "--schedule",
-        default=None,
         metavar="SPEC",
         help="comma-separated 'kind:rate' fault schedule (kinds: drop, "
         "duplicate, delay, corrupt_payload, corrupt_control, qp_error, "
@@ -1094,7 +901,6 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument(
         "--replicas",
         type=int,
-        default=None,
         metavar="R",
         help="backups per shard ('replica' default: 1; 'chaos' default: "
         "0, unreplicated)",
@@ -1102,13 +908,11 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument(
         "--ack-mode",
         choices=["sync", "semi-sync", "async"],
-        default="sync",
         help="replication acknowledgement contract (default: sync)",
     )
     health = parser.add_argument_group("telemetry ('health'/'flightrec')")
     health.add_argument(
         "--slo",
-        default=None,
         metavar="SPEC",
         help="comma-separated SLO rules, e.g. "
         "'latency:p99<1ms:min=8,errors:budget=2%%:burn<5,"
@@ -1116,7 +920,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     health.add_argument(
         "--hot-shard",
-        default=None,
         metavar="NAME",
         help="inject a modelled latency fault into NAME's replica group "
         "('auto' picks the first shard; 'health' default: none, "
@@ -1125,7 +928,6 @@ def build_parser() -> argparse.ArgumentParser:
     health.add_argument(
         "--tick-every",
         type=int,
-        default=40,
         metavar="N",
         help="publish a telemetry snapshot every N operations "
         "(default: 40)",
@@ -1133,7 +935,6 @@ def build_parser() -> argparse.ArgumentParser:
     health.add_argument(
         "--window",
         type=int,
-        default=3,
         metavar="T",
         help="sliding-window width in ticks for the per-shard "
         "aggregates (default: 3)",
@@ -1141,14 +942,13 @@ def build_parser() -> argparse.ArgumentParser:
     health.add_argument(
         "--load",
         type=pathlib.Path,
-        default=None,
         metavar="PATH",
         help="with 'flightrec': read an existing dump instead of "
         "running the breach scenario",
     )
     health.add_argument(
         "--trace",
-        default=None,
+        dest="trace_id",
         metavar="ID",
         help="with 'flightrec --load': reconstruct this trace's causal "
         "hop timeline from the dump",
@@ -1158,7 +958,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     traffic.add_argument(
         "--scenario",
-        default=None,
         metavar="NAME",
         help="registered scenario name (steady, bursty, diurnal, "
         "flash-crowd, hot-key-storm, multi-tenant-contention; "
@@ -1167,7 +966,6 @@ def build_parser() -> argparse.ArgumentParser:
     traffic.add_argument(
         "--rate",
         type=float,
-        default=None,
         metavar="OPS_S",
         help="offered arrival rate override in ops/s of simulated time "
         "(default: the scenario's own rate)",
@@ -1188,14 +986,13 @@ def build_parser() -> argparse.ArgumentParser:
     cache.add_argument(
         "--cache-entries",
         type=int,
-        default=256,
         metavar="N",
         help="per-connection near-cache capacity (default: 256)",
     )
     cache.add_argument(
         "--lease-ms",
         type=float,
-        default=25.0,
+        dest="cache_lease_ms",
         metavar="MS",
         help="near-cache lease length in simulated milliseconds "
         "(default: 25)",
@@ -1209,7 +1006,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     scaler.add_argument(
         "--policy",
-        default=None,
         metavar="SPEC",
         help="comma-separated policy rules, e.g. "
         "'scale-out:p99>2ms:for=2,scale-in:util<25%%:for=8' "
@@ -1218,7 +1014,6 @@ def build_parser() -> argparse.ArgumentParser:
     scaler.add_argument(
         "--max-shards",
         type=int,
-        default=4,
         metavar="N",
         help="upper bound the stability guard enforces on shard count "
         "(default: 4)",
@@ -1226,298 +1021,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _call(handler, args: argparse.Namespace) -> "tuple":
+    """Call ``handler`` with the given command-line options it accepts.
+
+    ``--out`` parses to ``args.out``; every handler names it ``out_dir``.
+    """
+    given = dict(vars(args))
+    if "out" in given:
+        given["out_dir"] = given.pop("out")
+    accepted = inspect.signature(handler).parameters
+    return handler(**{k: v for k, v in given.items() if k in accepted})
+
+
 def main(argv=None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
-    if args.artifact == "list":
-        for name in sorted(_RUNNERS):
-            print(f"{name:8s} {_DESCRIPTIONS[name]}")
-        print("scorecard  pass/fail verdict on every paper claim")
-        print("trace      per-stage span breakdown of one live operation")
-        print("metrics    Prometheus-style dump of the metrics registry")
-        print("shard      functional sharded run: routing, live join, "
-              "epoch retry")
-        print("chaos      seeded fault-injection run with shadow-model "
-              "verification")
-        print("cryptobench  wall-clock reference-vs-fast crypto engine "
-              "benchmark")
-        print("batchbench  request pipeline benchmark "
-              "(K-frame drain vs K=1)")
-        print("replica    replicated failover chaos run (promotion + "
-              "client loss detection)")
-        print("health     windowed SLO report over a deterministic "
-              "cluster run")
-        print("flightrec  breach-triggered flight-recorder dump "
-              "(or --load to replay one)")
-        print("traffic    open-loop scenario run with "
-              "coordinated-omission-corrected tails")
-        print("nearcache  open-loop scenario with the client-verified "
-              "near-cache / backup-read offload")
-        print("autoscale  open-loop scenario with the SLO-driven "
-              "elastic control plane live")
-        return 0
-    if args.artifact in ("trace", "metrics") and args.value_size < 0:
-        print(
-            f"error: --value-size must be non-negative, got {args.value_size}",
-            file=sys.stderr,
-        )
+    handler, _ = _COMMANDS[args.artifact]
+    try:
+        text, code = _call(handler, args)
+    except ConfigurationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.artifact == "trace":
-        print(
-            run_trace(
-                op=args.op,
-                value_size=args.value_size,
-                as_json=args.json,
-                out_dir=args.out,
-            )
-        )
-        return 0
-    if args.artifact == "metrics":
-        print(
-            run_metrics(
-                op=args.op,
-                value_size=args.value_size,
-                ops=args.ops if args.ops is not None else 32,
-                out_dir=args.out,
-            )
-        )
-        return 0
-    if args.artifact == "shard":
-        from repro.errors import ConfigurationError
-
-        try:
-            text = run_shard(
-                shards=args.shards if args.shards is not None else 2,
-                workload=args.workload,
-                ops=args.ops if args.ops is not None else 1000,
-                seed=args.seed,
-                as_json=args.json,
-                out_dir=args.out,
-            )
-        except ConfigurationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    if text is not None:
         print(text)
-        return 0
-    if args.artifact == "chaos":
-        from repro.errors import ConfigurationError
-
-        try:
-            text, code = run_chaos_cmd(
-                seed=args.seed,
-                schedule=args.schedule
-                if args.schedule is not None
-                else "drop:0.05,duplicate:0.05,delay:0.05,qp_error:0.02",
-                ops=args.ops if args.ops is not None else 200,
-                shards=args.shards,
-                replicas=args.replicas if args.replicas is not None else 0,
-                ack_mode=args.ack_mode,
-                as_json=args.json,
-                out_dir=args.out,
-                autoscale=args.autoscale,
-                autoscale_policy=args.policy,
-            )
-        except ConfigurationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(text)
-        return code
-    if args.artifact == "replica":
-        from repro.errors import ConfigurationError
-
-        try:
-            text, code = run_replica_cmd(
-                seed=args.seed,
-                schedule=args.schedule
-                if args.schedule is not None
-                else "shard_death:0.05,replica_lag:0.08",
-                ops=args.ops if args.ops is not None else 200,
-                shards=args.shards if args.shards is not None else 3,
-                replicas=args.replicas if args.replicas is not None else 1,
-                ack_mode=args.ack_mode,
-                as_json=args.json,
-                out_dir=args.out,
-            )
-        except ConfigurationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(text)
-        return code
-    if args.artifact == "health":
-        from repro.errors import ConfigurationError
-
-        try:
-            text, code = run_health_cmd(
-                seed=args.seed,
-                shards=args.shards if args.shards is not None else 2,
-                replicas=args.replicas if args.replicas is not None else 1,
-                ack_mode=args.ack_mode,
-                ops=args.ops if args.ops is not None else 240,
-                tick_every=args.tick_every,
-                window=args.window,
-                hot_shard=args.hot_shard,
-                schedule=args.schedule if args.schedule is not None else "",
-                slo=args.slo,
-                as_json=args.json,
-                out_dir=args.out,
-            )
-        except ConfigurationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(text)
-        return code
-    if args.artifact == "flightrec":
-        from repro.errors import ConfigurationError, ObservabilityError
-
-        try:
-            text, code = run_flightrec_cmd(
-                seed=args.seed,
-                shards=args.shards if args.shards is not None else 2,
-                replicas=args.replicas if args.replicas is not None else 1,
-                ops=args.ops if args.ops is not None else 240,
-                tick_every=args.tick_every,
-                window=args.window,
-                hot_shard=args.hot_shard
-                if args.hot_shard is not None
-                else "auto",
-                schedule=args.schedule
-                if args.schedule is not None
-                else "drop:0.08",
-                slo=args.slo,
-                load=args.load,
-                trace_id=args.trace,
-                as_json=args.json,
-                out_dir=args.out,
-            )
-        except (ConfigurationError, ObservabilityError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(text)
-        return code
-    if args.artifact == "traffic":
-        from repro.errors import ConfigurationError
-
-        try:
-            text, code = run_traffic_cmd(
-                scenario=args.scenario
-                if args.scenario is not None
-                else "steady",
-                seed=args.seed,
-                shards=args.shards if args.shards is not None else 2,
-                replicas=args.replicas if args.replicas is not None else 0,
-                ack_mode=args.ack_mode,
-                rate=args.rate,
-                ops=args.ops,
-                schedule=args.schedule if args.schedule is not None else "",
-                slo=args.slo,
-                as_json=args.json,
-                out_dir=args.out,
-            )
-        except ConfigurationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(text)
-        return code
-    if args.artifact == "nearcache":
-        from repro.errors import ConfigurationError
-
-        try:
-            text, code = run_nearcache_cmd(
-                scenario=args.scenario
-                if args.scenario is not None
-                else "hot-key-storm",
-                seed=args.seed,
-                shards=args.shards if args.shards is not None else 2,
-                replicas=args.replicas if args.replicas is not None else 1,
-                ack_mode=args.ack_mode,
-                rate=args.rate,
-                ops=args.ops,
-                cache=args.cache,
-                offload=args.offload,
-                cache_entries=args.cache_entries,
-                cache_lease_ms=args.lease_ms,
-                as_json=args.json,
-                out_dir=args.out,
-            )
-        except ConfigurationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(text)
-        return code
-    if args.artifact == "autoscale":
-        from repro.errors import ConfigurationError
-
-        try:
-            text, code = run_autoscale_cmd(
-                scenario=args.scenario
-                if args.scenario is not None
-                else "flash-crowd",
-                seed=args.seed,
-                shards=args.shards if args.shards is not None else 1,
-                replicas=args.replicas if args.replicas is not None else 1,
-                ack_mode=args.ack_mode,
-                rate=args.rate,
-                ops=args.ops,
-                policy=args.policy,
-                max_shards=args.max_shards,
-                slo=args.slo,
-                as_json=args.json,
-                out_dir=args.out,
-            )
-        except ConfigurationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(text)
-        return code
-    if args.artifact == "cryptobench":
-        from repro.errors import ConfigurationError
-
-        try:
-            text, code = run_cryptobench_cmd(
-                quick=args.quick,
-                floor=args.floor if args.floor is not None else 5.0,
-                as_json=args.json,
-                out_dir=args.out,
-            )
-        except ConfigurationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(text)
-        return code
-    if args.artifact == "batchbench":
-        from repro.errors import ConfigurationError
-
-        try:
-            text, code = run_batchbench_cmd(
-                quick=args.quick,
-                floor=args.floor if args.floor is not None else 1.3,
-                as_json=args.json,
-                out_dir=args.out,
-            )
-        except ConfigurationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(text)
-        return code
-    if args.artifact == "scorecard":
-        from repro.bench.scorecard import run_scorecard
-
-        result = run_scorecard(quick=args.quick)
-        print(result.report())
-        if args.out is not None:
-            args.out.mkdir(parents=True, exist_ok=True)
-            (args.out / "scorecard.txt").write_text(result.report() + "\n")
-        return 0 if result.passed == result.total else 1
-    names = sorted(_RUNNERS) if args.artifact == "all" else [args.artifact]
-    worst = 0
-    for name in names:
-        text, code = _run_one(
-            name, quick=args.quick, out_dir=args.out, csv=args.csv
-        )
-        print(text)
-        print()
-        worst = max(worst, code)
-    return worst
+    return code
 
 
 if __name__ == "__main__":

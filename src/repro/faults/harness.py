@@ -763,9 +763,11 @@ def run_chaos(
     grow/shrink replica groups *while* faults fire -- the shadow
     verification and state digest then gate that autoscaler-initiated
     migrations and promotions never lose or corrupt acked state.
-    Raises :class:`~repro.errors.ConfigurationError` on a bad schedule
-    or an inconsistent replication configuration.
+    Raises :class:`~repro.errors.ConfigurationError` on a bad schedule,
+    ``ops < 1`` or an inconsistent replication configuration.
     """
+    if ops < 1:
+        raise ConfigurationError(f"ops must be >= 1, got {ops}")
     parsed = FaultSchedule.parse(schedule)
     run = _ChaosRun(
         seed=seed,

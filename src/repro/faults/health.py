@@ -189,6 +189,10 @@ def run_health(
         raise ConfigurationError(f"ops must be >= 1, got {ops}")
     if tick_every < 1:
         raise ConfigurationError(f"tick_every must be >= 1, got {tick_every}")
+    if window_ticks < 1:
+        raise ConfigurationError(
+            f"window_ticks must be >= 1, got {window_ticks}"
+        )
     if not 1 <= shards <= 64:
         raise ConfigurationError(f"shards must be in [1, 64], got {shards}")
 

@@ -123,10 +123,11 @@ class TestCli:
         assert code == 2
 
     def test_autoscalebench_is_registered(self):
-        from repro.cli import _DESCRIPTIONS, _RUNNERS, build_parser
+        from repro.bench.artifacts import ARTIFACTS
+        from repro.cli import build_parser
 
-        assert "autoscalebench" in _RUNNERS
-        assert "autoscalebench" in _DESCRIPTIONS
+        assert "autoscalebench" in ARTIFACTS
+        assert ARTIFACTS["autoscalebench"].description
         parser = build_parser()
         args = parser.parse_args(["autoscale", "--max-shards", "6"])
         assert args.max_shards == 6

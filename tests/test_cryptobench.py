@@ -1,4 +1,4 @@
-"""Cryptobench harness: result plumbing, floors, CLI wiring.
+"""Cryptobench harness: result plumbing and floors.
 
 The real benchmark takes minutes, so these tests drive the harness with
 tiny workloads or stubbed measurement stages; the full run is exercised
@@ -10,12 +10,12 @@ import json
 import pytest
 
 from repro.bench import cryptobench
+from repro.bench.artifacts import write_artifact
 from repro.bench.cryptobench import (
     CryptoBenchResult,
     _bench_primitives,
     _min_time,
     run_cryptobench,
-    write_json,
 )
 
 
@@ -83,8 +83,10 @@ class TestResultObject:
         assert "FAIL" in bad.report()
 
     def test_write_json(self, tmp_path):
-        path = tmp_path / "sub" / "BENCH_crypto.json"
-        write_json(_synthetic(), path)
+        write_artifact(
+            "cryptobench", _synthetic(), quick=True, out_dir=tmp_path / "sub"
+        )
+        path = tmp_path / "sub" / "BENCH_crypto_quick.json"
         assert json.loads(path.read_text())["quick"] is True
 
 
@@ -108,10 +110,12 @@ class TestRunWiring:
                 "ycsb_a_ops_per_s": 1.0, "chaos_wall_s": 1.0,
                 "ycsb_a_wall_s": 1.0, "chaos_ok": 1.0,
             })
-        r = run_cryptobench(quick=True, floor=5.0)
+        r = run_cryptobench(quick=True)
+        assert r.floor == 5.0
         assert r.floor_failures and r.exit_code == 1
         # A 2x engine passes a 2x floor.
-        assert run_cryptobench(quick=True, floor=2.0).exit_code == 0
+        monkeypatch.setattr(cryptobench, "FLOOR", 2.0)
+        assert run_cryptobench(quick=True).exit_code == 0
 
     def test_parity_failure_short_circuits(self, monkeypatch):
         monkeypatch.setattr(
@@ -120,37 +124,3 @@ class TestRunWiring:
         assert r.exit_code == 1
         assert r.primitives == {} and r.e2e == {}
 
-
-class TestCliWiring:
-    def test_parser_accepts_cryptobench(self):
-        from repro.cli import build_parser
-
-        args = build_parser().parse_args(
-            ["cryptobench", "--quick", "--floor", "7.5"]
-        )
-        assert args.artifact == "cryptobench"
-        assert args.quick and args.floor == 7.5
-
-    def test_negative_floor_exits_2(self, capsys):
-        from repro.cli import main
-
-        assert main(["cryptobench", "--floor", "-1"]) == 2
-        assert "--floor" in capsys.readouterr().err
-
-    def test_cmd_writes_json_and_propagates_exit(self, monkeypatch, tmp_path):
-        import repro.bench.cryptobench as cb
-        from repro.cli import run_cryptobench_cmd
-
-        monkeypatch.setattr(
-            cb, "run_cryptobench",
-            lambda quick, floor: _synthetic(floor=floor))
-        text, code = run_cryptobench_cmd(
-            quick=True, floor=5.0, out_dir=tmp_path)
-        assert code == 0
-        assert (tmp_path / "BENCH_crypto_quick.json").exists()
-        assert "verdict: OK" in text
-        text, code = run_cryptobench_cmd(
-            quick=False, floor=5.0, as_json=True, out_dir=tmp_path)
-        assert code == 0
-        assert json.loads(text)["ok"] is True
-        assert (tmp_path / "BENCH_crypto.json").exists()
