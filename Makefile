@@ -25,8 +25,9 @@ shard-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.cli shard --shards 2 --workload b --ops 2000
 	PYTHONPATH=src $(PYTHON) -m repro.cli scaleout --quick
 
-# Deterministic chaos runs under three fixed seeds (docs/FAULTS.md).
-# Each exits non-zero iff an injected fault caused an integrity violation
+# Deterministic chaos runs under three fixed seeds (docs/FAULTS.md), the
+# last one again through the near-cache and backup-read offload.  Each
+# exits non-zero iff an injected fault caused an integrity violation
 # instead of being recovered; then the modelled retry-cost curves
 # regenerate.
 chaos-smoke:
@@ -35,6 +36,8 @@ chaos-smoke:
 		--schedule "drop:0.08,duplicate:0.05,delay:0.05,corrupt_payload:0.02,enclave_crash:0.01"
 	PYTHONPATH=src $(PYTHON) -m repro.cli chaos --seed 42 --ops 100 --shards 3 --replicas 1 \
 		--schedule "drop:0.05,shard_death:0.03,corrupt_payload:0.01"
+	PYTHONPATH=src $(PYTHON) -m repro.cli chaos --seed 42 --ops 100 --shards 3 --replicas 1 \
+		--cache --offload --schedule "drop:0.05,shard_death:0.03,corrupt_payload:0.01"
 	PYTHONPATH=src $(PYTHON) -m repro.cli faulttail --quick
 
 # Replicated failover chaos under three fixed seeds: sync groups must

@@ -179,6 +179,7 @@ def _identity_checks(scenario_ops: int, chaos_ops: int) -> List[str]:
     import hashlib
 
     from repro.faults.harness import run_chaos
+    from repro.shard.spec import ClusterSpec
     from repro.traffic.scenarios import run_scenario
 
     failures: List[str] = []
@@ -188,10 +189,9 @@ def _identity_checks(scenario_ops: int, chaos_ops: int) -> List[str]:
         report = run_scenario(
             "steady",
             seed=11,
-            shards=2,
+            cluster=ClusterSpec(shards=2, ecall_batch=k),
             ops=scenario_ops,
             slo=_LOOSE_SLO,
-            ecall_batch=k,
         )
         blob = json.dumps(report.to_dict(), sort_keys=True).encode()
         digests[k] = hashlib.sha256(blob).hexdigest()
@@ -201,7 +201,7 @@ def _identity_checks(scenario_ops: int, chaos_ops: int) -> List[str]:
             f"{digests[16][:16]} != K=1 {digests[1][:16]}"
         )
 
-    if not run_chaos(7, _CHAOS_SCHEDULE, ops=chaos_ops, ecall_batch=1).ok:
+    if not run_chaos(7, _CHAOS_SCHEDULE, ops=chaos_ops).ok:
         failures.append("chaos verification failed during identity check")
     return failures
 

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List
 
 from repro.bench.report import Series, format_table
+from repro.shard.spec import ClusterSpec
 from repro.traffic.report import TRAFFIC_SLO_SPEC, find_knee
 from repro.traffic.scenarios import run_scenario
 
@@ -180,7 +181,11 @@ def run_loadknee(quick: bool = False, seed: int = _SEED) -> LoadKneeResult:
 
         def probe(rate: int, shards=shards):
             return run_scenario(
-                "steady", seed=seed, shards=shards, ops=ops, rate=rate
+                "steady",
+                seed=seed,
+                cluster=ClusterSpec(shards=shards),
+                ops=ops,
+                rate=rate,
             )
 
         knee = find_knee(

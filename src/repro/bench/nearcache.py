@@ -37,10 +37,11 @@ Everything derives from one seed, so the committed
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List
 
 from repro.bench.report import Series, format_table
+from repro.shard.spec import ClusterSpec
 from repro.traffic.report import TRAFFIC_SLO_SPEC, find_knee
 from repro.traffic.scenarios import run_scenario
 
@@ -92,11 +93,9 @@ _CHAOS_SCHEDULE = (
 )
 
 
-def _scenario_kwargs(near_cache: bool, read_offload: bool) -> dict:
-    kwargs = {"near_cache": near_cache, "read_offload": read_offload}
-    if near_cache:
-        kwargs["cache_lease_ms"] = _LEASE_MS
-    return kwargs
+#: Every scenario run: one backup per shard (offload needs one), and
+#: the bench lease whenever the near-cache is on.
+_CLUSTER = ClusterSpec(replicas=1, cache_lease_ms=_LEASE_MS)
 
 
 def _run_summary(report) -> dict:
@@ -239,8 +238,7 @@ def _knee_phase(result: NearCacheBenchResult, seed: int, ops: int) -> None:
             return run_scenario(
                 _KNEE_SCENARIO,
                 seed=seed,
-                shards=shards,
-                replicas=1,
+                cluster=replace(_CLUSTER, shards=shards),
                 ops=ops,
                 rate=rate,
             )
@@ -249,11 +247,14 @@ def _knee_phase(result: NearCacheBenchResult, seed: int, ops: int) -> None:
             return run_scenario(
                 _KNEE_SCENARIO,
                 seed=seed,
-                shards=shards,
-                replicas=1,
+                cluster=replace(
+                    _CLUSTER,
+                    shards=shards,
+                    near_cache=True,
+                    read_offload=True,
+                ),
                 ops=ops,
                 rate=rate,
-                **_scenario_kwargs(True, True),
             )
 
         ceiling = _RATE_CEIL_PER_SHARD * shards
@@ -299,11 +300,14 @@ def _fixed_rate_phase(
             report = run_scenario(
                 scenario,
                 seed=seed,
-                shards=_FIXED_SHARDS,
-                replicas=1,
+                cluster=replace(
+                    _CLUSTER,
+                    shards=_FIXED_SHARDS,
+                    near_cache=near_cache,
+                    read_offload=read_offload,
+                ),
                 ops=ops,
                 rate=rate,
-                **_scenario_kwargs(near_cache, read_offload),
             )
             configs[name] = _run_summary(report)
         result.fixed_rate.append(
@@ -347,26 +351,27 @@ def _equivalence_phase(result: NearCacheBenchResult) -> None:
     from repro.faults.harness import run_chaos
 
     plain = run_chaos(
-        _EQUIV_SEED, "", ops=150, shards=3, replicas=1
+        _EQUIV_SEED, "", ops=150, cluster=ClusterSpec(shards=3, replicas=1)
     )
     cached = run_chaos(
         _EQUIV_SEED,
         "",
         ops=150,
-        shards=3,
-        replicas=1,
-        near_cache=True,
-        read_offload=True,
+        cluster=ClusterSpec(
+            shards=3, replicas=1, near_cache=True, read_offload=True
+        ),
     )
     chaos = run_chaos(
         _CHAOS_SEED,
         _CHAOS_SCHEDULE,
         ops=200,
-        shards=3,
-        replicas=2,
-        ack_mode="async",
-        near_cache=True,
-        read_offload=True,
+        cluster=ClusterSpec(
+            shards=3,
+            replicas=2,
+            ack_mode="async",
+            near_cache=True,
+            read_offload=True,
+        ),
     )
     result.equivalence = {
         "clean_seed": _EQUIV_SEED,
@@ -384,20 +389,20 @@ def _equivalence_phase(result: NearCacheBenchResult) -> None:
         "chaos_offload_fallbacks": chaos.offload_fallbacks,
         "chaos_fingerprint": chaos.fault_fingerprint,
     }
-    if not (plain.ok and cached.ok):
+    if plain.exit_code or cached.exit_code:
         result.violations.append(
-            "clean chaos run failed shadow verification "
-            f"(plain ok={plain.ok}, cached ok={cached.ok})"
+            "clean chaos run failed its verdict "
+            f"(plain exit={plain.exit_code}, cached exit={cached.exit_code})"
         )
     if plain.state_digest != cached.state_digest:
         result.violations.append(
             "cache+offload changed final store state on the clean run: "
             f"{plain.state_digest[:16]} != {cached.state_digest[:16]}"
         )
-    if not chaos.ok:
+    if chaos.exit_code:
         result.violations.append(
-            f"faulted chaos run with cache+offload violated the shadow "
-            f"model: {chaos.violations}"
+            f"faulted chaos run with cache+offload failed its verdict: "
+            f"{chaos.violations}"
         )
 
 

@@ -70,6 +70,7 @@ Near-cache commands (see docs/CACHING.md)::
 
     python -m repro.cli nearcache --cache --offload      # cached scenario
     python -m repro.cli nearcache --cache --scenario hot-key-storm --json
+    python -m repro.cli chaos --shards 3 --replicas 1 --cache --offload
     python -m repro.cli nearcachebench --quick           # cache smoke
     python -m repro.cli nearcachebench  # full run -> BENCH_nearcache.json
 
@@ -82,6 +83,14 @@ Autoscaler commands (see docs/AUTOSCALING.md)::
     python -m repro.cli autoscalebench --quick           # elasticity smoke
     python -m repro.cli autoscalebench  # full run -> BENCH_autoscale.json
 
+The eight cluster commands (shard, chaos, replica, health, flightrec,
+traffic, nearcache, autoscale) fill one
+:class:`~repro.shard.spec.ClusterSpec` from the cluster-shape options
+they take (``--shards``, ``--replicas``, ``--ack-mode``; 'chaos' and
+'nearcache' also ``--cache``, ``--offload``, ``--cache-entries``,
+``--lease-ms``) on top of the command's default shape.  A command
+refuses any option it does not use.
+
 Exit codes: 0 success, 1 a failed gate or verdict, 2 bad configuration
 (one ``error: ...`` line on stderr).
 """
@@ -93,10 +102,12 @@ import inspect
 import json
 import pathlib
 import sys
+from dataclasses import replace
 from functools import partial
 
 from repro.bench.artifacts import ARTIFACTS, write_artifact
 from repro.errors import ConfigurationError
+from repro.shard.spec import ClusterSpec
 
 __all__ = ["main"]
 
@@ -217,7 +228,7 @@ def run_metrics(
 
 
 def run_shard(
-    shards: int = 2,
+    cluster: ClusterSpec = ClusterSpec(shards=2),
     workload: str = "b",
     ops: int = 1000,
     seed: int = 11,
@@ -226,14 +237,11 @@ def run_shard(
 ) -> "tuple":
     """Functional sharded run: real crypto, routing and live migration.
 
-    Stands up ``shards`` servers behind a consistent-hash map, drives a
-    YCSB mix through a :class:`~repro.shard.router.ShardedClient`, then
-    joins one more shard live and re-reads a sample of keys through the
-    (now stale) router to exercise the epoch-retry protocol.
+    Stands up ``cluster`` behind a consistent-hash map, drives a YCSB
+    mix through its routing client, then joins one more shard live and
+    re-reads a sample of keys through the (now stale) router to exercise
+    the epoch-retry protocol.
     """
-    from dataclasses import replace as dc_replace
-
-    from repro.shard import ShardedCluster, ShardedClient
     from repro.ycsb.driver import WorkloadDriver
     from repro.ycsb.generator import make_key
     from repro.ycsb.workload import WORKLOAD_A, WORKLOAD_B, WORKLOAD_C
@@ -243,32 +251,28 @@ def run_shard(
         raise ConfigurationError(
             f"unknown workload {workload!r} (expected one of: a, b, c)"
         )
-    if not 1 <= shards <= 64:
-        raise ConfigurationError(
-            f"--shards must be in [1, 64], got {shards}"
-        )
     if ops < 1:
         raise ConfigurationError(f"--ops must be positive, got {ops}")
 
     # Pure-Python crypto runs at a few hundred ops/s; keep the resident
     # set proportional to the request count so the command stays snappy.
     records = max(64, min(512, ops // 4))
-    spec = dc_replace(specs[workload], record_count=records)
+    spec = replace(specs[workload], record_count=records)
 
-    cluster = ShardedCluster(shards=shards, seed=seed)
-    client = ShardedClient(cluster, trace_ops=False)
+    live = cluster.build(seed)
+    client = cluster.router(live, trace_ops=False)
     driver = WorkloadDriver(client, spec, seed=seed)
     driver.load()
     run = driver.run(ops)
 
-    before_epoch = cluster.epoch
-    report = cluster.add_shard()
+    before_epoch = live.epoch
+    report = live.add_shard()
     sample = [make_key(i, spec.key_size) for i in range(min(32, records))]
     for key in sample:
         client.get(key)
 
     payload = {
-        "shards": shards,
+        "shards": cluster.shards,
         "workload": workload,
         "operations": run.operations,
         "reads": run.reads,
@@ -277,9 +281,9 @@ def run_shard(
         "ops_per_second": round(run.ops_per_second, 1),
         "p50_us": round(run.latency.percentile(50) / 1000.0, 1),
         "p99_us": round(run.latency.percentile(99) / 1000.0, 1),
-        "key_counts": cluster.key_counts(),
+        "key_counts": live.key_counts(),
         "epoch_before_join": before_epoch,
-        "epoch_after_join": cluster.epoch,
+        "epoch_after_join": live.epoch,
         "migrated_entries": report.total_moved,
         "migrated_payload_bytes": report.payload_bytes,
         "stale_retries": client.stale_retries,
@@ -293,7 +297,7 @@ def run_shard(
         )
         lines = [
             f"Sharded functional run: YCSB {workload.upper()}, "
-            f"{shards} shard(s), {ops} ops, {records} records",
+            f"{cluster.shards} shard(s), {ops} ops, {records} records",
             "-" * 64,
             f"throughput      {payload['ops_per_second']:>10} ops/s "
             "(pure-Python crypto; see 'scaleout' for modelled numbers)",
@@ -302,10 +306,10 @@ def run_shard(
             f"reads/updates   {run.reads}/{run.updates} "
             f"({run.misses} misses)",
             "-" * 64,
-            f"live join       shard-{shards} joined: "
+            f"live join       shard-{cluster.shards} joined: "
             f"{report.total_moved} entries migrated sealed "
             f"({report.payload_bytes} payload bytes), "
-            f"epoch {before_epoch} -> {cluster.epoch}",
+            f"epoch {before_epoch} -> {live.epoch}",
             f"stale retries   {payload['stale_retries']} "
             f"(router re-routed after the epoch bump)",
             f"integrity       {payload['integrity_failures']} MAC failures",
@@ -320,9 +324,7 @@ def run_chaos_cmd(
     seed: int = 11,
     schedule: str = "drop:0.05,duplicate:0.05,delay:0.05,qp_error:0.02",
     ops: int = 200,
-    shards: int = None,
-    replicas: int = 0,
-    ack_mode: str = "sync",
+    cluster: ClusterSpec = ClusterSpec(shards=None),
     as_json: bool = False,
     out_dir: pathlib.Path = None,
     out_name: str = "chaos",
@@ -332,14 +334,11 @@ def run_chaos_cmd(
     """Seeded chaos run; returns ``(text, exit_code)``.
 
     Exit code 0 means every fault was recovered and the final store state
-    matched the shadow model; 1 means an integrity violation survived
-    (lost acked write, silent corruption, resurrection).  Under a
-    ``sync``/``semi-sync`` replicated cluster any acked loss at a
-    promotion is itself a contract violation, so client-detected losses
-    and group-reported lost records also flip the exit code.  With
-    ``autoscale`` the elastic controller runs live during the schedule
-    under ``policy`` (``docs/AUTOSCALING.md``) and any flapping also
-    forces exit 1.
+    matched the shadow model; 1 means the report's verdict failed
+    (:attr:`~repro.faults.ChaosReport.exit_code`: an integrity violation,
+    acked loss under a ``sync``/``semi-sync`` contract, or -- with
+    ``autoscale``, the elastic controller live under ``policy``
+    (``docs/AUTOSCALING.md``) -- any flapping).
     """
     from repro.faults import run_chaos
 
@@ -347,16 +346,9 @@ def run_chaos_cmd(
         seed=seed,
         schedule=schedule,
         ops=ops,
-        shards=shards,
-        replicas=replicas,
-        ack_mode=ack_mode,
+        cluster=cluster,
         autoscale=autoscale,
         autoscale_policy=policy,
-    )
-    contract_broken = (
-        replicas > 0
-        and ack_mode in ("sync", "semi-sync")
-        and (report.losses_detected > 0 or report.lost_records > 0)
     )
     if as_json:
         text = json.dumps(report.to_dict(), indent=2, sort_keys=True)
@@ -369,18 +361,18 @@ def run_chaos_cmd(
             f"{name}={count}"
             for name, count in sorted(report.outcomes.items())
         )
-        if report.shards and replicas:
+        if report.shards and report.replicas:
             mode = (
-                f"{report.shards} shards x {replicas + 1} replicas, "
-                f"{ack_mode}"
+                f"{report.shards} shards x {report.replicas + 1} replicas, "
+                f"{report.ack_mode}"
             )
         elif report.shards:
             mode = f"{report.shards} shards"
         else:
             mode = "single server"
-        if contract_broken:
+        if report.contract_broken:
             verdict = (
-                f"VIOLATIONS: {ack_mode} group lost acked writes "
+                f"VIOLATIONS: {report.ack_mode} group lost acked writes "
                 f"(lost_records={report.lost_records}, "
                 f"detected={report.losses_detected})"
             )
@@ -421,21 +413,14 @@ def run_chaos_cmd(
             f"{out_name}_flight.json",
             json.dumps(report.flight_dump, indent=2, sort_keys=True),
         )
-    code = report.exit_code
-    if contract_broken and code == 0:
-        code = 1
-    if report.autoscale and report.autoscale_flapping and code == 0:
-        code = 1
-    return text, code
+    return text, report.exit_code
 
 
 def run_replica_cmd(
     seed: int = 11,
     schedule: str = "shard_death:0.05,replica_lag:0.08",
     ops: int = 200,
-    shards: int = 3,
-    replicas: int = 1,
-    ack_mode: str = "sync",
+    cluster: ClusterSpec = ClusterSpec(shards=3, replicas=1),
     as_json: bool = False,
     out_dir: pathlib.Path = None,
 ) -> "tuple":
@@ -449,23 +434,15 @@ def run_replica_cmd(
     client, none silent); 1 means it did not; 2 means the configuration
     was invalid.
     """
-    from repro.replica import ACK_MODES
-
-    if replicas < 1:
+    if cluster.replicas < 1:
         raise ConfigurationError(
-            f"'replica' needs --replicas >= 1, got {replicas}"
-        )
-    if ack_mode not in ACK_MODES:
-        raise ConfigurationError(
-            f"unknown ack mode {ack_mode!r}; known: {', '.join(ACK_MODES)}"
+            f"'replica' needs --replicas >= 1, got {cluster.replicas}"
         )
     return run_chaos_cmd(
         seed=seed,
         schedule=schedule,
         ops=ops,
-        shards=shards,
-        replicas=replicas,
-        ack_mode=ack_mode,
+        cluster=cluster,
         as_json=as_json,
         out_dir=out_dir,
         out_name="replica",
@@ -474,9 +451,7 @@ def run_replica_cmd(
 
 def run_health_cmd(
     seed: int = 11,
-    shards: int = 2,
-    replicas: int = 1,
-    ack_mode: str = "sync",
+    cluster: ClusterSpec = ClusterSpec(shards=2, replicas=1),
     ops: int = 240,
     tick_every: int = 40,
     window: int = 3,
@@ -499,9 +474,7 @@ def run_health_cmd(
 
     report = run_health(
         seed=seed,
-        shards=shards,
-        replicas=replicas,
-        ack_mode=ack_mode,
+        cluster=cluster,
         ops=ops,
         tick_every=tick_every,
         window_ticks=window,
@@ -516,8 +489,7 @@ def run_health_cmd(
 
 def run_flightrec_cmd(
     seed: int = 11,
-    shards: int = 2,
-    replicas: int = 1,
+    cluster: ClusterSpec = ClusterSpec(shards=2, replicas=1),
     ops: int = 240,
     tick_every: int = 40,
     window: int = 3,
@@ -568,8 +540,7 @@ def run_flightrec_cmd(
 
     report = run_health(
         seed=seed,
-        shards=shards,
-        replicas=replicas,
+        cluster=cluster,
         ops=ops,
         tick_every=tick_every,
         window_ticks=window,
@@ -594,9 +565,7 @@ def run_flightrec_cmd(
 def run_traffic_cmd(
     scenario: str = "steady",
     seed: int = 11,
-    shards: int = 2,
-    replicas: int = 0,
-    ack_mode: str = "sync",
+    cluster: ClusterSpec = ClusterSpec(shards=2),
     rate: float = None,
     ops: int = None,
     schedule: str = "",
@@ -619,9 +588,7 @@ def run_traffic_cmd(
     report = run_scenario(
         scenario,
         seed=seed,
-        shards=shards,
-        replicas=replicas,
-        ack_mode=ack_mode,
+        cluster=cluster,
         rate=rate,
         ops=ops,
         schedule=schedule,
@@ -635,15 +602,9 @@ def run_traffic_cmd(
 def run_nearcache_cmd(
     scenario: str = "hot-key-storm",
     seed: int = 11,
-    shards: int = 2,
-    replicas: int = 1,
-    ack_mode: str = "sync",
+    cluster: ClusterSpec = ClusterSpec(shards=2, replicas=1),
     rate: float = None,
     ops: int = None,
-    cache: bool = False,
-    offload: bool = False,
-    cache_entries: int = 256,
-    cache_lease_ms: float = 25.0,
     as_json: bool = False,
     out_dir: pathlib.Path = None,
 ) -> "tuple":
@@ -661,28 +622,13 @@ def run_nearcache_cmd(
     """
     from repro.traffic import run_scenario
 
-    if not cache and not offload:
+    if not (cluster.near_cache or cluster.read_offload):
         raise ConfigurationError(
             "'nearcache' needs --cache and/or --offload "
             "(plain runs: use the 'traffic' command)"
         )
-    if offload and replicas < 1:
-        raise ConfigurationError(
-            f"--offload needs --replicas >= 1 to have backups to read "
-            f"from, got {replicas}"
-        )
     report = run_scenario(
-        scenario,
-        seed=seed,
-        shards=shards,
-        replicas=replicas,
-        ack_mode=ack_mode,
-        rate=rate,
-        ops=ops,
-        near_cache=cache,
-        read_offload=offload,
-        cache_entries=cache_entries,
-        cache_lease_ms=cache_lease_ms,
+        scenario, seed=seed, cluster=cluster, rate=rate, ops=ops
     )
     text = _render(report, as_json)
     _save(out_dir, "nearcache.json" if as_json else "nearcache.txt", text)
@@ -692,9 +638,7 @@ def run_nearcache_cmd(
 def run_autoscale_cmd(
     scenario: str = "flash-crowd",
     seed: int = 11,
-    shards: int = 1,
-    replicas: int = 1,
-    ack_mode: str = "sync",
+    cluster: ClusterSpec = ClusterSpec(shards=1, replicas=1),
     rate: float = None,
     ops: int = None,
     policy: str = None,
@@ -720,16 +664,15 @@ def run_autoscale_cmd(
     """
     from repro.traffic import run_scenario
 
-    if max_shards < shards:
+    if max_shards < cluster.shards:
         raise ConfigurationError(
-            f"--max-shards ({max_shards}) must be >= --shards ({shards})"
+            f"--max-shards ({max_shards}) must be >= --shards "
+            f"({cluster.shards})"
         )
     report = run_scenario(
         scenario,
         seed=seed,
-        shards=shards,
-        replicas=replicas,
-        ack_mode=ack_mode,
+        cluster=cluster,
         rate=rate,
         ops=ops,
         slo=slo,
@@ -739,11 +682,7 @@ def run_autoscale_cmd(
     )
     text = _render(report, as_json)
     _save(out_dir, "autoscale.json" if as_json else "autoscale.txt", text)
-    code = report.exit_code
-    summary = report.autoscale_summary or {}
-    if summary.get("flapping", 0) and code == 0:
-        code = 1
-    return text, code
+    return text, report.exit_code
 
 
 def run_list() -> "tuple":
@@ -844,7 +783,32 @@ def build_parser() -> argparse.ArgumentParser:
         help="with --out: additionally write DIR/<artifact>.csv "
         "(plot-ready data)",
     )
-    obs = parser.add_argument_group("observability (trace/metrics only)")
+    run = parser.add_argument_group("workload")
+    run.add_argument(
+        "--ops",
+        type=int,
+        metavar="N",
+        help="workload size (each command has its own default)",
+    )
+    run.add_argument(
+        "--seed",
+        type=int,
+        metavar="S",
+        help="deterministic seed for placement, workload and faults "
+        "(default: 11)",
+    )
+    run.add_argument(
+        "--json",
+        action="store_true",
+        dest="as_json",
+        help="emit JSON instead of the text report",
+    )
+    run.add_argument(
+        "--workload",
+        choices=["a", "b", "c"],
+        help="YCSB mix 'shard' drives through the router (default: b)",
+    )
+    obs = parser.add_argument_group("observability")
     obs.add_argument(
         "--op",
         choices=["get", "put", "delete"],
@@ -856,39 +820,57 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="BYTES",
         help="payload size for the traced operation (default: 128)",
     )
-    obs.add_argument(
-        "--ops",
-        type=int,
-        metavar="N",
-        help="workload size (each command has its own default)",
+    cluster = parser.add_argument_group(
+        "cluster shape (defaults per command in README)"
     )
-    obs.add_argument(
-        "--json",
-        action="store_true",
-        dest="as_json",
-        help="emit JSON instead of the text report",
-    )
-    shard = parser.add_argument_group("sharding ('shard'/'chaos')")
-    shard.add_argument(
+    cluster.add_argument(
         "--shards",
         type=int,
         metavar="N",
-        help="shard count for the functional cluster ('shard' default: 2; "
-        "'chaos' default: single unsharded server)",
+        help="shard count, 1-64 ('chaos' without it: one unsharded server)",
     )
-    shard.add_argument(
-        "--workload",
-        choices=["a", "b", "c"],
-        help="YCSB mix to drive through the router (default: b)",
-    )
-    shard.add_argument(
-        "--seed",
+    cluster.add_argument(
+        "--replicas",
         type=int,
-        metavar="S",
-        help="deterministic seed for ring placement + workload "
-        "(default: 11)",
+        metavar="R",
+        help="backups per shard (not 'shard')",
     )
-    chaos = parser.add_argument_group("fault injection ('chaos'/'replica')")
+    cluster.add_argument(
+        "--ack-mode",
+        choices=["sync", "semi-sync", "async"],
+        help="replication acknowledgement contract, with --replicas >= 1 "
+        "(default: sync; not 'shard'/'flightrec')",
+    )
+    cluster.add_argument(
+        "--cache",
+        action="store_true",
+        dest="near_cache",
+        help="'chaos'/'nearcache': enable the client-verified near-cache "
+        "on every routing client",
+    )
+    cluster.add_argument(
+        "--offload",
+        action="store_true",
+        dest="read_offload",
+        help="'chaos'/'nearcache': enable freshness-token GET offload to "
+        "replica backups (needs --replicas >= 1)",
+    )
+    cluster.add_argument(
+        "--cache-entries",
+        type=int,
+        metavar="N",
+        help="with --cache: near-cache capacity per routing client "
+        "(default: 256)",
+    )
+    cluster.add_argument(
+        "--lease-ms",
+        type=float,
+        dest="cache_lease_ms",
+        metavar="MS",
+        help="with --cache: near-cache lease length in milliseconds "
+        "(default: 25)",
+    )
+    chaos = parser.add_argument_group("fault injection")
     chaos.add_argument(
         "--schedule",
         metavar="SPEC",
@@ -898,19 +880,7 @@ def build_parser() -> argparse.ArgumentParser:
         "promote_during_migration); defaults: transport mix for 'chaos', "
         "'shard_death:0.05,replica_lag:0.08' for 'replica'",
     )
-    chaos.add_argument(
-        "--replicas",
-        type=int,
-        metavar="R",
-        help="backups per shard ('replica' default: 1; 'chaos' default: "
-        "0, unreplicated)",
-    )
-    chaos.add_argument(
-        "--ack-mode",
-        choices=["sync", "semi-sync", "async"],
-        help="replication acknowledgement contract (default: sync)",
-    )
-    health = parser.add_argument_group("telemetry ('health'/'flightrec')")
+    health = parser.add_argument_group("telemetry")
     health.add_argument(
         "--slo",
         metavar="SPEC",
@@ -953,15 +923,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="with 'flightrec --load': reconstruct this trace's causal "
         "hop timeline from the dump",
     )
-    traffic = parser.add_argument_group(
-        "open-loop traffic ('traffic'/'nearcache')"
-    )
+    traffic = parser.add_argument_group("open-loop traffic")
     traffic.add_argument(
         "--scenario",
         metavar="NAME",
         help="registered scenario name (steady, bursty, diurnal, "
         "flash-crowd, hot-key-storm, multi-tenant-contention; "
-        "'traffic' default: steady, 'nearcache' default: hot-key-storm)",
+        "'traffic' default: steady, 'nearcache' default: hot-key-storm, "
+        "'autoscale' default: flash-crowd)",
     )
     traffic.add_argument(
         "--rate",
@@ -969,33 +938,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="OPS_S",
         help="offered arrival rate override in ops/s of simulated time "
         "(default: the scenario's own rate)",
-    )
-    cache = parser.add_argument_group("near-cache ('nearcache' only)")
-    cache.add_argument(
-        "--cache",
-        action="store_true",
-        help="enable the client-verified near-cache on every pooled "
-        "connection",
-    )
-    cache.add_argument(
-        "--offload",
-        action="store_true",
-        help="enable freshness-token GET offload to replica backups "
-        "(needs --replicas >= 1)",
-    )
-    cache.add_argument(
-        "--cache-entries",
-        type=int,
-        metavar="N",
-        help="per-connection near-cache capacity (default: 256)",
-    )
-    cache.add_argument(
-        "--lease-ms",
-        type=float,
-        dest="cache_lease_ms",
-        metavar="MS",
-        help="near-cache lease length in simulated milliseconds "
-        "(default: 25)",
     )
     scaler = parser.add_argument_group("autoscaler ('autoscale'/'chaos')")
     scaler.add_argument(
@@ -1021,16 +963,69 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_REPLICATED = frozenset({"shards", "replicas", "ack_mode"})
+_READ_PATH = frozenset(
+    {"near_cache", "read_offload", "cache_entries", "cache_lease_ms"}
+)
+
+#: The cluster-shape options each cluster command takes (parsed names
+#: are :class:`ClusterSpec` fields; ``ecall_batch`` has no option): the
+#: shape its report describes.  Only 'chaos' and 'nearcache' run the
+#: routing client's read path.
+_SHAPE_OPTIONS = {
+    "shard": frozenset({"shards"}),
+    "chaos": _REPLICATED | _READ_PATH,
+    "replica": _REPLICATED,
+    "health": _REPLICATED,
+    "flightrec": frozenset({"shards", "replicas"}),
+    "traffic": _REPLICATED,
+    "nearcache": _REPLICATED | _READ_PATH,
+    "autoscale": _REPLICATED,
+}
+
+
+def _flag(dest: str) -> str:
+    """The option string that parses to ``dest``."""
+    if dest == "out_dir":
+        dest = "out"
+    return next(
+        a.option_strings[0]
+        for a in build_parser()._actions
+        if a.dest == dest and a.option_strings
+    )
+
+
 def _call(handler, args: argparse.Namespace) -> "tuple":
-    """Call ``handler`` with the given command-line options it accepts.
+    """Call ``handler`` with the given command-line options.
 
     ``--out`` parses to ``args.out``; every handler names it ``out_dir``.
+    Cluster-shape options replace fields of the spec the handler's
+    ``cluster`` parameter defaults to, so each command keeps its own
+    default shape.  An option the command does not take, or a shape
+    option whose feature the resulting spec leaves off, is refused.
     """
     given = dict(vars(args))
+    command = given.pop("artifact")
     if "out" in given:
         given["out_dir"] = given.pop("out")
+    takes = _SHAPE_OPTIONS.get(command, frozenset())
+    shape = {k: given.pop(k) for k in list(given) if k in takes}
     accepted = inspect.signature(handler).parameters
-    return handler(**{k: v for k, v in given.items() if k in accepted})
+    unused = [k for k in given if k not in accepted]
+    if unused:
+        raise ConfigurationError(
+            f"'{command}' does not take " + ", ".join(map(_flag, unused))
+        )
+    if shape:
+        spec = replace(accepted["cluster"].default, **shape)
+        # Options that do nothing with their feature off.
+        if "ack_mode" in shape and not spec.replicas:
+            raise ConfigurationError("--ack-mode needs --replicas >= 1")
+        idle = [k for k in ("cache_entries", "cache_lease_ms") if k in shape]
+        if idle and not spec.near_cache:
+            raise ConfigurationError(f"{_flag(idle[0])} needs --cache")
+        given["cluster"] = spec
+    return handler(**given)
 
 
 def main(argv=None) -> int:

@@ -61,11 +61,19 @@ from repro.faults.engine import FaultEngine
 from repro.faults.recovery import crash_restart
 from repro.faults.schedule import FaultKind, FaultSchedule
 from repro.obs import FlightRecorder, ManualClock, ObsContext
+from repro.shard.spec import ClusterSpec
 
 __all__ = ["ChaosReport", "run_chaos"]
 
 #: Ops a dead shard stays down before the harness restores it.
 _OUTAGE_SPAN = 3
+
+#: Workload shape: keys drawn from a bounded keyspace (so gets and
+#: deletes hit written keys), fixed-size values, and the client's retry
+#: budget per operation before it gives up with a typed error.
+_KEYSPACE = 24
+_VALUE_SIZE = 32
+_MAX_RETRIES = 4
 
 #: Workload ops between telemetry ticks when the autoscaler is live.
 _AUTOSCALE_EVERY = 10
@@ -140,9 +148,24 @@ class ChaosReport:
         return not self.violations
 
     @property
+    def contract_broken(self) -> bool:
+        """A ``sync``/``semi-sync`` group lost acked writes at a promotion.
+
+        Those contracts promise zero acked loss, so a client-detected
+        loss or a group-reported lost record is itself a violation.
+        """
+        return (
+            self.replicas > 0
+            and self.ack_mode in ("sync", "semi-sync")
+            and (self.losses_detected > 0 or self.lost_records > 0)
+        )
+
+    @property
     def exit_code(self) -> int:
-        """Process exit code: 0 clean, 1 integrity violation."""
-        return 0 if self.ok else 1
+        """Process exit code: 0 clean; 1 on an integrity violation, a
+        broken ack contract or a flapping autoscaler."""
+        failed = self.violations or self.contract_broken
+        return 1 if failed or self.autoscale_flapping else 0
 
     def to_dict(self) -> dict:
         """JSON-shaped view of the report (the ``--json`` CLI output)."""
@@ -204,37 +227,13 @@ class _ChaosRun:
         seed: int,
         schedule: FaultSchedule,
         ops: int,
-        shards: Optional[int],
-        keyspace: int,
-        value_size: int,
-        max_retries: int,
         obs: Optional[ObsContext],
-        replicas: int = 0,
-        ack_mode: str = "sync",
-        ecall_batch: int = 1,
-        near_cache: bool = False,
-        read_offload: bool = False,
-        autoscale: bool = False,
-        autoscale_policy: Optional[str] = None,
+        cluster: ClusterSpec,
+        autoscale: bool,
+        autoscale_policy: Optional[str],
     ):
-        if autoscale and shards is None:
-            raise ConfigurationError(
-                "the autoscaler steers a sharded cluster (pass shards >= 1)"
-            )
-        if replicas and shards is None:
-            raise ConfigurationError(
-                "replicas require a sharded cluster (pass shards >= 1)"
-            )
-        if (near_cache or read_offload) and shards is None:
-            raise ConfigurationError(
-                "the near-cache and the read offload live in the routing "
-                "client (pass shards >= 1)"
-            )
-        server_config = ServerConfig(ecall_batch=ecall_batch)
         self.ops = ops
-        self.keyspace = keyspace
-        self.value_size = value_size
-        self.replicas = replicas
+        self.replicas = cluster.replicas
         self.obs = obs if obs is not None else ObsContext.create()
         if self.obs.flight is None:
             # Every chaos run carries its own black box: a red run dumps
@@ -246,42 +245,35 @@ class _ChaosRun:
             seed=seed,
             schedule=str(schedule),
             ops=ops,
-            shards=shards,
-            replicas=replicas,
-            ack_mode=ack_mode if shards is not None else None,
-            near_cache=near_cache,
-            read_offload=read_offload,
+            shards=cluster.shards,
+            replicas=cluster.replicas,
+            ack_mode=cluster.ack_mode if cluster.shards is not None else None,
+            near_cache=cluster.near_cache,
+            read_offload=cluster.read_offload,
         )
         self.shadow: Dict[bytes, bytes] = {}
         self.uncertain: set = set()
         self.down: Dict[str, int] = {}  # shard name -> restore-at op index
 
-        if shards is None:
+        if cluster.shards is None:
             self.cluster = None
             self.cache_clock = None
-            self.server = PrecursorServer(obs=self.obs, config=server_config)
+            self.server = PrecursorServer(
+                obs=self.obs,
+                config=ServerConfig(ecall_batch=cluster.ecall_batch),
+            )
             self.manager = CheckpointManager()
             self.target = PrecursorClient(
                 self.server,
                 keygen=KeyGenerator(seed),
-                max_retries=max_retries,
+                max_retries=_MAX_RETRIES,
                 retry_backoff_s=0.0,
             )
             fabrics = [self.server.fabric]
             sessions = [self.target]
         else:
-            from repro.shard.cluster import ShardedCluster
-            from repro.shard.router import ShardedClient
-
             self.server = None
-            self.cluster = ShardedCluster(
-                shards=shards,
-                seed=seed,
-                obs=self.obs,
-                replicas=replicas,
-                ack_mode=ack_mode,
-                config=server_config,
-            )
+            self.cluster = cluster.build(seed, self.obs)
             self.manager = self.cluster.checkpoints
             # The near-cache lease must tick on *logical* time here: on
             # the wall clock, whether a lease survives until the next
@@ -289,18 +281,16 @@ class _ChaosRun:
             # the wire-fault stream -- and the fingerprint -- flaky.
             # One millisecond per workload op keeps the default 25 ms
             # lease meaningful (entries expire ~25 ops after fill).
-            self.cache_clock = ManualClock() if near_cache else None
-            self.target = ShardedClient(
+            self.cache_clock = ManualClock() if cluster.near_cache else None
+            self.target = cluster.router(
                 self.cluster,
                 keygen=KeyGenerator(seed),
-                max_retries=max_retries,
+                max_retries=_MAX_RETRIES,
                 retry_backoff_s=0.0,
                 # The client-centric failover check: losses must be caught
                 # by the client's own MAC record, not the shadow oracle.
-                track_freshness=replicas > 0,
-                near_cache=near_cache,
+                track_freshness=cluster.replicas > 0,
                 cache_clock=self.cache_clock,
-                read_offload=read_offload,
             )
             fabrics = [
                 self.cluster.server(name).fabric for name in self.cluster.shards
@@ -326,10 +316,10 @@ class _ChaosRun:
             )
             self.pipeline.attach_cluster(self.cluster)
             guard = StabilityGuard(
-                min_shards=max(1, shards - 1),
-                max_shards=shards + 2,
-                min_replicas=replicas,
-                max_replicas=replicas + 1,
+                min_shards=max(1, cluster.shards - 1),
+                max_shards=cluster.shards + 2,
+                min_replicas=cluster.replicas,
+                max_replicas=cluster.replicas + 1,
                 cooldown_ticks=3,
                 shard_cooldown_ticks=6,
             )
@@ -540,8 +530,8 @@ class _ChaosRun:
     def _one_op(self, op_index: int) -> None:
         roll = self.oprng.random()
         op = "put" if roll < 0.5 else ("get" if roll < 0.85 else "delete")
-        key = _workload_key(self.oprng.randrange(self.keyspace))
-        value = _workload_value(op_index, self.value_size)
+        key = _workload_key(self.oprng.randrange(_KEYSPACE))
+        value = _workload_value(op_index, _VALUE_SIZE)
         try:
             if op == "put":
                 self.target.put(key, value)
@@ -636,7 +626,7 @@ class _ChaosRun:
         if drop_cache is not None:
             drop_cache()
         digest = hashlib.sha256()
-        for index in range(self.keyspace):
+        for index in range(_KEYSPACE):
             key = _workload_key(index)
             expected = self.shadow.get(key)
             try:
@@ -731,30 +721,22 @@ def run_chaos(
     seed: int,
     schedule: str,
     ops: int = 200,
-    shards: Optional[int] = None,
-    keyspace: int = 24,
-    value_size: int = 32,
-    max_retries: int = 4,
+    cluster: ClusterSpec = ClusterSpec(shards=None),
     obs: Optional[ObsContext] = None,
-    replicas: int = 0,
-    ack_mode: str = "sync",
-    ecall_batch: int = 1,
-    near_cache: bool = False,
-    read_offload: bool = False,
     autoscale: bool = False,
     autoscale_policy: Optional[str] = None,
 ) -> ChaosReport:
     """Run one seeded chaos workload; see the module docstring.
 
-    ``shards=None`` runs a single server; an integer runs a sharded
-    cluster of that size (enabling the ``shard_death`` fault kind once
-    ``replicas >= 1`` gives each shard a backup to promote).  ``ack_mode``
-    picks the replication acknowledgement contract: under ``sync`` and
-    ``semi-sync`` an acked write survives any single promotion, while
-    ``async`` may lose the unshipped tail -- which the client must then
-    *detect* (``losses_detected``) rather than silently absorb.
-    ``near_cache``/``read_offload`` run the workload's reads through the
-    client near-cache and the freshness-token backup path
+    ``cluster`` is the store under test: the default single server, or
+    a sharded cluster (enabling the ``shard_death`` fault kind once
+    ``replicas >= 1`` gives each shard a backup to promote).  Its
+    ``ack_mode`` picks the replication acknowledgement contract: under
+    ``sync`` and ``semi-sync`` an acked write survives any single
+    promotion, while ``async`` may lose the unshipped tail -- which the
+    client must then *detect* (``losses_detected``) rather than silently
+    absorb.  Its ``near_cache``/``read_offload`` run the workload's reads
+    through the client near-cache and the freshness-token backup path
     (``docs/CACHING.md``), under the same shadow verification: a cached
     or offloaded read that returns a wrong value is a violation like any
     other.  ``autoscale`` puts the elastic controller
@@ -764,25 +746,20 @@ def run_chaos(
     verification and state digest then gate that autoscaler-initiated
     migrations and promotions never lose or corrupt acked state.
     Raises :class:`~repro.errors.ConfigurationError` on a bad schedule,
-    ``ops < 1`` or an inconsistent replication configuration.
+    ``ops < 1`` or ``autoscale`` without shards.
     """
     if ops < 1:
         raise ConfigurationError(f"ops must be >= 1, got {ops}")
-    parsed = FaultSchedule.parse(schedule)
+    if autoscale and cluster.shards is None:
+        raise ConfigurationError(
+            "the autoscaler steers a sharded cluster (pass shards >= 1)"
+        )
     run = _ChaosRun(
         seed=seed,
-        schedule=parsed,
+        schedule=FaultSchedule.parse(schedule),
         ops=ops,
-        shards=shards,
-        keyspace=keyspace,
-        value_size=value_size,
-        max_retries=max_retries,
         obs=obs,
-        replicas=replicas,
-        ack_mode=ack_mode,
-        ecall_batch=ecall_batch,
-        near_cache=near_cache,
-        read_offload=read_offload,
+        cluster=cluster,
         autoscale=autoscale,
         autoscale_policy=autoscale_policy,
     )

@@ -38,6 +38,7 @@ from repro.obs import (
     SloEngine,
     TelemetryPipeline,
 )
+from repro.shard.spec import ClusterSpec
 
 __all__ = ["HealthReport", "run_health"]
 
@@ -49,6 +50,11 @@ _JITTER_SERVICE_NS = 100_000
 _HOT_PENALTY_NS = 2_500_000
 #: Modelled client-side think time between operations (ns).
 _THINK_NS = 20_000
+
+#: Workload shape: keyspace, value size and the client's retry budget.
+_KEYSPACE = 32
+_VALUE_SIZE = 48
+_MAX_RETRIES = 4
 
 #: Hop kinds that mark a request as "affected" by a fault or failover.
 _AFFECTED_KINDS = (
@@ -162,21 +168,17 @@ def _workload_key(index: int) -> bytes:
 
 def run_health(
     seed: int = 11,
-    shards: int = 2,
-    replicas: int = 1,
-    ack_mode: str = "sync",
+    cluster: ClusterSpec = ClusterSpec(shards=2, replicas=1),
     ops: int = 240,
     tick_every: int = 40,
     window_ticks: int = 3,
     hot_shard: Optional[str] = None,
     schedule: str = "",
     slo: Optional[str] = None,
-    keyspace: int = 32,
-    value_size: int = 48,
-    max_retries: int = 4,
 ) -> HealthReport:
     """Run one deterministic health workload; see the module docstring.
 
+    ``cluster`` is the store under test (it must be sharded).
     ``hot_shard`` names a shard whose group pays the modelled latency
     penalty (``"auto"`` picks the first shard); None runs the cluster
     clean.  ``schedule`` optionally arms a
@@ -193,31 +195,20 @@ def run_health(
         raise ConfigurationError(
             f"window_ticks must be >= 1, got {window_ticks}"
         )
-    if not 1 <= shards <= 64:
-        raise ConfigurationError(f"shards must be in [1, 64], got {shards}")
-
-    from repro.shard.cluster import ShardedCluster
-    from repro.shard.router import ShardedClient
 
     clock = ManualClock()
     obs = ObsContext.create(clock=clock)
     # Flight recorder first, so topology events from cluster bring-up
     # (the initial epoch install) land in its ring.
     obs.attach_flight(FlightRecorder())
-    cluster = ShardedCluster(
-        shards=shards,
-        seed=seed,
-        obs=obs,
-        replicas=replicas,
-        ack_mode=ack_mode,
-    )
+    live = cluster.build(seed, obs)
 
     if hot_shard == "auto":
-        hot_shard = cluster.shards[0]
-    if hot_shard is not None and hot_shard not in cluster.shards:
+        hot_shard = live.shards[0]
+    if hot_shard is not None and hot_shard not in live.shards:
         raise ConfigurationError(
             f"hot shard {hot_shard!r} is not a member "
-            f"(have {sorted(cluster.shards)})"
+            f"(have {sorted(live.shards)})"
         )
 
     slo_spec = slo if slo else DEFAULT_SLO_SPEC
@@ -225,7 +216,7 @@ def run_health(
     pipeline = TelemetryPipeline(
         clock=clock, window_ticks=window_ticks, registry=obs.registry
     )
-    pipeline.attach_cluster(cluster)
+    pipeline.attach_cluster(live)
     pipeline.attach_slo(engine)
     obs.attach_telemetry(pipeline)
 
@@ -244,33 +235,33 @@ def run_health(
 
         return advance
 
-    for name in cluster.shards:
+    for name in live.shards:
         penalty = _HOT_PENALTY_NS if name == hot_shard else 0
-        for member in cluster.group(name).members():
+        for member in live.group(name).members():
             member.service_hook = _service_hook(penalty)
     if hot_shard is not None:
         obs.record_event("hot_shard_injected", shard=hot_shard)
 
     faults: Optional[FaultEngine] = None
-    client = ShardedClient(
-        cluster,
+    client = cluster.router(
+        live,
         client_id=1,
         keygen=KeyGenerator(seed),
-        max_retries=max_retries,
+        max_retries=_MAX_RETRIES,
         retry_backoff_s=0.0,
     )
     if schedule:
         faults = FaultEngine(FaultSchedule.parse(schedule), seed, obs=obs)
         faults.install(
-            fabrics=[cluster.server(n).fabric for n in cluster.shards],
+            fabrics=[live.server(n).fabric for n in live.shards],
             clients=list(client.sessions.values()),
         )
 
     report = HealthReport(
         seed=seed,
-        shards=shards,
-        replicas=replicas,
-        ack_mode=ack_mode,
+        shards=cluster.shards,
+        replicas=cluster.replicas,
+        ack_mode=cluster.ack_mode,
         ops=ops,
         hot_shard=hot_shard,
         schedule=schedule,
@@ -280,14 +271,14 @@ def run_health(
     oprng = random.Random((seed << 1) ^ 0x0B5)
     written: List[bytes] = []
     for op_index in range(ops):
-        key = _workload_key(oprng.randrange(keyspace))
+        key = _workload_key(oprng.randrange(_KEYSPACE))
         do_get = written and oprng.random() < 0.4
         try:
             if do_get:
                 key = written[oprng.randrange(len(written))]
                 client.get(key)
             else:
-                value = (b"v%06d-" % op_index).ljust(value_size, b"x")
+                value = (b"v%06d-" % op_index).ljust(_VALUE_SIZE, b"x")
                 client.put(key, value)
                 if key not in written:
                     written.append(key)

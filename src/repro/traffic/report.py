@@ -190,18 +190,20 @@ class TrafficReport:
         return not self.evaluate_slo()
 
     @property
-    def exit_code(self) -> int:
-        """CLI convention: 0 clean, 1 on SLO breach or a broken invariant.
-
-        The invariant: corrected latency can never beat uncorrected
-        (every intended start precedes or equals its send).
-        """
-        if self.executed and (
+    def correction_ok(self) -> bool:
+        """The correction invariant: corrected latency can never beat
+        uncorrected (every intended start precedes or equals its send)."""
+        return not self.executed or (
             self.corrected_tail()["p99_ns"]
-            < self.uncorrected_tail()["p99_ns"]
-        ):
-            return 1
-        return 0 if self.slo_ok else 1
+            >= self.uncorrected_tail()["p99_ns"]
+        )
+
+    @property
+    def exit_code(self) -> int:
+        """CLI convention: 0 clean; 1 on SLO breach, a broken correction
+        invariant or a flapping autoscaler."""
+        flapping = (self.autoscale_summary or {}).get("flapping", 0)
+        return 0 if self.correction_ok and self.slo_ok and not flapping else 1
 
     # -- serialization -----------------------------------------------------
 

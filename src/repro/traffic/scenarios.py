@@ -48,6 +48,7 @@ from repro.errors import ConfigurationError
 from repro.faults.engine import FaultEngine
 from repro.faults.schedule import FaultSchedule
 from repro.obs import ManualClock, ObsContext, SloEngine, TelemetryPipeline
+from repro.shard.spec import ClusterSpec
 from repro.traffic.arrivals import (
     NS_PER_MS,
     ArrivalProcess,
@@ -62,6 +63,11 @@ from repro.traffic.report import TRAFFIC_SLO_SPEC, TrafficReport
 from repro.traffic.sessions import SessionModel, TenantSpec
 
 __all__ = ["Scenario", "SCENARIOS", "list_scenarios", "run_scenario"]
+
+#: Telemetry cadence: one pipeline tick per 5 ms of simulated time, and
+#: windowed aggregates over the last three ticks.
+_TICK_EVERY_NS = 5 * NS_PER_MS
+_WINDOW_TICKS = 3
 
 
 @dataclass(frozen=True)
@@ -240,42 +246,34 @@ def list_scenarios() -> List[str]:
 def run_scenario(
     name: str,
     seed: int = 0,
-    shards: int = 2,
-    replicas: int = 0,
-    ack_mode: str = "sync",
+    cluster: ClusterSpec = ClusterSpec(),
     rate: Optional[float] = None,
     ops: Optional[int] = None,
     schedule: str = "",
     slo: Optional[str] = None,
-    tick_every_ms: float = 5.0,
-    window_ticks: int = 3,
-    ecall_batch: int = 1,
-    near_cache: bool = False,
-    read_offload: bool = False,
-    cache_entries: int = 256,
-    cache_lease_ms: float = 25.0,
     autoscale: bool = False,
     autoscale_policy: Optional[str] = None,
     autoscale_max_shards: int = 4,
 ) -> TrafficReport:
     """Run one registered scenario end to end; returns its report.
 
-    ``rate``/``ops`` override the scenario defaults (the knee finder
-    probes ``steady`` this way); ``schedule`` arms a
-    :class:`~repro.faults.engine.FaultEngine` with ``kind:rate`` syntax
-    *after* the preload, so warm-up writes are fault-free and the fault
-    log fingerprints deterministically.  ``ecall_batch`` sets every
+    ``cluster`` is the store under test.  Its ``ecall_batch`` sets every
     shard server's drain window (``docs/BATCHING.md``); every K >= 1
-    must produce a byte-identical report.  ``near_cache``/``read_offload``
-    enable the client-verified near-cache and the freshness-token backup
-    reads (``docs/CACHING.md``) on every pooled connection; both default off
-    and the default report stays byte-identical to before they existed.
+    must produce a byte-identical report.  Its ``near_cache``/
+    ``read_offload`` enable the client-verified near-cache and the
+    freshness-token backup reads (``docs/CACHING.md``) on every pooled
+    connection; both default off and the default report stays
+    byte-identical to before they existed.  ``rate``/``ops`` override
+    the scenario defaults (the knee finder probes ``steady`` this way);
+    ``schedule`` arms a :class:`~repro.faults.engine.FaultEngine` with
+    ``kind:rate`` syntax *after* the preload, so warm-up writes are
+    fault-free and the fault log fingerprints deterministically.
     ``autoscale`` puts the elastic controller
     (``docs/AUTOSCALING.md``) in the loop: every telemetry window feeds
     :class:`~repro.autoscale.AutoScaler`, which may join/leave shards
-    (``shards`` then only sets the *starting* topology, bounded above
-    by ``autoscale_max_shards``) and grow/shrink replica groups under
-    ``autoscale_policy`` (defaults to
+    (``cluster.shards`` then only sets the *starting* topology, bounded
+    above by ``autoscale_max_shards``) and grow/shrink replica groups
+    under ``autoscale_policy`` (defaults to
     :data:`~repro.autoscale.DEFAULT_POLICY_SPEC`); the full decision
     log lands in the report and a flight recorder is attached so the
     topology history is reconstructable offline.  Raises
@@ -287,20 +285,11 @@ def run_scenario(
         raise ConfigurationError(
             f"unknown scenario {name!r} (have {list_scenarios()})"
         )
-    if not 1 <= shards <= 64:
-        raise ConfigurationError(f"shards must be in [1, 64], got {shards}")
-    if tick_every_ms <= 0:
-        raise ConfigurationError(
-            f"tick_every_ms must be positive, got {tick_every_ms}"
-        )
     rate = rate if rate is not None else scenario.default_rate_ops_s
     ops = ops if ops is not None else scenario.default_ops
     if ops < 1:
         raise ConfigurationError(f"ops must be >= 1, got {ops}")
     slo_spec = slo if slo else TRAFFIC_SLO_SPEC
-
-    from repro.core.server import ServerConfig
-    from repro.shard.cluster import ShardedCluster
 
     clock = ManualClock()
     obs = ObsContext.create(clock=clock)
@@ -311,28 +300,9 @@ def run_scenario(
         from repro.obs import FlightRecorder
 
         obs.attach_flight(FlightRecorder())
-    cluster = ShardedCluster(
-        shards=shards,
-        seed=seed,
-        obs=obs,
-        replicas=replicas,
-        ack_mode=ack_mode,
-        config=ServerConfig(ecall_batch=ecall_batch),
-    )
-    if cache_lease_ms <= 0:
-        raise ConfigurationError(
-            f"cache_lease_ms must be positive, got {cache_lease_ms}"
-        )
+    live = cluster.build(seed, obs)
     mix = scenario.mix()
-    model = SessionModel(
-        cluster,
-        mix,
-        seed=seed,
-        near_cache=near_cache,
-        read_offload=read_offload,
-        cache_entries=cache_entries,
-        cache_lease_ns=int(cache_lease_ms * NS_PER_MS),
-    )
+    model = SessionModel(live, mix, seed=seed, cluster_spec=cluster)
     model.preload()  # before hooks/faults: warm-up is free and clean
 
     # The engine feeds the pipeline corrected latencies itself, so the
@@ -340,16 +310,16 @@ def run_scenario(
     # router's own wall-clock observation path stays dormant.
     slo_engine = SloEngine.from_spec(slo_spec)
     pipeline = TelemetryPipeline(
-        clock=clock, window_ticks=window_ticks, registry=obs.registry
+        clock=clock, window_ticks=_WINDOW_TICKS, registry=obs.registry
     )
-    pipeline.attach_cluster(cluster)
+    pipeline.attach_cluster(live)
     pipeline.attach_slo(slo_engine)
 
     faults: Optional[FaultEngine] = None
     if schedule:
         faults = FaultEngine(FaultSchedule.parse(schedule), seed, obs=obs)
         faults.install(
-            fabrics=[cluster.server(n).fabric for n in cluster.shards],
+            fabrics=[live.server(n).fabric for n in live.shards],
             clients=model.all_sessions(),
         )
 
@@ -360,7 +330,7 @@ def run_scenario(
         clock,
         seed=seed,
         pipeline=pipeline,
-        tick_every_ns=int(tick_every_ms * NS_PER_MS),
+        tick_every_ns=_TICK_EVERY_NS,
     )
 
     controller = None
@@ -370,11 +340,11 @@ def run_scenario(
         guard = StabilityGuard(
             min_shards=1,
             max_shards=autoscale_max_shards,
-            min_replicas=replicas,
-            max_replicas=replicas + 1,
+            min_replicas=cluster.replicas,
+            max_replicas=cluster.replicas + 1,
         )
         controller = AutoScaler(
-            cluster,
+            live,
             policy=autoscale_policy,
             guard=guard,
             obs=obs,
@@ -393,8 +363,8 @@ def run_scenario(
         scenario=scenario.name,
         version=scenario.version,
         seed=seed,
-        shards=shards,
-        replicas=replicas,
+        shards=cluster.shards,
+        replicas=cluster.replicas,
         rate_ops_s=rate,
         ops=ops,
         arrival_kind=process.kind,
@@ -420,18 +390,18 @@ def run_scenario(
     if faults is not None:
         report.fault_log = list(faults.log)
         report.fault_fingerprint = faults.fingerprint()
-    report.near_cache = near_cache
-    report.read_offload = read_offload
+    report.near_cache = cluster.near_cache
+    report.read_offload = cluster.read_offload
     report.nearcache = model.nearcache_stats()
     # Which members actually handled GET frames: the primary-shed
     # measurement (benchmarks compare these across configurations).
     report.primary_gets = sum(
-        cluster.server(name).stats.gets for name in cluster.shards
+        live.server(name).stats.gets for name in live.shards
     )
     report.backup_gets = sum(
         backup.stats.gets
-        for name in cluster.shards
-        for backup in cluster.group(name).backups
+        for name in live.shards
+        for backup in live.group(name).backups
     )
     report.autoscale = autoscale
     if controller is not None:

@@ -33,6 +33,8 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.crypto.keys import KeyGenerator
 from repro.errors import ConfigurationError
+from repro.shard.router import ShardedClient
+from repro.shard.spec import ClusterSpec
 from repro.sim.stats import LatencyRecorder
 from repro.traffic.arrivals import NS_PER_S
 from repro.ycsb.generator import (
@@ -240,22 +242,16 @@ class SessionModel:
         cluster,
         mix: List[TenantSpec],
         seed: int = 0,
-        near_cache: bool = False,
-        read_offload: bool = False,
-        cache_entries: int = 256,
-        cache_lease_ns: Optional[int] = None,
+        cluster_spec: ClusterSpec = ClusterSpec(),
     ):
         if not mix:
             raise ConfigurationError("tenant mix must not be empty")
         names = [spec.name for spec in mix]
         if len(set(names)) != len(names):
             raise ConfigurationError(f"duplicate tenant names in mix: {names}")
-        from repro.shard.router import ShardedClient
-
         self.cluster = cluster
         self.seed = seed
-        self.near_cache = near_cache
-        self.read_offload = read_offload
+        self.cluster_spec = cluster_spec
         self.tenants: List[TenantState] = [
             TenantState(i, spec, seed) for i, spec in enumerate(mix)
         ]
@@ -269,20 +265,16 @@ class SessionModel:
                 client_id = (
                     (state.index + 1) * _TENANT_CLIENT_STRIDE + k
                 )
-                self.connections[(state.index, k)] = ShardedClient(
+                # Pooled connections share tenant keyspaces, so the
+                # router keeps its tracker advisory: caching must bound
+                # staleness by lease/epoch, not accuse the store of
+                # other connections' overwrites.
+                self.connections[(state.index, k)] = cluster_spec.router(
                     cluster,
                     client_id=client_id,
                     keygen=KeyGenerator(seed),
                     max_retries=4,
                     retry_backoff_s=0.0,
-                    # Pooled connections share tenant keyspaces, so the
-                    # router keeps its tracker advisory: caching must
-                    # bound staleness by lease/epoch, not accuse the
-                    # store of other connections' overwrites.
-                    near_cache=near_cache,
-                    read_offload=read_offload,
-                    cache_entries=cache_entries,
-                    cache_lease_ns=cache_lease_ns,
                 )
 
     @property
@@ -363,7 +355,8 @@ class SessionModel:
         None when neither feature is enabled (the report section stays
         absent and existing artifacts keep their exact bytes).
         """
-        if not (self.near_cache or self.read_offload):
+        spec = self.cluster_spec
+        if not (spec.near_cache or spec.read_offload):
             return None
         out = {
             "cache_hits": 0,

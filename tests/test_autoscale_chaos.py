@@ -4,15 +4,16 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.faults.harness import run_chaos
+from repro.shard import ClusterSpec
 
 _SCHEDULE = "drop:0.05,shard_death:0.04,replica_lag:0.08"
 
 
 def _run(seed=7, **kwargs):
     kwargs.setdefault("ops", 150)
-    kwargs.setdefault("shards", 3)
-    kwargs.setdefault("replicas", 1)
-    kwargs.setdefault("ack_mode", "semi-sync")
+    kwargs.setdefault(
+        "cluster", ClusterSpec(shards=3, replicas=1, ack_mode="semi-sync")
+    )
     return run_chaos(seed, _SCHEDULE, autoscale=True, **kwargs)
 
 
@@ -43,7 +44,11 @@ class TestChaosWithController:
 
     def test_clean_schedule_with_controller_matches_shadow(self):
         report = run_chaos(
-            11, "", ops=120, shards=2, replicas=1, autoscale=True
+            11,
+            "",
+            ops=120,
+            cluster=ClusterSpec(shards=2, replicas=1),
+            autoscale=True,
         )
         assert report.ok, report.violations
 

@@ -6,12 +6,12 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.obs.exporters import lint_prometheus
+from repro.shard import ClusterSpec
 from repro.traffic.scenarios import run_scenario
 
 
 def _elastic(seed=3, ops=200, **kwargs):
-    kwargs.setdefault("shards", 1)
-    kwargs.setdefault("replicas", 1)
+    kwargs.setdefault("cluster", ClusterSpec(shards=1, replicas=1))
     kwargs.setdefault("autoscale_max_shards", 4)
     return run_scenario(
         "flash-crowd", seed=seed, ops=ops, autoscale=True, **kwargs
@@ -44,7 +44,10 @@ class TestElasticScenario:
 
     def test_default_runs_carry_no_autoscale_section(self):
         report = run_scenario(
-            "flash-crowd", seed=3, shards=1, replicas=1, ops=120
+            "flash-crowd",
+            seed=3,
+            cluster=ClusterSpec(shards=1, replicas=1),
+            ops=120,
         )
         assert report.autoscale is False
         assert "autoscale" not in report.to_dict()
@@ -96,6 +99,25 @@ class TestElasticScenario:
         ):
             assert family in text
         assert lint_prometheus(text, require_help=True) == []
+
+
+def test_flapping_fails_the_traffic_verdict():
+    from repro.traffic.report import TRAFFIC_SLO_SPEC, TrafficReport
+
+    report = TrafficReport(
+        scenario="flash-crowd", version=1, seed=3, shards=1, replicas=1,
+        rate_ops_s=700.0, ops=1, arrival_kind="poisson", schedule="",
+        slo_spec=TRAFFIC_SLO_SPEC, total_sessions=1, autoscale=True,
+        autoscale_summary={"flapping": 0},
+    )
+    assert report.exit_code == 0
+    report.autoscale_summary = {"flapping": 1}
+    assert report.exit_code == 1
+    # The bench's per-run SLO verdict stays the SLO's: flapping is
+    # reported in its own autoscale section.
+    from repro.bench.autoscale import _run_slice
+
+    assert _run_slice(report)["slo_ok"] is True
 
 
 class TestCli:

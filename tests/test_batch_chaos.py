@@ -23,6 +23,7 @@ from repro.core.protocol import OpCode, Response, Status
 from repro.core.server import PrecursorServer, ServerConfig
 from repro.crypto.keys import KeyGenerator
 from repro.faults.harness import run_chaos
+from repro.shard import ClusterSpec
 
 SCHEDULE = "drop:0.05,duplicate:0.04,delay:0.05,corrupt_payload:0.02"
 
@@ -46,7 +47,12 @@ class TestPinnedSerialBehaviour:
     def test_fingerprint_and_digest_match_pre_batching_capture(
         self, seed, k
     ):
-        report = run_chaos(seed, SCHEDULE, ops=120, ecall_batch=k)
+        report = run_chaos(
+            seed,
+            SCHEDULE,
+            ops=120,
+            cluster=ClusterSpec(shards=None, ecall_batch=k),
+        )
         fingerprint, digest = PINNED[seed]
         assert report.ok, report.violations
         assert report.fault_fingerprint == fingerprint
@@ -56,12 +62,18 @@ class TestPinnedSerialBehaviour:
 class TestChaosAtEveryWindow:
     @pytest.mark.parametrize("k", [2, 4, 16, 64])
     def test_chaos_verifies_clean_when_batched(self, k):
-        report = run_chaos(7, SCHEDULE, ops=120, ecall_batch=k)
+        report = run_chaos(
+            7,
+            SCHEDULE,
+            ops=120,
+            cluster=ClusterSpec(shards=None, ecall_batch=k),
+        )
         assert report.ok, report.violations
 
     def test_batched_chaos_is_deterministic(self):
-        first = run_chaos(7, SCHEDULE, ops=120, ecall_batch=16)
-        second = run_chaos(7, SCHEDULE, ops=120, ecall_batch=16)
+        batched = ClusterSpec(shards=None, ecall_batch=16)
+        first = run_chaos(7, SCHEDULE, ops=120, cluster=batched)
+        second = run_chaos(7, SCHEDULE, ops=120, cluster=batched)
         assert first.fault_fingerprint == second.fault_fingerprint
         assert first.state_digest == second.state_digest
 
@@ -73,7 +85,7 @@ class TestChaosAtEveryWindow:
             13,
             "corrupt_control:0.05,corrupt_payload:0.05",
             ops=120,
-            ecall_batch=16,
+            cluster=ClusterSpec(shards=None, ecall_batch=16),
         )
         assert report.ok, report.violations
 

@@ -296,14 +296,20 @@ class TestDrainWindow:
     def test_zero_window_is_refused(self):
         """Every ring drains through the pipeline: there is no K=0."""
         from repro.faults.harness import run_chaos
+        from repro.shard import ClusterSpec
         from repro.traffic.scenarios import run_scenario
 
         with pytest.raises(ConfigurationError):
             ServerConfig(ecall_batch=0)
         with pytest.raises(ConfigurationError):
-            run_scenario("steady", ecall_batch=0)
+            run_scenario("steady", cluster=ClusterSpec(ecall_batch=0))
         with pytest.raises(ConfigurationError):
-            run_chaos(7, "drop:0.05", ops=10, ecall_batch=0)
+            run_chaos(
+                7,
+                "drop:0.05",
+                ops=10,
+                cluster=ClusterSpec(shards=None, ecall_batch=0),
+            )
         assert ServerConfig().ecall_batch == 1
 
 

@@ -12,6 +12,7 @@ import pytest
 
 from repro.errors import ConfigurationError, ShardUnavailableError
 from repro.faults import ChaosReport, FaultEngine, FaultSchedule, run_chaos
+from repro.shard import ClusterSpec
 
 MIXED = (
     "drop:0.06,duplicate:0.05,delay:0.05,corrupt_control:0.02,"
@@ -47,8 +48,9 @@ class TestDeterminism:
 
     def test_sharded_run_is_deterministic(self):
         schedule = "drop:0.04,shard_death:0.03,corrupt_payload:0.01"
-        first = run_chaos(seed=7, schedule=schedule, ops=50, shards=3)
-        second = run_chaos(seed=7, schedule=schedule, ops=50, shards=3)
+        sharded = ClusterSpec(shards=3)
+        first = run_chaos(seed=7, schedule=schedule, ops=50, cluster=sharded)
+        second = run_chaos(seed=7, schedule=schedule, ops=50, cluster=sharded)
         assert first.fault_fingerprint == second.fault_fingerprint
         assert first.state_digest == second.state_digest
         assert first.outcomes == second.outcomes
@@ -135,8 +137,8 @@ class TestShardedChaos:
         # A primary death is repaired by *promotion*: the group's backup
         # takes over under a bumped epoch, no checkpoint involved.
         report = run_chaos(
-            seed=11, schedule="shard_death:0.05", ops=60, shards=3,
-            replicas=1,
+            seed=11, schedule="shard_death:0.05", ops=60,
+            cluster=ClusterSpec(shards=3, replicas=1),
         )
         assert report.ok, report.violations
         if report.fault_counts.get("shard_death"):
@@ -146,7 +148,8 @@ class TestShardedChaos:
     def test_sharded_mixed_clean(self):
         schedule = "drop:0.05,shard_death:0.03,corrupt_payload:0.01"
         report = run_chaos(
-            seed=3, schedule=schedule, ops=60, shards=3, replicas=1
+            seed=3, schedule=schedule, ops=60,
+            cluster=ClusterSpec(shards=3, replicas=1),
         )
         assert report.ok, report.violations
 
@@ -155,7 +158,8 @@ class TestShardedChaos:
         # checkpoint-at-crash cheat to fall back on -- so the harness
         # refuses to kill primaries it could not honestly recover.
         report = run_chaos(
-            seed=11, schedule="shard_death:0.5", ops=30, shards=3
+            seed=11, schedule="shard_death:0.5", ops=30,
+            cluster=ClusterSpec(shards=3),
         )
         assert report.ok, report.violations
         assert report.fault_counts.get("shard_death", 0) == 0
@@ -165,7 +169,8 @@ class TestShardedChaos:
         # the same sealed-persistence crash-restart the single-server
         # harness runs, applied to the victim member.
         report = run_chaos(
-            seed=11, schedule="enclave_crash:0.05", ops=50, shards=2
+            seed=11, schedule="enclave_crash:0.05", ops=50,
+            cluster=ClusterSpec(shards=2),
         )
         assert report.ok, report.violations
         assert report.crash_restarts > 0
@@ -182,6 +187,29 @@ class TestChaosReport:
         assert report.exit_code == 0
         report.violations.append("lost write")
         assert not report.ok
+        assert report.exit_code == 1
+
+    @pytest.mark.parametrize(
+        "ack_mode, code", [("sync", 1), ("semi-sync", 1), ("async", 0)]
+    )
+    def test_acked_loss_flips_exit_code_under_sync_contracts(
+        self, ack_mode, code
+    ):
+        # sync/semi-sync promise zero acked loss; async may lose the
+        # unshipped tail as long as the client detects it.
+        report = ChaosReport(
+            seed=1, schedule="", ops=1, shards=3, replicas=1,
+            ack_mode=ack_mode, lost_records=1,
+        )
+        assert report.ok
+        assert report.exit_code == code
+
+    def test_autoscaler_flapping_flips_exit_code(self):
+        report = ChaosReport(
+            seed=1, schedule="", ops=1, shards=3, replicas=1,
+            ack_mode="sync", autoscale=True, autoscale_flapping=1,
+        )
+        assert report.ok
         assert report.exit_code == 1
 
     def test_to_dict_is_json_shaped(self):

@@ -16,17 +16,20 @@ from repro.cli import main, run_flightrec_cmd, run_health_cmd
 from repro.errors import ConfigurationError
 from repro.faults import run_health
 from repro.obs import FlightRecorder
+from repro.shard import ClusterSpec
 
 
 HOT = dict(
-    seed=11, shards=2, replicas=1, ops=240, hot_shard="auto",
-    schedule="drop:0.08",
+    seed=11, cluster=ClusterSpec(shards=2, replicas=1), ops=240,
+    hot_shard="auto", schedule="drop:0.08",
 )
 
 
 class TestRunHealth:
     def test_clean_run_meets_slo(self):
-        report = run_health(seed=11, shards=2, replicas=1, ops=240)
+        report = run_health(
+            seed=11, cluster=ClusterSpec(shards=2, replicas=1), ops=240
+        )
         assert report.slo_ok and report.exit_code == 0
         assert report.ticks == 6
         assert report.operations == 240 and report.errors == 0
@@ -83,7 +86,10 @@ class TestRunHealth:
     def test_custom_slo_spec_applies(self):
         # An absurdly tight objective turns even the clean run red.
         report = run_health(
-            seed=11, shards=2, replicas=1, ops=80, slo="latency:p99<1us"
+            seed=11,
+            cluster=ClusterSpec(shards=2, replicas=1),
+            ops=80,
+            slo="latency:p99<1us",
         )
         assert not report.slo_ok
 
@@ -101,14 +107,19 @@ class TestRunHealth:
     def test_bad_config_rejected(self, bad):
         params = dict(seed=11, shards=2, ops=40)
         params.update(bad)
+        shards = params.pop("shards")
         with pytest.raises(ConfigurationError):
-            run_health(**params)
+            cluster = ClusterSpec(shards=shards, replicas=1)
+            run_health(cluster=cluster, **params)
 
 
 class TestHealthCmd:
     def test_clean_text_report(self, tmp_path):
         text, code = run_health_cmd(
-            seed=11, shards=2, replicas=1, ops=240, out_dir=tmp_path
+            seed=11,
+            cluster=ClusterSpec(shards=2, replicas=1),
+            ops=240,
+            out_dir=tmp_path,
         )
         assert code == 0
         assert "status: OK" in text
@@ -117,8 +128,7 @@ class TestHealthCmd:
     def test_hot_run_json_exit_one(self, tmp_path):
         text, code = run_health_cmd(
             seed=11,
-            shards=2,
-            replicas=1,
+            cluster=ClusterSpec(shards=2, replicas=1),
             ops=240,
             hot_shard="auto",
             as_json=True,

@@ -16,7 +16,7 @@ import pytest
 from repro.faults import run_chaos
 from repro.obs import ManualClock, ObsContext
 from repro.obs.exporters import prometheus_text
-from repro.shard import ShardedClient, ShardedCluster
+from repro.shard import ClusterSpec, ShardedClient, ShardedCluster
 from repro.traffic import run_scenario
 
 LEASE_NS = 50_000_000  # generous: these tests tamper, not race, the lease
@@ -147,10 +147,15 @@ class TestTamperMatrix:
 
 class TestChaosEquivalence:
     def test_clean_run_state_digest_unchanged_by_read_paths(self):
-        base = run_chaos(seed=11, schedule="", ops=150, shards=3, replicas=1)
+        base = run_chaos(
+            seed=11, schedule="", ops=150,
+            cluster=ClusterSpec(shards=3, replicas=1),
+        )
         cached = run_chaos(
-            seed=11, schedule="", ops=150, shards=3, replicas=1,
-            near_cache=True, read_offload=True,
+            seed=11, schedule="", ops=150,
+            cluster=ClusterSpec(
+                shards=3, replicas=1, near_cache=True, read_offload=True
+            ),
         )
         assert base.ok and cached.ok
         assert base.state_digest == cached.state_digest
@@ -158,9 +163,11 @@ class TestChaosEquivalence:
 
     def test_faulted_run_survives_with_cache_and_offload(self):
         report = run_chaos(
-            seed=7, schedule=CHAOS_SCHEDULE, ops=200, shards=3,
-            replicas=2, ack_mode="async",
-            near_cache=True, read_offload=True,
+            seed=7, schedule=CHAOS_SCHEDULE, ops=200,
+            cluster=ClusterSpec(
+                shards=3, replicas=2, ack_mode="async",
+                near_cache=True, read_offload=True,
+            ),
         )
         assert report.ok, report.violations
         assert sum(report.fault_counts.values()) > 0
@@ -168,9 +175,11 @@ class TestChaosEquivalence:
     @pytest.mark.parametrize("ack_mode", ["sync", "semi-sync", "async"])
     def test_faulted_runs_deterministic_per_ack_mode(self, ack_mode):
         kwargs = dict(
-            seed=7, schedule=CHAOS_SCHEDULE, ops=200, shards=3,
-            replicas=2, ack_mode=ack_mode,
-            near_cache=True, read_offload=True,
+            seed=7, schedule=CHAOS_SCHEDULE, ops=200,
+            cluster=ClusterSpec(
+                shards=3, replicas=2, ack_mode=ack_mode,
+                near_cache=True, read_offload=True,
+            ),
         )
         first = run_chaos(**kwargs)
         second = run_chaos(**kwargs)
@@ -183,15 +192,18 @@ class TestChaosEquivalence:
 
 class TestTrafficDefaultsOff:
     def test_defaults_off_report_is_byte_identical_and_unannotated(self):
-        first = run_scenario("steady", seed=5, shards=2, ops=120)
-        second = run_scenario("steady", seed=5, shards=2, ops=120)
+        cluster = ClusterSpec(shards=2)
+        first = run_scenario("steady", seed=5, cluster=cluster, ops=120)
+        second = run_scenario("steady", seed=5, cluster=cluster, ops=120)
         assert first.to_dict() == second.to_dict()
         assert "near_cache" not in first.to_dict()
 
     def test_enabled_report_carries_the_cache_section(self):
         report = run_scenario(
-            "steady", seed=5, shards=2, replicas=1, ops=120,
-            near_cache=True, read_offload=True,
+            "steady", seed=5, ops=120,
+            cluster=ClusterSpec(
+                shards=2, replicas=1, near_cache=True, read_offload=True
+            ),
         )
         out = report.to_dict()
         assert out["near_cache"] is True

@@ -20,7 +20,7 @@ import pytest
 
 from repro.errors import ShardUnavailableError, StaleReadError
 from repro.faults.harness import run_chaos
-from repro.shard import ShardedCluster, ShardedClient
+from repro.shard import ClusterSpec, ShardedCluster, ShardedClient
 
 
 def _fill(client, count, prefix=b"key"):
@@ -125,9 +125,9 @@ class TestAckModeContracts:
             seed,
             "shard_death:0.06,replica_lag:0.1",
             ops=150,
-            shards=3,
-            replicas=1,
-            ack_mode="sync",
+            cluster=ClusterSpec(
+                shards=3, replicas=1, ack_mode="sync"
+            ),
         )
         assert report.violations == []
         assert report.lost_records == 0
@@ -141,9 +141,9 @@ class TestAckModeContracts:
             seed,
             "shard_death:0.06,replica_lag:0.1",
             ops=150,
-            shards=3,
-            replicas=2,
-            ack_mode="semi-sync",
+            cluster=ClusterSpec(
+                shards=3, replicas=2, ack_mode="semi-sync"
+            ),
         )
         assert report.violations == []
         assert report.lost_records == 0
@@ -155,9 +155,9 @@ class TestAckModeContracts:
             7,
             "shard_death:0.08,replica_lag:0.1",
             ops=150,
-            shards=3,
-            replicas=1,
-            ack_mode="async",
+            cluster=ClusterSpec(
+                shards=3, replicas=1, ack_mode="async"
+            ),
         )
         # Losing the tail is *allowed* -- silently losing it is not.
         assert report.violations == []
@@ -181,9 +181,9 @@ class TestFaultLogFingerprints:
             7,
             "shard_death:0.06,replica_lag:0.1",
             ops=150,
-            shards=3,
-            replicas=1,
-            ack_mode="sync",
+            cluster=ClusterSpec(
+                shards=3, replicas=1, ack_mode="sync"
+            ),
         )
         assert report.fault_fingerprint == (
             "768381191a838ea005ba98db3dba97ea"
@@ -196,9 +196,9 @@ class TestFaultLogFingerprints:
             11,
             "shard_death:0.06,replica_lag:0.1",
             ops=150,
-            shards=3,
-            replicas=2,
-            ack_mode="semi-sync",
+            cluster=ClusterSpec(
+                shards=3, replicas=2, ack_mode="semi-sync"
+            ),
         )
         assert report.fault_fingerprint == (
             "3dc8a134ac1a43725fbe4d691e388f96"
@@ -211,9 +211,9 @@ class TestFaultLogFingerprints:
             "shard_death:0.04,replica_lag:0.06,"
             "promote_during_migration:0.03",
             ops=150,
-            shards=3,
-            replicas=1,
-            ack_mode="sync",
+            cluster=ClusterSpec(
+                shards=3, replicas=1, ack_mode="sync"
+            ),
         )
         assert report.fault_fingerprint == (
             "0b21dd3dc8b33d225f688ade5781e412"

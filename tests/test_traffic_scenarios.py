@@ -10,6 +10,7 @@ import json
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.shard import ClusterSpec
 from repro.traffic import (
     SCENARIOS,
     find_knee,
@@ -49,17 +50,16 @@ class TestRegistry:
 
     def test_bad_parameters_raise(self):
         with pytest.raises(ConfigurationError):
-            run_scenario("steady", shards=0)
+            run_scenario("steady", cluster=ClusterSpec(shards=0))
         with pytest.raises(ConfigurationError):
             run_scenario("steady", ops=0)
-        with pytest.raises(ConfigurationError):
-            run_scenario("steady", tick_every_ms=0.0)
 
 
 class TestRuns:
     def test_steady_run_holds_invariants(self):
         report = run_scenario(
-            "steady", seed=11, shards=2, ops=120, slo=LOOSE_SLO
+            "steady", seed=11, cluster=ClusterSpec(shards=2), ops=120,
+            slo=LOOSE_SLO,
         )
         assert report.executed > 0
         assert report.errors == 0
@@ -75,7 +75,10 @@ class TestRuns:
     def test_overload_breaches_and_exits_one(self):
         # 2 shards saturate around ~2.5 kops/s; 8 kops/s is far past
         # the knee, so the default SLO must breach at run level.
-        report = run_scenario("steady", seed=11, shards=2, ops=150, rate=8000.0)
+        report = run_scenario(
+            "steady", seed=11, cluster=ClusterSpec(shards=2), ops=150,
+            rate=8000.0,
+        )
         assert not report.slo_ok
         assert report.exit_code == 1
         assert report.omission_gap() > 2.0
@@ -84,7 +87,7 @@ class TestRuns:
         report = run_scenario(
             "multi-tenant-contention",
             seed=11,
-            shards=2,
+            cluster=ClusterSpec(shards=2),
             ops=250,
             slo=LOOSE_SLO,
         )
@@ -96,7 +99,8 @@ class TestRuns:
 
     def test_hot_key_storm_runs_clean(self):
         report = run_scenario(
-            "hot-key-storm", seed=11, shards=2, ops=150, slo=LOOSE_SLO
+            "hot-key-storm", seed=11, cluster=ClusterSpec(shards=2),
+            ops=150, slo=LOOSE_SLO,
         )
         assert report.executed > 0
         assert report.errors == 0
@@ -104,7 +108,9 @@ class TestRuns:
 
 class TestDeterminism:
     def test_same_seed_byte_identical_report(self):
-        kwargs = dict(seed=5, shards=2, ops=120, slo=LOOSE_SLO)
+        kwargs = dict(
+            seed=5, cluster=ClusterSpec(shards=2), ops=120, slo=LOOSE_SLO
+        )
         first = run_scenario("flash-crowd", **kwargs)
         second = run_scenario("flash-crowd", **kwargs)
         assert _dumps(first) == _dumps(second)
@@ -112,7 +118,7 @@ class TestDeterminism:
     def test_same_seed_identical_fault_fingerprint(self):
         kwargs = dict(
             seed=5,
-            shards=2,
+            cluster=ClusterSpec(shards=2),
             ops=120,
             schedule="drop:0.02,delay:0.03",
             slo=LOOSE_SLO,
@@ -126,10 +132,12 @@ class TestDeterminism:
 
     def test_different_seed_differs(self):
         first = run_scenario(
-            "flash-crowd", seed=5, shards=2, ops=120, slo=LOOSE_SLO
+            "flash-crowd", seed=5, cluster=ClusterSpec(shards=2), ops=120,
+            slo=LOOSE_SLO,
         )
         second = run_scenario(
-            "flash-crowd", seed=6, shards=2, ops=120, slo=LOOSE_SLO
+            "flash-crowd", seed=6, cluster=ClusterSpec(shards=2), ops=120,
+            slo=LOOSE_SLO,
         )
         assert _dumps(first) != _dumps(second)
 
@@ -164,13 +172,20 @@ class TestBatchingDeterminism:
     @pytest.mark.parametrize("k", [1, 16])
     def test_report_matches_pre_batching_capture(self, name, k):
         report = run_scenario(
-            name, seed=11, shards=2, ops=120, slo=LOOSE_SLO, ecall_batch=k
+            name,
+            seed=11,
+            cluster=ClusterSpec(shards=2, ecall_batch=k),
+            ops=120,
+            slo=LOOSE_SLO,
         )
         assert self._digest(report) == self.PINNED[name]
 
     def test_batched_run_is_reproducible(self):
         kwargs = dict(
-            seed=5, shards=2, ops=120, slo=LOOSE_SLO, ecall_batch=16
+            seed=5,
+            cluster=ClusterSpec(shards=2, ecall_batch=16),
+            ops=120,
+            slo=LOOSE_SLO,
         )
         first = run_scenario("hot-key-storm", **kwargs)
         second = run_scenario("hot-key-storm", **kwargs)
@@ -179,11 +194,10 @@ class TestBatchingDeterminism:
     def test_batched_chaos_scenario_is_reproducible(self):
         kwargs = dict(
             seed=5,
-            shards=2,
+            cluster=ClusterSpec(shards=2, ecall_batch=16),
             ops=120,
             schedule="drop:0.02,delay:0.03",
             slo=LOOSE_SLO,
-            ecall_batch=16,
         )
         first = run_scenario("flash-crowd", **kwargs)
         second = run_scenario("flash-crowd", **kwargs)
@@ -193,12 +207,15 @@ class TestBatchingDeterminism:
 
     def test_negative_batch_rejected(self):
         with pytest.raises(ConfigurationError):
-            run_scenario("steady", ecall_batch=-1)
+            run_scenario("steady", cluster=ClusterSpec(ecall_batch=-1))
 
 
 class TestKneeFinder:
     def _probe(self, rate):
-        return run_scenario("steady", seed=13, shards=1, ops=80, rate=float(rate))
+        return run_scenario(
+            "steady", seed=13, cluster=ClusterSpec(shards=1), ops=80,
+            rate=float(rate),
+        )
 
     def test_knee_is_deterministic(self):
         first = find_knee(self._probe, 200, 4000)
