@@ -136,7 +136,7 @@ class BatchPipeline:
             with server.obs.tracer.stage("server.unseal_control"):
                 opened = iter(
                     server.provider.transport_open_many(
-                        server._sessions[channel.client_id].key, live
+                        server._sessions[channel.client_id], live
                     )
                 )
 

@@ -367,7 +367,7 @@ class PrecursorClient:
         """Authenticate and decode a reply's sealed control segment."""
         aad = b"resp" + struct.pack(">I", self.client_id)
         blob = self.provider.transport_open(
-            self.session.key, response.sealed_control, aad=aad
+            self.session, response.sealed_control, aad=aad
         )
         return ResponseControl.decode(blob)
 
@@ -737,7 +737,7 @@ class PrecursorClient:
                 break
         aad = b"resp" + struct.pack(">I", self.client_id)
         blobs = self.provider.transport_open_many(
-            self.session.key,
+            self.session,
             [(response.sealed_control, aad) for response in responses],
         )
         replies = []

@@ -25,6 +25,7 @@ Table 1 can be measured with :mod:`repro.sgx.sgxperf`.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import struct
 import threading
@@ -32,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.crypto.provider import CryptoProvider, EncryptedPayload
-from repro.crypto.keys import KeyGenerator, SessionKey
+from repro.crypto.keys import RESERVOIR_BYTES, KeyGenerator, SessionKey
 from repro.core.batch import BatchPipeline
 from repro.core.payload_store import PayloadPointer, PayloadStore
 from repro.core.protocol import (
@@ -256,6 +257,24 @@ class PrecursorServer:
             "per-frame dispatch time",
             shard_labels or None,
         )
+        #: Transport calls served from (hits) or missing (misses) the
+        #: sessions' keystream reservoirs, per direction.
+        keystream_labels = {"enclave": self.enclave.name, **shard_labels}
+        self._obs_keystream = {
+            direction: (
+                registry.counter(
+                    "crypto_keystream_hits_total",
+                    "transport GCM calls served from a keystream reservoir",
+                    {**keystream_labels, "direction": direction},
+                ),
+                registry.counter(
+                    "crypto_keystream_misses_total",
+                    "transport GCM calls that ran their own AES pass",
+                    {**keystream_labels, "direction": direction},
+                ),
+            )
+            for direction in ("seal", "open")
+        }
         self.enclave.allocator.allocate(cfg.misc_trusted_bytes, "misc")
         self.enclave.register_ecall("init_hashtable", self._ecall_init_hashtable)
         self.enclave.register_ecall("start_polling", self._ecall_start_polling)
@@ -269,6 +288,9 @@ class PrecursorServer:
         self._replay = ReplayGuard()
         self._client_state_allocated = False
         self._table_capacity_charged = 0
+        #: Clients whose keystream reservoirs this enclave has charged.
+        self._reservoirs_charged: set = set()
+        self._reservoir_lock = threading.Lock()
         # Tenant-isolation grants: key -> set of additionally allowed
         # client ids (the owner is always allowed).
         self._grants: Dict[bytes, set] = {}
@@ -326,9 +348,11 @@ class PrecursorServer:
             self._client_state_allocated = True
         if client_id in self._sessions and not reconnect:
             raise ConfigurationError(f"client {client_id} already registered")
-        self._sessions[client_id] = SessionKey(
-            key=session_key, client_id=client_id | _SERVER_IV_BIT
-        )
+        session = SessionKey(key=session_key, client_id=client_id | _SERVER_IV_BIT)
+        charge = functools.partial(self._charge_reservoirs, client_id)
+        session.seal_reservoir.watch(self._obs_keystream["seal"], charge)
+        session.open_reservoir.watch(self._obs_keystream["open"], charge)
+        self._sessions[client_id] = session
         if not self._replay.is_registered(client_id):
             # Fresh admission -- or a reconnect after crash-restart where
             # the restored checkpoint did not know this client yet.
@@ -336,6 +360,21 @@ class PrecursorServer:
         # On a plain reconnect (QP flap) the replay expectation is *kept*:
         # the client resumes its oid sequence, so a request lost before the
         # flap can be retried under its original oid.
+
+    def _charge_reservoirs(self, client_id: int) -> None:
+        """Charge a client's keystream reservoirs to the enclave.
+
+        The masks are derived key material, so they live in trusted
+        memory.  Charged on the client's first reservoir fill -- not at
+        admission -- and once per enclave lifetime: a reconnect refills
+        reservoirs of the same size.
+        """
+        with self._reservoir_lock:
+            if client_id not in self._reservoirs_charged:
+                self._reservoirs_charged.add(client_id)
+                self.enclave.allocator.allocate(
+                    RESERVOIR_BYTES, "transport_reservoir"
+                )
 
     def _ocall_grow_pool(self, nbytes: int) -> None:
         # The single batched ocall of §4; PayloadStore performs the actual
@@ -411,6 +450,7 @@ class PrecursorServer:
         self._replay = ReplayGuard()
         self._client_state_allocated = False
         self._table_capacity_charged = 0
+        self._reservoirs_charged = set()
         self._grants = {}
         self.payload_store = PayloadStore(
             arena_size=cfg.arena_size,

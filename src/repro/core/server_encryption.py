@@ -321,7 +321,7 @@ class ServerEncryptionClient(PrecursorClient):
         response = self._await_response()
         aad = b"resp" + struct.pack(">I", self.client_id)
         blob = self.provider.transport_open(
-            self.session.key, response.sealed_control, aad=aad
+            self.session, response.sealed_control, aad=aad
         )
         body = _SEResponse.decode(blob)
         if body.oid != self._oid:

@@ -30,18 +30,20 @@ but optimised for CPython instead of mirroring the specifications:
   state held as sixteen byte planes: SubBytes and the MixColumns
   multiples are ``bytes.translate`` tables, ShiftRows and MixColumns
   are slices and row rotations, AddRoundKey is one XOR on a wide
-  integer.  It serves every batch API: GCM ``seal_many``/``open_many``
-  counter and J0 blocks, and CMAC chains run across messages
+  integer.  It serves every batch API: the J0 and counter blocks of
+  GCM ``masks`` (four or more blocks), and CMAC chains run across messages
   (:func:`_cmac_many`) together with their one-time keys' schedules
   (:func:`_lane_schedule`) and subkeys.  Batches under
   :data:`_LANE_MIN` blocks take the scalar kernel instead.
 - **GCM**: GHASH uses a per-key 256-entry multiplication table (Shoup's
   method, byte-at-a-time Horner with a shared 256-entry reduction
-  table) instead of the spec's 128-iteration bit loop; CTR keystream
-  blocks run on the block kernel and are XORed against the
-  message with one wide-integer op.  ``seal_many``/``open_many`` batch
-  whole message sets through one lane-AES pass and a grouped GHASH
-  pass, byte-identical to per-message ``seal``/``open``.
+  table) instead of the spec's 128-iteration bit loop.  Every seal and
+  open is one body: ``masks`` runs the AES blocks of any number of
+  IVs (E_K(J0) and the CTR keystream) through one :func:`_aes_blocks`
+  pass, then the message is XORed with one wide-integer op and the tag
+  GHASHed.  ``seal_many``/``open_many`` cover a whole message set with
+  one such pass; the transport's keystream reservoirs run it ahead of
+  the messages.
 - **CMAC**: the AES key schedule and the RFC 4493 subkeys are derived
   once per key and cached, and the serial CBC chain is a single
   loop over the byte tables with the whole message pre-split
@@ -56,8 +58,9 @@ never silently diverge from the spec-mirroring reference code.
 from __future__ import annotations
 
 import functools
+import hmac
 import struct
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.crypto.aes import SBOX
 from repro.crypto.gcm import GcmFailure
@@ -544,9 +547,20 @@ def _build_ghash_table(h: int) -> tuple:
     return tuple(table)
 
 
+@functools.lru_cache(maxsize=64)
+def _counter_words(nblocks: int) -> tuple:
+    """The 32-bit counters 1 (J0) to ``nblocks + 1``, packed."""
+    return tuple([struct.pack(">I", c) for c in range(1, nblocks + 2)])
+
+
 def _counter_blocks(iv: bytes, nblocks: int) -> bytes:
     """J0 (counter 1) then the ``nblocks`` CTR counter blocks (2, 3, ...)."""
-    return iv + iv.join([struct.pack(">I", c) for c in range(1, nblocks + 2)])
+    return iv + iv.join(_counter_words(nblocks))
+
+
+def _keystream_blocks(size: int) -> int:
+    """CTR blocks a ``size``-byte message needs (none for ``size <= 0``)."""
+    return (size + 15) // 16 if size > 0 else 0
 
 
 class FastAesGcm:
@@ -556,6 +570,14 @@ class FastAesGcm:
     multiplication table are all derived once at construction time, so a
     cached instance amortises every per-message key-setup cost the
     reference implementation pays on each seal/open.
+
+    Every operation runs one body.  A message's AES work depends only on
+    the key and its IV, so :meth:`masks` does it first -- E_K(J0) and the
+    keystream blocks of any number of IVs in one :func:`_aes_blocks`
+    pass -- and :meth:`seal_masked`/:meth:`open_masked` XOR the message
+    and GHASH the tag.  The transport's keystream reservoirs
+    (:class:`~repro.crypto.keys.KeystreamReservoir`) call :meth:`masks`
+    before the messages exist.
     """
 
     IV_SIZE = 12
@@ -596,185 +618,134 @@ class FastAesGcm:
             y = z
         return y
 
-    def _ctr(self, iv: bytes, data: bytes, start_counter: int = 2) -> bytes:
-        n = len(data)
-        if n == 0:
-            return b""
-        rk = self._aes._rk
-        enc = _encrypt_int
-        base = (int.from_bytes(iv, "big") << 32) | start_counter
-        keystream = b"".join(
-            enc(rk, base + i).to_bytes(16, "big")
-            for i in range((n + 15) // 16)
-        )[:n]
-        return (
-            int.from_bytes(data, "big") ^ int.from_bytes(keystream, "big")
-        ).to_bytes(n, "big")
+    def masks(self, ivs, nblocks) -> list:
+        """Per IV, E_K(J0) then its first keystream blocks: one AES pass.
 
-    def _tag(self, iv: bytes, aad: bytes, ciphertext: bytes) -> bytes:
-        pad_a = (-len(aad)) % 16
-        pad_c = (-len(ciphertext)) % 16
-        digest = self._ghash(
-            aad
-            + b"\x00" * pad_a
-            + ciphertext
-            + b"\x00" * pad_c
-            + struct.pack(">QQ", len(aad) * 8, len(ciphertext) * 8)
-        )
-        ek_j0 = int.from_bytes(
-            self._aes.encrypt_block(iv + b"\x00\x00\x00\x01"), "big"
-        )
-        return (digest ^ ek_j0).to_bytes(16, "big")
-
-    def seal(self, iv: bytes, plaintext: bytes, aad: bytes = b"") -> bytes:
-        """Encrypt and authenticate; returns ``ciphertext || tag``."""
-        if len(iv) != self.IV_SIZE:
-            raise ConfigurationError(
-                f"IV must be {self.IV_SIZE} bytes, got {len(iv)}"
-            )
-        ciphertext = self._ctr(iv, plaintext)
-        return ciphertext + self._tag(iv, aad, ciphertext)
-
-    def open(self, iv: bytes, sealed: bytes, aad: bytes = b"") -> bytes:
-        """Verify and decrypt ``ciphertext || tag``; raises on tampering."""
-        if len(iv) != self.IV_SIZE:
-            raise ConfigurationError(
-                f"IV must be {self.IV_SIZE} bytes, got {len(iv)}"
-            )
-        if len(sealed) < self.TAG_SIZE:
-            raise GcmFailure("message shorter than the authentication tag")
-        ciphertext, tag = sealed[: -self.TAG_SIZE], sealed[-self.TAG_SIZE :]
-        expected = self._tag(iv, aad, ciphertext)
-        # Constant-time comparison: accumulate differences before deciding.
-        diff = 0
-        for a, b in zip(expected, tag):
-            diff |= a ^ b
-        if diff != 0:
-            raise GcmFailure("authentication tag mismatch")
-        return self._ctr(iv, ciphertext)
-
-    def seal_many(self, items) -> list:
-        """Seal a batch of ``(iv, plaintext, aad)`` triples, in order.
-
-        Phase-grouped kernel: every AES block of the batch -- each
-        message's J0 tag mask and CTR counter blocks -- runs through one
-        lane-AES pass (:func:`_aes_blocks`), then the tag pass runs while
-        the GHASH table is hot.  Nothing about the per-message math
-        changes: outputs are byte-identical to calling :meth:`seal` once
-        per item.
+        ``nblocks[i]`` counts the keystream blocks of ``ivs[i]``.  Returns
+        one ``16 * (1 + nblocks[i])``-byte mask per IV, in order.
         """
         iv_size = self.IV_SIZE
-        runs = []
-        metas = []
-        for iv, plaintext, aad in items:
+        for iv in ivs:
             if len(iv) != iv_size:
                 raise ConfigurationError(
                     f"IV must be {iv_size} bytes, got {len(iv)}"
                 )
-            n = len(plaintext)
-            nblocks = (n + 15) // 16
-            runs.append(_counter_blocks(iv, nblocks))
-            metas.append((aad, plaintext, n, nblocks))
-        # Lane-major output: per message, E_K(J0) then its keystream.
-        blocks = _aes_blocks(self._aes._rk, self._tables, b"".join(runs))
-        fb = int.from_bytes
-        staged = []
+        blocks = _aes_blocks(
+            self._aes._rk,
+            self._tables,
+            b"".join([_counter_blocks(iv, n) for iv, n in zip(ivs, nblocks)]),
+        )
+        out = []
         pos = 0
-        for aad, plaintext, n, nblocks in metas:
-            if n:
-                ks = blocks[pos + 16 : pos + 16 + n]
-                ciphertext = (
-                    fb(plaintext, "big") ^ fb(ks, "big")
-                ).to_bytes(n, "big")
-            else:
-                ciphertext = b""
-            staged.append((aad, ciphertext, fb(blocks[pos : pos + 16], "big")))
-            pos += 16 * (nblocks + 1)
-        # Phase 2: all tags while the GHASH table is hot.
-        ghash = self._ghash
-        pack = struct.pack
+        for n in nblocks:
+            end = pos + 16 * (n + 1)
+            out.append(blocks[pos:end])
+            pos = end
+        return out
+
+    def _tag(self, mask: bytes, aad: bytes, ciphertext: bytes) -> bytes:
+        """GHASH over ``aad`` and ``ciphertext``, masked with E_K(J0)."""
+        digest = self._ghash(
+            aad
+            + b"\x00" * ((-len(aad)) % 16)
+            + ciphertext
+            + b"\x00" * ((-len(ciphertext)) % 16)
+            + struct.pack(">QQ", len(aad) * 8, len(ciphertext) * 8)
+        )
+        return (digest ^ int.from_bytes(mask[:16], "big")).to_bytes(16, "big")
+
+    def seal_masked(self, mask: bytes, plaintext: bytes, aad: bytes = b"") -> bytes:
+        """Seal under one :meth:`masks` entry; returns ``ciphertext || tag``.
+
+        The entry must hold every keystream block ``plaintext`` needs.
+        """
+        n = len(plaintext)
+        fb = int.from_bytes
+        ciphertext = (fb(plaintext, "big") ^ fb(mask[16 : 16 + n], "big")).to_bytes(
+            n, "big"
+        )
+        return ciphertext + self._tag(mask, aad, ciphertext)
+
+    def open_masked(
+        self, mask: bytes, sealed: bytes, aad: bytes = b""
+    ) -> Optional[bytes]:
+        """Verify and decrypt ``ciphertext || tag`` under one :meth:`masks` entry.
+
+        Returns ``None`` when the tag does not verify or ``sealed`` is
+        shorter than a tag.  The tag is compared in constant time, and
+        no plaintext exists before it verifies.
+        """
+        tag_size = self.TAG_SIZE
+        if len(sealed) < tag_size:
+            return None
+        ciphertext = sealed[:-tag_size]
+        if not hmac.compare_digest(
+            self._tag(mask, aad, ciphertext), sealed[-tag_size:]
+        ):
+            return None
+        n = len(ciphertext)
+        fb = int.from_bytes
+        return (fb(ciphertext, "big") ^ fb(mask[16 : 16 + n], "big")).to_bytes(
+            n, "big"
+        )
+
+    def seal(self, iv: bytes, plaintext: bytes, aad: bytes = b"") -> bytes:
+        """Encrypt and authenticate; returns ``ciphertext || tag``."""
+        (mask,) = self.masks([iv], [_keystream_blocks(len(plaintext))])
+        return self.seal_masked(mask, plaintext, aad)
+
+    def open(self, iv: bytes, sealed: bytes, aad: bytes = b"") -> bytes:
+        """Verify and decrypt ``ciphertext || tag``; raises on tampering."""
+        size = len(sealed) - self.TAG_SIZE
+        (mask,) = self.masks([iv], [_keystream_blocks(size)])
+        plaintext = self.open_masked(mask, sealed, aad)
+        if plaintext is None:
+            raise GcmFailure(
+                "message shorter than the authentication tag"
+                if size < 0
+                else "authentication tag mismatch"
+            )
+        return plaintext
+
+    def seal_many(self, items) -> list:
+        """Seal a batch of ``(iv, plaintext, aad)`` triples, in order.
+
+        One :meth:`masks` pass covers the J0 and counter blocks of every
+        message; outputs are byte-identical to one :meth:`seal` per item.
+        """
+        items = list(items)
+        masks = self.masks(
+            [iv for iv, _plaintext, _aad in items],
+            [_keystream_blocks(len(plaintext)) for _iv, plaintext, _aad in items],
+        )
+        seal = self.seal_masked
         return [
-            ciphertext
-            + (
-                ghash(
-                    aad
-                    + b"\x00" * ((-len(aad)) % 16)
-                    + ciphertext
-                    + b"\x00" * ((-len(ciphertext)) % 16)
-                    + pack(">QQ", len(aad) * 8, len(ciphertext) * 8)
-                )
-                ^ ek_j0
-            ).to_bytes(16, "big")
-            for aad, ciphertext, ek_j0 in staged
+            seal(mask, plaintext, aad)
+            for mask, (_iv, plaintext, aad) in zip(masks, items)
         ]
 
     def open_many(self, items) -> list:
         """Open a batch of ``(iv, sealed, aad)`` triples, in order.
 
-        Phase-grouped like :meth:`seal_many`: one lane-AES pass, then
-        every tag is verified while the GHASH table is hot and the
-        survivors decrypt from the already-computed keystream.  Returns
-        the plaintext per entry, or ``None`` where authentication failed
-        -- a tampered message never poisons its batch-mates.
+        One :meth:`masks` pass, then each message's tag is verified
+        before it decrypts.  Returns the plaintext per entry, or ``None``
+        where authentication failed: a tampered message never poisons
+        its batch-mates, and its plaintext is never materialised.
         """
-        iv_size = self.IV_SIZE
+        items = list(items)
         tag_size = self.TAG_SIZE
-        # Keystream computed for a message that then fails
-        # authentication is simply discarded -- unauthenticated plaintext
-        # is never materialised, and on the fault-free fast path every
-        # block is needed anyway.
-        entries = []
-        runs = []
-        for iv, sealed, aad in items:
-            if len(iv) != iv_size:
-                raise ConfigurationError(
-                    f"IV must be {iv_size} bytes, got {len(iv)}"
-                )
-            if len(sealed) < tag_size:
-                entries.append(None)
-                continue
-            ciphertext = sealed[:-tag_size]
-            n = len(ciphertext)
-            nblocks = (n + 15) // 16
-            runs.append(_counter_blocks(iv, nblocks))
-            entries.append((ciphertext, sealed[-tag_size:], aad, n, nblocks))
-        blocks = _aes_blocks(self._aes._rk, self._tables, b"".join(runs))
-        fb = int.from_bytes
-        ghash = self._ghash
-        pack = struct.pack
-        out = []
-        pos = 0
-        for entry in entries:
-            if entry is None:
-                out.append(None)
-                continue
-            ciphertext, tag, aad, n, nblocks = entry
-            ek_j0 = fb(blocks[pos : pos + 16], "big")
-            expected = (
-                ghash(
-                    aad
-                    + b"\x00" * ((-len(aad)) % 16)
-                    + ciphertext
-                    + b"\x00" * ((-len(ciphertext)) % 16)
-                    + pack(">QQ", len(aad) * 8, n * 8)
-                )
-                ^ ek_j0
-            ).to_bytes(16, "big")
-            # Constant-time comparison, same as the scalar path.
-            diff = 0
-            for a, b in zip(expected, tag):
-                diff |= a ^ b
-            if diff != 0:
-                out.append(None)
-            elif n:
-                ks = blocks[pos + 16 : pos + 16 + n]
-                out.append(
-                    (fb(ciphertext, "big") ^ fb(ks, "big")).to_bytes(n, "big")
-                )
-            else:
-                out.append(b"")
-            pos += 16 * (nblocks + 1)
-        return out
+        masks = self.masks(
+            [iv for iv, _sealed, _aad in items],
+            [
+                _keystream_blocks(len(sealed) - tag_size)
+                for _iv, sealed, _aad in items
+            ],
+        )
+        open_masked = self.open_masked
+        return [
+            open_masked(mask, sealed, aad)
+            for mask, (_iv, sealed, aad) in zip(masks, items)
+        ]
 
 
 # ---------------------------------------------------------------------------

@@ -165,17 +165,26 @@ class CryptoProvider:
         )
 
     # -- transport path (session keys) -------------------------------------
+    #
+    # A call carrying one message draws its AES work from the session's
+    # keystream reservoirs (:class:`~repro.crypto.keys.KeystreamReservoir`)
+    # on engines that offer them; a multi-message call runs one lane pass
+    # over exactly its own blocks and leaves the reservoirs alone.
 
     def transport_seal(
         self, session: SessionKey, plaintext: bytes, aad: bytes = b""
     ) -> SealedMessage:
         """``auth-encrypt(K_session, plaintext)`` with a fresh per-session IV."""
         iv = session.next_iv()
-        sealed = self.engine.gcm(session.key).seal(iv, plaintext, aad)
+        gcm = self.engine.gcm(session.key)
+        if self.engine.keystream_reservoirs:
+            sealed = session.seal_reservoir.seal(gcm, iv, plaintext, aad)
+        else:
+            sealed = gcm.seal(iv, plaintext, aad)
         return SealedMessage(iv=iv, sealed=sealed)
 
     def transport_open(
-        self, session_key: bytes, message: SealedMessage, aad: bytes = b""
+        self, session: SessionKey, message: SealedMessage, aad: bytes = b""
     ) -> bytes:
         """``auth-decrypt(K_session, message)``.
 
@@ -183,10 +192,16 @@ class CryptoProvider:
         verify -- the sender does not hold the session key, or the message
         was modified in flight.
         """
-        try:
-            return self.engine.gcm(session_key).open(
-                message.iv, message.sealed, aad
+        gcm = self.engine.gcm(session.key)
+        if self.engine.keystream_reservoirs:
+            plaintext = session.open_reservoir.open(
+                gcm, message.iv, message.sealed, aad
             )
+            if plaintext is None:
+                raise AuthenticationError("authentication tag mismatch")
+            return plaintext
+        try:
+            return gcm.open(message.iv, message.sealed, aad)
         except GcmFailure as exc:
             raise AuthenticationError(str(exc)) from exc
 
@@ -204,14 +219,18 @@ class CryptoProvider:
         staged = [
             (session.next_iv(), plaintext, aad) for plaintext, aad in messages
         ]
-        sealed = self.engine.gcm(session.key).seal_many(staged)
+        gcm = self.engine.gcm(session.key)
+        if len(staged) == 1 and self.engine.keystream_reservoirs:
+            sealed = [session.seal_reservoir.seal(gcm, *staged[0])]
+        else:
+            sealed = gcm.seal_many(staged)
         return [
             SealedMessage(iv=iv, sealed=blob)
             for (iv, _plaintext, _aad), blob in zip(staged, sealed)
         ]
 
     def transport_open_many(
-        self, session_key: bytes, messages
+        self, session: SessionKey, messages
     ) -> list:
         """Open ``(SealedMessage, aad)`` pairs as one batch, in order.
 
@@ -220,6 +239,8 @@ class CryptoProvider:
         tamper: the batched server path must keep processing the intact
         batch-mates and fail only the poisoned frame.
         """
-        return self.engine.gcm(session_key).open_many(
-            [(message.iv, message.sealed, aad) for message, aad in messages]
-        )
+        items = [(message.iv, message.sealed, aad) for message, aad in messages]
+        gcm = self.engine.gcm(session.key)
+        if len(items) == 1 and self.engine.keystream_reservoirs:
+            return [session.open_reservoir.open(gcm, *items[0])]
+        return gcm.open_many(items)

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.crypto.keys import KeyGenerator
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, PrecursorError
 from repro.faults.engine import FaultEngine
 from repro.faults.schedule import FaultSchedule
 from repro.obs import (
@@ -282,9 +282,10 @@ def run_health(
                 client.put(key, value)
                 if key not in written:
                     written.append(key)
-        except Exception:
+        except PrecursorError:
             # Typed failure after the retry budget: counted, and already
             # fed to the pipeline as an error sample by the router.
+            # Anything untyped is a bug and propagates.
             report.errors += 1
         clock.advance(_THINK_NS)
         if (op_index + 1) % tick_every == 0:

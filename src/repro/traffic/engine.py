@@ -45,7 +45,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Tuple
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, PrecursorError
 from repro.sim.stats import LatencyRecorder
 from repro.traffic.arrivals import NS_PER_MS, ArrivalProcess
 from repro.traffic.sessions import SessionModel
@@ -226,7 +226,9 @@ class OpenLoopEngine:
                     conn.get(key)
                 else:
                     conn.put(key, value)
-            except Exception:
+            except PrecursorError:
+                # A typed store failure is an error sample; anything
+                # else is a bug and propagates.
                 ok = False
                 result.errors += 1
                 tenant.errors += 1

@@ -17,6 +17,7 @@ each layer in isolation so a regression points at the seam that broke:
 
 import random
 import struct
+import sys
 import threading
 
 import pytest
@@ -175,7 +176,7 @@ class TestProviderBatchTransport:
         messages = self._messages()
         sealed = provider.transport_seal_many(session, messages)
         opened = provider.transport_open_many(
-            session.key,
+            session,
             [(m, aad) for m, (_pt, aad) in zip(sealed, messages)],
         )
         assert opened == [plaintext for plaintext, _aad in messages]
@@ -191,7 +192,7 @@ class TestProviderBatchTransport:
             iv=sealed[victim].iv, sealed=bytes(blob)
         )
         opened = provider.transport_open_many(
-            session.key,
+            session,
             [(m, aad) for m, (_pt, aad) in zip(tampered, messages)],
         )
         assert opened[victim] is None
@@ -206,7 +207,7 @@ class TestProviderBatchTransport:
         sealed = provider.transport_seal_many(session, messages)
         pairs = [(m, aad) for m, (_pt, aad) in zip(sealed, messages)]
         pairs[1] = (pairs[1][0], b"not-the-aad")
-        opened = provider.transport_open_many(session.key, pairs)
+        opened = provider.transport_open_many(session, pairs)
         assert opened[1] is None
         assert opened[0] == messages[0][0]
         assert opened[2:] == [pt for pt, _ in messages[2:]]
@@ -383,60 +384,108 @@ class TestReplySinkThreadLocal:
         assert server._reply_sink is None
 
 
+def _stress_workload(client, tag, windows):
+    """One client's stress sequence; every value must read back intact.
+
+    Single ``put``/``get`` round trips drain as one-frame cycles, which
+    draw from the sessions' keystream reservoirs; with ``windows`` every
+    other round is a ``put_many``/``get_many`` window of four instead,
+    whose frames a K > 1 server drains together, bypassing them.
+    """
+    for r in range(12):
+        keys = [f"{tag}-{r}-{j}".encode() for j in range(4 if windows else 2)]
+        values = [f"{tag}-value-{r}-{j}".encode() for j in range(len(keys))]
+        if windows and r % 2:
+            client.put_many(list(zip(keys, values)))
+            assert client.get_many(keys) == values
+        else:
+            for key, value in zip(keys, values):
+                client.put(key, value)
+                assert client.get(key) == value
+
+
+def _stress_store(server):
+    """Each stored key's owner and one-time key, and its value read back."""
+    reader = PrecursorClient(server, client_id=99, keygen=KeyGenerator(99))
+    return {
+        key: (
+            server._table.get(key).client_id,
+            server._table.get(key).k_operation,
+            reader.get(key),
+        )
+        for key in server.stored_keys()
+    }
+
+
 class TestBatchedThreadedServer:
     @pytest.mark.parametrize("threads", [1, 3])
-    @pytest.mark.parametrize("k", [1, 4, 16])
+    @pytest.mark.parametrize("k", [1, 4, 16, 64])
     def test_concurrent_clients_with_batching(self, k, threads):
-        """The pipeline under real polling threads: every client's data
-        lands and verifies, with no cross-thread reply corruption
-        (wrong-key seals would surface as client MAC failures) and no
-        silently dead workers, and the final store matches what the
-        clients wrote."""
+        """The pipeline under real polling threads: six clients, half of
+        them mixing one-frame and multi-frame drain cycles on one
+        session.  Every client's data lands and verifies, with no
+        cross-thread reply corruption (wrong-key seals would surface as
+        client MAC failures) and no silently dead workers, and the final
+        store equals a single-threaded run of the same seeded clients."""
+        tags = [(i + 1, f"b{i}", i % 2 == 1) for i in range(6)]
+
+        serial = PrecursorServer(config=ServerConfig(ecall_batch=k))
+        for cid, tag, windows in tags:
+            client = PrecursorClient(
+                serial, client_id=cid, keygen=KeyGenerator(40 + cid)
+            )
+            _stress_workload(client, tag, windows)
+
         server = PrecursorServer(config=ServerConfig(ecall_batch=k))
         pool = ServerThreadPool(server, threads=threads)
         clients = [
-            PrecursorClient(
-                server,
-                client_id=i + 1,
-                keygen=KeyGenerator(40 + i),
-                auto_pump=False,
-                response_timeout_s=10.0,
+            (
+                PrecursorClient(
+                    server,
+                    client_id=cid,
+                    keygen=KeyGenerator(40 + cid),
+                    auto_pump=False,
+                    response_timeout_s=10.0,
+                ),
+                tag,
+                windows,
             )
-            for i in range(4)
+            for cid, tag, windows in tags
         ]
-        expected = {
-            f"b{c}-{i}".encode(): f"b{c}-value-{i}".encode()
-            for c in range(len(clients))
-            for i in range(30)
-        }
         errors = []
 
-        def worker(client, tag):
+        def worker(client, tag, windows):
             try:
-                for i in range(30):
-                    key = f"{tag}-{i}".encode()
-                    client.put(key, f"{tag}-value-{i}".encode())
-                    assert client.get(key) == f"{tag}-value-{i}".encode()
+                _stress_workload(client, tag, windows)
             except Exception as exc:  # pragma: no cover - fail loudly
                 errors.append((tag, exc))
 
-        with pool:
-            client_threads = [
-                threading.Thread(target=worker, args=(client, f"b{i}"))
-                for i, client in enumerate(clients)
-            ]
-            for thread in client_threads:
-                thread.start()
-            for thread in client_threads:
-                thread.join(timeout=60)
+        # Switch threads far more often than the default 5 ms, so the
+        # trusted threads' drain cycles interleave mid-cycle.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with pool:
+                client_threads = [
+                    threading.Thread(target=worker, args=entry)
+                    for entry in clients
+                ]
+                for thread in client_threads:
+                    thread.start()
+                for thread in client_threads:
+                    thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in client_threads)
         assert errors == []
         assert pool.errors == []
-        assert server.key_count == len(expected)
         assert server.stats.auth_failures == 0
         assert server.stats.replay_rejections == 0
-        reader = PrecursorClient(server, client_id=99, keygen=KeyGenerator(99))
-        assert {key: reader.get(key) for key in expected} == expected
+        # Every session's one-frame cycles drew from its reservoirs.
+        for session in server._sessions.values():
+            assert session.open_reservoir.hits and session.seal_reservoir.hits
+        assert server.key_count == serial.key_count == 3 * 12 * 2 + 3 * 12 * 4
+        assert _stress_store(server) == _stress_store(serial)
 
 
 class TestReplyPhaseChannelGrouping:
@@ -477,7 +526,7 @@ class TestReplyPhaseChannelGrouping:
                 response = Response.decode(frame)
                 aad = b"resp" + struct.pack(">I", client.client_id)
                 blob = client.provider.transport_open(
-                    client.session.key, response.sealed_control, aad=aad
+                    client.session, response.sealed_control, aad=aad
                 )
                 controls.append(ResponseControl.decode(blob))
 
@@ -527,7 +576,7 @@ class TestReplyCapacityFallback:
             response = Response.decode(frame)
             aad = b"resp" + struct.pack(">I", client.client_id)
             blob = client.provider.transport_open(
-                client.session.key, response.sealed_control, aad=aad
+                client.session, response.sealed_control, aad=aad
             )
             oids.append(ResponseControl.decode(blob).oid)
         assert oids == [1, 2]

@@ -146,7 +146,7 @@ class TestCrossEngineParity:
         key = KeyGenerator(seed=9).session_key()
         session = SessionKey(key=key, client_id=3)
         msg = ref_p.transport_seal(session, b"control-data", aad=b"hdr")
-        assert fast_p.transport_open(key, msg, aad=b"hdr") == b"control-data"
+        assert fast_p.transport_open(session, msg, aad=b"hdr") == b"control-data"
         payload = fast_p.payload_encrypt(b"o" * 32, b"value-bytes")
         assert ref_p.payload_decrypt(b"o" * 32, payload) == b"value-bytes"
 

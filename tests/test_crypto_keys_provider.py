@@ -122,21 +122,21 @@ class TestTransportPath:
         provider = CryptoProvider(KeyGenerator(seed=1))
         session = SessionKey(key=provider.keygen.session_key(), client_id=3)
         sealed = provider.transport_seal(session, b"control data", aad=b"c3")
-        assert provider.transport_open(session.key, sealed, aad=b"c3") == b"control data"
+        assert provider.transport_open(session, sealed, aad=b"c3") == b"control data"
 
     def test_wrong_session_key_rejected(self):
         provider = CryptoProvider(KeyGenerator(seed=1))
         session = SessionKey(key=provider.keygen.session_key(), client_id=3)
         sealed = provider.transport_seal(session, b"control data")
         with pytest.raises(AuthenticationError):
-            provider.transport_open(b"x" * 16, sealed)
+            provider.transport_open(SessionKey(key=b"x" * 16, client_id=3), sealed)
 
     def test_wrong_aad_rejected(self):
         provider = CryptoProvider(KeyGenerator(seed=1))
         session = SessionKey(key=provider.keygen.session_key(), client_id=3)
         sealed = provider.transport_seal(session, b"control data", aad=b"a")
         with pytest.raises(AuthenticationError):
-            provider.transport_open(session.key, sealed, aad=b"b")
+            provider.transport_open(session, sealed, aad=b"b")
 
 
 @settings(max_examples=25, deadline=None)

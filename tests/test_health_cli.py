@@ -112,6 +112,19 @@ class TestRunHealth:
             cluster = ClusterSpec(shards=shards, replicas=1)
             run_health(cluster=cluster, **params)
 
+    def test_untyped_router_exception_escapes(self, monkeypatch):
+        """A programming error in the router is not a typed failure: it
+        crashes the run instead of counting as an error sample."""
+        from repro.shard.router import ShardedClient
+
+        def broken(self, *args, **kwargs):
+            raise TypeError("router bug")
+
+        monkeypatch.setattr(ShardedClient, "get", broken)
+        monkeypatch.setattr(ShardedClient, "put", broken)
+        with pytest.raises(TypeError, match="router bug"):
+            run_health(seed=11, cluster=ClusterSpec(shards=2, replicas=1), ops=40)
+
 
 class TestHealthCmd:
     def test_clean_text_report(self, tmp_path):

@@ -57,7 +57,7 @@ class TestMalformedRequests:
         server.process_pending()
         response = client._await_response()
         opened = client.provider.transport_open(
-            client.session.key,
+            client.session,
             response.sealed_control,
             aad=b"resp" + __import__("struct").pack(">I", client.client_id),
         )

@@ -241,3 +241,28 @@ class TestKneeFinder:
             find_knee(self._probe, 400, 200)
         with pytest.raises(ConfigurationError):
             find_knee(self._probe, 0, 200)
+
+
+class TestLoudFailures:
+    def test_untyped_router_exception_escapes_the_engine(self, monkeypatch):
+        """Only typed store failures count as error samples: a
+        programming error in the router crashes the run loudly instead
+        of being charged to the error budget."""
+        from repro.shard.router import ShardedClient
+        from repro.traffic.sessions import SessionModel
+
+        def broken(self, *args, **kwargs):
+            raise TypeError("router bug")
+
+        preload = SessionModel.preload
+
+        def preload_then_break(model):
+            # The preload writes through the router too; break it after.
+            loaded = preload(model)
+            monkeypatch.setattr(ShardedClient, "get", broken)
+            monkeypatch.setattr(ShardedClient, "put", broken)
+            return loaded
+
+        monkeypatch.setattr(SessionModel, "preload", preload_then_break)
+        with pytest.raises(TypeError, match="router bug"):
+            run_scenario("steady", seed=11, cluster=ClusterSpec(shards=2), ops=40)
