@@ -2,7 +2,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install test bench bench-quick scorecard shard-smoke chaos-smoke cryptobench-smoke replica-smoke health-smoke traffic-smoke batch-smoke cache-smoke autoscale-smoke examples lint clean
+.PHONY: install test scorecard reports-smoke shard-smoke chaos-smoke cryptobench-smoke replica-smoke health-smoke traffic-smoke batch-smoke cache-smoke autoscale-smoke examples lint clean
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -10,14 +10,17 @@ install:
 test:
 	$(PYTHON) -m pytest tests/
 
-bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
-
-bench-quick:
-	REPRO_BENCH_QUICK=1 $(PYTHON) -m pytest benchmarks/ --benchmark-only
-
 scorecard:
 	$(PYTHON) -m repro.cli scorecard
+
+# Report drift gate: every committed bench_reports/*.txt regenerates from
+# the registry entry of the same name (exit 1 on a failed bound), and
+# any change to its text fails the diff.
+reports-smoke:
+	for name in $$(git ls-files 'bench_reports/*.txt' | xargs -n1 basename -s .txt); do \
+		PYTHONPATH=src $(PYTHON) -m repro.cli "$$name" --out bench_reports || exit 1; \
+	done
+	git diff --exit-code -- bench_reports/
 
 # Functional sharded cluster: routing, live join + migration, epoch retry;
 # then the modelled 1-8 shard scale-out curves regenerate.

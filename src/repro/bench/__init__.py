@@ -1,8 +1,9 @@
 """Benchmark harnesses: the paper's figures and table, and later benches.
 
 Every artifact the CLI regenerates -- the paper's §5 figures and
-Table 1, and the benches beyond the paper (``scaleout``, ``faulttail``
-and the gated ``BENCH_*.json`` ones) -- is one entry of
+Table 1, the ablations, the extension studies, the claim scorecard, and
+the benches beyond the paper (``scaleout``, ``faulttail`` and the gated
+``BENCH_*.json`` ones) -- is one entry of
 :data:`repro.bench.artifacts.ARTIFACTS`, which names its runner;
 :func:`repro.bench.artifacts.write_artifact` writes its files.
 ``python -m repro.cli list`` prints the registry.

@@ -20,9 +20,8 @@ fast/reference speedup (:data:`FLOOR`, 5x on the 4 KiB payload path) so
 CI catches a performance regression of the fast kernels the way it
 catches a functional one.
 
-Entry points: :func:`run_cryptobench` (library),
-``python -m repro.cli cryptobench`` (shell), and
-``benchmarks/bench_wallclock_crypto.py`` (pytest-benchmark suite).
+Entry points: :func:`run_cryptobench` (library) and
+``python -m repro.cli cryptobench`` (shell).
 """
 
 from __future__ import annotations

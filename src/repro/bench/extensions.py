@@ -11,6 +11,9 @@ with the same calibrated models:
 - **ext-inline**: the §5.2 future-work optimisation -- storing values
   smaller than the control data inside the enclave -- modelled end to end:
   client savings, server cost, trusted-memory price.
+
+Each result checks its bounds: ``exit_code`` is 1 when any fails, and
+the report names it.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 from repro.bench.calibration import Calibration
-from repro.bench.report import Series, format_table
+from repro.bench.report import Bounded, Series, format_table
 from repro.bench.simulation import SimulationConfig, simulate
 from repro.core.protocol import CONTROL_DATA_SIZE
 from repro.ycsb.workload import WORKLOAD_C, WorkloadSpec
@@ -33,12 +36,25 @@ __all__ = ["run_ext_zipfian", "run_ext_epc_sweep", "run_ext_inline"]
 
 
 @dataclass
-class ExtZipfianResult:
+class ExtZipfianResult(Bounded):
     """Throughput under uniform vs zipfian popularity, per system."""
 
     systems: Sequence[str]
     uniform_kops: List[float]
     zipfian_kops: List[float]
+
+    def bounds(self) -> Dict[str, bool]:
+        """Precursor is insensitive to skew; ShieldStore loses throughput."""
+        p = list(self.systems).index("precursor")
+        ss = list(self.systems).index("shieldstore")
+        return {
+            "precursor zipfian > 0.9x uniform": (
+                self.zipfian_kops[p] > 0.9 * self.uniform_kops[p]
+            ),
+            "shieldstore zipfian < 0.95x uniform": (
+                self.zipfian_kops[ss] < 0.95 * self.uniform_kops[ss]
+            ),
+        }
 
     def report(self) -> str:
         """Render the paper-style report for this artifact."""
@@ -55,7 +71,7 @@ class ExtZipfianResult:
             "\n\nPrecursor's per-request cost is key-independent (control "
             "data only); skew moves throughput by at most a few percent. "
             "ShieldStore concentrates work in hot bucket chains."
-        )
+        ) + self.failed_bounds()
 
 
 def run_ext_zipfian(
@@ -111,7 +127,7 @@ EPC_SWEEP_KEYS = (1_000_000, 2_000_000, 2_800_000, 3_000_000, 4_000_000, 6_000_0
 
 
 @dataclass
-class ExtEpcSweepResult:
+class ExtEpcSweepResult(Bounded):
     """Fault rate and latency percentiles as the dataset grows."""
 
     key_counts: Sequence[int]
@@ -119,6 +135,27 @@ class ExtEpcSweepResult:
     p50_us: List[float]
     p99_us: List[float]
     kops: List[float]
+
+    def bounds(self) -> Dict[str, bool]:
+        """No paging below the EPC boundary, monotone fault growth above.
+
+        Mild oversubscription (the second-largest dataset, ~30 % faults)
+        leaves the median intact -- the tail pays; deep oversubscription
+        (the largest, ~65 % faults) finally moves the median too.
+        """
+        faults, p50, p99 = self.fault_fraction, self.p50_us, self.p99_us
+        return {
+            "no faults at the smallest dataset": faults[0] == 0.0,
+            "faults grow over the two largest datasets": (
+                faults[-1] > faults[-2] > 0
+            ),
+            "paging onset in [2.8 M, 3.0 M] keys (93 MiB / 34 B)": (
+                2_800_000 <= self.paging_onset_keys() <= 3_000_000
+            ),
+            "second-largest p50 < 1.6x smallest": p50[-2] < 1.6 * p50[0],
+            "largest p50 > 1.5x smallest": p50[-1] > 1.5 * p50[0],
+            "largest p99 > smallest": p99[-1] > p99[0],
+        }
 
     def paging_onset_keys(self) -> int:
         """First key count with a non-zero fault rate."""
@@ -144,7 +181,7 @@ class ExtEpcSweepResult:
             f"\n\npaging first observed at "
             f"{self.paging_onset_keys() // 1000}k keys; the 93 MiB EPC "
             f"holds ~2.8M entries of hot metadata."
-        )
+        ) + self.failed_bounds()
 
 
 def run_ext_epc_sweep(
@@ -190,13 +227,28 @@ def run_ext_epc_sweep(
 
 
 @dataclass
-class ExtInlineResult:
+class ExtInlineResult(Bounded):
     """Costs of inline vs external storage for small values."""
 
     value_sizes: Sequence[int]
     client_cycles_external: List[float]
     client_cycles_inline: List[float]
     trusted_bytes_per_key_inline: List[int]
+
+    def bounds(self) -> Dict[str, bool]:
+        """Inline saves client cycles at every size, at a bounded
+        trusted cost."""
+        return {
+            "inline client cycles < external at every size": all(
+                inl < ext
+                for ext, inl in zip(
+                    self.client_cycles_external, self.client_cycles_inline
+                )
+            ),
+            "trusted bytes per key <= 60 + 16": (
+                max(self.trusted_bytes_per_key_inline) <= 60 + 16
+            ),
+        }
 
     def report(self) -> str:
         """Render the paper-style report for this artifact."""
@@ -214,7 +266,7 @@ class ExtInlineResult:
             "\n\nInline storage saves the client-side one-time-key "
             "encryption and the untrusted memory read, at the price of "
             "value bytes inside the EPC -- exactly the trade §5.2 sketches."
-        )
+        ) + self.failed_bounds()
 
 
 def run_ext_inline(

@@ -7,9 +7,33 @@ comparison at a glance.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
-__all__ = ["format_table", "format_ratio", "Series"]
+__all__ = ["Bounded", "format_table", "format_ratio", "Series"]
+
+
+class Bounded:
+    """A result checked against fixed bounds.
+
+    Subclasses implement :meth:`bounds`; the verdict rule lives here.
+    """
+
+    def bounds(self) -> Dict[str, bool]:
+        """Each bound's statement, mapped to whether this run holds it."""
+        raise NotImplementedError
+
+    @property
+    def exit_code(self) -> int:
+        """0 when every bound holds, 1 otherwise."""
+        return 0 if all(self.bounds().values()) else 1
+
+    def failed_bounds(self) -> str:
+        """One ``FAILED bound:`` line per bound this run breaks."""
+        return "".join(
+            f"\nFAILED bound: {statement}"
+            for statement, held in self.bounds().items()
+            if not held
+        )
 
 
 class Series:

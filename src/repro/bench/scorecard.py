@@ -43,6 +43,11 @@ class ScorecardResult:
     def total(self) -> int:
         return len(self.claims)
 
+    @property
+    def exit_code(self) -> int:
+        """0 only when every claim holds."""
+        return 0 if self.passed == self.total else 1
+
     def report(self) -> str:
         """Render every claim with its PASS/FAIL verdict."""
         lines = [

@@ -5,7 +5,7 @@ Usage::
     python -m repro.cli list
     python -m repro.cli fig4
     python -m repro.cli fig5 --quick
-    python -m repro.cli all --quick --out bench_reports/
+    python -m repro.cli all --quick --out DIR
 
 Each artifact of the registry (:mod:`repro.bench.artifacts`) prints its
 paper-style report; gated benches also write their ``BENCH_*.json`` by
@@ -137,11 +137,17 @@ def run_artifacts(
 
     Returns ``(None, worst exit code)``: results that carry gates
     surface them through ``exit_code``, everything else exits 0.
-    ``--csv`` on a single artifact without an exporter is refused before
-    anything runs; ``all --csv`` writes every CSV there is.
+    ``--csv`` or ``--json`` on a single artifact without a CSV exporter
+    or measurements is refused before anything runs; ``all --csv``
+    writes every CSV there is, and ``all --json`` prints JSON wherever
+    there are measurements.
     """
-    if csv and len(names) == 1 and not ARTIFACTS[names[0]].csv:
-        raise ConfigurationError(f"'{names[0]}' has no CSV exporter")
+    if len(names) == 1:
+        entry = ARTIFACTS[names[0]]
+        if csv and not entry.csv:
+            raise ConfigurationError(f"'{names[0]}' has no CSV exporter")
+        if as_json and entry.stem is None:
+            raise ConfigurationError(f"'{names[0]}' does not take --json")
     worst = 0
     for name in names:
         result = ARTIFACTS[name].run(quick=quick)
@@ -154,18 +160,6 @@ def run_artifacts(
         print()
         worst = max(worst, getattr(result, "exit_code", 0))
     return None, worst
-
-
-def run_scorecard_cmd(
-    quick: bool = False, out_dir: pathlib.Path = None
-) -> "tuple":
-    """Pass/fail verdict on every paper claim; exit code 1 if any fails."""
-    from repro.bench.scorecard import run_scorecard
-
-    result = run_scorecard(quick=quick)
-    text = result.report()
-    _save(out_dir, "scorecard.txt", text)
-    return text, 0 if result.passed == result.total else 1
 
 
 def _obs_workload(op: str, value_size: int, ops: int):
@@ -706,7 +700,6 @@ _COMMANDS = {
         partial(run_artifacts, tuple(ARTIFACTS)),
         "every artifact above, in sequence",
     ),
-    "scorecard": (run_scorecard_cmd, "pass/fail verdict on every paper claim"),
     "trace": (run_trace, "per-stage span breakdown of one live operation"),
     "metrics": (run_metrics, "Prometheus-style dump of the metrics registry"),
     "shard": (

@@ -34,7 +34,7 @@ import threading
 from collections import deque
 from typing import Any, Dict, List, Optional
 
-from repro.errors import ObservabilityError
+from repro.errors import ConfigurationError, ObservabilityError
 from repro.obs.clock import Clock, WallClock
 from repro.obs.metrics import Histogram, MetricsRegistry
 
@@ -549,7 +549,7 @@ class TelemetryPipeline:
             return out
         try:
             server = cluster.server(shard)
-        except Exception:
+        except ConfigurationError:  # a departed shard's window drains
             return out
         queue_depth = getattr(server, "queue_depth", None)
         if queue_depth is not None:
@@ -560,7 +560,7 @@ class TelemetryPipeline:
         if group is not None:
             try:
                 out["replication_lag"] = group(shard).lag
-            except Exception:
+            except ConfigurationError:
                 pass
         return out
 

@@ -6,6 +6,7 @@ Runners are swapped for canned results, so these tests check the wiring
 
 import dataclasses
 import json
+import pathlib
 
 import pytest
 
@@ -81,6 +82,39 @@ def test_json_flag_prints_the_measurements(monkeypatch, tmp_path, capsys):
     _can(monkeypatch, "cryptobench", _Canned())
     assert main(["cryptobench", "--json", "--out", str(tmp_path)]) == 0
     assert json.loads(capsys.readouterr().out) == {"canned": True}
+
+
+def test_json_flag_without_measurements_is_refused_unless_all(
+    monkeypatch, tmp_path, capsys
+):
+    def must_not_run(quick):
+        raise AssertionError("ran before the --json check")
+
+    monkeypatch.setitem(
+        ARTIFACTS,
+        "scorecard",
+        dataclasses.replace(ARTIFACTS["scorecard"], run=must_not_run),
+    )
+    assert main(["scorecard", "--json", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: 'scorecard' does not take --json\n"
+    )
+    assert not tmp_path.exists() or not list(tmp_path.iterdir())
+
+    for name in list(ARTIFACTS):
+        _can(monkeypatch, name, _Canned())
+    assert main(["all", "--quick", "--json", "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    gated = [name for name, entry in ARTIFACTS.items() if entry.stem]
+    assert out.count('"canned": true') == len(gated)
+    assert out.count("canned report") == len(ARTIFACTS) - len(gated)
+
+
+def test_every_committed_report_is_a_registry_entry():
+    reports = pathlib.Path(__file__).resolve().parent.parent / "bench_reports"
+    names = [path.stem for path in reports.glob("*.txt")]
+    assert "fig4" in names and "ablations" in names
+    assert [name for name in names if name not in ARTIFACTS] == []
 
 
 class TestCsv:

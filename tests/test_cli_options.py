@@ -77,7 +77,8 @@ def _documented_invocations():
         text = path.read_text().replace("\\\n", " ")
         for line in text.splitlines():
             match = re.search(r"-m repro\.cli\s+([^`]*)", line)
-            if match:
+            # A shell loop's "$name" documents no one command.
+            if match and not match.group(1).startswith(("$", '"$')):
                 yield path.name, match.group(1)
 
 

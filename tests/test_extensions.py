@@ -1,5 +1,7 @@
 """Extension experiments (beyond-paper sensitivity studies)."""
 
+import dataclasses
+
 import pytest
 
 from repro.bench.extensions import (
@@ -32,6 +34,19 @@ class TestZipfianSensitivity:
     def test_report_renders(self, result):
         assert "zipfian" in result.report()
 
+    def test_bounds_hold(self, result):
+        assert result.exit_code == 0, result.report()
+
+    def test_skew_sensitive_precursor_fails_its_bound(self, result):
+        idx = list(result.systems).index("precursor")
+        zipfian = list(result.zipfian_kops)
+        zipfian[idx] = 0.5 * result.uniform_kops[idx]
+        broken = dataclasses.replace(result, zipfian_kops=zipfian)
+        assert broken.exit_code == 1
+        assert broken.report().endswith(
+            "FAILED bound: precursor zipfian > 0.9x uniform"
+        )
+
 
 class TestEpcSweep:
     @pytest.fixture(scope="class")
@@ -53,6 +68,17 @@ class TestEpcSweep:
 
     def test_report_renders(self, result):
         assert "EPC" in result.report()
+
+    def test_bounds_hold(self, result):
+        assert result.exit_code == 0, result.report()
+
+    def test_faults_below_the_epc_fail_their_bound(self, result):
+        faults = [0.01] + list(result.fault_fraction[1:])
+        broken = dataclasses.replace(result, fault_fraction=faults)
+        assert broken.exit_code == 1
+        assert "FAILED bound: no faults at the smallest dataset" in (
+            broken.report()
+        )
 
 
 class TestInlineModel:
@@ -94,3 +120,16 @@ class TestInlineModel:
 
     def test_report_renders(self, result):
         assert "5.2" in result.report()
+
+    def test_bounds_hold(self, result):
+        assert result.exit_code == 0, result.report()
+
+    def test_trusted_cost_above_threshold_plus_mac_fails(self, result):
+        trusted = list(result.trusted_bytes_per_key_inline[:-1]) + [77]
+        broken = dataclasses.replace(
+            result, trusted_bytes_per_key_inline=trusted
+        )
+        assert broken.exit_code == 1
+        assert broken.report().endswith(
+            "FAILED bound: trusted bytes per key <= 60 + 16"
+        )

@@ -109,8 +109,9 @@ class _FakeCluster:
         self.shards = list(shards)
 
     def server(self, name):
-        """Raise so the pipeline falls back to zeroed probes."""
-        raise RuntimeError("no live server in this stub")
+        """Raise as ``ShardedCluster.server`` does for an unknown shard,
+        so the pipeline falls back to zeroed probes."""
+        raise ConfigurationError(f"unknown shard {name!r}")
 
 
 class TestWindowMembershipEdges:
@@ -168,6 +169,16 @@ class TestWindowMembershipEdges:
         pipeline.observe("b", "get", 7000)
         snap = pipeline.tick()
         assert snap.shards["b"].ops == 2
+
+    def test_probe_error_other_than_unknown_shard_is_raised(self):
+        class _BrokenCluster(_FakeCluster):
+            def server(self, name):
+                raise TypeError("a bug in the probe target")
+
+        pipeline = self._pipeline(_BrokenCluster(["a"]))
+        pipeline.observe("a", "get", 1000)
+        with pytest.raises(TypeError):
+            pipeline.tick()
 
     def test_window_merge_spans_the_membership_change(self):
         cluster = _FakeCluster(["a"])

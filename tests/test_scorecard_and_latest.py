@@ -1,5 +1,7 @@
 """The reproduction scorecard and the YCSB 'latest' distribution."""
 
+import dataclasses
+
 import pytest
 
 from repro.bench.scorecard import Claim, run_scorecard
@@ -74,3 +76,12 @@ class TestScorecard:
         for claim in result.claims:
             assert isinstance(claim, Claim)
             assert claim.statement and claim.measured and claim.source
+
+    def test_at_least_ten_claims(self, result):
+        assert result.total >= 10
+
+    def test_exit_code_follows_every_claim(self, result):
+        assert result.exit_code == 0
+        claims = list(result.claims)
+        claims[-1] = dataclasses.replace(claims[-1], holds=False)
+        assert dataclasses.replace(result, claims=claims).exit_code == 1
