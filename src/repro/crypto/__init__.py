@@ -19,7 +19,7 @@ Two interchangeable engines run the primitives (:mod:`repro.crypto.engine`):
 ``reference`` -- the readable spec implementations above -- and ``fast`` --
 optimised kernels (:mod:`repro.crypto.fastcrypto`) with byte-position-table
 AES (sixteen 256-entry tables per round), lane-parallel AES and Salsa20
-for batches, and table-driven GHASH.  Both produce byte-identical
+for batches, and byte-position-table GHASH.  Both produce byte-identical
 output; select via ``$REPRO_CRYPTO_ENGINE``, :func:`set_default_engine`
 or the ``engine=`` argument threaded through providers and key generators.
 """

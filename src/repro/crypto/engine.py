@@ -9,8 +9,8 @@ sealing -- goes through a :class:`CryptoEngine`.  Two engines ship:
   :mod:`~repro.crypto.gcm`).  It is the ground truth the test vectors
   run against and stays deliberately readable.
 - ``fast`` wraps the optimised kernels of
-  :mod:`~repro.crypto.fastcrypto` (unrolled Salsa20 core, T-table AES,
-  table-driven GHASH, cached CMAC subkeys).  Its outputs are
+  :mod:`~repro.crypto.fastcrypto` (diagonal-lane Salsa20 core, T-table
+  AES, table-driven GHASH, cached CMAC subkeys).  Its outputs are
   byte-identical to the reference engine's -- :func:`parity_check`
   and the ``tests/test_crypto_engine.py`` matrix enforce this, so the
   two engines interoperate freely (seal with one, open with the other).
@@ -18,7 +18,7 @@ sealing -- goes through a :class:`CryptoEngine`.  Two engines ship:
 Both engines keep a bounded per-key cache of GCM cipher objects, which
 fixes the historic per-message key-schedule rebuild: sealing N messages
 under one session key now expands the AES key schedule (and, on the
-fast engine, the GHASH table) exactly once.
+fast engine, the GHASH tables) exactly once.
 
 Selection: :func:`default_engine` resolves, in order, an explicit
 :func:`set_default_engine` call, the ``REPRO_CRYPTO_ENGINE`` environment
@@ -28,6 +28,7 @@ variable, and finally ``fast``.  :func:`use_engine` scopes an override
 
 from __future__ import annotations
 
+import hmac
 import os
 import threading
 from contextlib import contextmanager
@@ -129,13 +130,7 @@ class CryptoEngine:
 
     def cmac_verify(self, key: bytes, message: bytes, mac: bytes) -> bool:
         """Constant-time AES-CMAC verification."""
-        expected = self.aes_cmac(key, message)
-        if len(mac) != len(expected):
-            return False
-        diff = 0
-        for a, b in zip(expected, mac):
-            diff |= a ^ b
-        return diff == 0
+        return hmac.compare_digest(self.aes_cmac(key, message), mac)
 
     def gcm(self, key: bytes):
         """A cached AES-128-GCM cipher for ``key`` (``seal``/``open``)."""
@@ -269,8 +264,9 @@ def parity_check(seed: int = 2021, rounds: int = 8) -> List[str]:
 
     Encrypts with each engine and decrypts/verifies with the other over
     deterministic pseudo-random payload and transport messages, plus the
-    canonical empty/short/block-aligned edge sizes.  An empty list means
-    the fast path cannot have silently diverged from the reference.
+    canonical empty/short/block-aligned edge sizes and single Salsa20
+    blocks at the edges of the block counter's two words.  An empty list
+    means the fast path cannot have silently diverged from the reference.
     """
     import hashlib
 
@@ -358,6 +354,13 @@ def parity_check(seed: int = 2021, rounds: int = 8) -> List[str]:
                     f"{engine.name} open_many tamper isolation broke "
                     f"at {size} B"
                 )
+    # One Salsa20 block runs the fast engine's diagonal core, whose two
+    # counter words sit in different diagonals: sweep both words' edges.
+    for counter in (2**32 - 1, 2**32, 2**32 + 5, 2**64 - 1):
+        for key in (rand(b"ctr-k", 32), rand(b"ctr-k", 16)):
+            args = (key, rand(b"ctr-n", 8), bytes(64), counter)
+            if fast.salsa20_encrypt(*args) != ref.salsa20_encrypt(*args):
+                failures.append(f"salsa20 block differs at counter {counter:#x}")
     failures += _lane_parity(ref, fast, rand)
     failures += _reservoir_parity(ref, rand)
     return failures

@@ -10,11 +10,12 @@ but optimised for CPython instead of mirroring the specifications:
   64-bit lanes of a single wide Python integer (a poor man's SIMD: one
   ``+``/``^``/rotate on the wide integer advances every block at once;
   the 64-bit lane leaves headroom so per-lane 32-bit adds never carry
-  across lanes).  Single blocks use a fully unrolled scalar core over
-  sixteen local variables.  The plaintext/keystream XOR is one
-  wide-integer operation instead of a per-byte generator.  Lanes carry
-  their own key, nonce and counter, so :func:`_salsa_many` encrypts a
-  batch of one-time-key messages in one pass.
+  across lanes).  A single block turns the same trick sideways: its
+  state sits in four such integers, one per diagonal, so each step of
+  the core advances four quarter-rounds.  The plaintext/keystream XOR
+  is one wide-integer operation instead of a per-byte generator.  Lanes
+  carry their own key, nonce and counter, so :func:`_salsa_many`
+  encrypts a batch of one-time-key messages in one pass.
 - **AES-128**: each round is sixteen lookups in 256-entry byte-position
   tables, XORed on a 128-bit integer state.  The tables fuse SubBytes +
   ShiftRows + MixColumns per state-byte position (derived from the
@@ -23,8 +24,8 @@ but optimised for CPython instead of mirroring the specifications:
   hundred KB total they stay cache-resident under a real request mix,
   which beats wider two-byte "pair" tables (~50 MB) that thrash the
   cache on varied inputs.  They are key-independent, built lazily once
-  per process, and shared by every key; the key schedule is expanded
-  once per key and cached.
+  per process, and shared by every key.  The key schedule is ten steps
+  on one 128-bit integer, run once per cipher object.
 - **Lane AES-128** (:func:`_lane_aes`): the batch kernel.  L blocks,
   each under its own key if need be, run through one pass with the
   state held as sixteen byte planes: SubBytes and the MixColumns
@@ -35,20 +36,22 @@ but optimised for CPython instead of mirroring the specifications:
   (:func:`_cmac_many`) together with their one-time keys' schedules
   (:func:`_lane_schedule`) and subkeys.  Batches under
   :data:`_LANE_MIN` blocks take the scalar kernel instead.
-- **GCM**: GHASH uses a per-key 256-entry multiplication table (Shoup's
-  method, byte-at-a-time Horner with a shared 256-entry reduction
-  table) instead of the spec's 128-iteration bit loop.  Every seal and
-  open is one body: ``masks`` runs the AES blocks of any number of
-  IVs (E_K(J0) and the CTR keystream) through one :func:`_aes_blocks`
+- **GCM**: GHASH uses sixteen per-key 256-entry tables, one per byte
+  position of a block (Shoup's method, with the byte-at-a-time Horner
+  reduction folded into the tables), so a block costs sixteen lookups
+  and their XOR instead of the spec's 128-iteration bit loop.  Every
+  seal and open is one body: ``masks`` runs the AES blocks of any number
+  of IVs (E_K(J0) and the CTR keystream) through one :func:`_aes_blocks`
   pass, then the message is XORed with one wide-integer op and the tag
   GHASHed.  ``seal_many``/``open_many`` cover a whole message set with
   one such pass; the transport's keystream reservoirs run it ahead of
   the messages.
 - **CMAC**: the AES key schedule and the RFC 4493 subkeys are derived
-  once per key and cached, and the serial CBC chain is a single
-  loop over the byte tables with the whole message pre-split
-  into 128-bit words.  :func:`_cmac_many` runs many messages' chains
-  side by side on the lane kernel, one lane per message.
+  once per cipher object (the engine caches those per key), and the
+  serial CBC chain is a single loop over the byte tables with the whole
+  message pre-split into 128-bit words.  :func:`_cmac_many` runs many
+  messages' chains side by side on the lane kernel, one lane per
+  message.
 
 Everything stays within the Python standard library; the cross-engine
 parity checks in :mod:`repro.crypto.engine` guarantee these kernels can
@@ -59,8 +62,9 @@ from __future__ import annotations
 
 import functools
 import hmac
+import operator
 import struct
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.crypto.aes import SBOX
 from repro.crypto.gcm import GcmFailure
@@ -69,7 +73,9 @@ from repro.errors import ConfigurationError
 __all__ = ["FastSalsa20", "FastAES128", "FastAesGcm", "FastCmac"]
 
 _MASK32 = 0xFFFFFFFF
+_MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
+_MASK192 = (1 << 192) - 1
 
 # Upper bound on lanes (blocks) per pass of the Salsa20 and AES lane
 # kernels; bounds the big integers to a few KB each while keeping
@@ -160,56 +166,39 @@ def _ensure_round_tables() -> None:
 # creation on every round.
 _TOB = int.to_bytes
 
+# SubBytes as a ``bytes.translate`` table.
+_SUB = bytes(SBOX)
+
 _RCON_WORDS = (
     0x01000000, 0x02000000, 0x04000000, 0x08000000, 0x10000000,
     0x20000000, 0x40000000, 0x80000000, 0x1B000000, 0x36000000,
 )
 
-# Key schedules are tiny (44 ints); cache them so re-keying a session
-# cipher or re-MACing under the same key never re-expands.
-_SCHEDULE_CACHE: dict = {}
-_SCHEDULE_CACHE_MAX = 1024
-_SCHEDULE128_CACHE: Dict[bytes, tuple] = {}
-
-
-def _expand_key_words(key: bytes) -> List[int]:
-    """FIPS-197 key expansion to 44 big-endian 32-bit words."""
-    cached = _SCHEDULE_CACHE.get(key)
-    if cached is not None:
-        return cached
-    s = SBOX
-    w = list(struct.unpack(">4I", key))
-    for i in range(4, 44):
-        t = w[i - 1]
-        if i % 4 == 0:
-            # RotWord + SubWord + Rcon, on a 32-bit word.
-            t = (
-                (s[(t >> 16) & 0xFF] << 24)
-                | (s[(t >> 8) & 0xFF] << 16)
-                | (s[t & 0xFF] << 8)
-                | s[(t >> 24) & 0xFF]
-            ) ^ _RCON_WORDS[i // 4 - 1]
-        w.append(w[i - 4] ^ t)
-    if len(_SCHEDULE_CACHE) >= _SCHEDULE_CACHE_MAX:
-        _SCHEDULE_CACHE.clear()
-    _SCHEDULE_CACHE[key] = w
-    return w
+# Multiplier that copies a 32-bit word into all four words of a block.
+_WORD_BROADCAST = 0x00000001000000010000000100000001
 
 
 def _expand_key_128(key: bytes) -> tuple:
-    """The key schedule as eleven 128-bit round-key integers."""
-    cached = _SCHEDULE128_CACHE.get(key)
-    if cached is not None:
-        return cached
-    w = _expand_key_words(key)
-    rk = tuple(
-        (w[4 * r] << 96) | (w[4 * r + 1] << 64) | (w[4 * r + 2] << 32) | w[4 * r + 3]
-        for r in range(11)
-    )
-    if len(_SCHEDULE128_CACHE) >= _SCHEDULE_CACHE_MAX:
-        _SCHEDULE128_CACHE.clear()
-    _SCHEDULE128_CACHE[key] = rk
-    return rk
+    """FIPS-197 key expansion as eleven 128-bit round-key integers.
+
+    Round key r+1 is three steps on round key r: RotWord + SubWord +
+    Rcon of its low word; the word recurrence ``w[i] = w[i-4] ^ w[i-1]``
+    as a prefix XOR across the four words (two shift-and-XORs); and one
+    XOR of the first step's word broadcast to all four.  Not cached:
+    every repeated key is cached one level up, as a cipher object.
+    """
+    fb = int.from_bytes
+    sub = _SUB
+    k = fb(key, "big")
+    rks = [k]
+    for rcon in _RCON_WORDS:
+        t = fb((k & _MASK32).to_bytes(4, "big").translate(sub), "big")
+        t = (((t << 8) | (t >> 24)) & _MASK32) ^ rcon
+        k ^= k >> 32
+        k ^= k >> 64
+        k ^= t * _WORD_BROADCAST
+        rks.append(k)
+    return tuple(rks)
 
 
 def _encrypt_int(rk: tuple, st: int) -> int:
@@ -314,7 +303,6 @@ def _xtime(b: int) -> int:
     return ((b << 1) ^ 0x11B) if b & 0x80 else b << 1
 
 
-_SUB = bytes(SBOX)
 _SUB2 = bytes(_xtime(s) for s in SBOX)
 _SUB3 = bytes(_xtime(s) ^ s for s in SBOX)
 
@@ -524,7 +512,7 @@ def _build_reduction_table() -> tuple:
     for b in range(256):
         v = b
         for _ in range(8):
-            v = (v >> 1) ^ _R_POLY if v & 1 else v >> 1
+            v = _mulx(v)
         table[b] = v
     return tuple(table)
 
@@ -532,19 +520,29 @@ def _build_reduction_table() -> tuple:
 _RED8 = _build_reduction_table()
 
 
-def _build_ghash_table(h: int) -> tuple:
-    """Per-key table ``T[b]`` = (byte ``b`` as an 8-term polynomial) x H."""
+def _build_ghash_tables(h: int) -> tuple:
+    """Per-key tables ``P[j][b]`` = (byte ``b`` at block position ``j``) x H.
+
+    ``P[0][b]`` multiplies the 8-term polynomial ``b`` by H; each further
+    table is the previous one times x^8 (one 8-bit shift, folded back
+    through :data:`_RED8`), so a block's product is sixteen lookups and
+    their XOR.  Shoup's 64 KB-per-key variant in the GCM specification.
+    """
     table = [0] * 256
     v = h
     table[0x80] = v
     for bit in (0x40, 0x20, 0x10, 0x08, 0x04, 0x02, 0x01):
-        v = (v >> 1) ^ _R_POLY if v & 1 else v >> 1
+        v = _mulx(v)
         table[bit] = v
     for i in range(2, 256):
         if i & (i - 1):  # not a single bit: combine linearly
             lsb = i & -i
             table[i] = table[lsb] ^ table[i ^ lsb]
-    return tuple(table)
+    tables = [tuple(table)]
+    red = _RED8
+    for _ in range(15):
+        tables.append(tuple([(v >> 8) ^ red[v & 255] for v in tables[-1]]))
+    return tuple(tables)
 
 
 @functools.lru_cache(maxsize=64)
@@ -566,10 +564,11 @@ def _keystream_blocks(size: int) -> int:
 class FastAesGcm:
     """AES-128-GCM, byte-compatible with :class:`repro.crypto.gcm.AesGcm`.
 
-    The AES key schedule, the hash subkey H and the 256-entry GHASH
-    multiplication table are all derived once at construction time, so a
-    cached instance amortises every per-message key-setup cost the
-    reference implementation pays on each seal/open.
+    The AES key schedule, the hash subkey H and the sixteen 256-entry
+    GHASH tables (:func:`_build_ghash_tables`, under a millisecond and
+    ~210 KB per key) are all derived once at construction time, so a cached instance
+    amortises every per-message key-setup cost the reference
+    implementation pays on each seal/open.
 
     Every operation runs one body.  A message's AES work depends only on
     the key and its IV, so :meth:`masks` does it first -- E_K(J0) and the
@@ -587,35 +586,22 @@ class FastAesGcm:
         self._aes = FastAES128(key)
         self._tables = _broadcast_tables(self._aes._rk)
         h = int.from_bytes(self._aes.encrypt_block(b"\x00" * 16), "big")
-        self._table = _build_ghash_table(h)
+        self._ghash_tables = _build_ghash_tables(h)
 
     def _ghash(self, data: bytes) -> int:
-        table = self._table
-        red = _RED8
+        """GHASH of ``data``, a whole number of 16-byte blocks."""
+        (p0, p1, p2, p3, p4, p5, p6, p7,
+         p8, p9, p10, p11, p12, p13, p14, p15) = self._ghash_tables
+        fb = int.from_bytes
         y = 0
         for i in range(0, len(data), 16):
-            block = data[i : i + 16]
-            if len(block) < 16:
-                block = block + b"\x00" * (16 - len(block))
-            w = (y ^ int.from_bytes(block, "big")).to_bytes(16, "big")
-            # Horner over the 16 bytes, most significant last.
-            z = table[w[15]]
-            z = (z >> 8) ^ red[z & 255] ^ table[w[14]]
-            z = (z >> 8) ^ red[z & 255] ^ table[w[13]]
-            z = (z >> 8) ^ red[z & 255] ^ table[w[12]]
-            z = (z >> 8) ^ red[z & 255] ^ table[w[11]]
-            z = (z >> 8) ^ red[z & 255] ^ table[w[10]]
-            z = (z >> 8) ^ red[z & 255] ^ table[w[9]]
-            z = (z >> 8) ^ red[z & 255] ^ table[w[8]]
-            z = (z >> 8) ^ red[z & 255] ^ table[w[7]]
-            z = (z >> 8) ^ red[z & 255] ^ table[w[6]]
-            z = (z >> 8) ^ red[z & 255] ^ table[w[5]]
-            z = (z >> 8) ^ red[z & 255] ^ table[w[4]]
-            z = (z >> 8) ^ red[z & 255] ^ table[w[3]]
-            z = (z >> 8) ^ red[z & 255] ^ table[w[2]]
-            z = (z >> 8) ^ red[z & 255] ^ table[w[1]]
-            z = (z >> 8) ^ red[z & 255] ^ table[w[0]]
-            y = z
+            w = (y ^ fb(data[i : i + 16], "big")).to_bytes(16, "big")
+            y = (
+                p0[w[0]] ^ p1[w[1]] ^ p2[w[2]] ^ p3[w[3]]
+                ^ p4[w[4]] ^ p5[w[5]] ^ p6[w[6]] ^ p7[w[7]]
+                ^ p8[w[8]] ^ p9[w[9]] ^ p10[w[10]] ^ p11[w[11]]
+                ^ p12[w[12]] ^ p13[w[13]] ^ p14[w[14]] ^ p15[w[15]]
+            )
         return y
 
     def masks(self, ivs, nblocks) -> list:
@@ -754,6 +740,15 @@ class FastAesGcm:
 
 _SIGMA = (0x61707865, 0x3320646E, 0x79622D32, 0x6B206574)
 _TAU = (0x61707865, 0x3120646E, 0x79622D36, 0x6B206574)
+
+# The single-block core's diagonal layout (FastSalsa20._scalar_block):
+# the low 32 bits of each of four 64-bit lanes, and the 32-bit slot of
+# each state word x0..x15 once the diagonals a, b, c, d are concatenated
+# (slot 8 * diagonal + 2 * lane).
+_DIAG_MASK = int.from_bytes(b"\xff\xff\xff\xff\x00\x00\x00\x00" * 4, "little")
+_DIAG_WORDS = operator.itemgetter(
+    0, 26, 20, 14, 8, 2, 28, 22, 16, 10, 4, 30, 24, 18, 12, 6
+)
 
 # Per-lane-count constants for the wide-integer core: _ONES broadcasts a
 # scalar to every 64-bit lane by multiplication; _RAMP is 0,1,2,... in
@@ -940,9 +935,10 @@ class FastSalsa20:
 
     Multi-block keystream requests pack one 32-bit state word per block
     into the 64-bit lanes of a single wide integer and run the 20-round
-    core once for every block simultaneously; single blocks use a fully
-    unrolled scalar core.  ``encrypt`` XORs plaintext and keystream as
-    two big integers.
+    core once for every block simultaneously (:func:`_lane_blocks`); a
+    single block runs :meth:`_scalar_block`, which packs its own four
+    diagonals into such lanes.  ``encrypt`` XORs plaintext and keystream
+    as two big integers.
     """
 
     NONCE_SIZE = 8
@@ -952,57 +948,41 @@ class FastSalsa20:
         self._state = _salsa_state(key, nonce)
 
     def _scalar_block(self, counter: int) -> bytes:
-        """One 64-byte keystream block via the unrolled scalar core."""
-        M = _MASK32
+        """One 64-byte keystream block, four quarter-rounds per step.
+
+        The state sits in the diagonal layout of SIMD Salsa20 code, one
+        diagonal per integer of four 64-bit lanes: a = [x0, x5, x10, x15],
+        b = [x4, x9, x14, x3], c = [x8, x13, x2, x7] and d = [x12, x1, x6,
+        x11], the counter's low word in c's lane 0 and its high word in
+        b's lane 1.  Each of a half-round's four steps then advances all
+        four quarter-rounds at once, with per-lane 32-bit masks as in
+        :func:`_lane_blocks`.  Turning d one lane down into b, b one lane
+        up into d and c by two lays the rows out as the columns were, so
+        every half-round is the same four steps.
+        """
+        M = _DIAG_MASK
+        M64, M128, M192 = _MASK64, _MASK128, _MASK192
         (s0, s1, s2, s3, s4, s5, s6, s7,
          _, _, s10, s11, s12, s13, s14, s15) = self._state
-        s8 = counter & M
-        s9 = (counter >> 32) & M
-        x0, x1, x2, x3 = s0, s1, s2, s3
-        x4, x5, x6, x7 = s4, s5, s6, s7
-        x8, x9, x10, x11 = s8, s9, s10, s11
-        x12, x13, x14, x15 = s12, s13, s14, s15
-        for _ in range(10):
-            # columnround
-            t = (x0 + x12) & M; x4 ^= ((t << 7) | (t >> 25)) & M
-            t = (x4 + x0) & M; x8 ^= ((t << 9) | (t >> 23)) & M
-            t = (x8 + x4) & M; x12 ^= ((t << 13) | (t >> 19)) & M
-            t = (x12 + x8) & M; x0 ^= ((t << 18) | (t >> 14)) & M
-            t = (x5 + x1) & M; x9 ^= ((t << 7) | (t >> 25)) & M
-            t = (x9 + x5) & M; x13 ^= ((t << 9) | (t >> 23)) & M
-            t = (x13 + x9) & M; x1 ^= ((t << 13) | (t >> 19)) & M
-            t = (x1 + x13) & M; x5 ^= ((t << 18) | (t >> 14)) & M
-            t = (x10 + x6) & M; x14 ^= ((t << 7) | (t >> 25)) & M
-            t = (x14 + x10) & M; x2 ^= ((t << 9) | (t >> 23)) & M
-            t = (x2 + x14) & M; x6 ^= ((t << 13) | (t >> 19)) & M
-            t = (x6 + x2) & M; x10 ^= ((t << 18) | (t >> 14)) & M
-            t = (x15 + x11) & M; x3 ^= ((t << 7) | (t >> 25)) & M
-            t = (x3 + x15) & M; x7 ^= ((t << 9) | (t >> 23)) & M
-            t = (x7 + x3) & M; x11 ^= ((t << 13) | (t >> 19)) & M
-            t = (x11 + x7) & M; x15 ^= ((t << 18) | (t >> 14)) & M
-            # rowround
-            t = (x0 + x3) & M; x1 ^= ((t << 7) | (t >> 25)) & M
-            t = (x1 + x0) & M; x2 ^= ((t << 9) | (t >> 23)) & M
-            t = (x2 + x1) & M; x3 ^= ((t << 13) | (t >> 19)) & M
-            t = (x3 + x2) & M; x0 ^= ((t << 18) | (t >> 14)) & M
-            t = (x5 + x4) & M; x6 ^= ((t << 7) | (t >> 25)) & M
-            t = (x6 + x5) & M; x7 ^= ((t << 9) | (t >> 23)) & M
-            t = (x7 + x6) & M; x4 ^= ((t << 13) | (t >> 19)) & M
-            t = (x4 + x7) & M; x5 ^= ((t << 18) | (t >> 14)) & M
-            t = (x10 + x9) & M; x11 ^= ((t << 7) | (t >> 25)) & M
-            t = (x11 + x10) & M; x8 ^= ((t << 9) | (t >> 23)) & M
-            t = (x8 + x11) & M; x9 ^= ((t << 13) | (t >> 19)) & M
-            t = (x9 + x8) & M; x10 ^= ((t << 18) | (t >> 14)) & M
-            t = (x15 + x14) & M; x12 ^= ((t << 7) | (t >> 25)) & M
-            t = (x12 + x15) & M; x13 ^= ((t << 9) | (t >> 23)) & M
-            t = (x13 + x12) & M; x14 ^= ((t << 13) | (t >> 19)) & M
-            t = (x14 + x13) & M; x15 ^= ((t << 18) | (t >> 14)) & M
+        a = a0 = s0 | s5 << 64 | s10 << 128 | s15 << 192
+        b = b0 = s4 | ((counter >> 32) & _MASK32) << 64 | s14 << 128 | s3 << 192
+        c = c0 = (counter & _MASK32) | s13 << 64 | s2 << 128 | s7 << 192
+        d = d0 = s12 | s1 << 64 | s6 << 128 | s11 << 192
+        for _ in range(20):
+            t = (a + d) & M; b ^= ((t << 7) | (t >> 25)) & M
+            t = (b + a) & M; c ^= ((t << 9) | (t >> 23)) & M
+            t = (c + b) & M; d ^= ((t << 13) | (t >> 19)) & M
+            t = (d + c) & M; a ^= ((t << 18) | (t >> 14)) & M
+            b, c, d = (
+                (d >> 64) | ((d & M64) << 192),
+                (c >> 128) | ((c & M128) << 128),
+                ((b & M192) << 64) | (b >> 192),
+            )
+        # Feedforward; a word's carry lands in the unused upper half of
+        # its lane, which the word order below skips.
+        out = (a + a0) | (b + b0) << 256 | (c + c0) << 512 | (d + d0) << 768
         return struct.pack(
-            "<16I",
-            (x0 + s0) & M, (x1 + s1) & M, (x2 + s2) & M, (x3 + s3) & M,
-            (x4 + s4) & M, (x5 + s5) & M, (x6 + s6) & M, (x7 + s7) & M,
-            (x8 + s8) & M, (x9 + s9) & M, (x10 + s10) & M, (x11 + s11) & M,
-            (x12 + s12) & M, (x13 + s13) & M, (x14 + s14) & M, (x15 + s15) & M,
+            "<16I", *_DIAG_WORDS(struct.unpack("<32I", out.to_bytes(128, "little")))
         )
 
     def _lane_words(self, counter: int, lanes: int) -> list:

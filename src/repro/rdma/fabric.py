@@ -60,6 +60,7 @@ class Fabric:
         self.bytes_moved = 0
         self._faults_pending = 0
         self._obs = None
+        self._obs_handles: Dict[Tuple[Opcode, bool], tuple] = {}
         # Deterministic fault-injection seam (repro.faults): an optional
         # hook consulted per post, plus writes held back by DELAY faults
         # as (countdown, qp, wr) entries.
@@ -72,30 +73,41 @@ class Fabric:
     def bind_obs(self, registry) -> None:
         """Export verb counts, bytes moved, and CQ depth into ``registry``.
 
-        Idempotent; the per-verb counters are created lazily on first use
-        so only opcodes actually posted appear in the exposition.
+        Idempotent.  A verb's metric handles are bound on its first post,
+        so only opcodes actually posted appear in the exposition; binding
+        drops the handles of an earlier registry, so later posts count
+        in ``registry`` alone.
         """
         self._obs = registry
+        self._obs_handles = {}
 
     def _record_obs(self, wr: WorkRequest, qp: QueuePair, ok: bool) -> None:
         registry = self._obs
         if registry is None:
             return
-        verb = wr.opcode.name.lower()
-        registry.counter(
-            "rdma_verbs_total", "work requests posted", {"verb": verb}
-        ).inc()
-        if ok:
-            registry.counter(
-                "rdma_bytes_total", "payload bytes moved by the fabric"
-            ).inc(wr.byte_len)
-        else:
-            registry.counter(
-                "rdma_verb_errors_total", "work requests completed in error"
-            ).inc()
-        registry.gauge(
-            "rdma_send_cq_depth", "completions waiting in the send CQ"
-        ).set(len(qp.send_cq))
+        handles = self._obs_handles.get((wr.opcode, ok))
+        if handles is None:
+            handles = self._obs_handles[(wr.opcode, ok)] = (
+                registry.counter(
+                    "rdma_verbs_total",
+                    "work requests posted",
+                    {"verb": wr.opcode.name.lower()},
+                ),
+                registry.counter(
+                    "rdma_bytes_total", "payload bytes moved by the fabric"
+                )
+                if ok
+                else registry.counter(
+                    "rdma_verb_errors_total", "work requests completed in error"
+                ),
+                registry.gauge(
+                    "rdma_send_cq_depth", "completions waiting in the send CQ"
+                ),
+            )
+        posted, outcome, depth = handles
+        posted.inc()
+        outcome.inc(wr.byte_len if ok else 1)
+        depth.set(len(qp.send_cq))
 
     def inject_faults(self, count: int = 1) -> None:
         """Make the next ``count`` operations fail (link flap / NIC error).

@@ -26,7 +26,7 @@ from repro.crypto.engine import (
 )
 from repro.crypto.fastcrypto import FastAES128
 from repro.crypto.gcm import GcmFailure
-from repro.crypto.keys import KeyGenerator, SessionKey
+from repro.crypto.keys import KeyGenerator, KeystreamReservoir, SessionKey
 from repro.crypto.provider import CryptoProvider
 from repro.errors import ConfigurationError
 
@@ -38,6 +38,20 @@ RFC4493_MSG = bytes.fromhex(
     "ae2d8a571e03ac9c9eb76fac45af8e51"
     "30c81c46a35ce411e5fbc1191a0a52ef"
     "f69f2445df4f9b17ad2b417be66c3710"
+)
+
+# NIST GCM test case 4: AAD, and a plaintext ending in a partial block.
+GCM4_KEY = bytes.fromhex("feffe9928665731c6d6a8f9467308308")
+GCM4_IV = bytes.fromhex("cafebabefacedbaddecaf888")
+GCM4_PT = bytes.fromhex(
+    "d9313225f88406e5a55909c5aff5269a86a7a9531534f7da2e4c303d8a318a72"
+    "1c3c0c95956809532fcf0e2449a6b525b16aedf5aa0de657ba637b39"
+)
+GCM4_AAD = bytes.fromhex("feedfacedeadbeeffeedfacedeadbeefabaddad2")
+GCM4_SEALED = bytes.fromhex(
+    "42831ec2217774244b7221b784d0d49ce3aa212f2c02a4e035c17e2329aca12e"
+    "21d514b25466931c7d8f6a5aac84aa051ba30b396a0aac973d58e091"
+    "5bc94fbc3221a5db94fae95ae7121a47"
 )
 
 
@@ -72,6 +86,34 @@ class TestPublishedVectorsBothEngines:
             "ab6e47d42cec13bdf53a67b21257bddf"
         )
 
+    def test_gcm_nist_case_4_aad_and_partial_block(self, engine):
+        gcm = engine.gcm(GCM4_KEY)
+        assert gcm.seal(GCM4_IV, GCM4_PT, GCM4_AAD) == GCM4_SEALED
+        assert gcm.open(GCM4_IV, GCM4_SEALED, GCM4_AAD) == GCM4_PT
+        # Between batch-mates, so the vector is not the batch's first lane.
+        other = (b"\x01" * 12, b"m" * 17, b"")
+        batch = [other, (GCM4_IV, GCM4_PT, GCM4_AAD), other]
+        sealed = gcm.seal_many(batch)
+        assert sealed[1] == GCM4_SEALED
+        opened = gcm.open_many(
+            [(iv, blob, aad) for (iv, _pt, aad), blob in zip(batch, sealed)]
+        )
+        assert opened == [pt for _iv, pt, _aad in batch]
+
+    def test_gcm_nist_case_4_through_the_reservoirs(self):
+        gcm = get_engine("fast").gcm(GCM4_KEY)
+        sealer = KeystreamReservoir()
+        assert sealer.seal(gcm, GCM4_IV, GCM4_PT, GCM4_AAD) == GCM4_SEALED
+        # An opener that authenticates the previous IV's message refills
+        # from GCM4_IV, so the vector opens from a held mask.
+        previous = (int.from_bytes(GCM4_IV, "big") - 1).to_bytes(12, "big")
+        opener = KeystreamReservoir()
+        assert opener.open(gcm, previous, gcm.seal(previous, b"p", b""), b"") == b"p"
+        assert opener.open(gcm, GCM4_IV, GCM4_SEALED, GCM4_AAD) == GCM4_PT
+        assert (opener.hits, opener.misses) == (1, 1)
+        tampered = GCM4_SEALED[:-1] + bytes([GCM4_SEALED[-1] ^ 1])
+        assert KeystreamReservoir().open(gcm, GCM4_IV, tampered, GCM4_AAD) is None
+
     @pytest.mark.parametrize(
         "length,expected",
         [
@@ -99,6 +141,22 @@ class TestPublishedVectorsBothEngines:
     def test_aes_all_zero_gfsbox(self, aes_cls):
         out = aes_cls(b"\x00" * 16).encrypt_block(b"\x00" * 16)
         assert out == bytes.fromhex("66e94bd4ef8a2c3b884cfa59ca342b2e")
+
+    @pytest.mark.parametrize(
+        "key,last",
+        [
+            # FIPS-197 appendix A.1 (expansion) and C.1 (cipher example).
+            ("2b7e151628aed2a6abf7158809cf4f3c", "d014f9a8c9ee2589e13f0cc8b6630ca6"),
+            ("000102030405060708090a0b0c0d0e0f", "13111d7fe3944a17f307a78b4d2b30c5"),
+        ],
+    )
+    def test_aes_fips197_last_round_key(self, key, last):
+        from repro.crypto.fastcrypto import _expand_key_128
+
+        rk = _expand_key_128(bytes.fromhex(key))
+        assert len(rk) == 11
+        assert rk[0] == int(key, 16)
+        assert rk[10] == int(last, 16)
 
 
 class TestCrossEngineParity:
@@ -129,14 +187,18 @@ class TestCrossEngineParity:
             assert fast.gcm(k16).open(iv, sealed, aad) == data
 
     def test_fast_rejects_tampering_like_reference(self):
-        fast = get_engine("fast")
-        gcm = fast.gcm(b"k" * 16)
-        sealed = bytearray(gcm.seal(b"\x00" * 12, b"payload", aad=b"a"))
-        sealed[0] ^= 1
-        with pytest.raises(GcmFailure):
-            gcm.open(b"\x00" * 12, bytes(sealed), aad=b"a")
-        mac = fast.aes_cmac(b"k" * 32, b"msg")
-        assert not fast.cmac_verify(b"k" * 32, b"msg", mac[:-1] + b"\x00")
+        for name in ENGINES:
+            engine = get_engine(name)
+            gcm = engine.gcm(b"k" * 16)
+            sealed = bytearray(gcm.seal(b"\x00" * 12, b"payload", aad=b"a"))
+            sealed[0] ^= 1
+            with pytest.raises(GcmFailure):
+                gcm.open(b"\x00" * 12, bytes(sealed), aad=b"a")
+            mac = engine.aes_cmac(b"k" * 32, b"msg")
+            assert engine.cmac_verify(b"k" * 32, b"msg", mac)
+            flipped = mac[:-1] + bytes([mac[-1] ^ 1])
+            for bad in (flipped, mac[:-1], b""):
+                assert not engine.cmac_verify(b"k" * 32, b"msg", bad), name
 
     def test_transport_interoperates_across_providers(self):
         # A reference-engine client talking to a fast-engine server: the
@@ -243,6 +305,17 @@ class TestFastKernelEdges:
         start = 2**32 - 3
         assert FastSalsa20(key, nonce).keystream(64 * 8, counter=start) == \
             Salsa20(key, nonce).keystream(64 * 8, counter=start)
+
+    @pytest.mark.parametrize("counter", [2**32 - 1, 2**32, 2**32 + 5, 2**64 - 1])
+    def test_salsa20_single_block_counter_words(self, counter):
+        # One block runs the diagonal core, whose counter words sit in
+        # two different diagonals: the high word must carry over too.
+        from repro.crypto.fastcrypto import FastSalsa20
+        from repro.crypto.salsa20 import Salsa20
+
+        key, nonce = b"K" * 32, b"N" * 8
+        assert FastSalsa20(key, nonce).keystream(64, counter=counter) == \
+            Salsa20(key, nonce).keystream(64, counter=counter)
 
     def test_cmac_32_byte_key_folding_matches_reference(self):
         from repro.crypto.cmac import aes_cmac

@@ -109,6 +109,47 @@ class TestWiredMetrics:
         text = prometheus_text(server.obs.registry)
         assert lint_prometheus(text) == []
 
+    def test_fabric_exposition_is_pinned(self):
+        # Three puts, three gets and one injected fault, exported before
+        # the fabric bound its metric handles once per verb: the lines
+        # must not move.
+        fabric = Fabric()
+        server = PrecursorServer(fabric=fabric)
+        client = PrecursorClient(server)
+        _fixed_rdma_sequence(client, fabric)
+        assert _rdma_lines(server.obs.registry) == [
+            "# HELP rdma_bytes_total payload bytes moved by the fabric",
+            "# TYPE rdma_bytes_total counter",
+            "rdma_bytes_total 1206",
+            "# HELP rdma_send_cq_depth completions waiting in the send CQ",
+            "# TYPE rdma_send_cq_depth gauge",
+            "rdma_send_cq_depth 1",
+            "# HELP rdma_verb_errors_total work requests completed in error",
+            "# TYPE rdma_verb_errors_total counter",
+            "rdma_verb_errors_total 1",
+            "# HELP rdma_verbs_total work requests posted",
+            "# TYPE rdma_verbs_total counter",
+            'rdma_verbs_total{verb="rdma_write"} 19',
+        ]
+
+    def test_fabric_rebind_counts_only_in_the_new_registry(self):
+        from repro.obs import MetricsRegistry
+
+        fabric = Fabric()
+        server = PrecursorServer(fabric=fabric)
+        client = PrecursorClient(server)
+        client.put(b"k", b"v")
+        first = server.obs.registry
+        before = _rdma_lines(first)
+        second = MetricsRegistry()
+        fabric.bind_obs(second)
+        client.put(b"k", b"w")
+        client.get(b"k")
+        assert _rdma_lines(first) == before
+        assert second.get("rdma_verbs_total", {"verb": "rdma_write"}).value == 6
+        assert second.get("rdma_bytes_total").value > 0
+        assert second.get("rdma_verb_errors_total") is None
+
     def test_epc_cache_binding(self):
         from repro.obs import MetricsRegistry
         from repro.sgx import EpcCache
@@ -163,6 +204,26 @@ class TestWiredMetrics:
         assert reg.get("nic_bytes_total", {"nic": "server"}).value > 0
         assert reg.get("sim_events_total").value > 0
         assert lint_prometheus(prometheus_text(reg)) == []
+
+
+def _fixed_rdma_sequence(client, fabric):
+    from repro.errors import PrecursorError
+
+    for i in range(3):
+        client.put(b"key-%d" % i, b"v" * (16 * i + 5))
+    for i in (0, 2, 1):
+        client.get(b"key-%d" % i)
+    fabric.inject_faults(1)
+    with pytest.raises(PrecursorError):
+        client.put(b"key-9", b"lost")
+
+
+def _rdma_lines(registry):
+    return [
+        line
+        for line in prometheus_text(registry).splitlines()
+        if "rdma_" in line
+    ]
 
 
 class TestCli:
