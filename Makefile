@@ -67,12 +67,14 @@ health-smoke:
 # Open-loop traffic smoke (docs/TRAFFIC.md): a short flash-crowd
 # scenario on 2 shards must hold a loose SLO with the correction
 # invariant intact (corrected p99 >= uncorrected p99; exit 1 if either
-# fails), then the quick knee search must pass its omission-gap gates.
+# fails), then the quick knee search must pass its omission-gap gates
+# and regenerate the committed quick artifact byte for byte.
 traffic-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.cli traffic --scenario flash-crowd \
 		--shards 2 --seed 11 --ops 240 \
 		--slo "latency:p99<60ms:min=8,errors:budget=2%:burn<5"
 	PYTHONPATH=src $(PYTHON) -m repro.cli loadknee --quick
+	git diff --exit-code -- bench_reports/BENCH_traffic_quick.json
 
 # Wall-clock crypto benchmark, reduced: cross-engine parity must hold and
 # the fast engine must beat 5x reference on the 4 KiB payload/transport
@@ -90,20 +92,24 @@ batch-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.cli batchbench --quick
 
 # Near-cache gate (docs/CACHING.md): the reduced benchmark must clear
-# the knee-shift, primary-shed and state-equivalence gates (the
-# committed artifact BENCH_nearcache.json holds the full-run numbers).
-# The cache/offload suites run with the rest of tests/ in `make test`.
+# the knee-shift, primary-shed and state-equivalence gates and
+# regenerate its committed quick artifact byte for byte (the committed
+# artifact BENCH_nearcache.json holds the full-run numbers).  The
+# cache/offload suites run with the rest of tests/ in `make test`.
 cache-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.cli nearcachebench --quick
+	git diff --exit-code -- bench_reports/BENCH_nearcache_quick.json
 
 # Elastic autoscaler gate (docs/AUTOSCALING.md): the reduced benchmark
 # must clear its gates -- exit 1 on any flapping, a failed SLO-recovery
 # phase, a non-deterministic decision log, or a chaos run with the
-# controller live going red (the committed artifact BENCH_autoscale.json
+# controller live going red -- and regenerate its committed quick
+# artifact byte for byte (the committed artifact BENCH_autoscale.json
 # holds the full-run numbers).  The autoscaler suites run with the rest
 # of tests/ in `make test`.
 autoscale-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.cli autoscalebench --quick
+	git diff --exit-code -- bench_reports/BENCH_autoscale_quick.json
 
 examples:
 	for script in examples/*.py; do echo "== $$script =="; $(PYTHON) $$script || exit 1; done

@@ -608,7 +608,7 @@ def run_table1(
     census sgx-perf style.  ``quick=True`` stops at 10 k keys.
     """
     from repro.baselines.shieldstore import ShieldStoreConfig, ShieldStoreServer
-    from repro.core.server import PrecursorServer
+    from repro.core.server import PrecursorServer, _Entry
     from repro.crypto.keys import KeyGenerator
     from repro.rdma.fabric import Fabric
     from repro.sgx.sgxperf import measure_working_set
@@ -633,13 +633,9 @@ def run_table1(
         k_op = keygen.operation_key()
         fake_mac = b"\x00" * 16
         for index in range(start, stop):
-            key = make_key(index)
-            ptr = precursor.payload_store.store(value + fake_mac)
-            from repro.core.server import _Entry
-
-            table = precursor._ensure_table()
-            table.put(key, _Entry(k_operation=k_op, ptr=ptr, client_id=1))
-            precursor._charge_table_growth()
+            entry = _Entry(k_operation=k_op, client_id=1)
+            precursor._place(entry, value + fake_mac, inline=False)
+            precursor._install(make_key(index), entry)
 
     inserted = 0
     for checkpoint in checkpoints:

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import struct
 
-from repro.core.protocol import Request, Response
+from repro.core.protocol import Request, Response, reply_aad, request_aad
 from repro.errors import CapacityError, ConfigurationError, ProtocolError
 
 __all__ = ["BatchPipeline"]
@@ -110,7 +110,7 @@ class BatchPipeline:
         self._obs_messages.inc(count)
 
         # Parse: decode the untrusted framing and apply credits.
-        aad = struct.pack(">I", channel.client_id)
+        aad = request_aad(channel.client_id)
         requests = []
         live = []  # (sealed control, aad) of the frames that parsed
         for frame in frames:
@@ -190,7 +190,7 @@ class BatchPipeline:
             groups.setdefault(id(entry[0]), []).append(entry)
         for entries in groups.values():
             channel = entries[0][0]
-            aad = b"resp" + struct.pack(">I", channel.client_id)
+            aad = reply_aad(channel.client_id)
             with tracer.stage("server.seal_reply"):
                 sealed = server.provider.transport_seal_many(
                     server._sessions[channel.client_id],

@@ -28,6 +28,8 @@ from repro.core.protocol import (
     Response,
     ResponseControl,
     Status,
+    reply_aad,
+    request_aad,
 )
 from repro.core.ring_buffer import RingConsumer, RingProducer
 from repro.core.server import PrecursorServer
@@ -365,9 +367,8 @@ class PrecursorClient:
 
     def _open_control(self, response: Response) -> ResponseControl:
         """Authenticate and decode a reply's sealed control segment."""
-        aad = b"resp" + struct.pack(">I", self.client_id)
         blob = self.provider.transport_open(
-            self.session, response.sealed_control, aad=aad
+            self.session, response.sealed_control, aad=reply_aad(self.client_id)
         )
         return ResponseControl.decode(blob)
 
@@ -528,9 +529,8 @@ class PrecursorClient:
         )
 
     def _seal_control(self, control: ControlData) -> Request:
-        aad = struct.pack(">I", self.client_id)
         sealed = self.provider.transport_seal(
-            self.session, control.encode(), aad=aad
+            self.session, control.encode(), aad=request_aad(self.client_id)
         )
         return Request(
             client_id=self.client_id,
@@ -696,7 +696,7 @@ class PrecursorClient:
         cannot move while nothing is polled, so every frame is
         byte-identical to sealing and submitting one request at a time.
         """
-        aad = struct.pack(">I", self.client_id)
+        aad = request_aad(self.client_id)
         sealed = self.provider.transport_seal_many(
             self.session, [(control.encode(), aad) for control, _pl in entries]
         )
@@ -735,7 +735,7 @@ class PrecursorClient:
             except PrecursorError as exc:
                 error = exc
                 break
-        aad = b"resp" + struct.pack(">I", self.client_id)
+        aad = reply_aad(self.client_id)
         blobs = self.provider.transport_open_many(
             self.session,
             [(response.sealed_control, aad) for response in responses],

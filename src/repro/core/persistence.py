@@ -5,146 +5,55 @@ trusted time and monotonic counters to detect state rollback attacks and
 forking.  In this regard, previous works propose different prevention
 techniques, which can be integrated into our design."
 
-This module is that integration.  A checkpoint serialises the server's
-state -- the enclave metadata (keys, one-time keys, per-client oids) and
-the untrusted payload blobs -- seals the *trusted* part to the enclave's
-identity (:mod:`repro.sgx.sealing`), and binds the whole snapshot to a
-monotonic counter (:class:`~repro.sgx.counters.RollbackGuard`).  Restoring
+This module is that integration.  A checkpoint carries each entry as the
+record migration and replication already ship
+(:meth:`~repro.core.server.PrecursorServer.export_entry`: key, one-time
+key, owner, strict-mode MAC, tenant grants, inline flag) plus every
+client's replay expectation.  That *trusted* part is sealed to the
+enclave's identity (:mod:`repro.sgx.sealing`); the payload blobs travel
+beside it as they are, and a monotonic counter
+(:class:`~repro.sgx.counters.RollbackGuard`) binds both parts.  Restoring
 verifies identity, integrity and freshness before any byte is trusted:
 
 - a snapshot from a different enclave fails unsealing;
 - a modified snapshot fails its seal or digest;
 - an *old* snapshot (the rollback/forking attack) fails the counter check.
 
-Payload blobs need no extra protection: they are client-encrypted and
-client-verified, exactly as in live operation -- persistence preserves the
-split-trust design.
+Restore installs each record the way ``import_entry`` does -- inline
+values back into trusted memory, pool blobs re-stored compactly -- but
+reports nothing to replication: a replicated primary keeps its hook
+across the crash, and its group already shipped (or queued) every
+restored entry.  Payload blobs need no extra protection: they are
+client-encrypted and client-verified, exactly as in live operation --
+persistence preserves the split-trust design.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict
 
-from repro.core.server import PrecursorServer, _Entry
-from repro.errors import IntegrityError, PrecursorError
+from repro.core.server import PrecursorServer
+from repro.errors import PrecursorError
 from repro.sgx.counters import MonotonicCounterService, RollbackGuard, SealedCheckpoint
-from repro.sgx.sealing import seal_data, unseal_data
+from repro.sgx.sealing import SealingKey, seal_data, unseal_data
 
 __all__ = ["ServerCheckpoint", "CheckpointManager"]
 
-_MAGIC = b"PRCK"
+_CHECKPOINT_AAD = b"precursor-ckpt"
 
 
 @dataclass(frozen=True)
 class ServerCheckpoint:
     """Everything persisted for one checkpoint."""
 
-    sealed_trusted_state: bytes  # enclave-sealed metadata
-    untrusted_payloads: bytes  # client-encrypted blobs, stored as-is
+    #: Enclave-sealed: entry count, entry records, replay expectations.
+    sealed_trusted_state: bytes
+    #: Blob count, then each client-encrypted blob, length-framed, in
+    #: record order.
+    untrusted_payloads: bytes
     rollback: SealedCheckpoint  # counter binding over both parts
-
-
-def _encode_trusted_state(server: PrecursorServer) -> bytes:
-    """Serialise the enclave-resident metadata (inside the enclave)."""
-    entries: List[bytes] = []
-    table = server._table
-    items = list(table.items()) if table is not None else []
-    for key, entry in items:
-        if entry.inline_payload is not None:
-            raise PrecursorError(
-                "checkpointing inline-small-values stores is not supported"
-            )
-        mac = entry.mac or b""
-        entries.append(
-            struct.pack(
-                ">H32sIIIIB",
-                len(key),
-                entry.k_operation,
-                entry.ptr.arena,
-                entry.ptr.offset,
-                entry.ptr.length,
-                entry.client_id,
-                len(mac),
-            )
-            + key
-            + mac
-        )
-    oids = [
-        struct.pack(">IQ", client_id, server._replay.expected_oid(client_id))
-        for client_id in sorted(server._replay._expected)
-    ]
-    return (
-        _MAGIC
-        + struct.pack(">II", len(entries), len(oids))
-        + b"".join(entries)
-        + b"".join(oids)
-    )
-
-
-def _decode_trusted_state(blob: bytes) -> Tuple[List[Tuple[bytes, _Entry]], Dict[int, int]]:
-    if blob[:4] != _MAGIC:
-        raise IntegrityError("trusted-state blob has a bad magic")
-    entry_count, oid_count = struct.unpack(">II", blob[4:12])
-    cursor = 12
-    entries: List[Tuple[bytes, _Entry]] = []
-    header = struct.Struct(">H32sIIIIB")
-    from repro.core.payload_store import PayloadPointer
-
-    for _ in range(entry_count):
-        key_len, k_op, arena, offset, length, client_id, mac_len = (
-            header.unpack(blob[cursor : cursor + header.size])
-        )
-        cursor += header.size
-        key = blob[cursor : cursor + key_len]
-        cursor += key_len
-        mac = blob[cursor : cursor + mac_len] if mac_len else None
-        cursor += mac_len
-        entries.append(
-            (
-                key,
-                _Entry(
-                    k_operation=k_op,
-                    ptr=PayloadPointer(arena=arena, offset=offset, length=length),
-                    client_id=client_id,
-                    mac=mac,
-                ),
-            )
-        )
-    oids: Dict[int, int] = {}
-    for _ in range(oid_count):
-        client_id, oid = struct.unpack(">IQ", blob[cursor : cursor + 12])
-        cursor += 12
-        oids[client_id] = oid
-    return entries, oids
-
-
-def _encode_payload_arenas(server: PrecursorServer) -> bytes:
-    store = server.payload_store
-    parts = [struct.pack(">IQ", store.arena_count, store.arena_size)]
-    for arena, bump in zip(store._arenas, store._bump):
-        parts.append(struct.pack(">Q", bump))
-        parts.append(bytes(arena[:bump]))
-    return b"".join(parts)
-
-
-def _restore_payload_arenas(server: PrecursorServer, blob: bytes) -> None:
-    store = server.payload_store
-    arena_count, arena_size = struct.unpack(">IQ", blob[:12])
-    if arena_size != store.arena_size:
-        raise IntegrityError("arena size mismatch in snapshot")
-    cursor = 12
-    store._arenas = []
-    store._bump = []
-    for _ in range(arena_count):
-        (bump,) = struct.unpack(">Q", blob[cursor : cursor + 8])
-        cursor += 8
-        arena = bytearray(arena_size)
-        arena[:bump] = blob[cursor : cursor + bump]
-        cursor += bump
-        store._arenas.append(arena)
-        store._bump.append(bump)
 
 
 class CheckpointManager:
@@ -169,8 +78,6 @@ class CheckpointManager:
         measurement = server.enclave.measurement
         guard = self._guards.get(measurement)
         if guard is None:
-            from repro.sgx.sealing import SealingKey
-
             guard = RollbackGuard(
                 self.counters,
                 sealing_key=SealingKey(server.enclave).key,
@@ -182,16 +89,27 @@ class CheckpointManager:
     def checkpoint(self, server: PrecursorServer) -> ServerCheckpoint:
         """Snapshot ``server``: seal trusted state, bind to the counter."""
         guard = self._guard_for(server)
-        trusted = _encode_trusted_state(server)
-        payloads = _encode_payload_arenas(server)
+        records, blobs = [], []
+        for key in server.stored_keys():
+            record, blob = server._export_record(key)
+            records.append(record)
+            blobs.append(struct.pack(">I", len(blob)) + blob)
+        expectations = sorted(server._replay.expectations().items())
+        trusted = b"".join([
+            struct.pack(">I", len(records)),
+            *records,
+            struct.pack(">I", len(expectations)),
+            *(struct.pack(">IQ", *pair) for pair in expectations),
+        ])
+        untrusted = struct.pack(">I", len(blobs)) + b"".join(blobs)
         counter_value = self.counters.read(self.counter_name) + 1
         sealed = seal_data(
-            server.enclave, trusted, iv_counter=counter_value, aad=b"precursor-ckpt"
+            server.enclave, trusted, iv_counter=counter_value, aad=_CHECKPOINT_AAD
         )
-        rollback = guard.checkpoint(sealed + payloads)
+        rollback = guard.checkpoint(sealed + untrusted)
         return ServerCheckpoint(
             sealed_trusted_state=sealed,
-            untrusted_payloads=payloads,
+            untrusted_payloads=untrusted,
             rollback=rollback,
         )
 
@@ -205,22 +123,26 @@ class CheckpointManager:
         if server.key_count != 0:
             raise PrecursorError("restore target must be empty")
         guard = self._guard_for(server)
-        blob = checkpoint.sealed_trusted_state + checkpoint.untrusted_payloads
-        guard.verify_restore(checkpoint.rollback, blob)
-        trusted = unseal_data(
-            server.enclave, checkpoint.sealed_trusted_state, aad=b"precursor-ckpt"
+        payloads = checkpoint.untrusted_payloads
+        guard.verify_restore(
+            checkpoint.rollback, checkpoint.sealed_trusted_state + payloads
         )
-        entries, oids = _decode_trusted_state(trusted)
-        _restore_payload_arenas(server, checkpoint.untrusted_payloads)
-        table = server._ensure_table()
-        live = 0
-        for key, entry in entries:
-            table.put(key, entry)
-            live += entry.ptr.length
-            server._charge_table_growth()
-        server.payload_store.live_bytes = live
-        server.payload_store.dead_bytes = 0
-        for client_id, oid in oids.items():
+        trusted = unseal_data(
+            server.enclave, checkpoint.sealed_trusted_state, aad=_CHECKPOINT_AAD
+        )
+        # The rollback guard bound both parts together, so the blobs
+        # follow the records one for one.
+        (count,) = struct.unpack_from(">I", trusted, 0)
+        offset = cursor = 4
+        for _ in range(count):
+            (length,) = struct.unpack_from(">I", payloads, cursor)
+            blob = payloads[cursor + 4 : cursor + 4 + length]
+            cursor += 4 + length
+            _key, offset = server._install_record(trusted, blob, offset)
+        (clients,) = struct.unpack_from(">I", trusted, offset)
+        for client_id, oid in struct.iter_unpack(
+            ">IQ", trusted[offset + 4 : offset + 4 + 12 * clients]
+        ):
             # Re-admitted clients resume their replay counters.
-            server._replay._expected[client_id] = oid
-        return len(entries)
+            server._replay.resume(client_id, oid)
+        return count

@@ -49,6 +49,8 @@ __all__ = [
     "START_SIGN",
     "END_SIGN",
     "CONTROL_DATA_SIZE",
+    "request_aad",
+    "reply_aad",
 ]
 
 #: Frame delimiters (paper §4: "a start_sign and an end_sign operand").
@@ -57,6 +59,17 @@ END_SIGN = 0x5A
 
 _MAC_SIZE = 16
 _KOP_SIZE = 32
+
+
+def request_aad(client_id: int) -> bytes:
+    """AAD of a request's sealed control segment: the sender's id."""
+    return struct.pack(">I", client_id)
+
+
+def reply_aad(client_id: int) -> bytes:
+    """AAD of a reply's sealed control segment: a direction tag and the
+    addressee's id, so a request can never open as a reply."""
+    return b"resp" + struct.pack(">I", client_id)
 
 
 class OpCode(enum.IntEnum):

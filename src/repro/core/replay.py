@@ -68,6 +68,14 @@ class ReplayGuard:
             raise ReplayError(f"unknown client {client_id}")
         return expected
 
+    def expectations(self) -> Dict[int, int]:
+        """Every tracked client's next expected oid (a checkpoint's copy)."""
+        return dict(self._expected)
+
+    def resume(self, client_id: int, oid: int) -> None:
+        """Track ``client_id`` from ``oid`` on: a restored expectation."""
+        self._expected[client_id] = oid
+
     @property
     def client_count(self) -> int:
         """Number of registered clients."""

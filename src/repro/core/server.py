@@ -152,10 +152,78 @@ class _Entry:
     """Enclave hash-table value: the security metadata for one key."""
 
     k_operation: bytes
-    ptr: Optional[PayloadPointer]
     client_id: int
     mac: Optional[bytes] = None  # strict-integrity mode only
+    ptr: Optional[PayloadPointer] = None  # set by _place unless inline
     inline_payload: Optional[bytes] = None  # inline-small-values mode only
+
+
+#: Record flags: the entry carries a strict-mode MAC; its payload lives
+#: inline in the enclave rather than in the untrusted pool.
+_FLAG_MAC = 0x01
+_FLAG_INLINE = 0x02
+
+
+def _encode_record(key: bytes, entry: _Entry, grants: Iterable[int]) -> bytes:
+    """Serialise one entry's enclave metadata: the record migration,
+    replication and checkpoints all carry.
+
+    ``key_len u16 | key | k_len u8 | K_operation | owner u32 | flags u8 |
+    [MAC 16] | grant_count u16 | grantee u32 ...``.  The payload blob
+    travels beside the record, never inside it.
+    """
+    grants = sorted(grants)
+    flags = (_FLAG_MAC if entry.mac is not None else 0) | (
+        _FLAG_INLINE if entry.inline_payload is not None else 0
+    )
+    return b"".join((
+        struct.pack(">H", len(key)),
+        bytes(key),
+        struct.pack(">B", len(entry.k_operation)),
+        entry.k_operation,
+        struct.pack(">IB", entry.client_id, flags),
+        entry.mac or b"",
+        struct.pack(f">H{len(grants)}I", len(grants), *grants),
+    ))
+
+
+def _decode_record(
+    record: bytes, offset: int = 0
+) -> Tuple[bytes, _Entry, List[int], bool, int]:
+    """Parse the record at ``offset``: ``(key, entry, grants, inline, end)``.
+
+    ``entry`` has no payload location yet (:meth:`PrecursorServer._place`
+    gives it one); ``end`` is the offset just past the record, so records
+    concatenate.  Raises :class:`ProtocolError` on a malformed record.
+    """
+    try:
+        (key_len,) = struct.unpack_from(">H", record, offset)
+        offset += 2
+        key = record[offset : offset + key_len]
+        if len(key) != key_len or key_len == 0:
+            raise ProtocolError("migration record: bad key length")
+        offset += key_len
+        (k_len,) = struct.unpack_from(">B", record, offset)
+        offset += 1
+        k_operation = record[offset : offset + k_len]
+        if len(k_operation) != k_len:
+            raise ProtocolError("migration record: truncated key material")
+        offset += k_len
+        client_id, flags = struct.unpack_from(">IB", record, offset)
+        offset += 5
+        mac = None
+        if flags & _FLAG_MAC:
+            mac = record[offset : offset + 16]
+            if len(mac) != 16:
+                raise ProtocolError("migration record: truncated MAC")
+            offset += 16
+        (grant_count,) = struct.unpack_from(">H", record, offset)
+        grants = list(struct.unpack_from(f">{grant_count}I", record, offset + 2))
+        offset += 2 + 4 * grant_count
+    except struct.error as exc:
+        raise ProtocolError(f"malformed migration record: {exc}") from exc
+    entry = _Entry(k_operation=k_operation, client_id=client_id, mac=mac)
+    return key, entry, grants, bool(flags & _FLAG_INLINE), offset
 
 
 @dataclass
@@ -221,14 +289,10 @@ class PrecursorServer:
         self.obs = obs if obs is not None else ObsContext.create()
         self.fabric.bind_obs(self.obs.registry)
 
-        cfg = self.config
-        self.enclave = Enclave(
-            name="precursor",
-            code_size_bytes=cfg.code_size_bytes,
-            stack_size_bytes=cfg.stack_size_bytes,
-        )
+        self._table_lock = ReadWriteLock()
+        self._reservoir_lock = threading.Lock()
+        self._boot()
         shard_labels = {"shard": shard_name} if shard_name is not None else {}
-        self.enclave.bind_obs(self.obs.registry, shard_labels or None)
         registry = self.obs.registry
         self._obs_requests = {
             OpCode.PUT: registry.counter(
@@ -275,37 +339,6 @@ class PrecursorServer:
             )
             for direction in ("seal", "open")
         }
-        self.enclave.allocator.allocate(cfg.misc_trusted_bytes, "misc")
-        self.enclave.register_ecall("init_hashtable", self._ecall_init_hashtable)
-        self.enclave.register_ecall("start_polling", self._ecall_start_polling)
-        self.enclave.register_ecall("add_client", self._ecall_add_client)
-        self.enclave.register_ocall("grow_payload_pool", self._ocall_grow_pool)
-
-        # Trusted state (conceptually inside the enclave).
-        self._table: Optional[RobinHoodTable] = None
-        self._table_lock = ReadWriteLock()
-        self._sessions: Dict[int, SessionKey] = {}
-        self._replay = ReplayGuard()
-        self._client_state_allocated = False
-        self._table_capacity_charged = 0
-        #: Clients whose keystream reservoirs this enclave has charged.
-        self._reservoirs_charged: set = set()
-        self._reservoir_lock = threading.Lock()
-        # Tenant-isolation grants: key -> set of additionally allowed
-        # client ids (the owner is always allowed).
-        self._grants: Dict[bytes, set] = {}
-
-        # Untrusted state.
-        self.payload_store = PayloadStore(
-            arena_size=cfg.arena_size,
-            grow_ocall=self._grow_via_ocall,
-        )
-        self._channels: Dict[int, _ClientChannel] = {}
-        self._started = False
-        self._polling = False
-        #: Set by :meth:`crash`; every entry point then raises
-        #: :class:`ShardUnavailableError` until :meth:`restart`.
-        self.crashed = False
         #: Replication seam (:mod:`repro.replica`): when this server is a
         #: group primary, the group installs a callable here and every
         #: applied mutation reports ``(op, key)`` -- *after* the table
@@ -325,7 +358,53 @@ class PrecursorServer:
         #: the whole cycle in dispatch order afterwards.
         self._reply_staging = threading.local()
         #: The polling engine every ring drains through.
-        self._batcher = BatchPipeline(self, cfg.ecall_batch)
+        self._batcher = BatchPipeline(self, self.config.ecall_batch)
+
+    def _boot(self) -> None:
+        """Boot an enclave and start every trusted and untrusted field empty.
+
+        Runs at construction and at :meth:`restart`: the replacement
+        enclave runs the same binary (identical measurement).
+        """
+        cfg = self.config
+        self.enclave = Enclave(
+            name="precursor",
+            code_size_bytes=cfg.code_size_bytes,
+            stack_size_bytes=cfg.stack_size_bytes,
+        )
+        shard_labels = (
+            {"shard": self.shard_name} if self.shard_name is not None else None
+        )
+        self.enclave.bind_obs(self.obs.registry, shard_labels)
+        self.enclave.allocator.allocate(cfg.misc_trusted_bytes, "misc")
+        self.enclave.register_ecall("init_hashtable", self._ecall_init_hashtable)
+        self.enclave.register_ecall("start_polling", self._ecall_start_polling)
+        self.enclave.register_ecall("add_client", self._ecall_add_client)
+        self.enclave.register_ocall("grow_payload_pool", self._ocall_grow_pool)
+
+        # Trusted state (conceptually inside the enclave).
+        self._table: Optional[RobinHoodTable] = None
+        self._sessions: Dict[int, SessionKey] = {}
+        self._replay = ReplayGuard()
+        self._client_state_allocated = False
+        self._table_capacity_charged = 0
+        #: Clients whose keystream reservoirs this enclave has charged.
+        self._reservoirs_charged: set = set()
+        # Tenant-isolation grants: key -> set of additionally allowed
+        # client ids (the owner is always allowed).
+        self._grants: Dict[bytes, set] = {}
+
+        # Untrusted state.
+        self.payload_store = PayloadStore(
+            arena_size=cfg.arena_size,
+            grow_ocall=self._grow_via_ocall,
+        )
+        self._channels: Dict[int, _ClientChannel] = {}
+        self._started = False
+        self._polling = False
+        #: Set by :meth:`crash`; every entry point then raises
+        #: :class:`ShardUnavailableError` until :meth:`restart`.
+        self.crashed = False
 
     # -- ecall implementations (trusted side) ------------------------------
 
@@ -429,37 +508,7 @@ class PrecursorServer:
         """
         if not self.crashed:
             raise ConfigurationError("restart() is only valid after crash()")
-        cfg = self.config
-        enclave = Enclave(
-            name="precursor",
-            code_size_bytes=cfg.code_size_bytes,
-            stack_size_bytes=cfg.stack_size_bytes,
-        )
-        shard_labels = (
-            {"shard": self.shard_name} if self.shard_name is not None else {}
-        )
-        enclave.bind_obs(self.obs.registry, shard_labels or None)
-        enclave.allocator.allocate(cfg.misc_trusted_bytes, "misc")
-        enclave.register_ecall("init_hashtable", self._ecall_init_hashtable)
-        enclave.register_ecall("start_polling", self._ecall_start_polling)
-        enclave.register_ecall("add_client", self._ecall_add_client)
-        enclave.register_ocall("grow_payload_pool", self._ocall_grow_pool)
-        self.enclave = enclave
-        self._table = None
-        self._sessions = {}
-        self._replay = ReplayGuard()
-        self._client_state_allocated = False
-        self._table_capacity_charged = 0
-        self._reservoirs_charged = set()
-        self._grants = {}
-        self.payload_store = PayloadStore(
-            arena_size=cfg.arena_size,
-            grow_ocall=self._grow_via_ocall,
-        )
-        self._channels = {}
-        self._started = False
-        self._polling = False
-        self.crashed = False
+        self._boot()
 
     # -- client admission ------------------------------------------------------
 
@@ -476,33 +525,9 @@ class PrecursorServer:
         Returns ``(request_rkey, ring_layout)`` -- the registered buffer
         window the server shares to bootstrap RDMA (paper §3.6).
         """
-        self._check_alive()
-        self.start()
-        self.enclave.ecall("add_client", client_id, session_key)
-        cfg = self.config
-        layout = RingLayout(cfg.ring_slots, cfg.ring_slot_size)
-        request_region = self.pd.register(
-            layout.total_bytes, AccessFlags.REMOTE_WRITE | AccessFlags.LOCAL_WRITE
+        return self._admit(
+            client_id, session_key, qp, reply_rkey, credit_rkey, reconnect=False
         )
-        channel = _ClientChannel(
-            client_id=client_id,
-            request_region=request_region,
-            request_consumer=RingConsumer(layout, request_region),
-            qp=qp,
-            reply_rkey=reply_rkey,
-            credit_rkey=credit_rkey,
-        )
-        channel.reply_producer = RingProducer(
-            layout,
-            write_remote=lambda offset, data, ch=channel: self._rdma_write(
-                ch, ch.reply_rkey, offset, data
-            ),
-            write_remote_many=lambda writes, ch=channel: self._rdma_write_gather(
-                ch, ch.reply_rkey, writes
-            ),
-        )
-        self._channels[client_id] = channel
-        return request_region.rkey, layout
 
     def reconnect_client(
         self,
@@ -523,9 +548,22 @@ class PrecursorServer:
         state instead comes from the restored checkpoint (or starts fresh
         for clients the checkpoint never saw).
         """
+        return self._admit(
+            client_id, session_key, qp, reply_rkey, credit_rkey, reconnect=True
+        )
+
+    def _admit(
+        self,
+        client_id: int,
+        session_key: bytes,
+        qp: QueuePair,
+        reply_rkey: int,
+        credit_rkey: int,
+        reconnect: bool,
+    ) -> Tuple[int, RingLayout]:
         self._check_alive()
         self.start()
-        self.enclave.ecall("add_client", client_id, session_key, reconnect=True)
+        self.enclave.ecall("add_client", client_id, session_key, reconnect)
         cfg = self.config
         layout = RingLayout(cfg.ring_slots, cfg.ring_slot_size)
         request_region = self.pd.register(
@@ -548,7 +586,7 @@ class PrecursorServer:
                 ch, ch.reply_rkey, writes
             ),
         )
-        old = self._channels.get(client_id)
+        old = self._channels.get(client_id) if reconnect else None
         if old is not None:
             # The duplicate-reply cache must survive reconnection: the
             # very reason the client reconnects may be a reply it never
@@ -746,59 +784,25 @@ class PrecursorServer:
             cfg.inline_small_values
             and payload.size() <= cfg.inline_threshold
         )
-        with self.obs.tracer.stage("server.payload_store"):
-            if inline:
-                ptr = None
-                inline_payload = payload.ciphertext + payload.mac
-                self.enclave.allocator.allocate(
-                    len(inline_payload), "inline_values"
-                )
-                self.stats.inline_stores += 1
-            else:
-                # Payload bytes go to the untrusted pool -- never the enclave.
-                ptr = self.payload_store.store(payload.ciphertext + payload.mac)
-                inline_payload = None
         entry = _Entry(
             k_operation=control.k_operation,
-            ptr=ptr,
             client_id=channel.client_id,
             mac=payload.mac if cfg.strict_integrity else None,
-            inline_payload=inline_payload,
         )
-        with self.obs.tracer.stage("server.table_update"), \
-                self._table_lock.write():
-            table = self._ensure_table()
-            try:
-                old = table.get(control.key)
-            except KeyError:
-                old = None
-            if (
-                old is not None
-                and self.config.tenant_isolation
-                and old.client_id != channel.client_id
-            ):
-                # Cross-tenant overwrite: only the owner may update.
-                denied = True
-            else:
-                denied = False
-                table.put(control.key, entry)
-                self._charge_table_growth()
-        if denied:
-            if inline:
-                self.enclave.allocator.free(len(inline_payload), "inline_values")
-            else:
-                self.payload_store.release(ptr)
+        with self.obs.tracer.stage("server.payload_store"):
+            # Payload bytes go to the untrusted pool -- never the enclave
+            # -- unless they are small enough to live inline (§5.2).
+            self._place(entry, payload.ciphertext + payload.mac, inline)
+        if inline:
+            self.stats.inline_stores += 1
+        with self.obs.tracer.stage("server.table_update"):
+            stored = self._install(control.key, entry, owner=channel.client_id)
+        if not stored:
+            # Cross-tenant overwrite: only the owner may update.
             self._send_response(
                 channel, ResponseControl(status=Status.ERROR, oid=control.oid)
             )
             return
-        if old is not None:
-            if old.ptr is not None:
-                self.payload_store.release(old.ptr)
-            if old.inline_payload is not None:
-                self.enclave.allocator.free(
-                    len(old.inline_payload), "inline_values"
-                )
         self._notify_replication("put", control.key)
         self._send_response(
             channel, ResponseControl(status=Status.OK, oid=control.oid)
@@ -834,28 +838,13 @@ class PrecursorServer:
         self.stats.gets += 1
         with self.obs.tracer.stage("server.table_lookup"), \
                 self._table_lock.read():
-            table = self._table
-            entry: Optional[_Entry]
-            if table is None:
-                entry = None
-            else:
-                try:
-                    entry = table.get(control.key)
-                except KeyError:
-                    entry = None
+            entry = self._lookup(control.key)
             if entry is not None and not self._access_allowed(
                 entry, control.key, channel.client_id
             ):
                 # Deny without leaking existence: same answer as a miss.
                 entry = None
-            # Load while holding the read lock: compaction (which rewrites
-            # pointers under the write lock) cannot run concurrently.
-            blob = None
-            if entry is not None:
-                if entry.inline_payload is not None:
-                    blob = entry.inline_payload
-                else:
-                    blob = self.payload_store.load(entry.ptr)
+            blob = self._load(entry) if entry is not None else None
         if entry is None:
             self.stats.misses += 1
             self._send_response(
@@ -878,32 +867,13 @@ class PrecursorServer:
 
     def _handle_delete(self, channel: _ClientChannel, control: ControlData) -> None:
         self.stats.deletes += 1
-        with self.obs.tracer.stage("server.table_update"), \
-                self._table_lock.write():
-            table = self._table
-            entry = None
-            if table is not None:
-                try:
-                    existing = table.get(control.key)
-                except KeyError:
-                    existing = None
-                if existing is not None and (
-                    not self.config.tenant_isolation
-                    or existing.client_id == channel.client_id
-                ):
-                    # Only the owner may delete; denials read as misses.
-                    entry = table.delete(control.key)
-                    self._grants.pop(bytes(control.key), None)
+        with self.obs.tracer.stage("server.table_update"):
+            # Only the owner may delete; denials read as misses.
+            entry = self._remove(control.key, owner=channel.client_id)
         if entry is None:
             self.stats.misses += 1
             status = Status.NOT_FOUND
         else:
-            if entry.ptr is not None:
-                self.payload_store.release(entry.ptr)
-            if entry.inline_payload is not None:
-                self.enclave.allocator.free(
-                    len(entry.inline_payload), "inline_values"
-                )
             status = Status.OK
             self._notify_replication("delete", control.key)
         self._send_response(
@@ -971,15 +941,126 @@ class PrecursorServer:
             channel.last_reply_payload = payload
         self._reply_sink.append((channel, control, payload))
 
-    # -- trusted memory accounting -----------------------------------------
+    # -- the entry lifecycle: every table mutation runs through these -------
 
-    def _ensure_table(self) -> RobinHoodTable:
-        if self._table is None:
-            self._table = RobinHoodTable(
-                initial_capacity=self.config.initial_table_capacity
+    def _lookup(self, key: bytes):
+        """The entry under ``key``, or ``None``.  The caller holds a lock."""
+        table = self._table
+        if table is None:
+            return None
+        try:
+            return table.get(key)
+        except KeyError:
+            return None
+
+    def _load(self, entry: _Entry) -> bytes:
+        """``entry``'s payload blob.  The caller holds a table lock, so
+        compaction (which rewrites pointers under the write lock) cannot
+        run concurrently."""
+        if entry.inline_payload is not None:
+            return entry.inline_payload
+        return self.payload_store.load(entry.ptr)
+
+    def _place(self, entry: _Entry, blob: bytes, inline: bool) -> None:
+        """Store ``entry``'s payload blob: inline in trusted memory, or
+        in the untrusted pool."""
+        if inline:
+            self.enclave.allocator.allocate(len(blob), "inline_values")
+            entry.inline_payload = blob
+        else:
+            entry.ptr = self.payload_store.store(blob)
+
+    def _release(self, entry) -> None:
+        """Free the storage of an entry that left (or never entered) the
+        table.  Server-encryption entries have no inline bytes."""
+        if entry.ptr is not None:
+            self.payload_store.release(entry.ptr)
+        inline = getattr(entry, "inline_payload", None)
+        if inline is not None:
+            self.enclave.allocator.free(len(inline), "inline_values")
+
+    def _install(self, key: bytes, entry, owner: Optional[int] = None) -> bool:
+        """Commit ``entry`` under ``key``, releasing the entry it replaces.
+
+        With ``owner`` given under tenant isolation, another client's
+        entry is not overwritten: ``entry`` is released instead and the
+        call returns False.
+        """
+        with self._table_lock.write():
+            if self._table is None:
+                # Materialised on the first insert ("only initializes a
+                # subset of the hash table in the enclave, which
+                # increases within a threshold", §5.4).
+                self._table = RobinHoodTable(
+                    initial_capacity=self.config.initial_table_capacity
+                )
+                self._charge_table_growth()
+            old = self._lookup(key)
+            allowed = (
+                owner is None
+                or old is None
+                or not self.config.tenant_isolation
+                or old.client_id == owner
             )
-            self._charge_table_growth()
-        return self._table
+            if allowed:
+                self._table.put(key, entry)
+                self._charge_table_growth()
+        released = old if allowed else entry
+        if released is not None:
+            self._release(released)
+        return allowed
+
+    def _remove(self, key: bytes, owner: Optional[int] = None):
+        """Delete ``key`` with its grants and free its storage.
+
+        Returns the removed entry, or ``None`` when ``key`` is absent --
+        or, with ``owner`` given under tenant isolation, another
+        client's.
+        """
+        with self._table_lock.write():
+            entry = self._lookup(key)
+            if entry is None or (
+                owner is not None
+                and self.config.tenant_isolation
+                and entry.client_id != owner
+            ):
+                return None
+            self._table.delete(key)
+            self._grants.pop(bytes(key), None)
+        self._release(entry)
+        return entry
+
+    def _export_record(self, key: bytes) -> Tuple[bytes, bytes]:
+        """``(record, payload_blob)`` of ``key``, read under the read lock.
+
+        Raises :class:`KeyNotFoundError` when ``key`` is absent.
+        """
+        with self._table_lock.read():
+            entry = self._lookup(key)
+            if entry is None:
+                raise KeyNotFoundError(key)
+            grants = self._grants.get(bytes(key), ())
+            return _encode_record(key, entry, grants), self._load(entry)
+
+    def _install_record(
+        self, record: bytes, blob: bytes, offset: int = 0
+    ) -> Tuple[bytes, int]:
+        """Install the record at ``offset`` with its payload ``blob``.
+
+        Returns ``(key, end)``, ``end`` being the offset past the record.
+        Raises :class:`ProtocolError` on a malformed record or a blob
+        shorter than its MAC -- either way nothing is installed.
+        """
+        key, entry, grants, inline, end = _decode_record(record, offset)
+        if len(blob) < 16:
+            raise ProtocolError("migrated payload shorter than its MAC")
+        self._place(entry, bytes(blob), inline)
+        self._install(key, entry)
+        if grants:
+            self._grants[bytes(key)] = set(grants)
+        return key, end
+
+    # -- trusted memory accounting -----------------------------------------
 
     def _charge_table_growth(self) -> None:
         capacity = self._table.capacity
@@ -1045,17 +1126,13 @@ class PrecursorServer:
         for key, value in items:
             k_op = keygen.operation_key()
             payload = self.provider.payload_encrypt(k_op, value)
-            ptr = self.payload_store.store(payload.ciphertext + payload.mac)
             entry = _Entry(
                 k_operation=k_op,
-                ptr=ptr,
                 client_id=client_id,
                 mac=payload.mac if self.config.strict_integrity else None,
             )
-            with self._table_lock.write():
-                table = self._ensure_table()
-                table.put(key, entry)
-                self._charge_table_growth()
+            self._place(entry, payload.ciphertext + payload.mac, inline=False)
+            self._install(key, entry)
             count += 1
         return count
 
@@ -1068,7 +1145,8 @@ class PrecursorServer:
     # -- plaintext key material never exists outside the two enclaves.  The
     # payload travels as the ciphertext+MAC blob it already is in untrusted
     # memory; tampering with it in transit is caught by the client's MAC
-    # check on the next get(), exactly as for at-rest tampering.
+    # check on the next get(), exactly as for at-rest tampering.  Sealed
+    # checkpoints (:mod:`repro.core.persistence`) carry the same record.
 
     def stored_keys(self) -> List[bytes]:
         """Snapshot of every key this shard currently owns."""
@@ -1093,31 +1171,7 @@ class PrecursorServer:
         never loses the key.
         """
         self._check_alive()
-        with self._table_lock.read():
-            table = self._table
-            try:
-                entry = table.get(key) if table is not None else None
-            except KeyError:
-                entry = None
-            if entry is None:
-                raise KeyNotFoundError(key)
-            if entry.inline_payload is not None:
-                blob = entry.inline_payload
-            else:
-                blob = self.payload_store.load(entry.ptr)
-            grants = sorted(self._grants.get(bytes(key), ()))
-            flags = (0x01 if entry.mac is not None else 0) | (
-                0x02 if entry.inline_payload is not None else 0
-            )
-            record = struct.pack(">H", len(key)) + bytes(key)
-            record += struct.pack(">B", len(entry.k_operation))
-            record += entry.k_operation
-            record += struct.pack(">IB", entry.client_id, flags)
-            if entry.mac is not None:
-                record += entry.mac
-            record += struct.pack(">H", len(grants))
-            for grantee in grants:
-                record += struct.pack(">I", grantee)
+        record, blob = self._export_record(key)
         sealed = seal_data(
             self.enclave, record, self._next_migration_iv(), aad=_MIGRATION_AAD
         )
@@ -1138,70 +1192,7 @@ class PrecursorServer:
         self._check_alive()
         self.start()
         record = unseal_data(self.enclave, sealed_record, aad=_MIGRATION_AAD)
-        try:
-            offset = 2
-            (key_len,) = struct.unpack_from(">H", record, 0)
-            key = record[offset : offset + key_len]
-            if len(key) != key_len or key_len == 0:
-                raise ProtocolError("migration record: bad key length")
-            offset += key_len
-            (k_len,) = struct.unpack_from(">B", record, offset)
-            offset += 1
-            k_operation = record[offset : offset + k_len]
-            if len(k_operation) != k_len:
-                raise ProtocolError("migration record: truncated key material")
-            offset += k_len
-            client_id, flags = struct.unpack_from(">IB", record, offset)
-            offset += 5
-            mac = None
-            if flags & 0x01:
-                mac = record[offset : offset + 16]
-                if len(mac) != 16:
-                    raise ProtocolError("migration record: truncated MAC")
-                offset += 16
-            (grant_count,) = struct.unpack_from(">H", record, offset)
-            offset += 2
-            grants = []
-            for _ in range(grant_count):
-                (grantee,) = struct.unpack_from(">I", record, offset)
-                grants.append(grantee)
-                offset += 4
-        except struct.error as exc:
-            raise ProtocolError(f"malformed migration record: {exc}") from exc
-        if len(blob) < 16:
-            raise ProtocolError("migrated payload shorter than its MAC")
-        inline = bool(flags & 0x02)
-        if inline:
-            ptr = None
-            inline_payload = bytes(blob)
-            self.enclave.allocator.allocate(len(inline_payload), "inline_values")
-        else:
-            ptr = self.payload_store.store(bytes(blob))
-            inline_payload = None
-        entry = _Entry(
-            k_operation=k_operation,
-            ptr=ptr,
-            client_id=client_id,
-            mac=mac,
-            inline_payload=inline_payload,
-        )
-        with self._table_lock.write():
-            table = self._ensure_table()
-            try:
-                old = table.get(key)
-            except KeyError:
-                old = None
-            table.put(key, entry)
-            self._charge_table_growth()
-        if old is not None:
-            if old.ptr is not None:
-                self.payload_store.release(old.ptr)
-            if old.inline_payload is not None:
-                self.enclave.allocator.free(
-                    len(old.inline_payload), "inline_values"
-                )
-        if grants:
-            self._grants[bytes(key)] = set(grants)
+        key, _end = self._install_record(record, blob)
         self.stats.entries_imported += 1
         self._notify_replication("put", key)
         return key
@@ -1209,21 +1200,8 @@ class PrecursorServer:
     def evict_entry(self, key: bytes) -> None:
         """Drop ``key`` after a successful migration (frees all storage)."""
         self._check_alive()
-        with self._table_lock.write():
-            table = self._table
-            entry = None
-            if table is not None:
-                try:
-                    entry = table.delete(key)
-                except KeyError:
-                    entry = None
-            self._grants.pop(bytes(key), None)
-        if entry is None:
+        if self._remove(key) is None:
             raise KeyNotFoundError(key)
-        if entry.ptr is not None:
-            self.payload_store.release(entry.ptr)
-        if entry.inline_payload is not None:
-            self.enclave.allocator.free(len(entry.inline_payload), "inline_values")
         self._notify_replication("delete", key)
 
     # -- introspection -----------------------------------------------------------

@@ -26,7 +26,14 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.client import PrecursorClient
-from repro.core.protocol import OpCode, Request, Status
+from repro.core.protocol import (
+    OpCode,
+    Request,
+    Status,
+    _checked_unpack,
+    reply_aad,
+    request_aad,
+)
 from repro.core.server import PrecursorServer, ServerConfig, _ClientChannel
 from repro.crypto.gcm import GcmFailure
 from repro.crypto.keys import KeyGenerator
@@ -38,19 +45,6 @@ from repro.errors import (
     ReplayError,
 )
 from repro.rdma.fabric import Fabric
-
-def _checked_unpack(fmt, data):
-    """struct.unpack that reports truncation as a protocol violation.
-
-    Malformed frames from rogue clients must surface as ProtocolError (the
-    polling loop's drop-and-count path), never as a struct.error that
-    would crash a trusted thread.
-    """
-    try:
-        return struct.unpack(fmt, data)
-    except struct.error as exc:
-        raise ProtocolError(f"truncated field: {exc}") from exc
-
 
 __all__ = ["PrecursorServerEncryption", "ServerEncryptionClient"]
 
@@ -224,19 +218,9 @@ class PrecursorServerEncryption(PrecursorServer):
         sealed_value = self._master.seal(iv, control.value)
         self.enclave_crypto_bytes += 2 * len(control.value)
         ptr = self.payload_store.store(sealed_value)
-        with self._table_lock.write():
-            table = self._ensure_table()
-            try:
-                old = table.get(control.key)
-            except KeyError:
-                old = None
-            table.put(
-                control.key,
-                _SEEntry(iv=iv, ptr=ptr, client_id=channel.client_id),
-            )
-            self._charge_table_growth()
-        if old is not None:
-            self.payload_store.release(old.ptr)
+        self._install(
+            control.key, _SEEntry(iv=iv, ptr=ptr, client_id=channel.client_id)
+        )
         self._send_response(
             channel, _SEResponse(status=Status.OK, oid=control.oid)
         )
@@ -244,16 +228,11 @@ class PrecursorServerEncryption(PrecursorServer):
     def _se_get(self, channel: _ClientChannel, control: _SEControl) -> None:
         self.stats.gets += 1
         with self._table_lock.read():
-            entry = None
-            sealed_value = None
-            if self._table is not None:
-                try:
-                    entry = self._table.get(control.key)
-                except KeyError:
-                    entry = None
-            if entry is not None:
-                # Under the read lock: safe against concurrent compaction.
-                sealed_value = self.payload_store.load(entry.ptr)
+            entry = self._lookup(control.key)
+            # Under the read lock: safe against concurrent compaction.
+            sealed_value = (
+                self.payload_store.load(entry.ptr) if entry is not None else None
+            )
         if entry is None:
             self.stats.misses += 1
             self._send_response(
@@ -278,18 +257,10 @@ class PrecursorServerEncryption(PrecursorServer):
 
     def _se_delete(self, channel: _ClientChannel, control: _SEControl) -> None:
         self.stats.deletes += 1
-        with self._table_lock.write():
-            entry = None
-            if self._table is not None:
-                try:
-                    entry = self._table.delete(control.key)
-                except KeyError:
-                    entry = None
-        if entry is None:
+        if self._remove(control.key) is None:
             self.stats.misses += 1
             status = Status.NOT_FOUND
         else:
-            self.payload_store.release(entry.ptr)
             status = Status.OK
         self._send_response(
             channel, _SEResponse(status=status, oid=control.oid)
@@ -305,9 +276,8 @@ class ServerEncryptionClient(PrecursorClient):
     """
 
     def _submit_se(self, control: _SEControl) -> None:
-        aad = struct.pack(">I", self.client_id)
         sealed = self.provider.transport_seal(
-            self.session, control.encode(), aad=aad
+            self.session, control.encode(), aad=request_aad(self.client_id)
         )
         request = Request(
             client_id=self.client_id,
@@ -319,9 +289,8 @@ class ServerEncryptionClient(PrecursorClient):
 
     def _open_se_response(self) -> _SEResponse:
         response = self._await_response()
-        aad = b"resp" + struct.pack(">I", self.client_id)
         blob = self.provider.transport_open(
-            self.session, response.sealed_control, aad=aad
+            self.session, response.sealed_control, aad=reply_aad(self.client_id)
         )
         body = _SEResponse.decode(blob)
         if body.oid != self._oid:

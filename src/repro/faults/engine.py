@@ -159,13 +159,13 @@ class FaultEngine:
             if getattr(server, "crashed", False):
                 continue
             for key in sorted(server.stored_keys()):
-                entry = server._table.get(key)
+                entry = server._lookup(key)
                 if entry is not None and entry.ptr is not None:
                     candidates.append((server, key))
         if not candidates:
             return None
         server, key = candidates[self.rng.randrange(len(candidates))]
-        entry = server._table.get(key)
+        entry = server._lookup(key)
         flip_at = self.rng.randrange(entry.ptr.length)
         server.payload_store.corrupt(entry.ptr, flip_at=flip_at)
         self._record(FaultKind.CORRUPT_PAYLOAD, flip_at)

@@ -108,7 +108,6 @@ class ShardedCluster:
         self.ack_mode = ack_mode
         self.async_flush_every = async_flush_every
         self.testbed: TestbedSpec = sharded_testbed(len(names), replicas)
-        self._servers: Dict[str, PrecursorServer] = {}
         self._groups: Dict[str, ReplicaGroup] = {}
         self._next_index = 0  # server spawn ordinal (migration-IV space)
         self._name_seq = 0  # default shard-name ordinal
@@ -161,7 +160,6 @@ class ShardedCluster:
             obs=self.obs,
             async_flush_every=self.async_flush_every,
         )
-        self._servers[name] = primary
         self._groups[name] = group
         self._name_seq += 1
         return group
@@ -180,10 +178,7 @@ class ShardedCluster:
 
     def server(self, name: str) -> PrecursorServer:
         """The server currently *primary* for shard ``name``."""
-        server = self._servers.get(name)
-        if server is None:
-            raise ConfigurationError(f"unknown shard {name!r}")
-        return server
+        return self.group(name).primary
 
     def group(self, name: str) -> ReplicaGroup:
         """The replica group behind shard ``name``."""
@@ -213,7 +208,7 @@ class ShardedCluster:
     def key_counts(self) -> Dict[str, int]:
         """Stored keys per shard (live shards only)."""
         return {
-            name: self._servers[name].key_count for name in self.shards
+            name: self.server(name).key_count for name in self.shards
         }
 
     def total_keys(self) -> int:
@@ -223,16 +218,16 @@ class ShardedCluster:
     def trusted_bytes(self) -> Dict[str, int]:
         """Per-shard enclave working set (the Table-1 census, per shard)."""
         return {
-            name: self._servers[name].trusted_working_set_bytes()
+            name: self.server(name).trusted_working_set_bytes()
             for name in self.shards
         }
 
     def process_pending(self) -> int:
         """Pump every live shard's polling loop once (explicit-pump mode)."""
         return sum(
-            self._servers[name].process_pending()
-            for name in self.shards
-            if not self._servers[name].crashed
+            server.process_pending()
+            for server in map(self.server, self.shards)
+            if not server.crashed
         )
 
     # -- membership changes ------------------------------------------------
@@ -254,7 +249,7 @@ class ShardedCluster:
         """
         if name is None:
             name = f"shard-{self._name_seq}"
-        if name in self._servers:
+        if name in self._groups:
             raise ConfigurationError(f"shard {name!r} already exists")
         self._spawn_group(name)
         self.obs.record_event("shard_join", shard=name)
@@ -271,7 +266,6 @@ class ShardedCluster:
         self.obs.record_event("shard_leave", shard=name)
         report = self._engine.rebalance(self.shard_map.ring.without_shard(name))
         retired = self._groups.pop(name)
-        self._servers.pop(name)
         # The drain's evictions replicate through the primary's hook;
         # flush so an async group's backups drop their tail too, then
         # verify no member of the retiring group still holds a key.
@@ -351,7 +345,6 @@ class ShardedCluster:
         if not group.live_backups():
             return None
         report = group.promote()
-        self._servers[name] = group.primary
         # Same ring, new epoch: the fence that tells every router "the
         # member behind this shard name changed, re-route and re-attest".
         self._install_map(self.shard_map.ring, self.shard_map.epoch + 1)

@@ -34,6 +34,7 @@ from repro.core.client import PrecursorClient, allocate_client_id
 from repro.crypto.keys import KeyGenerator
 from repro.errors import (
     AccessError,
+    ConfigurationError,
     IntegrityError,
     KeyNotFoundError,
     OperationTimeoutError,
@@ -235,10 +236,14 @@ class ShardedClient:
     def _client(self, shard: str) -> PrecursorClient:
         client = self._clients.get(shard)
         if client is not None:
-            # A retired shard (stale-map route) has no cluster entry; the
-            # kept session answers NOT_FOUND and the epoch retry re-routes.
-            current = getattr(self.cluster, "_servers", {}).get(shard)
-            if current is not None and client.server is not current:
+            try:
+                current = self.cluster.server(shard)
+            except ConfigurationError:
+                # A retired shard (stale-map route) has no cluster entry;
+                # the kept session answers NOT_FOUND and the epoch retry
+                # re-routes.
+                current = client.server
+            if client.server is not current:
                 # A failover promoted a different member behind this shard
                 # name: the old session's QPs died with the old primary, so
                 # re-attest against the new one.  (A *restarted* server is

@@ -10,7 +10,7 @@ from repro.core import (
     make_pair,
 )
 from repro.core.persistence import CheckpointManager
-from repro.errors import PrecursorError
+from repro.faults.recovery import crash_restart
 from repro.rdma.fabric import Fabric
 
 
@@ -34,14 +34,59 @@ class TestStrictIntegrityPersistence:
         reader = PrecursorClient(restarted, client_id=300)
         assert reader.get(b"k3") == b"v3"
 
-    def test_inline_mode_checkpoints_are_refused(self):
-        """Inline payloads live in trusted memory; the checkpoint format
-        deliberately refuses them rather than silently dropping data."""
+    def test_inline_mode_checkpoints_round_trip(self):
+        """Inline payloads live in trusted memory: their records carry the
+        inline flag, and restore charges the bytes back to the enclave."""
         config = ServerConfig(inline_small_values=True)
         server, client = make_pair(seed=62, config=config)
         client.put(b"tiny", b"x")
-        with pytest.raises(PrecursorError, match="inline"):
-            CheckpointManager().checkpoint(server)
+        client.put(b"large", b"y" * 200)
+        manager = CheckpointManager()
+        checkpoint = manager.checkpoint(server)
+
+        restarted = PrecursorServer(fabric=Fabric(), config=config)
+        restarted.start()
+        assert manager.restore(restarted, checkpoint) == 2
+        inline_bytes = server.enclave.allocator.bytes_for("inline_values")
+        assert inline_bytes > 0
+        assert restarted.enclave.allocator.bytes_for("inline_values") == inline_bytes
+        assert restarted._table.get(b"tiny").inline_payload is not None
+        assert restarted._table.get(b"large").ptr is not None
+        reader = PrecursorClient(restarted, client_id=302)
+        assert reader.get(b"tiny") == b"x"
+        assert reader.get(b"large") == b"y" * 200
+
+    @pytest.mark.parametrize(
+        "mode", ["strict_integrity", "inline_small_values", "tenant_isolation"]
+    )
+    def test_crash_restart_round_trips_every_record(self, mode):
+        """Each entry comes back as the record it left as -- MAC, inline
+        flag, owner and grants -- and the pool holds only live blobs."""
+        config = ServerConfig(**{mode: True})
+        server = PrecursorServer(fabric=Fabric(), config=config)
+        owner = PrecursorClient(server, client_id=1)
+        grantee = PrecursorClient(server, client_id=2)
+        for i in range(6):
+            owner.put(f"k{i}".encode(), f"v{i}".encode() * (1 + 10 * i))
+        owner.put(b"k5", b"rewritten" * 8)  # leaves a dead blob in the pool
+        if config.tenant_isolation:
+            server.grant_access(b"k1", grantee.client_id)
+        records = {key: server._export_record(key) for key in server.stored_keys()}
+        inline_bytes = server.enclave.allocator.bytes_for("inline_values")
+        live_bytes = server.payload_store.live_bytes
+        assert server.payload_store.dead_bytes > 0
+
+        assert crash_restart(server, CheckpointManager()) == 6
+        assert {
+            key: server._export_record(key) for key in server.stored_keys()
+        } == records
+        assert server.enclave.allocator.bytes_for("inline_values") == inline_bytes
+        assert server.payload_store.live_bytes == live_bytes
+        assert server.payload_store.dead_bytes == 0
+        owner.reconnect()
+        grantee.reconnect()
+        assert owner.get(b"k5") == b"rewritten" * 8
+        assert grantee.get(b"k1") == b"v1" * 11
 
     def test_compaction_then_checkpoint_then_restore(self):
         """Pointers rewritten by compaction must checkpoint correctly."""

@@ -13,6 +13,8 @@ from repro.errors import (
     KeyNotFoundError,
     PrecursorError,
 )
+from repro.core.persistence import CheckpointManager
+from repro.faults.recovery import crash_restart
 from repro.rdma.fabric import Fabric
 
 
@@ -70,6 +72,20 @@ class TestTenantIsolation:
         charlie = PrecursorClient(server, client_id=3)
         with pytest.raises(KeyNotFoundError):
             charlie.get(b"a:doc")
+
+    def test_grants_survive_crash_restart(self):
+        """Grants are enclave metadata, so the sealed checkpoint carries
+        them: after a crash-restart the reconnected grantee still reads."""
+        server, alice, bob = make_tenant_setup()
+        alice.put(b"a:shared", b"for-bob")
+        server.grant_access(b"a:shared", bob.client_id)
+        assert bob.get(b"a:shared") == b"for-bob"
+        crash_restart(server, CheckpointManager())
+        bob.reconnect()
+        assert bob.get(b"a:shared") == b"for-bob"
+        charlie = PrecursorClient(server, client_id=3)
+        with pytest.raises(KeyNotFoundError):
+            charlie.get(b"a:shared")
 
     def test_grants_require_isolation_mode(self):
         server, _ = make_pair(seed=1)
