@@ -29,10 +29,12 @@ shard-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.cli scaleout --quick
 
 # Deterministic chaos runs under three fixed seeds (docs/FAULTS.md), the
-# last one again through the near-cache and backup-read offload.  Each
-# exits non-zero iff an injected fault caused an integrity violation
-# instead of being recovered; then the modelled retry-cost curves
-# regenerate.
+# last one again through the near-cache and backup-read offload, and
+# once more with 2 ms leases, so that most cached reads revalidate
+# against their entry's basis (docs/CACHING.md) under payload
+# corruption and shard deaths.  Each exits non-zero iff an injected
+# fault caused an integrity violation instead of being recovered; then
+# the modelled retry-cost curves regenerate.
 chaos-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.cli chaos --seed 7 --ops 150
 	PYTHONPATH=src $(PYTHON) -m repro.cli chaos --seed 23 --ops 150 \
@@ -41,6 +43,8 @@ chaos-smoke:
 		--schedule "drop:0.05,shard_death:0.03,corrupt_payload:0.01"
 	PYTHONPATH=src $(PYTHON) -m repro.cli chaos --seed 42 --ops 100 --shards 3 --replicas 1 \
 		--cache --offload --schedule "drop:0.05,shard_death:0.03,corrupt_payload:0.01"
+	PYTHONPATH=src $(PYTHON) -m repro.cli chaos --seed 42 --ops 150 --shards 3 --replicas 1 \
+		--cache --lease-ms 2 --schedule "drop:0.05,shard_death:0.03,corrupt_payload:0.02"
 	PYTHONPATH=src $(PYTHON) -m repro.cli faulttail --quick
 
 # Replicated failover chaos under three fixed seeds: sync groups must

@@ -30,6 +30,18 @@ strict tracker -- still raises
 claim.  A stale hit therefore surfaces as revalidation or a typed
 error, never as a wrong value.
 
+Every entry also keeps the **basis** of its value: the one-time key
+``K_operation`` and the ciphertext the value was verified (or, for an
+acked write, encrypted) under, beside the MAC.  An intact entry that
+rules 3-5 refuse is handed to the revalidation as that basis
+(:attr:`NearCache.refused`): when the reply's enclave-sealed key, its
+ciphertext and its effective MAC all equal the basis byte for byte,
+:meth:`~repro.core.client.PrecursorClient.get` returns the basis value
+without running the MAC check again -- the check is deterministic, and
+these are the inputs it already passed.  A lease is therefore granted
+by a fill that was either verified or byte-identical to a verified
+entry; the enclave round trip that proves freshness always runs.
+
 The cache is bounded (LRU on fills and hits) and keyed by the SHA-256
 digest of the key, so its memory footprint is independent of key sizes
 and its iteration order is deterministic for one workload.
@@ -60,8 +72,15 @@ def _digest(key: bytes) -> bytes:
     return hashlib.sha256(bytes(key)).digest()[:16]
 
 
-def _checksum(key: bytes, value: bytes, mac: bytes) -> bytes:
-    return hashlib.sha256(b"nearcache;" + key + b";" + value + b";" + mac).digest()[:8]
+def _checksum(
+    key: bytes,
+    value: bytes,
+    mac: bytes,
+    k_operation: bytes = b"",
+    ciphertext: bytes = b"",
+) -> bytes:
+    fields = (b"nearcache", key, value, mac, k_operation, ciphertext)
+    return hashlib.sha256(b";".join(fields)).digest()[:8]
 
 
 @dataclass
@@ -74,13 +93,21 @@ class CacheEntry:
     shard: str
     epoch: int
     expires_ns: int
-    #: Self-checksum over (key, value, mac): an entry corrupted in cache
-    #: memory fails this and is dropped rather than served.
+    #: Self-checksum over (key, value, mac, k_operation, ciphertext): an
+    #: entry corrupted in cache memory fails this and is dropped rather
+    #: than served or used as a basis.
     check: bytes
+    #: The basis: the one-time key and ciphertext ``value`` was verified
+    #: (or encrypted) under.  Empty when the filler had none; an empty
+    #: basis never equals a reply.
+    k_operation: bytes = b""
+    ciphertext: bytes = b""
 
     def intact(self) -> bool:
         """True when the entry's bytes still match its fill-time checksum."""
-        return _checksum(self.key, self.value, self.mac) == self.check
+        return self.check == _checksum(
+            self.key, self.value, self.mac, self.k_operation, self.ciphertext
+        )
 
 
 class NearCache:
@@ -118,6 +145,10 @@ class NearCache:
         self.fills = 0
         self.evictions = 0
         self.invalidations = 0
+        #: The intact entry the latest :meth:`lookup` refused by rule 3,
+        #: 4 or 5, else None: the basis its revalidation may pass to
+        #: :meth:`~repro.core.client.PrecursorClient.get`.
+        self.refused: Optional[CacheEntry] = None
 
     # -- clock -------------------------------------------------------------
 
@@ -154,8 +185,11 @@ class NearCache:
         module docstring decide the outcome.  A served hit refreshes the
         entry's LRU position but never its lease -- leases are granted
         by fills (verified network reads), not by hits, so a hot entry
-        still revalidates every ``lease_ns``.
+        still revalidates every ``lease_ns``.  An entry refused by rule
+        3, 4 or 5 is dropped all the same, and left in :attr:`refused`
+        as the revalidation's basis.
         """
+        self.refused = None
         digest = _digest(key)
         entry = self._entries.get(digest)
         if entry is None:
@@ -173,38 +207,45 @@ class NearCache:
             # A failover/migration fence bumped the ring epoch after
             # this entry was cached; everything before the fence is
             # suspect (the new primary may have lost the async tail).
-            del self._entries[digest]
             self.epoch_drops += 1
-            self.misses += 1
-            self.revalidations += 1
-            return None
-        if self._now_ns() >= entry.expires_ns:
-            del self._entries[digest]
+        elif self._now_ns() >= entry.expires_ns:
             self.expirations += 1
-            self.misses += 1
-            self.revalidations += 1
-            return None
-        if bytes(expected_mac) != entry.mac:
+        elif bytes(expected_mac) != entry.mac:
             # The claim moved past the cached version (our own newer
             # write, or an advisory-mode adoption of someone else's).
-            del self._entries[digest]
             self.claim_mismatches += 1
-            self.misses += 1
-            self.revalidations += 1
-            return None
-        self._entries.move_to_end(digest)
-        self.hits += 1
-        return entry.value
+        else:
+            self._entries.move_to_end(digest)
+            self.hits += 1
+            return entry.value
+        del self._entries[digest]
+        self.misses += 1
+        self.revalidations += 1
+        self.refused = entry
+        return None
 
     # -- fills and invalidation --------------------------------------------
 
     def fill(
-        self, key: bytes, value: bytes, mac: bytes, shard: str, epoch: int
+        self,
+        key: bytes,
+        value: bytes,
+        mac: bytes,
+        shard: str,
+        epoch: int,
+        k_operation: bytes = b"",
+        ciphertext: bytes = b"",
     ) -> CacheEntry:
-        """Cache a *verified* read or acked write under a fresh lease."""
+        """Cache a *verified* read or acked write under a fresh lease.
+
+        ``k_operation`` and ``ciphertext`` are the value's basis (see
+        the module docstring).
+        """
         key = bytes(key)
         value = bytes(value)
         mac = bytes(mac)
+        k_operation = bytes(k_operation)
+        ciphertext = bytes(ciphertext)
         digest = _digest(key)
         entry = CacheEntry(
             key=key,
@@ -213,7 +254,9 @@ class NearCache:
             shard=shard,
             epoch=epoch,
             expires_ns=self._now_ns() + self.lease_ns,
-            check=_checksum(key, value, mac),
+            check=_checksum(key, value, mac, k_operation, ciphertext),
+            k_operation=k_operation,
+            ciphertext=ciphertext,
         )
         if digest in self._entries:
             del self._entries[digest]

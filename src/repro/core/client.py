@@ -16,10 +16,11 @@ credit word.
 
 from __future__ import annotations
 
+import hmac
 import itertools
 import struct
 import time
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 from repro.core.protocol import (
     ControlData,
@@ -162,8 +163,13 @@ class PrecursorClient:
         self.integrity_failures = 0
         self.retries = 0
         self.reconnects = 0
-        #: Verified payload MAC of the most recent successful ``get``.
-        self.last_payload_mac: Optional[bytes] = None
+        #: Gets answered from the caller's basis without payload crypto.
+        self.unchanged_reads = 0
+        #: ``(K_operation, payload)`` of the most recent successful
+        #: ``get`` (as verified, the enclave's MAC under strict
+        #: integrity) or ``put`` (as encrypted): the basis of the value
+        #: it returned or stored.
+        self.last_payload: Optional[Tuple[bytes, EncryptedPayload]] = None
 
         #: Chaos seam (repro.faults): called with the encoded frame after
         #: each submit; returning True makes the client post the frame
@@ -585,17 +591,27 @@ class PrecursorClient:
             if trace is not None:
                 trace.abort()
             raise
+        self.last_payload = (k_operation, payload)
         if trace is not None:
             trace.finish()
         return payload.mac
 
-    def get(self, key: bytes) -> bytes:
+    def get(self, key: bytes, basis=None) -> bytes:
         """Fetch and verify the value stored under ``key``.
 
         The payload arrives as raw ciphertext from untrusted memory; the
         one-time key arrives inside the sealed control data.  The client
         recomputes the MAC and decrypts -- any tampering with the server's
         untrusted memory raises :class:`IntegrityError` here.
+
+        ``basis`` is an earlier verified read or acked write of ``key``
+        (a :class:`~repro.cache.CacheEntry`: ``k_operation``,
+        ``ciphertext``, ``mac`` and ``value``).  When the reply's
+        enclave-sealed one-time key, its ciphertext and its effective
+        MAC all equal the basis byte for byte, the basis value is
+        returned without payload crypto: the MAC check and decryption
+        are deterministic, and the basis already holds their result on
+        these very bytes.  Any difference runs them as usual.
         """
         self._check_key(key)
         trace = self._start_trace("get")
@@ -634,17 +650,27 @@ class PrecursorClient:
                 payload = EncryptedPayload(
                     ciphertext=payload.ciphertext, mac=control_resp.mac
                 )
+            k_operation = control_resp.k_operation
             try:
                 with self.obs.tracer.stage("client.verify_decrypt"):
-                    value = self.provider.payload_decrypt(
-                        control_resp.k_operation, payload
-                    )
+                    if (
+                        basis is not None
+                        and hmac.compare_digest(k_operation, basis.k_operation)
+                        and payload.ciphertext == basis.ciphertext
+                        and payload.mac == basis.mac
+                    ):
+                        self.unchanged_reads += 1
+                        value = basis.value
+                    else:
+                        value = self.provider.payload_decrypt(
+                            k_operation, payload
+                        )
             except IntegrityError:
                 self.integrity_failures += 1
                 raise
-            # Verified MAC of the value just served -- routers compare it
-            # against the last acked write to catch stale failover state.
-            self.last_payload_mac = payload.mac
+            # Routers compare the verified MAC against the last acked
+            # write to catch stale failover state, and cache the record.
+            self.last_payload = (k_operation, payload)
         except BaseException:
             if trace is not None:
                 trace.abort()

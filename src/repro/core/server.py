@@ -822,10 +822,19 @@ class PrecursorServer:
 
         An administrative/trusted-path operation: the enclave records the
         grant; on a later GET it releases the one-time key to the grantee.
+        A grant belongs to the stored entry, so ``key`` must be stored
+        (:class:`KeyNotFoundError` otherwise): a grant made ahead of the
+        write would go to whichever tenant wrote the key first.  The
+        entry's record, which carries its grants, is shipped to the
+        replication group again.
         """
         if not self.config.tenant_isolation:
             raise ConfigurationError("tenant_isolation is not enabled")
-        self._grants.setdefault(bytes(key), set()).add(client_id)
+        with self._table_lock.write():
+            if self._lookup(key) is None:
+                raise KeyNotFoundError(key)
+            self._grants.setdefault(bytes(key), set()).add(client_id)
+        self._notify_replication("put", key)
 
     def _access_allowed(self, entry: _Entry, key: bytes, client_id: int) -> bool:
         if not self.config.tenant_isolation:

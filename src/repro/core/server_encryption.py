@@ -218,17 +218,27 @@ class PrecursorServerEncryption(PrecursorServer):
         sealed_value = self._master.seal(iv, control.value)
         self.enclave_crypto_bytes += 2 * len(control.value)
         ptr = self.payload_store.store(sealed_value)
-        self._install(
-            control.key, _SEEntry(iv=iv, ptr=ptr, client_id=channel.client_id)
+        stored = self._install(
+            control.key,
+            _SEEntry(iv=iv, ptr=ptr, client_id=channel.client_id),
+            owner=channel.client_id,
         )
+        # A cross-tenant overwrite is refused, as on the client-centric
+        # server.
+        status = Status.OK if stored else Status.ERROR
         self._send_response(
-            channel, _SEResponse(status=Status.OK, oid=control.oid)
+            channel, _SEResponse(status=status, oid=control.oid)
         )
 
     def _se_get(self, channel: _ClientChannel, control: _SEControl) -> None:
         self.stats.gets += 1
         with self._table_lock.read():
             entry = self._lookup(control.key)
+            if entry is not None and not self._access_allowed(
+                entry, control.key, channel.client_id
+            ):
+                # Deny without leaking existence: same answer as a miss.
+                entry = None
             # Under the read lock: safe against concurrent compaction.
             sealed_value = (
                 self.payload_store.load(entry.ptr) if entry is not None else None
@@ -257,7 +267,8 @@ class PrecursorServerEncryption(PrecursorServer):
 
     def _se_delete(self, channel: _ClientChannel, control: _SEControl) -> None:
         self.stats.deletes += 1
-        if self._remove(control.key) is None:
+        # Only the owner may delete; denials read as misses.
+        if self._remove(control.key, owner=channel.client_id) is None:
             self.stats.misses += 1
             status = Status.NOT_FOUND
         else:

@@ -159,6 +159,11 @@ class ShardedClient:
             "cached entries refused (checksum/epoch/lease/claim) and "
             "revalidated over the verified read path",
         )
+        self._obs_cache_unchanged = registry.counter(
+            "client_cache_revalidations_unchanged_total",
+            "revalidations whose verified reply equalled the refused "
+            "entry's basis byte for byte (no payload crypto ran)",
+        )
         self._obs_cache_entries = registry.gauge(
             "client_cache_entries",
             "live near-cache entries per routing client",
@@ -462,8 +467,12 @@ class ShardedClient:
 
     # -- near-cache --------------------------------------------------------
 
-    def _cache_lookup(self, key: bytes) -> Optional[bytes]:
+    def _cache_lookup(self, key: bytes):
         """Serve ``key`` from the near-cache when every rule holds.
+
+        Returns ``(value, basis)``: the hit's value, or None and the
+        refused intact entry (None if there was none) for the
+        revalidation to pass to :meth:`PrecursorClient.get`.
 
         The validation token is the freshness claim and the fence is the
         *authoritative* ring epoch (not this router's possibly stale
@@ -478,27 +487,46 @@ class ShardedClient:
             # against -- read through (which establishes a claim).
             cache.misses += 1
             self._obs_cache_misses.inc()
-            return None
+            return None, None
         before = cache.revalidations
         value = cache.lookup(key, self.cluster.shard_map.epoch, claim)
         if value is not None:
             self._obs_cache_hits.inc()
-            return value
+            return value, None
         self._obs_cache_misses.inc()
         if cache.revalidations > before:
             self._obs_cache_reval.inc()
-        return None
+        return None, cache.refused
 
-    def _cache_fill(self, key: bytes, value: bytes, mac: bytes) -> None:
-        """Cache a verified read / acked write under the current epoch."""
+    def _cache_fill(
+        self, key: bytes, value: bytes, k_operation: bytes, payload
+    ) -> None:
+        """Cache a verified read / acked write under the current epoch.
+
+        ``k_operation`` and ``payload`` are the session's
+        ``last_payload``: what the value was verified or encrypted under.
+        """
         if self.cache is None:
             return
         self.cache.fill(
-            key, value, mac,
+            key, value, payload.mac,
             shard=self._map.owner(key),
             epoch=self.cluster.shard_map.epoch,
+            k_operation=k_operation,
+            ciphertext=payload.ciphertext,
         )
         self._obs_cache_entries.set(self.cache.entries)
+
+    def _verified_get(self, client: PrecursorClient, key: bytes, basis):
+        """``client.get(key, basis)`` as ``(value, k_operation, payload)``.
+
+        Counts a read the session answered from ``basis``.
+        """
+        unchanged = client.unchanged_reads
+        value = client.get(key, basis)
+        if client.unchanged_reads != unchanged:
+            self._obs_cache_unchanged.inc()
+        return (value, *client.last_payload)
 
     def _cache_invalidate(self, key: bytes) -> None:
         if self.cache is not None and self.cache.invalidate(key):
@@ -589,8 +617,12 @@ class ShardedClient:
         self._by_server[id(backup)] = session
         return session
 
-    def _offload_read(self, key: bytes):
+    def _offload_read(self, key: bytes, basis):
         """Try a freshness-token read on a backup; None => use the primary.
+
+        Returns ``(value, k_operation, payload)`` when the backup's
+        answer is served; ``basis`` is the refused cache entry, as for a
+        primary read.
 
         The contract (``docs/CACHING.md``): the client only accepts a
         backup's answer when (a) the backup's applied log position has
@@ -618,8 +650,9 @@ class ShardedClient:
             self._offload_fallback("session")
             return None
         try:
-            value = client.get(key)
-            mac = client.last_payload_mac
+            value, k_operation, payload = self._verified_get(
+                client, key, basis
+            )
         except KeyNotFoundError:
             self._offload_fallback("miss")
             return None
@@ -632,14 +665,14 @@ class ShardedClient:
             self._offload_fallback("unavailable")
             self._backup_sessions.pop(id(backup), None)
             return None
-        if self.freshness.matches(key, mac) is not True:
+        if self.freshness.matches(key, payload.mac) is not True:
             # An older version than the claim (an applied-LSN race or a
             # resurrection): never accept it, never accuse the backup.
             self._offload_fallback("stale")
             return None
         self.offload_reads += 1
         self._obs_offload_served.inc()
-        return value, mac
+        return value, k_operation, payload
 
     # -- key-value API -----------------------------------------------------
 
@@ -657,14 +690,19 @@ class ShardedClient:
         trace = self._start_trace("put")
         context = self._begin_context("put")
         t0_ns = self.obs.tracer.clock.now_ns()
+
+        def store(client: PrecursorClient):
+            client.put(key, value)
+            return client.last_payload
+
         try:
-            mac = self._failover_retry(key, True, lambda c: c.put(key, value))
+            k_operation, payload = self._failover_retry(key, True, store)
             if self.freshness is not None:
-                self.freshness.note_write(key, mac)
+                self.freshness.note_write(key, payload.mac)
             # The client holds plaintext + acked MAC right here: an ack
             # is a free cache fill (and the ack's log position bounds
             # which backups may serve this client from now on).
-            self._cache_fill(key, value, mac)
+            self._cache_fill(key, value, k_operation, payload)
             self._note_claimed_lsn(key)
             self.operations += 1
         except BaseException as exc:
@@ -692,23 +730,24 @@ class ShardedClient:
         :class:`~repro.errors.StaleReadError`.
 
         With the near-cache on, a validated hit short-circuits the
-        network entirely; with the read offload on, a qualifying backup
-        serves the read and the primary is only consulted on fallback.
-        :attr:`last_read_path` records which lane answered
-        (``cache`` | ``backup`` | ``primary``).
+        network entirely, and a refused intact entry rides along the
+        revalidation as its basis; with the read offload on, a
+        qualifying backup serves the read and the primary is only
+        consulted on fallback.  :attr:`last_read_path` records which
+        lane answered (``cache`` | ``backup`` | ``primary``).
         """
         trace = self._start_trace("get")
         context = self._begin_context("get")
         t0_ns = self.obs.tracer.clock.now_ns()
         self.last_read_path = "primary"
+        basis = None
 
         def fetch(client: PrecursorClient):
-            fetched = client.get(key)
-            return fetched, client.last_payload_mac
+            return self._verified_get(client, key, basis)
 
         try:
             if self.cache is not None:
-                cached = self._cache_lookup(key)
+                cached, basis = self._cache_lookup(key)
                 if cached is not None:
                     self.last_read_path = "cache"
                     self.operations += 1
@@ -718,11 +757,11 @@ class ShardedClient:
                         trace.finish()
                     return cached
             if self._offload:
-                offloaded = self._offload_read(key)
+                offloaded = self._offload_read(key, basis)
                 if offloaded is not None:
-                    value, mac = offloaded
+                    value, k_operation, payload = offloaded
                     self.last_read_path = "backup"
-                    self._cache_fill(key, value, mac)
+                    self._cache_fill(key, value, k_operation, payload)
                     self.operations += 1
                     self._observe(key, "get", t0_ns, ok=True)
                     self._end_context(context, "ok")
@@ -730,7 +769,9 @@ class ShardedClient:
                         trace.finish()
                     return value
             try:
-                value, mac = self._failover_retry(key, False, fetch)
+                value, k_operation, payload = self._failover_retry(
+                    key, False, fetch
+                )
             except KeyNotFoundError:
                 # Either a true miss or a stale route that raced a
                 # migration; only an epoch bump warrants a retry.
@@ -739,13 +780,15 @@ class ShardedClient:
                     raise
                 self._note_stale()
                 try:
-                    value, mac = self._failover_retry(key, False, fetch)
+                    value, k_operation, payload = self._failover_retry(
+                        key, False, fetch
+                    )
                 except KeyNotFoundError:
                     self._check_absent(key)
                     raise
             if self.freshness is not None:
-                self.freshness.check_read(key, mac)
-            self._cache_fill(key, value, mac)
+                self.freshness.check_read(key, payload.mac)
+            self._cache_fill(key, value, k_operation, payload)
             self.operations += 1
         except BaseException as exc:
             # Whatever failed, the cached entry no longer has a story

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core import (
     PrecursorServerEncryption,
+    ServerConfig,
     ServerEncryptionClient,
     make_pair,
 )
@@ -59,6 +60,29 @@ class TestBasicOperations:
         bob = ServerEncryptionClient(server, client_id=2)
         alice.put(b"shared", b"hello")
         assert bob.get(b"shared") == b"hello"
+
+
+class TestTenantIsolation:
+    def test_stranger_is_refused_and_a_grantee_reads(self):
+        server = PrecursorServerEncryption(
+            config=ServerConfig(tenant_isolation=True)
+        )
+        owner = ServerEncryptionClient(server, client_id=1)
+        stranger = ServerEncryptionClient(server, client_id=2)
+        grantee = ServerEncryptionClient(server, client_id=3)
+        owner.put(b"doc", b"private")
+        # A denied read looks like a miss, so existence does not leak.
+        with pytest.raises(KeyNotFoundError):
+            stranger.get(b"doc")
+        with pytest.raises(PrecursorError, match="ERROR"):
+            stranger.put(b"doc", b"hijacked")
+        with pytest.raises(KeyNotFoundError):
+            stranger.delete(b"doc")
+        assert owner.get(b"doc") == b"private"
+        server.grant_access(b"doc", grantee.client_id)
+        assert grantee.get(b"doc") == b"private"
+        with pytest.raises(KeyNotFoundError):
+            stranger.get(b"doc")
 
 
 class TestCostAsymmetry:

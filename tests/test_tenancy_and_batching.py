@@ -16,6 +16,7 @@ from repro.errors import (
 from repro.core.persistence import CheckpointManager
 from repro.faults.recovery import crash_restart
 from repro.rdma.fabric import Fabric
+from repro.shard import ShardedClient, ShardedCluster
 
 
 def make_tenant_setup():
@@ -86,6 +87,32 @@ class TestTenantIsolation:
         charlie = PrecursorClient(server, client_id=3)
         with pytest.raises(KeyNotFoundError):
             charlie.get(b"a:shared")
+
+    def test_grant_needs_a_stored_key(self):
+        """A grant belongs to the stored entry: granted ahead of the
+        write, it would go to whichever tenant wrote the key first."""
+        server, alice, bob = make_tenant_setup()
+        with pytest.raises(KeyNotFoundError):
+            server.grant_access(b"a:later", alice.client_id)
+        bob.put(b"a:later", b"bobs")
+        with pytest.raises(KeyNotFoundError):
+            alice.get(b"a:later")
+
+    def test_grant_reaches_the_backup_before_a_failover(self):
+        cluster = ShardedCluster(
+            shards=1, replicas=1, seed=3,
+            config=ServerConfig(tenant_isolation=True),
+        )
+        owner = ShardedClient(cluster)
+        reader = ShardedClient(cluster)
+        owner.put(b"shared", b"for-reader")
+        cluster.server_for(b"shared").grant_access(
+            b"shared", reader.client_id
+        )
+        cluster.crash_shard(cluster.shards[0])  # the backup is promoted
+        assert reader.get(b"shared") == b"for-reader"
+        with pytest.raises(KeyNotFoundError):
+            ShardedClient(cluster).get(b"shared")
 
     def test_grants_require_isolation_mode(self):
         server, _ = make_pair(seed=1)
