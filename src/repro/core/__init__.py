@@ -5,7 +5,9 @@
   sealed to the enclave, payloads in untrusted memory, one-sided RDMA rings.
 - :class:`PrecursorServerEncryption` / :class:`ServerEncryptionClient` --
   the conventional server-encryption variant used as the paper's second
-  baseline (same transport, server-side payload cryptography).
+  baseline: the same dispatch, client request path and entry record, with
+  only the payload step swapped (the value travels sealed to the enclave,
+  which re-encrypts it for storage).
 - :func:`make_pair` -- one-call construction of a wired server+client pair
   for quickstarts and tests.
 """

@@ -16,6 +16,7 @@ credit word.
 
 from __future__ import annotations
 
+import dataclasses
 import hmac
 import itertools
 import struct
@@ -62,6 +63,8 @@ _client_ids = itertools.count(1)
 #: replay filter confirmed a retried request was already applied but no
 #: cached reply could be recovered (e.g. after a crash-restart).
 _APPLIED = object()
+
+_MAC_MISMATCH = "payload MAC mismatch: untrusted server memory was modified"
 
 
 def allocate_client_id() -> int:
@@ -518,21 +521,14 @@ class PrecursorClient:
                 # requests were applied (sealed checkpoints cannot roll it
                 # back).  Re-key this attempt at the expected oid so the
                 # two sides resume in lockstep.
-                control = ControlData(
-                    opcode=control.opcode,
-                    oid=expected,
-                    key=control.key,
-                    k_operation=control.k_operation,
-                )
+                control = dataclasses.replace(control, oid=expected)
                 self._oid = expected
 
     def _next_control(
-        self, opcode: OpCode, key: bytes, k_operation: Optional[bytes] = None
+        self, opcode: OpCode, key: bytes, k_operation=None, value=None
     ) -> ControlData:
         self._oid += 1
-        return ControlData(
-            opcode=opcode, oid=self._oid, key=key, k_operation=k_operation
-        )
+        return ControlData(opcode, self._oid, key, k_operation, value)
 
     def _seal_control(self, control: ControlData) -> Request:
         sealed = self.provider.transport_seal(
@@ -560,6 +556,72 @@ class PrecursorClient:
             return None
         return tracer.start(op, client_id=self.client_id)
 
+    # -- the payload scheme: the two steps a variant overrides ---------------
+
+    def _put_requests(self, items) -> list:
+        """The PUT-request step: ``(control, payload)`` per ``(key, value)``.
+
+        Precursor draws a fresh one-time key per value, encrypts and MACs
+        the value under it (Algorithm 1, lines 2-4), and ships the
+        ciphertext+MAC as the untrusted payload beside a control segment
+        carrying the key.  Oids are drawn in item order.
+        """
+        k_operations = [self.keygen.operation_key() for _item in items]
+        payloads = self.provider.payload_encrypt_many(
+            [
+                (k_operation, value)
+                for k_operation, (_key, value) in zip(k_operations, items)
+            ]
+        )
+        return [
+            (self._next_control(OpCode.PUT, key, k_operation), payload)
+            for k_operation, (key, _value), payload in zip(
+                k_operations, items, payloads
+            )
+        ]
+
+    def _get_values(self, replies, basis=None) -> Tuple[list, list]:
+        """The GET-value step: ``(values, records)`` of OK replies, in order.
+
+        ``values[i]`` is the value ``replies[i]`` carries, or None where
+        it fails verification; ``records[i]`` is the basis it was verified
+        under.  Raises :class:`ProtocolError` at a reply without the
+        scheme's value material.
+
+        Precursor verifies each payload's MAC under the one-time key the
+        enclave released, then decrypts (paper §3.7, "Query data"); the
+        record is that key and the payload as verified.  ``basis``, for
+        one reply, is an earlier verified read or acked write of its key
+        (a :class:`~repro.cache.CacheEntry`): a reply whose one-time key,
+        ciphertext and effective MAC all equal it byte for byte returns
+        the basis value without payload crypto, since the check is
+        deterministic and the basis holds its result on these bytes.
+        """
+        records = []
+        for response, control in replies:
+            if response.payload is None or control.k_operation is None:
+                raise ProtocolError(
+                    "GET response missing payload or key material"
+                )
+            payload = response.payload
+            if control.mac is not None:
+                # Strict-integrity mode (§3.9): the MAC bound inside the
+                # sealed channel overrides whatever sits in untrusted memory.
+                payload = EncryptedPayload(
+                    ciphertext=payload.ciphertext, mac=control.mac
+                )
+            records.append((control.k_operation, payload))
+        if basis is not None:
+            ((k_operation, payload),) = records
+            if (
+                hmac.compare_digest(k_operation, basis.k_operation)
+                and payload.ciphertext == basis.ciphertext
+                and payload.mac == basis.mac
+            ):
+                self.unchanged_reads += 1
+                return [basis.value], records
+        return self.provider.payload_decrypt_many(records), records
+
     # -- key-value API --------------------------------------------------------
 
     def put(self, key: bytes, value: bytes) -> bytes:
@@ -576,9 +638,7 @@ class PrecursorClient:
         trace = self._start_trace("put")
         try:
             with self.obs.tracer.stage("client.encrypt_payload"):
-                k_operation = self.keygen.operation_key()
-                payload = self.provider.payload_encrypt(k_operation, value)
-            control = self._next_control(OpCode.PUT, key, k_operation)
+                ((control, payload),) = self._put_requests([(key, value)])
             self.operations += 1
             result = self._exchange(control, payload=payload, op="put")
             if result is not _APPLIED:
@@ -591,10 +651,11 @@ class PrecursorClient:
             if trace is not None:
                 trace.abort()
             raise
-        self.last_payload = (k_operation, payload)
+        # A value that travelled sealed leaves no client-side basis or token.
+        self.last_payload = payload and (control.k_operation, payload)
         if trace is not None:
             trace.finish()
-        return payload.mac
+        return payload and payload.mac
 
     def get(self, key: bytes, basis=None) -> bytes:
         """Fetch and verify the value stored under ``key``.
@@ -605,13 +666,9 @@ class PrecursorClient:
         untrusted memory raises :class:`IntegrityError` here.
 
         ``basis`` is an earlier verified read or acked write of ``key``
-        (a :class:`~repro.cache.CacheEntry`: ``k_operation``,
-        ``ciphertext``, ``mac`` and ``value``).  When the reply's
-        enclave-sealed one-time key, its ciphertext and its effective
-        MAC all equal the basis byte for byte, the basis value is
-        returned without payload crypto: the MAC check and decryption
-        are deterministic, and the basis already holds their result on
-        these very bytes.  Any difference runs them as usual.
+        (a :class:`~repro.cache.CacheEntry`); a reply equal to it byte for
+        byte returns its value without payload crypto
+        (:meth:`_get_values`).
         """
         self._check_key(key)
         trace = self._start_trace("get")
@@ -639,38 +696,16 @@ class PrecursorClient:
                 raise KeyNotFoundError(key)
             if control_resp.status is not Status.OK:
                 raise PrecursorError(f"get failed: {control_resp.status.name}")
-            if response.payload is None or control_resp.k_operation is None:
-                raise ProtocolError(
-                    "GET response missing payload or key material"
+            with self.obs.tracer.stage("client.verify_decrypt"):
+                (value,), (record,) = self._get_values(
+                    [(response, control_resp)], basis
                 )
-            payload = response.payload
-            if control_resp.mac is not None:
-                # Strict-integrity mode (§3.9): the MAC bound inside the
-                # sealed channel overrides whatever sits in untrusted memory.
-                payload = EncryptedPayload(
-                    ciphertext=payload.ciphertext, mac=control_resp.mac
-                )
-            k_operation = control_resp.k_operation
-            try:
-                with self.obs.tracer.stage("client.verify_decrypt"):
-                    if (
-                        basis is not None
-                        and hmac.compare_digest(k_operation, basis.k_operation)
-                        and payload.ciphertext == basis.ciphertext
-                        and payload.mac == basis.mac
-                    ):
-                        self.unchanged_reads += 1
-                        value = basis.value
-                    else:
-                        value = self.provider.payload_decrypt(
-                            k_operation, payload
-                        )
-            except IntegrityError:
+            if value is None:
                 self.integrity_failures += 1
-                raise
+                raise IntegrityError(_MAC_MISMATCH)
             # Routers compare the verified MAC against the last acked
             # write to catch stale failover state, and cache the record.
-            self.last_payload = (k_operation, payload)
+            self.last_payload = record
         except BaseException:
             if trace is not None:
                 trace.abort()
@@ -800,20 +835,7 @@ class PrecursorClient:
         window = self._batch_window()
         stored = 0
         for start in range(0, len(items), window):
-            chunk = items[start : start + window]
-            k_operations = [self.keygen.operation_key() for _item in chunk]
-            payloads = self.provider.payload_encrypt_many(
-                [
-                    (k_operation, value)
-                    for k_operation, (_key, value) in zip(k_operations, chunk)
-                ]
-            )
-            entries = [
-                (self._next_control(OpCode.PUT, key, k_operation), payload)
-                for k_operation, (key, _value), payload in zip(
-                    k_operations, chunk, payloads
-                )
-            ]
+            entries = self._put_requests(items[start : start + window])
             self._submit_window(entries)
             self.operations += len(entries)
             replies, error = self._collect_window(entries)
@@ -850,9 +872,9 @@ class PrecursorClient:
             self._submit_window(entries)
             self.operations += len(entries)
             replies, error = self._collect_window(entries)
-            # Walk in key order up to the first failure; the payloads
-            # before it are verified and decrypted together.
-            verify = []
+            # Walk in key order up to the first failure; the values
+            # before it are verified together.
+            found = []
             for (response, control), key in zip(replies, chunk):
                 if control.status is Status.NOT_FOUND:
                     error = KeyNotFoundError(key)
@@ -862,25 +884,12 @@ class PrecursorClient:
                         f"batched get failed: {control.status.name}"
                     )
                     break
-                if response.payload is None or control.k_operation is None:
-                    error = ProtocolError(
-                        "GET response missing payload or key material"
-                    )
-                    break
-                payload = response.payload
-                if control.mac is not None:
-                    # Strict-integrity mode (§3.9), as in get().
-                    payload = EncryptedPayload(
-                        ciphertext=payload.ciphertext, mac=control.mac
-                    )
-                verify.append((control.k_operation, payload))
-            opened = self.provider.payload_decrypt_many(verify)
+                found.append((response, control))
+            opened, _records = self._get_values(found)
             failures = opened.count(None)
             if failures:
                 self.integrity_failures += failures
-                raise IntegrityError(
-                    "payload MAC mismatch: untrusted server memory was modified"
-                )
+                raise IntegrityError(_MAC_MISMATCH)
             if error is not None:
                 raise error
             values.extend(opened)

@@ -72,6 +72,25 @@ def reply_aad(client_id: int) -> bytes:
     return b"resp" + struct.pack(">I", client_id)
 
 
+def _encode_value(value: Optional[bytes]) -> bytes:
+    """The optional trailing ``value_len u32 | value`` field of a sealed
+    segment: nothing at all when ``value`` is None."""
+    if value is None:
+        return b""
+    return struct.pack(">I", len(value)) + value
+
+
+def _decode_value(blob: bytes, cursor: int, what: str) -> Optional[bytes]:
+    """Parse the optional trailing value field at ``cursor``, which must
+    end ``blob`` exactly."""
+    if cursor == len(blob):
+        return None
+    (value_len,) = _checked_unpack(">I", blob[cursor : cursor + 4])
+    if cursor + 4 + value_len != len(blob):
+        raise ProtocolError(f"{what} length mismatch")
+    return blob[cursor + 4 :]
+
+
 class OpCode(enum.IntEnum):
     """Key-value operations."""
 
@@ -93,14 +112,18 @@ class Status(enum.IntEnum):
 class ControlData:
     """Plaintext of the sealed request control segment (Algorithm 1, l.7).
 
-    ``k_operation`` is present for PUT (the fresh one-time key) and absent
-    for GET/DELETE.
+    ``k_operation`` is present for a Precursor PUT (the fresh one-time
+    key) and absent for GET/DELETE.  ``value`` is present only for a
+    server-encryption PUT, whose value travels inside the sealed segment
+    (paper §5.1); it is encoded only when not None, so a Precursor
+    segment carries no trace of it.
     """
 
     opcode: OpCode
     oid: int
     key: bytes
     k_operation: Optional[bytes] = None
+    value: Optional[bytes] = None
 
     def encode(self) -> bytes:
         """Serialise to the byte layout sealed under the session key."""
@@ -109,8 +132,10 @@ class ControlData:
         if len(self.key) > 0xFFFF:
             raise ProtocolError(f"key too long: {len(self.key)} bytes")
         has_kop = self.k_operation is not None
-        if self.opcode is OpCode.PUT and not has_kop:
-            raise ProtocolError("PUT control data requires K_operation")
+        if self.opcode is OpCode.PUT and not has_kop and self.value is None:
+            raise ProtocolError("PUT control data requires K_operation or a value")
+        if self.opcode is not OpCode.PUT and self.value is not None:
+            raise ProtocolError("only a PUT carries a value")
         if has_kop and len(self.k_operation) != _KOP_SIZE:
             raise ProtocolError(
                 f"K_operation must be {_KOP_SIZE} bytes, got {len(self.k_operation)}"
@@ -119,7 +144,7 @@ class ControlData:
             ">BQH", int(self.opcode), self.oid, len(self.key)
         )
         kop = self.k_operation if has_kop else b""
-        return head + bytes([len(kop)]) + kop + self.key
+        return head + bytes([len(kop)]) + kop + self.key + _encode_value(self.value)
 
     @classmethod
     def decode(cls, blob: bytes) -> "ControlData":
@@ -140,9 +165,14 @@ class ControlData:
             k_operation = blob[cursor : cursor + kop_len]
             cursor += kop_len
         key = blob[cursor : cursor + key_len]
-        if len(key) != key_len or cursor + key_len != len(blob):
+        if len(key) != key_len:
             raise ProtocolError("control data length mismatch")
-        return cls(opcode=opcode, oid=oid, key=key, k_operation=k_operation)
+        value = _decode_value(blob, cursor + key_len, "control data")
+        if value is not None and opcode is not OpCode.PUT:
+            raise ProtocolError("only a PUT carries a value")
+        return cls(
+            opcode=opcode, oid=oid, key=key, k_operation=k_operation, value=value
+        )
 
 
 #: Nominal size of the control segment for a PUT with a 16-byte key:
@@ -154,15 +184,18 @@ CONTROL_DATA_SIZE = 12 + _KOP_SIZE + 16
 class ResponseControl:
     """Plaintext of the sealed response control segment.
 
-    A GET reply carries the one-time key so the client can verify and
-    decrypt the untrusted payload; in strict-integrity mode (paper §3.9) it
-    also carries the enclave-held MAC.
+    A Precursor GET reply carries the one-time key so the client can
+    verify and decrypt the untrusted payload; in strict-integrity mode
+    (paper §3.9) it also carries the enclave-held MAC.  A
+    server-encryption GET reply carries the value itself instead, encoded
+    only when not None.
     """
 
     status: Status
     oid: int
     k_operation: Optional[bytes] = None
     mac: Optional[bytes] = None
+    value: Optional[bytes] = None
 
     def encode(self) -> bytes:
         """Serialise to the sealed-response byte layout."""
@@ -178,6 +211,7 @@ class ResponseControl:
             + kop
             + bytes([len(mac)])
             + mac
+            + _encode_value(self.value)
         )
 
     @classmethod
@@ -200,9 +234,12 @@ class ResponseControl:
         cursor += 1
         mac = blob[cursor : cursor + mac_len] if mac_len else None
         cursor += mac_len
-        if cursor != len(blob):
+        if cursor > len(blob):
             raise ProtocolError("response control length mismatch")
-        return cls(status=status, oid=oid, k_operation=k_operation, mac=mac)
+        value = _decode_value(blob, cursor, "response control")
+        return cls(
+            status=status, oid=oid, k_operation=k_operation, mac=mac, value=value
+        )
 
 
 @dataclass(frozen=True)

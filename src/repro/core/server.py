@@ -149,7 +149,12 @@ class ServerStats:
 
 @dataclass
 class _Entry:
-    """Enclave hash-table value: the security metadata for one key."""
+    """Enclave hash-table value: the security metadata for one key.
+
+    ``k_operation`` is the key material the enclave holds for the stored
+    blob: the client's one-time key, or the storage IV under server
+    encryption (:mod:`repro.core.server_encryption`).
+    """
 
     k_operation: bytes
     client_id: int
@@ -704,10 +709,11 @@ class PrecursorServer:
     def _process_control_blob(
         self, channel: _ClientChannel, control_blob: bytes, request: Request
     ) -> None:
-        """Dispatch an authenticated control segment (scheme-specific).
+        """Dispatch an authenticated control segment.
 
-        The server-encryption variant overrides this: there the sealed blob
-        carries the whole payload, not just control data.
+        The one dispatch of both payload schemes: replay filter, duplicate-
+        reply cache, hop, request counter and the entry lifecycle run here;
+        a scheme differs only in :meth:`_put_entry` and :meth:`_get_reply`.
         """
         try:
             control = ControlData.decode(control_blob)
@@ -773,26 +779,22 @@ class PrecursorServer:
         payload: Optional[EncryptedPayload],
     ) -> None:
         self.stats.puts += 1
-        if payload is None or control.k_operation is None:
+        built = self._put_entry(channel, control, payload)
+        if built is None:
+            # An authenticated sender, but not this scheme's PUT: answered
+            # (sealed) rather than dropped, and nothing is stored.
             self.stats.protocol_errors += 1
             self._send_response(
                 channel, ResponseControl(status=Status.ERROR, oid=control.oid)
             )
             return
+        entry, blob = built
         cfg = self.config
-        inline = (
-            cfg.inline_small_values
-            and payload.size() <= cfg.inline_threshold
-        )
-        entry = _Entry(
-            k_operation=control.k_operation,
-            client_id=channel.client_id,
-            mac=payload.mac if cfg.strict_integrity else None,
-        )
+        inline = cfg.inline_small_values and len(blob) <= cfg.inline_threshold
         with self.obs.tracer.stage("server.payload_store"):
             # Payload bytes go to the untrusted pool -- never the enclave
             # -- unless they are small enough to live inline (§5.2).
-            self._place(entry, payload.ciphertext + payload.mac, inline)
+            self._place(entry, blob, inline)
         if inline:
             self.stats.inline_stores += 1
         with self.obs.tracer.stage("server.table_update"):
@@ -806,6 +808,50 @@ class PrecursorServer:
         self._notify_replication("put", control.key)
         self._send_response(
             channel, ResponseControl(status=Status.OK, oid=control.oid)
+        )
+
+    def _put_entry(
+        self,
+        channel: _ClientChannel,
+        control: ControlData,
+        payload: Optional[EncryptedPayload],
+    ) -> Optional[Tuple[_Entry, bytes]]:
+        """The scheme's PUT step: the entry and the blob to store, or
+        None when the request's shape does not fit the scheme.
+
+        Precursor keeps the client's one-time key in the enclave and
+        stores the client's ciphertext+MAC untouched.
+        """
+        if (
+            payload is None
+            or control.k_operation is None
+            or control.value is not None
+        ):
+            return None
+        entry = _Entry(
+            k_operation=control.k_operation,
+            client_id=channel.client_id,
+            mac=payload.mac if self.config.strict_integrity else None,
+        )
+        return entry, payload.ciphertext + payload.mac
+
+    def _get_reply(
+        self, control: ControlData, entry: _Entry, blob: bytes
+    ) -> Tuple[ResponseControl, Optional[EncryptedPayload]]:
+        """The scheme's GET step: the reply control and payload for a
+        readable ``entry`` whose stored blob is ``blob``.
+
+        Precursor releases the one-time key over the sealed channel and
+        attaches the stored bytes untouched.
+        """
+        return (
+            ResponseControl(
+                status=Status.OK,
+                oid=control.oid,
+                k_operation=entry.k_operation,
+                mac=entry.mac if self.config.strict_integrity else None,
+            ),
+            EncryptedPayload(ciphertext=blob[:-16], mac=blob[-16:]),
         )
 
     def _notify_replication(self, op: str, key: bytes) -> None:
@@ -862,17 +908,7 @@ class PrecursorServer:
             )
             return
         self.stats.hits += 1
-        payload = EncryptedPayload(ciphertext=blob[:-16], mac=blob[-16:])
-        self._send_response(
-            channel,
-            ResponseControl(
-                status=Status.OK,
-                oid=control.oid,
-                k_operation=entry.k_operation,
-                mac=entry.mac if self.config.strict_integrity else None,
-            ),
-            payload=payload,
-        )
+        self._send_response(channel, *self._get_reply(control, entry, blob))
 
     def _handle_delete(self, channel: _ClientChannel, control: ControlData) -> None:
         self.stats.deletes += 1
@@ -933,11 +969,7 @@ class PrecursorServer:
         control: ResponseControl,
         payload: Optional[EncryptedPayload] = None,
     ) -> None:
-        """Stage one reply for the current drain cycle's seal phase.
-
-        ``control`` is the reply body the cycle seals: a
-        :class:`ResponseControl`, or the server-encryption variant's body.
-        """
+        """Stage one reply for the current drain cycle's seal phase."""
         if control.status is not Status.REPLAY:
             # Cache the reply for the duplicate filter BEFORE any reply
             # bytes exist: if the write is later lost to a transport
@@ -979,14 +1011,15 @@ class PrecursorServer:
         else:
             entry.ptr = self.payload_store.store(blob)
 
-    def _release(self, entry) -> None:
+    def _release(self, entry: _Entry) -> None:
         """Free the storage of an entry that left (or never entered) the
-        table.  Server-encryption entries have no inline bytes."""
+        table."""
         if entry.ptr is not None:
             self.payload_store.release(entry.ptr)
-        inline = getattr(entry, "inline_payload", None)
-        if inline is not None:
-            self.enclave.allocator.free(len(inline), "inline_values")
+        if entry.inline_payload is not None:
+            self.enclave.allocator.free(
+                len(entry.inline_payload), "inline_values"
+            )
 
     def _install(self, key: bytes, entry, owner: Optional[int] = None) -> bool:
         """Commit ``entry`` under ``key``, releasing the entry it replaces.
@@ -1104,11 +1137,9 @@ class PrecursorServer:
                 grow_ocall=self._grow_via_ocall,
             )
             if self._table is not None:
-                # Works for both entry kinds (client-centric and the SE
-                # variant): anything with a pool pointer gets migrated.
                 for _key, entry in self._table.items():
-                    if getattr(entry, "ptr", None) is None:
-                        continue
+                    if entry.ptr is None:
+                        continue  # inline in trusted memory
                     blob = old_store.load(entry.ptr)
                     entry.ptr = new_store.store(blob)
             self.payload_store = new_store

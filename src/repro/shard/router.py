@@ -286,13 +286,12 @@ class ShardedClient:
         return dict(self._clients)
 
     def _all_sessions(self):
-        """Every distinct underlying session (primary + backup-read)."""
-        seen: Dict[int, PrecursorClient] = {}
-        for client in self._clients.values():
-            seen[id(client)] = client
-        for client in self._backup_sessions.values():
-            seen[id(client)] = client
-        return seen.values()
+        """Every session this router ever opened, primary or backup-read.
+
+        A promotion replaces a shard's session and a failed backup read
+        drops its session; neither may erase the counts it holds.
+        """
+        return self._by_server.values()
 
     @property
     def integrity_failures(self) -> int:

@@ -21,7 +21,6 @@ from repro.core.protocol import (
     Response,
     ResponseControl,
 )
-from repro.core.server_encryption import _SEControl, _SEResponse
 from repro.errors import ProtocolError
 
 _DECODERS = [
@@ -29,8 +28,6 @@ _DECODERS = [
     ResponseControl.decode,
     Request.decode,
     Response.decode,
-    _SEControl.decode,
-    _SEResponse.decode,
 ]
 
 

@@ -133,6 +133,9 @@ class TestEquivalence:
         log = with_basis["log"]
         caught = [e for e in log if e[0] == "get" and e[2] == "IntegrityError"]
         assert caught and ("integrity_failures", 0) not in log
+        # The promotion replaced a session; its counts stay in the sum.
+        logged = next(e[1] for e in log if e[0] == "integrity_failures")
+        assert with_basis["integrity_failures"] >= logged
 
 
 class TestUnchangedRevalidation:

@@ -62,6 +62,31 @@ class TestControlData:
         with pytest.raises(ProtocolError):
             ControlData.decode(blob + b"extra")
 
+    def test_value_roundtrip_keeps_empty_distinct_from_none(self):
+        """The server-encryption PUT carries its value; ``b""`` is a value."""
+        for value in (b"", b"v" * 300):
+            control = ControlData(opcode=OpCode.PUT, oid=3, key=b"k", value=value)
+            assert ControlData.decode(control.encode()) == control
+        unset = ControlData(opcode=OpCode.PUT, oid=3, key=b"k", k_operation=b"o" * 32)
+        assert ControlData.decode(unset.encode()).value is None
+        # The field is encoded only when set: a Precursor segment is as long
+        # as it always was.
+        assert len(unset.encode()) == 12 + 32 + 1
+
+    def test_only_a_put_carries_a_value(self):
+        with pytest.raises(ProtocolError):
+            ControlData(opcode=OpCode.GET, oid=1, key=b"k", value=b"v").encode()
+        blob = ControlData(opcode=OpCode.PUT, oid=1, key=b"k", value=b"v").encode()
+        blob = bytes([OpCode.DELETE]) + blob[1:]
+        with pytest.raises(ProtocolError, match="only a PUT"):
+            ControlData.decode(blob)
+
+    def test_truncated_value_rejected(self):
+        blob = ControlData(opcode=OpCode.PUT, oid=1, key=b"k", value=b"vv").encode()
+        for cut in (1, 2, 5):
+            with pytest.raises(ProtocolError):
+                ControlData.decode(blob[:-cut])
+
     def test_nominal_size_matches_paper(self):
         """The paper quotes ~56 B of control data (§5.2)."""
         assert 50 <= CONTROL_DATA_SIZE <= 64
@@ -89,6 +114,15 @@ class TestResponseControl:
         for status in (Status.NOT_FOUND, Status.REPLAY, Status.ERROR):
             control = ResponseControl(status=status, oid=3)
             assert ResponseControl.decode(control.encode()).status == status
+
+    def test_value_roundtrip_keeps_empty_distinct_from_none(self):
+        """The server-encryption GET reply carries the value itself."""
+        for value in (None, b"", b"x" * 300):
+            control = ResponseControl(status=Status.OK, oid=9, value=value)
+            assert ResponseControl.decode(control.encode()) == control
+        blob = ResponseControl(status=Status.OK, oid=9, value=b"xy").encode()
+        with pytest.raises(ProtocolError):
+            ResponseControl.decode(blob[:-1])
 
     def test_rejects_bad_material_sizes(self):
         with pytest.raises(ProtocolError):
@@ -218,3 +252,4 @@ def test_control_roundtrip_property(oid, key, with_kop):
         k_operation=b"k" * 32 if with_kop else None,
     )
     assert ControlData.decode(control.encode()) == control
+

@@ -5,12 +5,19 @@ so the server either applies it once or recognises the duplicate via the
 replay filter and re-sends the cached ack.  These tests pin that
 machinery directly (duplicate frames, lost acks, oid resync, the
 ``_APPLIED`` sentinel) and property-test it under seeded random fault
-schedules.
+schedules.  The duplicate and lost-ack classes run once per payload
+scheme: the server-encryption variant shares the dispatch and the retry
+engine, so it inherits the same contract.
 """
 
 import pytest
 
-from repro.core import PrecursorClient, PrecursorServer
+from repro.core import (
+    PrecursorClient,
+    PrecursorServer,
+    PrecursorServerEncryption,
+    ServerEncryptionClient,
+)
 from repro.core.persistence import CheckpointManager
 from repro.errors import (
     OperationTimeoutError,
@@ -21,9 +28,16 @@ from repro.faults import FaultEngine, FaultSchedule, run_chaos
 from repro.faults.recovery import crash_restart
 
 
-def _pair(max_retries=3, **kwargs):
-    server = PrecursorServer()
-    client = PrecursorClient(
+_SCHEMES = {
+    "precursor": (PrecursorServer, PrecursorClient),
+    "server_encryption": (PrecursorServerEncryption, ServerEncryptionClient),
+}
+
+
+def _pair(max_retries=3, scheme="precursor", **kwargs):
+    server_cls, client_cls = _SCHEMES[scheme]
+    server = server_cls()
+    client = client_cls(
         server,
         max_retries=max_retries,
         retry_backoff_s=0.0,
@@ -34,8 +48,10 @@ def _pair(max_retries=3, **kwargs):
 
 
 class TestDuplicateNeverDoubleApplies:
+    scheme = "precursor"
+
     def test_always_duplicated_puts_apply_once(self):
-        server, client = _pair()
+        server, client = _pair(scheme=self.scheme)
         client.submit_fault_hook = lambda frame: True  # duplicate all
         for i in range(10):
             client.put(b"key-%d" % i, b"value-%d" % i)
@@ -47,7 +63,7 @@ class TestDuplicateNeverDoubleApplies:
             assert client.get(b"key-%d" % i) == b"value-%d" % i
 
     def test_duplicate_of_overwrite_keeps_newest_value(self):
-        server, client = _pair()
+        server, client = _pair(scheme=self.scheme)
         client.put(b"k", b"v1")
         client.submit_fault_hook = lambda frame: True
         client.put(b"k", b"v2")
@@ -56,7 +72,7 @@ class TestDuplicateNeverDoubleApplies:
         assert server.stats.puts == 2
 
     def test_duplicate_delete_stays_deleted_not_errored(self):
-        server, client = _pair()
+        server, client = _pair(scheme=self.scheme)
         client.put(b"k", b"v")
         client.submit_fault_hook = lambda frame: True
         client.delete(b"k")
@@ -68,7 +84,7 @@ class TestDuplicateNeverDoubleApplies:
         assert server.stats.deletes == 1
 
     def test_duplicate_reply_is_cached_ack_not_reapply(self):
-        server, client = _pair()
+        server, client = _pair(scheme=self.scheme)
         client.submit_fault_hook = lambda frame: True
         client.put(b"k", b"v")
         client.put(b"k2", b"v2")  # pumping this processes the duplicate
@@ -79,6 +95,8 @@ class TestDuplicateNeverDoubleApplies:
 
 class TestLostAckRecovery:
     """The reply is lost; the retry must harvest the cached ack."""
+
+    scheme = "precursor"
 
     def _drop_first_reply(self, server, client):
         """Arm a one-shot fabric fault that eats the next server->client
@@ -99,7 +117,7 @@ class TestLostAckRecovery:
         return state
 
     def test_put_with_lost_ack_succeeds_via_cached_reply(self):
-        server, client = _pair(max_retries=3)
+        server, client = _pair(max_retries=3, scheme=self.scheme)
         self._drop_first_reply(server, client)
         client.put(b"k", b"v")  # attempt 0 applies; ack lost; retry acks
         server.fabric.install_fault_hook(None)
@@ -109,7 +127,7 @@ class TestLostAckRecovery:
         assert client.get(b"k") == b"v"
 
     def test_delete_with_lost_ack_succeeds_once(self):
-        server, client = _pair(max_retries=3)
+        server, client = _pair(max_retries=3, scheme=self.scheme)
         client.put(b"k", b"v")
         self._drop_first_reply(server, client)
         client.delete(b"k")
@@ -121,12 +139,22 @@ class TestLostAckRecovery:
         # The duplicate-reply cache is per-client state the server must
         # carry across reconnect_client, or a lost-ack retry after a QP
         # reset would see REPLAY with no cached reply.
-        server, client = _pair(max_retries=3)
+        server, client = _pair(max_retries=3, scheme=self.scheme)
         self._drop_first_reply(server, client)
         client.put(b"k", b"v")
         server.fabric.install_fault_hook(None)
         assert client.reconnects >= 1  # retry went through a reconnect
         assert server.stats.duplicate_replies == 1
+
+
+class TestDuplicateNeverDoubleAppliesServerEncryption(
+    TestDuplicateNeverDoubleApplies
+):
+    scheme = "server_encryption"
+
+
+class TestLostAckRecoveryServerEncryption(TestLostAckRecovery):
+    scheme = "server_encryption"
 
 
 class TestAppliedSentinel:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import PrecursorClient, PrecursorServer, ServerConfig, make_pair
 from repro.core.protocol import OpCode, Request, Status
-from repro.core.server_encryption import PrecursorServerEncryption, _SEControl
+from repro.core.server_encryption import PrecursorServerEncryption
 from repro.crypto.provider import EncryptedPayload
 from repro.errors import ConfigurationError, PrecursorError
 
@@ -70,7 +70,9 @@ class TestMalformedRequests:
         """The SE scheme has no untrusted payload segment; a frame with
         one is malformed."""
         server, client = make_pair(seed=9, server_encryption=True)
-        body = _SEControl(opcode=OpCode.PUT, oid=1, key=b"k", value=b"v")
+        from repro.core.protocol import ControlData
+
+        body = ControlData(opcode=OpCode.PUT, oid=1, key=b"k", value=b"v")
         import struct
 
         aad = struct.pack(">I", client.client_id)

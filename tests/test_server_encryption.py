@@ -5,13 +5,16 @@ import struct
 import pytest
 
 from repro.core import (
+    PrecursorClient,
     PrecursorServerEncryption,
     ServerConfig,
     ServerEncryptionClient,
     make_pair,
 )
+from repro.core.persistence import CheckpointManager
 from repro.core.protocol import Request
 from repro.errors import KeyNotFoundError, PrecursorError, ReplayError
+from repro.faults.recovery import crash_restart
 
 
 class TestBasicOperations:
@@ -139,8 +142,8 @@ class TestSecurity:
         server, client = se_pair
         client.put(b"a", b"same")
         client.put(b"b", b"same")
-        iv_a = server._table.get(b"a").iv
-        iv_b = server._table.get(b"b").iv
+        iv_a = server._table.get(b"a").k_operation
+        iv_b = server._table.get(b"b").k_operation
         assert iv_a != iv_b
 
 
@@ -184,3 +187,93 @@ class TestRejectedRequestsCounter:
             client.put(b"k", b"v2")
         assert server.stats.replay_rejections == 1
         assert rejected.value == 2
+
+
+class TestStorageBinding:
+    """The storage IV stays in the enclave entry: a blob opens only under
+    the IV it was sealed with."""
+
+    def test_swapped_pool_pointers_fail_to_open(self, se_pair):
+        server, client = se_pair
+        client.put(b"a", b"alpha")
+        client.put(b"b", b"bravo")
+        entry_a, entry_b = server._table.get(b"a"), server._table.get(b"b")
+        entry_a.ptr, entry_b.ptr = entry_b.ptr, entry_a.ptr
+        for key in (b"a", b"b"):
+            with pytest.raises(PrecursorError, match="ERROR"):
+                client.get(key)
+
+    def test_rolled_back_blob_fails_to_open(self, se_pair):
+        server, client = se_pair
+        client.put(b"k", b"old value")
+        old_ptr = server._table.get(b"k").ptr
+        client.put(b"k", b"new value")
+        server._table.get(b"k").ptr = old_ptr
+        with pytest.raises(PrecursorError, match="ERROR"):
+            client.get(b"k")
+
+
+class TestSchemeShapes:
+    @pytest.mark.parametrize("server_encryption", [False, True])
+    def test_the_other_schemes_put_is_refused(self, server_encryption):
+        """One rule on both servers: a PUT shaped for the other scheme is
+        a counted protocol error and stores nothing."""
+        server, _client = make_pair(seed=6, server_encryption=server_encryption)
+        other = (PrecursorClient if server_encryption else ServerEncryptionClient)(
+            server
+        )
+        with pytest.raises(PrecursorError):
+            other.put(b"k", b"v")
+        assert server.stats.protocol_errors == 1
+        assert server.key_count == 0
+
+
+class TestSharedMachinery:
+    """The variant runs Precursor's dispatch and request path, so windows,
+    retries, telemetry and the entry record work for it unchanged."""
+
+    def test_windows_with_a_missing_key_mid_window(self, se_pair):
+        server, client = se_pair
+        window = client._batch_window()
+        items = [(b"w-%03d" % i, b"v%d" % i * (i % 4)) for i in range(window + 9)]
+        assert client.put_many(items) == len(items)
+        keys = [key for key, _value in items]
+        assert client.get_many(keys) == [value for _key, value in items]
+        keys[window // 2] = b"ghost"
+        with pytest.raises(KeyNotFoundError):
+            client.get_many(keys)
+        assert server.stats.protocol_errors == 0
+        assert client.get(keys[0]) == items[0][1]  # the session stays in step
+
+    def test_requests_count_trace_and_emit_the_server_hop(self, se_pair):
+        server, client = se_pair
+        ctxlog = server.obs.ctxlog
+        ctxlog.begin("put", client_id=client.client_id)
+        client.put(b"k", b"v")
+        assert "server" in ctxlog.end().hop_kinds()
+        client.get(b"k")
+        assert "server.payload_crypto" in client.obs.tracer.last.stage_names()
+        client.delete(b"k")
+        registry = server.obs.registry
+        for op in ("put", "get", "delete"):
+            assert registry.get("server_requests_total", {"op": op}).value == 1
+
+    def test_crash_restart_then_every_key_reads(self):
+        server = PrecursorServerEncryption()
+        client = ServerEncryptionClient(
+            server, max_retries=3, retry_backoff_s=0.0
+        )
+        items = {b"c-%02d" % i: b"value-%d" % i for i in range(12)}
+        client.put_many(items.items())
+        assert crash_restart(server, CheckpointManager()) == len(items)
+        for key, value in items.items():
+            assert client.get(key) == value
+
+    def test_export_entry_returns_a_record(self, se_pair):
+        server, client = se_pair
+        client.put(b"k", b"v" * 40)
+        sealed, blob = server.export_entry(b"k")
+        assert sealed and b"v" * 40 not in blob
+        server.evict_entry(b"k")
+        assert server.import_entry(sealed, blob) == b"k"
+        assert client.get(b"k") == b"v" * 40

@@ -4,15 +4,24 @@ import threading
 
 import pytest
 
-from repro.core import PrecursorClient, PrecursorServer, ServerThreadPool
+from repro.core import (
+    PrecursorClient,
+    PrecursorServer,
+    PrecursorServerEncryption,
+    ServerEncryptionClient,
+    ServerThreadPool,
+)
 from repro.errors import ConfigurationError, KeyNotFoundError
 
 
-def make_threaded(threads=3, clients=4):
-    server = PrecursorServer()
+def make_threaded(threads=3, clients=4, server_encryption=False):
+    if server_encryption:
+        server, client_cls = PrecursorServerEncryption(), ServerEncryptionClient
+    else:
+        server, client_cls = PrecursorServer(), PrecursorClient
     pool = ServerThreadPool(server, threads=threads)
     client_objects = [
-        PrecursorClient(
+        client_cls(
             server,
             client_id=i + 1,
             auto_pump=False,
@@ -54,7 +63,18 @@ class TestThreadedOperation:
     def test_concurrent_client_threads(self):
         """Multiple client threads hammering the threaded server: all data
         must land, reads must verify, no MAC/replay errors."""
-        server, pool, clients = make_threaded(threads=3, clients=4)
+        self._hammer(*make_threaded(threads=3, clients=4))
+
+    def test_concurrent_server_encryption_client_threads(self):
+        """The server-encryption variant runs the same trusted threads."""
+        server, pool, clients = make_threaded(
+            threads=3, clients=4, server_encryption=True
+        )
+        self._hammer(server, pool, clients)
+        assert server.enclave_crypto_bytes > 0
+
+    @staticmethod
+    def _hammer(server, pool, clients):
         errors = []
 
         def worker(client, tag):
