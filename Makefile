@@ -33,18 +33,26 @@ shard-smoke:
 # once more with 2 ms leases, so that most cached reads revalidate
 # against their entry's basis (docs/CACHING.md) under payload
 # corruption and shard deaths.  Each exits non-zero iff an injected
-# fault caused an integrity violation instead of being recovered; then
+# fault caused an integrity violation instead of being recovered, and
+# each JSON report must regenerate its committed bench_reports/chaos-*
+# file byte for byte (fault fingerprint, retries, state digest); then
 # the modelled retry-cost curves regenerate.
 chaos-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro.cli chaos --seed 7 --ops 150
-	PYTHONPATH=src $(PYTHON) -m repro.cli chaos --seed 23 --ops 150 \
-		--schedule "drop:0.08,duplicate:0.05,delay:0.05,corrupt_payload:0.02,enclave_crash:0.01"
-	PYTHONPATH=src $(PYTHON) -m repro.cli chaos --seed 42 --ops 100 --shards 3 --replicas 1 \
-		--schedule "drop:0.05,shard_death:0.03,corrupt_payload:0.01"
-	PYTHONPATH=src $(PYTHON) -m repro.cli chaos --seed 42 --ops 100 --shards 3 --replicas 1 \
-		--cache --offload --schedule "drop:0.05,shard_death:0.03,corrupt_payload:0.01"
-	PYTHONPATH=src $(PYTHON) -m repro.cli chaos --seed 42 --ops 150 --shards 3 --replicas 1 \
-		--cache --lease-ms 2 --schedule "drop:0.05,shard_death:0.03,corrupt_payload:0.02"
+	PYTHONPATH=src $(PYTHON) -m repro.cli chaos --seed 7 --ops 150 --json \
+		> bench_reports/chaos-seed7.json
+	PYTHONPATH=src $(PYTHON) -m repro.cli chaos --seed 23 --ops 150 --json \
+		--schedule "drop:0.08,duplicate:0.05,delay:0.05,corrupt_payload:0.02,enclave_crash:0.01" \
+		> bench_reports/chaos-seed23-wire.json
+	PYTHONPATH=src $(PYTHON) -m repro.cli chaos --seed 42 --ops 100 --shards 3 --replicas 1 --json \
+		--schedule "drop:0.05,shard_death:0.03,corrupt_payload:0.01" \
+		> bench_reports/chaos-seed42-shards.json
+	PYTHONPATH=src $(PYTHON) -m repro.cli chaos --seed 42 --ops 100 --shards 3 --replicas 1 --json \
+		--cache --offload --schedule "drop:0.05,shard_death:0.03,corrupt_payload:0.01" \
+		> bench_reports/chaos-seed42-cache-offload.json
+	PYTHONPATH=src $(PYTHON) -m repro.cli chaos --seed 42 --ops 150 --shards 3 --replicas 1 --json \
+		--cache --lease-ms 2 --schedule "drop:0.05,shard_death:0.03,corrupt_payload:0.02" \
+		> bench_reports/chaos-seed42-lease-2ms.json
+	git diff --exit-code -- 'bench_reports/chaos-*.json'
 	PYTHONPATH=src $(PYTHON) -m repro.cli faulttail --quick
 
 # Replicated failover chaos under three fixed seeds: sync groups must

@@ -100,7 +100,7 @@ def _ycsb_a_pump(
     import random
 
     from repro.core.client import PrecursorClient
-    from repro.core.protocol import OpCode, Request
+    from repro.core.protocol import OpCode
     from repro.core.server import PrecursorServer, ServerConfig
     from repro.crypto.keys import KeyGenerator
 
@@ -116,33 +116,25 @@ def _ycsb_a_pump(
     ]
     value = bytes(value_size)
 
-    def stage(client, opcode, key):
-        # Stage one sealed request without pumping the server: the
-        # public put()/get() would synchronously drain the ring after
-        # every op, which is exactly the K=1 behaviour we are comparing
-        # *against*.
-        if opcode is OpCode.PUT:
-            op_key = client.keygen.operation_key()
-            payload = client.provider.payload_encrypt(op_key, value)
-            control = client._next_control(OpCode.PUT, key, op_key)
-            req = client._seal_control(control)
-            req = Request(
-                client_id=req.client_id,
-                sealed_control=req.sealed_control,
-                payload=payload,
-                reply_credit=req.reply_credit,
-            )
-        else:
-            control = client._next_control(OpCode.GET, key)
-            req = client._seal_control(control)
-        client._submit(req)
-        return control.oid
+    def stage(client, wave_ops):
+        # Submit one window without pumping the server (the submit half
+        # of the client's request path): the public put()/get() would
+        # drain the ring after every op, which is exactly the K=1
+        # behaviour we are comparing *against*.
+        entries = []
+        for opcode, key in wave_ops:
+            if opcode is OpCode.PUT:
+                entries += client._put_requests([(key, value)])
+            else:
+                entries.append((client._next_control(OpCode.GET, key), None))
+        client._send(entries)
+        return entries
 
     for i in range(records):
         client = sessions[i % clients]
-        oid = stage(client, OpCode.PUT, b"key-%05d" % i)
+        entries = stage(client, [(OpCode.PUT, b"key-%05d" % i)])
         server.process_pending()
-        client._open_response(client._await_response(), oid)
+        client._collect(entries, [])
 
     rng = random.Random(seed)
     keys = [
@@ -153,21 +145,24 @@ def _ycsb_a_pump(
     pump_s = 0.0
     i = 0
     while i < ops:
-        staged: List[Tuple[object, List[int]]] = [(c, []) for c in sessions]
+        waves: List[List[Tuple[object, bytes]]] = [[] for _ in sessions]
         for _ in range(wave * clients):
             if i >= ops:
                 break
-            idx = i % clients
-            client = sessions[idx]
             opcode = OpCode.PUT if writes[i] else OpCode.GET
-            staged[idx][1].append(stage(client, opcode, keys[i]))
+            waves[i % clients].append((opcode, keys[i]))
             i += 1
+        staged = [
+            (client, stage(client, wave_ops))
+            for client, wave_ops in zip(sessions, waves)
+            if wave_ops
+        ]
         t0 = time.perf_counter()
         server.process_pending()
         pump_s += time.perf_counter() - t0
-        for client, oids in staged:
-            for oid in oids:
-                client._open_response(client._await_response(), oid)
+        for client, entries in staged:
+            # The collect half: await and open the window's replies.
+            client._collect(entries, [])
     return pump_s
 
 

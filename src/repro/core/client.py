@@ -49,7 +49,7 @@ from repro.errors import (
     ReplayError,
     ShardUnavailableError,
 )
-from repro.obs import ObsContext, Trace
+from repro.obs import ObsContext
 from repro.rdma.memory import AccessFlags
 from repro.rdma.verbs import Opcode as RdmaOpcode
 from repro.rdma.verbs import WorkRequest
@@ -59,12 +59,38 @@ __all__ = ["PrecursorClient", "allocate_client_id"]
 
 _client_ids = itertools.count(1)
 
-#: Sentinel returned by :meth:`PrecursorClient._exchange` when the server's
-#: replay filter confirmed a retried request was already applied but no
-#: cached reply could be recovered (e.g. after a crash-restart).
-_APPLIED = object()
-
 _MAC_MISMATCH = "payload MAC mismatch: untrusted server memory was modified"
+
+#: Failures a window retries under the same oids: a lost, duplicated or
+#: corrupted frame, or a dead QP.
+_TRANSPORT_FAILURES = (
+    AccessError, OperationTimeoutError, AuthenticationError, ProtocolError
+)
+
+
+def _first_failure(outcomes, error):
+    """The exception of the first outcome, in order, that is not a result.
+
+    Each outcome is a result, an exception, or None where ``error``
+    stopped the batch first.  Returns None when every outcome is a result.
+    """
+    for outcome in outcomes:
+        if outcome is None:
+            return error
+        if isinstance(outcome, BaseException):
+            return outcome
+    return None
+
+
+def _refusal(op: str, key: bytes, control) -> Optional[PrecursorError]:
+    """The failure a reply's control segment reports, or None when OK."""
+    if control is None or control.status is Status.OK:
+        return None
+    if control.status is Status.NOT_FOUND:
+        return KeyNotFoundError(key)
+    return PrecursorError(
+        f"{op} failed at oid {control.oid}: {control.status.name}"
+    )
 
 
 def allocate_client_id() -> int:
@@ -106,12 +132,14 @@ class PrecursorClient:
         threaded server (:class:`~repro.core.threading.ServerThreadPool`),
         where another thread fills the ring.
     max_retries:
-        Per-operation retry budget (default 0: fail fast, the historical
-        behaviour).  With retries enabled, a transport fault or reply
-        timeout triggers reconnect-and-resubmit under the *same* ``oid``,
-        so the server's replay filter deduplicates a request that was
-        already applied -- retried PUTs never double-apply and GETs are
-        idempotent (``docs/FAULTS.md``).
+        Retries per operation (default 0: fail fast, the historical
+        behaviour).  Every operation runs as a window -- ``put``/``get``/
+        ``delete`` as a window of one -- and a window may retry this many
+        times in a row without settling a request.  A transport fault or
+        reply timeout triggers reconnect-and-resubmit under the
+        *same* oids, so the server's replay filter deduplicates a request
+        that was already applied -- retried PUTs never double-apply and
+        GETs are idempotent (:meth:`_window`, ``docs/FAULTS.md``).
     retry_backoff_s / retry_backoff_cap_s:
         Capped exponential backoff between attempts: the Nth retry sleeps
         ``min(cap, backoff * 2**(N-1))`` seconds.
@@ -121,8 +149,10 @@ class PrecursorClient:
         operation land in the same trace (``docs/OBSERVABILITY.md``).
     trace_ops:
         When True (default), every single-key ``get``/``put``/``delete``
-        records an end-to-end span trace.  Disable for micro-benchmarks
-        that cannot afford the few clock reads per operation.
+        records an end-to-end span trace.  ``put_many``/``get_many``
+        start none; their windows record the client stages into a trace
+        that is already current.  Disable for micro-benchmarks that
+        cannot afford the few clock reads per operation.
     """
 
     def __init__(
@@ -168,11 +198,6 @@ class PrecursorClient:
         self.reconnects = 0
         #: Gets answered from the caller's basis without payload crypto.
         self.unchanged_reads = 0
-        #: ``(K_operation, payload)`` of the most recent successful
-        #: ``get`` (as verified, the enclave's MAC under strict
-        #: integrity) or ``put`` (as encrypted): the basis of the value
-        #: it returned or stored.
-        self.last_payload: Optional[Tuple[bytes, EncryptedPayload]] = None
 
         #: Chaos seam (repro.faults): called with the encoded frame after
         #: each submit; returning True makes the client post the frame
@@ -340,10 +365,9 @@ class PrecursorClient:
     def drain_replies(self) -> int:
         """Discard every queued reply frame; returns the number dropped.
 
-        Error-path resync for batched callers (e.g. the shard router):
-        when a pipelined batch aborts mid-window, replies for the already
-        submitted remainder are still in flight, and the next operation
-        would otherwise read one of them and fail the oid match.
+        Error-path resync for callers that staged frames outside a
+        window: replies still queued would otherwise meet the next
+        window's oid check.
         """
         if self._pump is not None:
             self._pump()
@@ -375,53 +399,11 @@ class PrecursorClient:
         return Response.decode(frame)
 
     def _open_control(self, response: Response) -> ResponseControl:
-        """Authenticate and decode a reply's sealed control segment."""
+        """Authenticate and decode one reply's sealed control segment."""
         blob = self.provider.transport_open(
             self.session, response.sealed_control, aad=reply_aad(self.client_id)
         )
         return ResponseControl.decode(blob)
-
-    def _open_response(
-        self, response: Response, expected_oid: Optional[int] = None
-    ) -> ResponseControl:
-        control = self._open_control(response)
-        if expected_oid is None:
-            expected_oid = self._oid
-        if control.oid != expected_oid:
-            raise ProtocolError(
-                f"response oid {control.oid} does not match request "
-                f"{expected_oid}"
-            )
-        if control.status is Status.REPLAY:
-            raise ReplayError(f"server rejected oid {self._oid} as a replay")
-        return control
-
-    def _collect_reply(
-        self, expected_oid: int
-    ) -> "tuple[Response, ResponseControl]":
-        """Await the reply for ``expected_oid``.
-
-        In retry mode, replies for *earlier* oids may still be queued --
-        the cached ack a duplicate triggered, or the late reply of an
-        operation that was already resolved by a retry.  Those are
-        skipped; a reply from the *future* is still a protocol violation.
-        """
-        while True:
-            response = self._await_response()
-            with self.obs.tracer.stage("client.open_response"):
-                control = self._open_control(response)
-            if control.oid < expected_oid and self.max_retries > 0:
-                continue
-            if control.oid != expected_oid:
-                raise ProtocolError(
-                    f"response oid {control.oid} does not match request "
-                    f"{expected_oid}"
-                )
-            if control.status is Status.REPLAY:
-                raise ReplayError(
-                    f"server rejected oid {expected_oid} as a replay"
-                )
-            return response, control
 
     # -- retry engine ----------------------------------------------------------
 
@@ -445,116 +427,11 @@ class PrecursorClient:
             "retries_total", "client operation retries", {"op": op}
         ).inc()
 
-    def _resync_after_failure(self, control: ControlData) -> None:
-        """Re-align the local oid counter after an operation failed for good.
-
-        ``_next_control`` consumed an oid the server may never have seen;
-        leaving ``_oid`` ahead of the replay expectation would make every
-        subsequent operation a permanent oid mismatch.  Ask the filter
-        where it stands and step back so the next operation re-uses the
-        orphaned oid.  When the server is unreachable the later
-        :meth:`reconnect` performs the same resync.
-        """
-        try:
-            expected = self._server.replay_expected(self.client_id)
-        except PrecursorError:
-            return
-        if expected <= control.oid and self._oid == control.oid:
-            self._oid = expected - 1
-
-    def _exchange(self, control: ControlData, payload=None, op: str = "op"):
-        """Submit one sealed request and collect its reply, with retries.
-
-        Returns ``(response, response_control)`` -- or the :data:`_APPLIED`
-        sentinel when a retry learned from the replay filter that the
-        original attempt was applied but its reply is unrecoverable.
-
-        The retry loop is replay-safe by construction: every attempt
-        re-seals the *same* control data (same oid, same one-time key) and
-        re-ships the *same* ciphertext, so the server either applies it
-        once or recognises the duplicate and re-sends the cached ack.
-        Each retry performs a full :meth:`reconnect` -- a lost ring write
-        desynchronises the ring sequence, so fresh rings (and a fresh QP,
-        and re-attestation) are the uniform recovery action.
-        """
-        attempt = 0
-        while True:
-            try:
-                with self.obs.tracer.stage("client.seal_request"):
-                    request = self._seal_control(control)
-                    if payload is not None:
-                        request = Request(
-                            client_id=request.client_id,
-                            sealed_control=request.sealed_control,
-                            payload=payload,
-                            reply_credit=request.reply_credit,
-                        )
-                with self.obs.tracer.stage("client.rdma_write"):
-                    self._submit(request)
-                return self._collect_reply(control.oid)
-            except (
-                AccessError,
-                OperationTimeoutError,
-                AuthenticationError,
-                ProtocolError,
-            ):
-                # Transport-shaped failures: lost/duplicated/corrupted
-                # frame or a dead QP.  Retry under the same oid.
-                if attempt >= self.max_retries:
-                    self._resync_after_failure(control)
-                    raise
-            except ReplayError:
-                if attempt == 0:
-                    raise
-                # A retried request hit the replay filter without a cached
-                # reply: the original WAS applied (only this client can
-                # advance its oid), the ack is simply gone -- e.g. the
-                # server crash-restarted in between.
-                return _APPLIED
-            attempt += 1
-            self._count_retry(op)
-            self._backoff(attempt)
-            expected = self.reconnect()
-            if expected is not None and expected < control.oid:
-                # The filter has not advanced past an *earlier* oid: the
-                # monotonic expectation proves none of the intervening
-                # requests were applied (sealed checkpoints cannot roll it
-                # back).  Re-key this attempt at the expected oid so the
-                # two sides resume in lockstep.
-                control = dataclasses.replace(control, oid=expected)
-                self._oid = expected
-
     def _next_control(
         self, opcode: OpCode, key: bytes, k_operation=None, value=None
     ) -> ControlData:
         self._oid += 1
         return ControlData(opcode, self._oid, key, k_operation, value)
-
-    def _seal_control(self, control: ControlData) -> Request:
-        sealed = self.provider.transport_seal(
-            self.session, control.encode(), aad=request_aad(self.client_id)
-        )
-        return Request(
-            client_id=self.client_id,
-            sealed_control=sealed,
-            reply_credit=self._reply_consumer.consumed,
-        )
-
-    # -- tracing ---------------------------------------------------------------
-
-    def _start_trace(self, op: str) -> Optional[Trace]:
-        """Begin an end-to-end span trace for one operation.
-
-        Returns None when tracing is disabled or a trace is already active
-        (batched operations interleave submissions and replies, so only
-        single-key operations are traced per-op).
-        """
-        if not self._trace_ops:
-            return None
-        tracer = self.obs.tracer
-        if tracer.current is not None:
-            return None
-        return tracer.start(op, client_id=self.client_id)
 
     # -- the payload scheme: the two steps a variant overrides ---------------
 
@@ -580,7 +457,7 @@ class PrecursorClient:
             )
         ]
 
-    def _get_values(self, replies, basis=None) -> Tuple[list, list]:
+    def _get_values(self, replies, bases=None) -> Tuple[list, list]:
         """The GET-value step: ``(values, records)`` of OK replies, in order.
 
         ``values[i]`` is the value ``replies[i]`` carries, or None where
@@ -590,12 +467,13 @@ class PrecursorClient:
 
         Precursor verifies each payload's MAC under the one-time key the
         enclave released, then decrypts (paper §3.7, "Query data"); the
-        record is that key and the payload as verified.  ``basis``, for
-        one reply, is an earlier verified read or acked write of its key
-        (a :class:`~repro.cache.CacheEntry`): a reply whose one-time key,
-        ciphertext and effective MAC all equal it byte for byte returns
-        the basis value without payload crypto, since the check is
-        deterministic and the basis holds its result on these bytes.
+        record is that key and the payload as verified.  ``bases`` holds
+        one entry per reply (or is None): an earlier verified read or
+        acked write of its key (a :class:`~repro.cache.CacheEntry`), or
+        None.  A reply whose one-time key, ciphertext and effective MAC
+        all equal its basis byte for byte returns the basis value without
+        payload crypto, since the check is deterministic and the basis
+        holds its result on these bytes.
         """
         records = []
         for response, control in replies:
@@ -611,21 +489,351 @@ class PrecursorClient:
                     ciphertext=payload.ciphertext, mac=control.mac
                 )
             records.append((control.k_operation, payload))
-        if basis is not None:
-            ((k_operation, payload),) = records
+        values = [None] * len(records)
+        todo = []
+        for i, ((k_operation, payload), basis) in enumerate(
+            zip(records, bases or itertools.repeat(None))
+        ):
             if (
-                hmac.compare_digest(k_operation, basis.k_operation)
+                basis is not None
+                and hmac.compare_digest(k_operation, basis.k_operation)
                 and payload.ciphertext == basis.ciphertext
                 and payload.mac == basis.mac
             ):
                 self.unchanged_reads += 1
-                return [basis.value], records
-        return self.provider.payload_decrypt_many(records), records
+                values[i] = basis.value
+            else:
+                todo.append(i)
+        if todo:
+            opened = self.provider.payload_decrypt_many(
+                [records[i] for i in todo]
+            )
+            for i, value in zip(todo, opened):
+                values[i] = value
+        return values, records
+
+    # -- the request path: windows ---------------------------------------------
+
+    def _batch_window(self) -> int:
+        """Outstanding requests per window.
+
+        Bounded to half the ring depth so neither the request ring nor the
+        reply ring (both ``slot_count`` deep) can overflow while replies
+        are still unconsumed.
+        """
+        return max(1, self._layout.slot_count // 2)
+
+    def _seal(self, entries) -> list:
+        """Seal ``(control, payload)`` pairs into requests as one batch.
+
+        Session IVs are drawn in order and the reply credit cannot move
+        while nothing is polled, so every request is byte-identical to
+        sealing one at a time.
+        """
+        aad = request_aad(self.client_id)
+        sealed = self.provider.transport_seal_many(
+            self.session, [(control.encode(), aad) for control, _pl in entries]
+        )
+        credit = self._reply_consumer.consumed
+        return [
+            Request(
+                client_id=self.client_id,
+                sealed_control=message,
+                payload=payload,
+                reply_credit=credit,
+            )
+            for (_control, payload), message in zip(entries, sealed)
+        ]
+
+    def _seal_control(self, control: ControlData) -> Request:
+        """One control segment sealed as a window of one (no payload)."""
+        (request,) = self._seal([(control, None)])
+        return request
+
+    def _send(self, entries) -> None:
+        """The submit half of a window: seal ``entries``, write them in order."""
+        with self.obs.tracer.stage("client.seal_request"):
+            requests = self._seal(entries)
+        with self.obs.tracer.stage("client.rdma_write"):
+            for request in requests:
+                self._submit(request)
+
+    def _collect(self, entries, replies: list, resent: bool = False) -> None:
+        """The collect half: await ``entries``' replies, open them in one pass.
+
+        Appends to ``replies``, in submission order, ``(response,
+        control)`` per answered entry -- or ``(None, None)`` for a
+        ``resent`` entry the server refused as a replay: it was applied
+        and its reply is gone.  In retry mode, replies of *earlier* oids
+        (the cached ack a duplicate triggered, or the late reply of an
+        entry a retry already settled) are skipped; a reply from the
+        future is a protocol violation.  Raises at the first failure in
+        submission order, with ``replies`` holding what came before it.
+        """
+        aad = reply_aad(self.client_id)
+        while len(replies) < len(entries):
+            responses, error, blobs = [], None, []
+            for _ in range(len(entries) - len(replies)):
+                try:
+                    responses.append(self._await_response())
+                except PrecursorError as exc:
+                    error = exc
+                    break
+            if responses:
+                with self.obs.tracer.stage("client.open_response"):
+                    blobs = self.provider.transport_open_many(
+                        self.session,
+                        [(response.sealed_control, aad) for response in responses],
+                    )
+            for response, blob in zip(responses, blobs):
+                if blob is None:
+                    raise AuthenticationError("authentication tag mismatch")
+                control = ResponseControl.decode(blob)
+                oid = entries[len(replies)][0].oid
+                if control.oid < oid and self.max_retries > 0:
+                    continue
+                if control.oid != oid:
+                    raise ProtocolError(
+                        f"response oid {control.oid} does not match request "
+                        f"{oid}"
+                    )
+                if control.status is not Status.REPLAY:
+                    replies.append((response, control))
+                elif resent:
+                    replies.append((None, None))
+                else:
+                    raise ReplayError(f"server rejected oid {oid} as a replay")
+            if error is not None:
+                raise error
+
+    def _window(self, entries, op: str):
+        """Run one window of ``(control, payload)`` requests to completion.
+
+        Returns ``(replies, error)``: per entry its ``(response,
+        control)`` reply, ``(None, None)`` for a put or delete the replay
+        filter proves applied whose reply is gone, or None where
+        ``error`` stopped the window first.  ``entries`` is updated in
+        place when a request is re-keyed or re-issued.
+
+        A transport-shaped failure (a lost, duplicated or corrupted
+        frame, a dead QP) with retries left reconnects -- fresh rings,
+        re-attestation -- and reads the replay filter's expected oid E.
+        The filter accepts oids strictly in order, so each unanswered
+        entry is settled by where it stands against E:
+
+        - oid < E-1 was applied and its reply is gone.  A put or delete
+          is done; a get, having no side effect, is re-issued under a
+          fresh oid;
+        - oid E-1 is re-sealed from the same control and payload (same
+          digest), so the server re-sends its cached reply;
+        - oid >= E is resubmitted, re-keyed from E when E is lower.
+
+        A retry thus re-ships the same bytes under the same oids, and the
+        server applies each request at most once.  ``max_retries`` bounds
+        the consecutive retries that settle nothing.
+        """
+        replies = [None] * len(entries)
+        reissues = [0] * len(entries)
+        pending = list(range(len(entries)))
+        attempt = 0
+        error = None
+        while pending:
+            got, stranded = [], []
+            try:
+                batch = [entries[i] for i in pending]
+                self._send(batch)
+                self._collect(batch, got, resent=attempt > 0)
+            except PrecursorError as exc:
+                error = exc
+            refused = []  # gets refused on a resend: no recoverable reply
+            for i, reply in zip(pending, got):
+                if reply[0] is None and entries[i][0].opcode is OpCode.GET:
+                    refused.append(i)
+                else:
+                    replies[i] = reply
+            pending = pending[len(got) :]
+            if got:
+                attempt = 0  # the budget bounds retries that settle nothing
+            if error is not None:
+                if attempt >= self.max_retries or not isinstance(
+                    error, _TRANSPORT_FAILURES
+                ):
+                    break
+                attempt += 1
+                self._count_retry(op)
+                self._backoff(attempt)
+                try:
+                    expected = self.reconnect()
+                except PrecursorError as exc:
+                    error = exc
+                    break
+                error = None
+                pending, stranded = self._resume(entries, pending, replies, expected)
+            spent = [i for i in refused if reissues[i] >= max(1, self.max_retries)]
+            if spent:
+                error = OperationTimeoutError(
+                    f"get {entries[spent[0]][0].key!r}: reply unrecoverable "
+                    f"after {reissues[spent[0]]} fresh re-issues"
+                )
+                break
+            for i in refused:
+                reissues[i] += 1
+            for i in refused + stranded:
+                self._count_retry(op)
+                entries[i] = (self._next_control(OpCode.GET, entries[i][0].key), None)
+                self.operations += 1
+                pending.append(i)
+        if error is not None:
+            # Hand back the oids the server never consumed, so the next
+            # window lines up with the filter.
+            try:
+                expected = self._server.replay_expected(self.client_id)
+                self._oid = min(self._oid, expected - 1)
+            except PrecursorError:
+                pass  # the server is down: the next reconnect resyncs
+        return replies, error
+
+    def _resume(self, entries, pending, replies, expected: int):
+        """Settle ``pending`` by the filter's expected oid.
+
+        Returns ``(resend, stranded)``: the entries to resubmit, and the
+        applied gets whose replies are gone, to re-issue.
+        """
+        resend = [i for i in pending if entries[i][0].oid >= expected - 1]
+        stranded = []
+        for i in pending:
+            if entries[i][0].oid >= expected - 1:
+                continue
+            if entries[i][0].opcode is OpCode.GET:
+                stranded.append(i)
+            else:
+                replies[i] = (None, None)  # applied; its reply is gone
+        if resend and entries[resend[0]][0].oid > expected:
+            # The filter has not advanced past an *earlier* oid: the
+            # monotonic expectation proves none of these was applied
+            # (sealed checkpoints cannot roll it back).  Re-key them from
+            # the expected oid so the two sides resume in lockstep.
+            for offset, i in enumerate(resend):
+                control, payload = entries[i]
+                entries[i] = (
+                    dataclasses.replace(control, oid=expected + offset),
+                    payload,
+                )
+            self._oid = expected + len(resend) - 1
+        return resend, stranded
+
+    # -- per-key outcomes of windows -------------------------------------------
+
+    def _puts(self, items):
+        """PUT windows over ``(key, value)`` items: ``(outcomes, error)``.
+
+        ``outcomes[i]`` is the ``(k_operation, payload)`` an acked put
+        stored (``(None, None)`` when the value travelled sealed), a
+        :class:`PrecursorError` for a put the server refused, or None
+        where ``error`` stopped the batch first.  A window with a refused
+        put ends the batch.
+        """
+        outcomes = [None] * len(items)
+        window = self._batch_window()
+        for start in range(0, len(items), window):
+            with self.obs.tracer.stage("client.encrypt_payload"):
+                entries = self._put_requests(items[start : start + window])
+            self.operations += len(entries)
+            replies, error = self._window(entries, "put")
+            failed = error is not None
+            for offset, ((control, payload), reply) in enumerate(
+                zip(entries, replies)
+            ):
+                if reply is None:
+                    break
+                refused = _refusal("put", control.key, reply[1])
+                failed = failed or refused is not None
+                outcomes[start + offset] = refused or (control.k_operation, payload)
+            if failed:
+                return outcomes, error
+        return outcomes, None
+
+    def _gets(self, keys, bases=None):
+        """GET windows over ``keys``: ``(outcomes, error)``.
+
+        ``outcomes[i]`` is ``(value, record)`` for a verified value (see
+        :meth:`_get_values`; ``bases`` aligns with ``keys``), the
+        exception of a key that failed -- :class:`KeyNotFoundError`, a
+        failed status, or an :class:`IntegrityError` counted in
+        :attr:`integrity_failures` -- or None where the batch stopped
+        first.  A window's values before its first failed status are
+        verified together and nothing after it is; a window with any
+        failure ends the batch.
+        """
+        outcomes = [None] * len(keys)
+        window = self._batch_window()
+        for start in range(0, len(keys), window):
+            chunk = keys[start : start + window]
+            entries = [
+                (self._next_control(OpCode.GET, key), None) for key in chunk
+            ]
+            self.operations += len(entries)
+            replies, error = self._window(entries, "get")
+            found, failure = [], None
+            for reply, key in zip(replies, chunk):
+                failure = reply and _refusal("get", key, reply[1])
+                if reply is None or failure is not None:
+                    outcomes[start + len(found)] = failure
+                    break
+                found.append(reply)
+            if found:
+                with self.obs.tracer.stage("client.verify_decrypt"):
+                    values, records = self._get_values(
+                        found, bases and bases[start : start + len(found)]
+                    )
+                for offset, (value, record) in enumerate(zip(values, records)):
+                    if value is None:
+                        self.integrity_failures += 1
+                        failure = IntegrityError(_MAC_MISMATCH)
+                        outcomes[start + offset] = failure
+                    else:
+                        outcomes[start + offset] = (value, record)
+            if error is not None or failure is not None:
+                return outcomes, error
+        return outcomes, None
+
+    def _delete(self, key: bytes):
+        """A DELETE window of one: ``([outcome], error)`` as :meth:`_puts`."""
+        control = self._next_control(OpCode.DELETE, key)
+        self.operations += 1
+        (reply,), error = self._window([(control, None)], "delete")
+        # (None, None): applied with only the ack lost -- the key is gone
+        # either way.
+        return [reply and _refusal("delete", key, reply[1]) or reply], error
+
+    def _run(self, op: Optional[str], batch, *args) -> list:
+        """``batch(*args)``'s outcomes, raising its first failure in order.
+
+        ``op`` names a single-key operation, traced end to end when
+        tracing is on and no trace is active; a batch passes None, and
+        its windows record their stages into whatever trace is active.
+        """
+        tracer = self.obs.tracer
+        trace = None
+        if op is not None and self._trace_ops and tracer.current is None:
+            trace = tracer.start(op, client_id=self.client_id)
+        try:
+            outcomes, error = batch(*args)
+            failure = _first_failure(outcomes, error)
+            if failure is not None:
+                raise failure
+        except BaseException:
+            if trace is not None:
+                trace.abort()
+            raise
+        if trace is not None:
+            trace.finish()
+        return outcomes
 
     # -- key-value API --------------------------------------------------------
 
     def put(self, key: bytes, value: bytes) -> bytes:
-        """Store ``value`` under ``key`` (Algorithm 1).
+        """Store ``value`` under ``key`` (Algorithm 1): a window of one.
 
         Generates a fresh one-time key, encrypts and MACs the value
         client-side, and ships ciphertext+MAC as the untrusted payload next
@@ -635,30 +843,12 @@ class PrecursorClient:
         engine; see :mod:`repro.replica.freshness`).
         """
         self._check_key(key)
-        trace = self._start_trace("put")
-        try:
-            with self.obs.tracer.stage("client.encrypt_payload"):
-                ((control, payload),) = self._put_requests([(key, value)])
-            self.operations += 1
-            result = self._exchange(control, payload=payload, op="put")
-            if result is not _APPLIED:
-                _response, control_resp = result
-                if control_resp.status is not Status.OK:
-                    raise PrecursorError(
-                        f"put failed: {control_resp.status.name}"
-                    )
-        except BaseException:
-            if trace is not None:
-                trace.abort()
-            raise
-        # A value that travelled sealed leaves no client-side basis or token.
-        self.last_payload = payload and (control.k_operation, payload)
-        if trace is not None:
-            trace.finish()
+        ((_k_operation, payload),) = self._run("put", self._puts, [(key, value)])
+        # A value that travelled sealed leaves no client-side token.
         return payload and payload.mac
 
     def get(self, key: bytes, basis=None) -> bytes:
-        """Fetch and verify the value stored under ``key``.
+        """Fetch and verify the value stored under ``key``: a window of one.
 
         The payload arrives as raw ciphertext from untrusted memory; the
         one-time key arrives inside the sealed control data.  The client
@@ -671,190 +861,38 @@ class PrecursorClient:
         (:meth:`_get_values`).
         """
         self._check_key(key)
-        trace = self._start_trace("get")
-        try:
-            fresh_issues = 0
-            while True:
-                control = self._next_control(OpCode.GET, key)
-                self.operations += 1
-                result = self._exchange(control, op="get")
-                if result is _APPLIED:
-                    # The earlier attempt was consumed server-side but its
-                    # reply is unrecoverable.  GET has no side effects:
-                    # simply re-issue it under a fresh oid.
-                    if fresh_issues >= max(1, self.max_retries):
-                        raise OperationTimeoutError(
-                            f"get {key!r}: reply unrecoverable after "
-                            f"{fresh_issues} fresh re-issues"
-                        )
-                    fresh_issues += 1
-                    self._count_retry("get")
-                    continue
-                response, control_resp = result
-                break
-            if control_resp.status is Status.NOT_FOUND:
-                raise KeyNotFoundError(key)
-            if control_resp.status is not Status.OK:
-                raise PrecursorError(f"get failed: {control_resp.status.name}")
-            with self.obs.tracer.stage("client.verify_decrypt"):
-                (value,), (record,) = self._get_values(
-                    [(response, control_resp)], basis
-                )
-            if value is None:
-                self.integrity_failures += 1
-                raise IntegrityError(_MAC_MISMATCH)
-            # Routers compare the verified MAC against the last acked
-            # write to catch stale failover state, and cache the record.
-            self.last_payload = record
-        except BaseException:
-            if trace is not None:
-                trace.abort()
-            raise
-        if trace is not None:
-            trace.finish()
+        ((value, _record),) = self._run("get", self._gets, [key], [basis])
         return value
 
     def delete(self, key: bytes) -> None:
         """Remove ``key``; raises :class:`KeyNotFoundError` when absent."""
         self._check_key(key)
-        trace = self._start_trace("delete")
-        try:
-            control = self._next_control(OpCode.DELETE, key)
-            self.operations += 1
-            result = self._exchange(control, op="delete")
-            if result is not _APPLIED:
-                _response, control_resp = result
-                if control_resp.status is Status.NOT_FOUND:
-                    raise KeyNotFoundError(key)
-                if control_resp.status is not Status.OK:
-                    raise PrecursorError(
-                        f"delete failed: {control_resp.status.name}"
-                    )
-            # _APPLIED: the delete was consumed server-side and only the
-            # ack was lost -- the key is gone either way, report success.
-        except BaseException:
-            if trace is not None:
-                trace.abort()
-            raise
-        if trace is not None:
-            trace.finish()
-
-    # -- batched operations ----------------------------------------------------
-
-    def _batch_window(self) -> int:
-        """Outstanding requests per pipelined batch.
-
-        Bounded to half the ring depth so neither the request ring nor the
-        reply ring (both ``slot_count`` deep) can overflow while replies
-        are still unconsumed.
-        """
-        return max(1, self._layout.slot_count // 2)
-
-    def _submit_window(self, entries) -> None:
-        """Seal ``(control, payload)`` pairs as one batch; submit in order.
-
-        Session IVs are drawn in submission order and the reply credit
-        cannot move while nothing is polled, so every frame is
-        byte-identical to sealing and submitting one request at a time.
-        """
-        aad = request_aad(self.client_id)
-        sealed = self.provider.transport_seal_many(
-            self.session, [(control.encode(), aad) for control, _pl in entries]
-        )
-        credit = self._reply_consumer.consumed
-        for (control, payload), message in zip(entries, sealed):
-            try:
-                self._submit(
-                    Request(
-                        client_id=self.client_id,
-                        sealed_control=message,
-                        payload=payload,
-                        reply_credit=credit,
-                    )
-                )
-            except BaseException:
-                # As if this frame had been the last one built: the oids
-                # of the unsent rest are handed back.
-                self._oid = control.oid
-                raise
-
-    def _collect_window(self, entries):
-        """Await a window's replies, then authenticate them in one batch.
-
-        Returns ``(replies, error)``: ``(response, control)`` for the
-        leading replies that opened and answered their oid, and the
-        exception that cut the window short (``None`` if nothing did).
-        The first failure in submission order wins, as it would
-        collecting one reply at a time.
-        """
-        oids = [control.oid for control, _payload in entries]
-        responses = []
-        error = None
-        for _oid in oids:
-            try:
-                responses.append(self._await_response())
-            except PrecursorError as exc:
-                error = exc
-                break
-        aad = reply_aad(self.client_id)
-        blobs = self.provider.transport_open_many(
-            self.session,
-            [(response.sealed_control, aad) for response in responses],
-        )
-        replies = []
-        for oid, response, blob in zip(oids, responses, blobs):
-            try:
-                if blob is None:
-                    raise AuthenticationError("authentication tag mismatch")
-                control = ResponseControl.decode(blob)
-                if control.oid != oid:
-                    raise ProtocolError(
-                        f"response oid {control.oid} does not match request "
-                        f"{oid}"
-                    )
-                if control.status is Status.REPLAY:
-                    raise ReplayError(f"server rejected oid {oid} as a replay")
-            except PrecursorError as exc:
-                return replies, exc
-            replies.append((response, control))
-        return replies, error
+        self._run("delete", self._delete, key)
 
     def put_many(self, items) -> int:
-        """Pipeline several puts: submit a window of frames, then collect.
+        """Pipeline several puts: windows of frames, submitted then collected.
 
         Amortises server pumping and exploits the ring's depth (with
         selective signaling, batches are how one-sided designs reach their
         throughput).  Each window's payloads are encrypted and MACed, its
         control segments sealed, and its replies opened as one batch
-        each.  Returns the number of stored items; raises on the first
-        failed reply.
+        each, under the retry engine of :meth:`_window`.  Returns the
+        number of stored items; raises the first failure in item order.
+        A batch with an invalid key is refused before anything is sent.
         """
         items = list(items)
         for key, _value in items:
             self._check_key(key)
-        window = self._batch_window()
-        stored = 0
+        window = self._batch_window()  # hold one window's records at a time
         for start in range(0, len(items), window):
-            entries = self._put_requests(items[start : start + window])
-            self._submit_window(entries)
-            self.operations += len(entries)
-            replies, error = self._collect_window(entries)
-            for _response, control in replies:
-                if control.status is not Status.OK:
-                    raise PrecursorError(
-                        f"batched put failed at oid {control.oid}: "
-                        f"{control.status.name}"
-                    )
-                stored += 1
-            if error is not None:
-                raise error
-        return stored
+            self._run(None, self._puts, items[start : start + window])
+        return len(items)
 
     def get_many(self, keys) -> list:
         """Pipeline several gets; returns values aligned with ``keys``.
 
         Each window's control segments are sealed, its replies opened
-        and its payload MACs verified as one batch each.  Raises on the
+        and its payload MACs verified as one batch each.  Raises the
         first failure in key order: :class:`KeyNotFoundError` for a
         missing key, :class:`IntegrityError` for a payload that fails
         verification (counted in :attr:`integrity_failures`).
@@ -862,38 +900,14 @@ class PrecursorClient:
         keys = list(keys)
         for key in keys:
             self._check_key(key)
-        window = self._batch_window()
-        values = []
-        for start in range(0, len(keys), window):
-            chunk = keys[start : start + window]
-            entries = [
-                (self._next_control(OpCode.GET, key), None) for key in chunk
-            ]
-            self._submit_window(entries)
-            self.operations += len(entries)
-            replies, error = self._collect_window(entries)
-            # Walk in key order up to the first failure; the values
-            # before it are verified together.
-            found = []
-            for (response, control), key in zip(replies, chunk):
-                if control.status is Status.NOT_FOUND:
-                    error = KeyNotFoundError(key)
-                    break
-                if control.status is not Status.OK:
-                    error = PrecursorError(
-                        f"batched get failed: {control.status.name}"
-                    )
-                    break
-                found.append((response, control))
-            opened, _records = self._get_values(found)
-            failures = opened.count(None)
-            if failures:
-                self.integrity_failures += failures
-                raise IntegrityError(_MAC_MISMATCH)
-            if error is not None:
-                raise error
-            values.extend(opened)
-        return values
+        window = self._batch_window()  # hold one window's records at a time
+        return [
+            value
+            for start in range(0, len(keys), window)
+            for value, _record in self._run(
+                None, self._gets, keys[start : start + window]
+            )
+        ]
 
     @staticmethod
     def _check_key(key: bytes) -> None:

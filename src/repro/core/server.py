@@ -779,7 +779,7 @@ class PrecursorServer:
         payload: Optional[EncryptedPayload],
     ) -> None:
         self.stats.puts += 1
-        built = self._put_entry(channel, control, payload)
+        built = self._put_entry(channel.client_id, control, payload)
         if built is None:
             # An authenticated sender, but not this scheme's PUT: answered
             # (sealed) rather than dropped, and nothing is stored.
@@ -812,7 +812,7 @@ class PrecursorServer:
 
     def _put_entry(
         self,
-        channel: _ClientChannel,
+        client_id: int,
         control: ControlData,
         payload: Optional[EncryptedPayload],
     ) -> Optional[Tuple[_Entry, bytes]]:
@@ -830,7 +830,7 @@ class PrecursorServer:
             return None
         entry = _Entry(
             k_operation=control.k_operation,
-            client_id=channel.client_id,
+            client_id=client_id,
             mac=payload.mac if self.config.strict_integrity else None,
         )
         return entry, payload.ciphertext + payload.mac
@@ -1153,10 +1153,13 @@ class PrecursorServer:
     ) -> int:
         """Bulk-insert key/value pairs through the real storage path.
 
-        Performs genuine payload encryption, pool storage and table/EPC
-        accounting but skips the per-request transport framing -- the tool
-        the experiments use to pre-load 600 k (or 3 M) entries without
-        paying pure-Python AES on every control message.
+        Builds each PUT in whichever shape the scheme's :meth:`_put_entry`
+        accepts -- the value sealed in the control segment, or a one-time
+        key with its client-encrypted payload -- and stores it through
+        that step: genuine payload crypto, pool storage and table/EPC
+        accounting, but no per-request transport framing.  The tool the
+        experiments use to pre-load 600 k (or 3 M) entries without paying
+        pure-Python AES on every control message.
         """
         self._check_alive()
         keygen = keygen if keygen is not None else KeyGenerator(seed=7)
@@ -1164,14 +1167,15 @@ class PrecursorServer:
             raise ConfigurationError(f"unknown client {client_id}")
         count = 0
         for key, value in items:
-            k_op = keygen.operation_key()
-            payload = self.provider.payload_encrypt(k_op, value)
-            entry = _Entry(
-                k_operation=k_op,
-                client_id=client_id,
-                mac=payload.mac if self.config.strict_integrity else None,
-            )
-            self._place(entry, payload.ciphertext + payload.mac, inline=False)
+            put = ControlData(OpCode.PUT, 0, key, value=value)
+            built = self._put_entry(client_id, put, None)
+            if built is None:
+                k_op = keygen.operation_key()
+                payload = self.provider.payload_encrypt(k_op, value)
+                put = ControlData(OpCode.PUT, 0, key, k_op)
+                built = self._put_entry(client_id, put, payload)
+            entry, blob = built
+            self._place(entry, blob, inline=False)
             self._install(key, entry)
             count += 1
         return count

@@ -77,7 +77,7 @@ class PrecursorServerEncryption(PrecursorServer):
         self._storage_iv_counter += 1
         return struct.pack(">IQ", 0x5EA1ED, self._storage_iv_counter)
 
-    def _put_entry(self, channel, control, payload):
+    def _put_entry(self, client_id, control, payload):
         """Seal the value the control segment carried under the master key.
 
         A request with an untrusted payload half or one-time key, or
@@ -94,7 +94,7 @@ class PrecursorServerEncryption(PrecursorServer):
             iv = self._next_storage_iv()
             blob = self._master.seal(iv, control.value)
         self.enclave_crypto_bytes += 2 * len(control.value)
-        return _Entry(k_operation=iv, client_id=channel.client_id), blob
+        return _Entry(k_operation=iv, client_id=client_id), blob
 
     def _get_reply(self, control, entry, blob):
         """Open the stored blob under the entry's IV; reply with the value."""
@@ -118,7 +118,7 @@ class ServerEncryptionClient(PrecursorClient):
     No one-time keys, no client-side payload crypto: the value rides inside
     the transport-sealed control segment and the server is trusted (via
     its enclave) to verify and re-encrypt it.  A put leaves no client-side
-    basis (``last_payload`` is None) and returns no freshness token.
+    basis and returns no freshness token.
     """
 
     def _put_requests(self, items) -> list:
@@ -128,7 +128,7 @@ class ServerEncryptionClient(PrecursorClient):
             for key, value in items
         ]
 
-    def _get_values(self, replies, basis=None):
+    def _get_values(self, replies, bases=None):
         """The value arrives inside the sealed reply, already verified by
         the enclave and the transport; there is no basis to record."""
         values = []

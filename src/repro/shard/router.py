@@ -5,7 +5,9 @@ A :class:`ShardedClient` wraps one attested
 ring, replay counter) *per shard*, all under a single client identity,
 and routes every operation by key hash through a cached snapshot of the
 cluster's shard map.  Multi-key batches are fanned out per shard and the
-replies merged back into request order.
+replies merged back into request order; a single-key ``put``/``get`` is
+a batch of one, so batches fail over, cache and anchor freshness claims
+exactly as single keys do.
 
 Epoch protocol (see ``docs/SHARDING.md``):
 
@@ -27,10 +29,14 @@ protocol-equivalent to a direct client.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.cache import NearCache
-from repro.core.client import PrecursorClient, allocate_client_id
+from repro.core.client import (
+    PrecursorClient,
+    _first_failure,
+    allocate_client_id,
+)
 from repro.crypto.keys import KeyGenerator
 from repro.errors import (
     AccessError,
@@ -40,8 +46,8 @@ from repro.errors import (
     OperationTimeoutError,
     PrecursorError,
     ShardUnavailableError,
+    StaleReadError,
 )
-from repro.obs import Trace
 from repro.replica import FreshnessTracker
 
 __all__ = ["ShardedClient"]
@@ -63,8 +69,7 @@ class ShardedClient:
     :class:`~repro.errors.StaleReadError`.  This is the *client-centric*
     failover check: no replica, no oracle, just the MACs the client
     already computes.  The single-writer caveat applies: the tracker only
-    speaks for this router's own acked writes, and batched ``put_many``
-    keys drop their claims (the batch API does not return per-key MACs).
+    speaks for this router's own acked writes.
 
     ``near_cache`` adds a bounded client-side read cache
     (:mod:`repro.cache.nearcache`): a ``get`` whose cached entry passes
@@ -382,10 +387,22 @@ class ShardedClient:
         self._obs_failover.inc()
         self.obs.hop("failover", shard=shard)
 
-    def _failover_retry(self, key: bytes, fenced: bool, fn):
-        """Run ``fn(client)`` against ``key``'s owner, surviving its death.
+    def _route_all(self, keys, indices, fenced: bool):
+        """Route ``keys[i]`` per index: ``[(shard, client, group)]``."""
+        groups = {}
+        for i in indices:
+            client, shard = self._route(keys[i], fenced)
+            groups.setdefault(shard, (client, []))[1].append(i)
+        return [(shard, client, group) for shard, (client, group) in groups.items()]
 
-        Three recoveries are possible, tried in order:
+    def _failover_retry(self, keys, indices, fenced: bool, run, outcomes):
+        """Run ``indices`` of ``keys`` on their owners, surviving a death.
+
+        ``run(client, group)`` serves one shard's group of indices as
+        ``(settled, error)`` (:meth:`PrecursorClient._puts` and kin); the
+        settled outcomes land in ``outcomes`` and ``error`` is raised.
+        When a group's window dies, three recoveries are possible, tried
+        in order:
 
         - a replica **promotion** already swapped the member behind the
           shard name (the cluster's server for the shard is alive but is
@@ -393,7 +410,7 @@ class ShardedClient:
           -- ``_client`` re-attests against the new primary;
         - the shard is down with nothing promoted: mark it failed
           cluster-wide (ring minus shard, epoch bump) and retry against
-          the new owner.  The dead shard's session object is *kept*: on
+          the new owners.  The dead shard's session object is *kept*: on
           restore the same client reconnects and resumes its oid
           sequence.
         - the member is alive and *is* this session's server, yet the
@@ -404,57 +421,96 @@ class ShardedClient:
           Revive the session -- full handshake plus oid realignment
           against the restarted replay filter -- and retry.
 
-        Failures that are none of these propagate unchanged.
+        The retry re-routes only the group's unsettled indices and runs
+        them once more.  Failures that are none of these propagate
+        unchanged.
         """
+        if not indices:
+            return
+
+        def attempt(client, group):
+            settled, error = run(client, group)
+            for i, outcome in zip(group, settled):
+                outcomes[i] = outcome
+            if error is not None:
+                raise error
+
         with self.obs.tracer.stage("router.route"):
-            client, shard = self._route(key, fenced=fenced)
-        try:
-            return fn(client)
-        except (ShardUnavailableError, AccessError, OperationTimeoutError):
-            current = self.cluster.server(shard)
-            if not current.crashed and current is not client.server:
-                # Failover fence: a backup was promoted under a bumped
-                # epoch; pick it up and re-route.
-                self.refresh_map()
-                self.obs.hop("promotion_follow", shard=shard)
-            elif current.crashed:
-                self._failover(shard)
-            else:
-                self.refresh_map()
-                self.obs.hop("revive", shard=shard)
-                client.revive()
-            with self.obs.tracer.stage("router.route"):
-                client, _shard = self._route(key, fenced=fenced)
-            return fn(client)
+            groups = self._route_all(keys, indices, fenced)
+        for shard, client, group in groups:
+            try:
+                attempt(client, group)
+            except (ShardUnavailableError, AccessError, OperationTimeoutError):
+                current = self.cluster.server(shard)
+                if not current.crashed and current is not client.server:
+                    # Failover fence: a backup was promoted under a bumped
+                    # epoch; pick it up and re-route.
+                    self.refresh_map()
+                    self.obs.hop("promotion_follow", shard=shard)
+                elif current.crashed:
+                    self._failover(shard)
+                else:
+                    self.refresh_map()
+                    self.obs.hop("revive", shard=shard)
+                    client.revive()
+                rest = [i for i in group if outcomes[i] is None]
+                with self.obs.tracer.stage("router.route"):
+                    regroups = self._route_all(keys, rest, fenced)
+                for _shard, client, regroup in regroups:
+                    attempt(client, regroup)
+
+    def _settle(self, keys, indices, run, outcomes) -> None:
+        """:meth:`_failover_retry` for reads and deletes, plus the epoch retry.
+
+        A ``NOT_FOUND`` is either a true miss or a stale route that raced
+        a migration; only an epoch bump warrants running the misses (and
+        what their windows left unsettled) once more.  A final miss is
+        stale-loss checked (:meth:`_check_absent`) and may become a
+        :class:`~repro.errors.StaleReadError`.
+        """
+        self._failover_retry(keys, indices, False, run, outcomes)
+        missing = [i for i in indices if isinstance(outcomes[i], KeyNotFoundError)]
+        if missing and self.refresh_map():
+            self._note_stale()
+            rerun = [i for i in indices if outcomes[i] is None or i in missing]
+            for i in rerun:
+                outcomes[i] = None
+            self._failover_retry(keys, rerun, False, run, outcomes)
+            missing = [i for i in rerun if isinstance(outcomes[i], KeyNotFoundError)]
+        for i in missing:
+            try:
+                self._check_absent(keys[i])
+            except StaleReadError as exc:
+                outcomes[i] = exc
 
     # -- tracing -----------------------------------------------------------
 
-    def _start_trace(self, op: str) -> Optional[Trace]:
-        if not self._trace_ops:
-            return None
-        tracer = self.obs.tracer
-        if tracer.current is not None:
-            return None
-        return tracer.start(op, client_id=self.client_id, routed=True)
+    def _traced(self, op: str, run, arg):
+        """``run(arg)`` as one routed operation: its trace and causal context.
 
-    def _begin_context(self, op: str):
-        """Mint the causal trace context for one routed operation.
-
-        Mirrors :meth:`_start_trace`: only when tracing is on and no
-        context is already active on this thread (so a caller running
-        under its own context keeps it -- the hops nest there).
+        Each starts only when tracing is on and none is active on this
+        thread (a caller running under its own context keeps it -- the
+        hops nest there).
         """
-        if not self._trace_ops:
-            return None
-        ctxlog = self.obs.ctxlog
-        if ctxlog.current is not None:
-            return None
-        return ctxlog.begin(op, client_id=self.client_id)
-
-    def _end_context(self, context, status: str) -> None:
-        """Seal the context minted by :meth:`_begin_context`, if any."""
+        tracer, ctxlog = self.obs.tracer, self.obs.ctxlog
+        trace = context = None
+        if self._trace_ops and tracer.current is None:
+            trace = tracer.start(op, client_id=self.client_id, routed=True)
+        if self._trace_ops and ctxlog.current is None:
+            context = ctxlog.begin(op, client_id=self.client_id)
+        try:
+            result = run(arg)
+        except BaseException as exc:
+            if context is not None:
+                ctxlog.end(f"error:{type(exc).__name__}")
+            if trace is not None:
+                trace.abort()
+            raise
         if context is not None:
-            self.obs.ctxlog.end(status)
+            ctxlog.end("ok")
+        if trace is not None:
+            trace.finish()
+        return result
 
     def _observe(self, key: bytes, op: str, t0_ns: int, ok: bool) -> None:
         """Feed the routed operation's latency to the telemetry pipeline."""
@@ -502,8 +558,8 @@ class ShardedClient:
     ) -> None:
         """Cache a verified read / acked write under the current epoch.
 
-        ``k_operation`` and ``payload`` are the session's
-        ``last_payload``: what the value was verified or encrypted under.
+        ``k_operation`` and ``payload`` are what the value was verified
+        or encrypted under.
         """
         if self.cache is None:
             return
@@ -516,16 +572,16 @@ class ShardedClient:
         )
         self._obs_cache_entries.set(self.cache.entries)
 
-    def _verified_get(self, client: PrecursorClient, key: bytes, basis):
-        """``client.get(key, basis)`` as ``(value, k_operation, payload)``.
+    def _reads(self, client: PrecursorClient, keys, bases):
+        """``client``'s verified reads (:meth:`PrecursorClient._gets`).
 
-        Counts a read the session answered from ``basis``.
+        Counts the reads the session answered from their basis.
         """
         unchanged = client.unchanged_reads
-        value = client.get(key, basis)
+        outcomes, error = client._gets(keys, bases)
         if client.unchanged_reads != unchanged:
-            self._obs_cache_unchanged.inc()
-        return (value, *client.last_payload)
+            self._obs_cache_unchanged.inc(client.unchanged_reads - unchanged)
+        return outcomes, error
 
     def _cache_invalidate(self, key: bytes) -> None:
         if self.cache is not None and self.cache.invalidate(key):
@@ -619,7 +675,7 @@ class ShardedClient:
     def _offload_read(self, key: bytes, basis):
         """Try a freshness-token read on a backup; None => use the primary.
 
-        Returns ``(value, k_operation, payload)`` when the backup's
+        Returns ``(value, (k_operation, payload))`` when the backup's
         answer is served; ``basis`` is the refused cache entry, as for a
         primary read.
 
@@ -649,9 +705,10 @@ class ShardedClient:
             self._offload_fallback("session")
             return None
         try:
-            value, k_operation, payload = self._verified_get(
-                client, key, basis
-            )
+            (outcome,), error = self._reads(client, [key], [basis])
+            failure = _first_failure([outcome], error)
+            if failure is not None:
+                raise failure
         except KeyNotFoundError:
             self._offload_fallback("miss")
             return None
@@ -664,6 +721,7 @@ class ShardedClient:
             self._offload_fallback("unavailable")
             self._backup_sessions.pop(id(backup), None)
             return None
+        _value, (_k_operation, payload) = outcome
         if self.freshness.matches(key, payload.mac) is not True:
             # An older version than the claim (an applied-LSN race or a
             # resurrection): never accept it, never accuse the backup.
@@ -671,7 +729,7 @@ class ShardedClient:
             return None
         self.offload_reads += 1
         self._obs_offload_served.inc()
-        return value, k_operation, payload
+        return outcome
 
     # -- key-value API -----------------------------------------------------
 
@@ -685,46 +743,104 @@ class ShardedClient:
             self.freshness.check_absent(key)
 
     def put(self, key: bytes, value: bytes) -> None:
-        """Store ``value`` under ``key`` on its owning shard (epoch-fenced)."""
-        trace = self._start_trace("put")
-        context = self._begin_context("put")
-        t0_ns = self.obs.tracer.clock.now_ns()
-
-        def store(client: PrecursorClient):
-            client.put(key, value)
-            return client.last_payload
-
-        try:
-            k_operation, payload = self._failover_retry(key, True, store)
-            if self.freshness is not None:
-                self.freshness.note_write(key, payload.mac)
-            # The client holds plaintext + acked MAC right here: an ack
-            # is a free cache fill (and the ack's log position bounds
-            # which backups may serve this client from now on).
-            self._cache_fill(key, value, k_operation, payload)
-            self._note_claimed_lsn(key)
-            self.operations += 1
-        except BaseException as exc:
-            if self.freshness is not None:
-                # Unknown outcome: this key can no longer anchor a
-                # staleness claim.
-                self.freshness.forget(key)
-            self._cache_invalidate(key)
-            self._observe(key, "put", t0_ns, ok=False)
-            self._end_context(context, f"error:{type(exc).__name__}")
-            if trace is not None:
-                trace.abort()
-            raise
-        self._observe(key, "put", t0_ns, ok=True)
-        self._end_context(context, "ok")
-        if trace is not None:
-            trace.finish()
+        """Store ``value`` under ``key``: :meth:`put_many` of one item."""
+        self._traced("put", self.put_many, [(key, value)])
 
     def get(self, key: bytes) -> bytes:
-        """Fetch and verify ``key``, retrying once after an epoch bump.
+        """Fetch and verify ``key``: :meth:`get_many` of one key."""
+        return self._traced("get", self.get_many, [key])[0]
 
-        With freshness tracking on, the verified payload MAC is compared
-        against the last acknowledged write of ``key``; a mismatch (or a
+    def delete(self, key: bytes) -> None:
+        """Delete ``key``, retrying once after an epoch bump."""
+        self._traced("delete", self._delete, key)
+
+    def _delete(self, key: bytes) -> None:
+        PrecursorClient._check_key(key)
+        t0_ns = self.obs.tracer.clock.now_ns()
+        outcomes = [None]
+        try:
+            self._settle(
+                [key], [0], lambda client, _group: client._delete(key), outcomes
+            )
+            error = None
+        except BaseException as exc:
+            error = exc
+        failure = _first_failure(outcomes, error) or error
+        if failure is None:
+            if self.freshness is not None:
+                self.freshness.note_delete(key)
+            self._cache_invalidate(key)
+            self._note_claimed_lsn(key)
+            self.operations += 1
+            self._observe(key, "delete", t0_ns, ok=True)
+            return
+        # A miss changed nothing; any other failure (a detected loss
+        # among them) leaves the delete's outcome unknown.
+        if not isinstance(failure, KeyNotFoundError):
+            if self.freshness is not None:
+                self.freshness.forget(key)
+            self._cache_invalidate(key)
+        self._observe(key, "delete", t0_ns, ok=False)
+        raise failure
+
+    def put_many(self, items) -> int:
+        """Store a batch, each item on its owning shard; returns its size.
+
+        Epoch-fenced: every key is routed under a map validated against
+        the authoritative epoch, so every item lands on its owner.  Each
+        shard's share runs as windows on its session and survives the
+        shard's death (:meth:`_failover_retry`).  Every acked item
+        anchors its freshness claim, fills the near-cache and bounds the
+        backup reads of its shard; an item whose outcome is unknown drops
+        its claim and cached entry.  Raises the first failure in item
+        order; an invalid key is refused before anything is routed.
+        """
+        items = list(items)
+        keys = [key for key, _value in items]
+        for key in keys:
+            PrecursorClient._check_key(key)
+        t0_ns = self.obs.tracer.clock.now_ns()
+        outcomes = [None] * len(items)
+        try:
+            self._failover_retry(
+                keys,
+                range(len(keys)),
+                True,
+                lambda client, group: client._puts([items[i] for i in group]),
+                outcomes,
+            )
+            error = None
+        except BaseException as exc:
+            error = exc
+        for (key, value), outcome in zip(items, outcomes):
+            if isinstance(outcome, tuple):
+                k_operation, payload = outcome
+                if self.freshness is not None:
+                    self.freshness.note_write(key, payload.mac)
+                # The client holds plaintext + acked MAC right here: an
+                # ack is a free cache fill (and the ack's log position
+                # bounds which backups may serve this client from now on).
+                self._cache_fill(key, value, k_operation, payload)
+                self._note_claimed_lsn(key)
+                self.operations += 1
+                self._observe(key, "put", t0_ns, ok=True)
+            else:
+                if self.freshness is not None:
+                    # Unknown outcome: this key can no longer anchor a
+                    # staleness claim.
+                    self.freshness.forget(key)
+                self._cache_invalidate(key)
+                self._observe(key, "put", t0_ns, ok=False)
+        failure = _first_failure(outcomes, error) or error
+        if failure is not None:
+            raise failure
+        return len(items)
+
+    def get_many(self, keys) -> list:
+        """Fetch and verify a batch; values merge back in key order.
+
+        With freshness tracking on, each verified payload MAC is compared
+        against the last acknowledged write of its key; a mismatch (or a
         NOT_FOUND contradicting an acked write) raises
         :class:`~repro.errors.StaleReadError`.
 
@@ -732,195 +848,62 @@ class ShardedClient:
         network entirely, and a refused intact entry rides along the
         revalidation as its basis; with the read offload on, a
         qualifying backup serves the read and the primary is only
-        consulted on fallback.  :attr:`last_read_path` records which
-        lane answered (``cache`` | ``backup`` | ``primary``).
-        """
-        trace = self._start_trace("get")
-        context = self._begin_context("get")
-        t0_ns = self.obs.tracer.clock.now_ns()
-        self.last_read_path = "primary"
-        basis = None
-
-        def fetch(client: PrecursorClient):
-            return self._verified_get(client, key, basis)
-
-        try:
-            if self.cache is not None:
-                cached, basis = self._cache_lookup(key)
-                if cached is not None:
-                    self.last_read_path = "cache"
-                    self.operations += 1
-                    self._observe(key, "get", t0_ns, ok=True)
-                    self._end_context(context, "ok")
-                    if trace is not None:
-                        trace.finish()
-                    return cached
-            if self._offload:
-                offloaded = self._offload_read(key, basis)
-                if offloaded is not None:
-                    value, k_operation, payload = offloaded
-                    self.last_read_path = "backup"
-                    self._cache_fill(key, value, k_operation, payload)
-                    self.operations += 1
-                    self._observe(key, "get", t0_ns, ok=True)
-                    self._end_context(context, "ok")
-                    if trace is not None:
-                        trace.finish()
-                    return value
-            try:
-                value, k_operation, payload = self._failover_retry(
-                    key, False, fetch
-                )
-            except KeyNotFoundError:
-                # Either a true miss or a stale route that raced a
-                # migration; only an epoch bump warrants a retry.
-                if not self.refresh_map():
-                    self._check_absent(key)
-                    raise
-                self._note_stale()
-                try:
-                    value, k_operation, payload = self._failover_retry(
-                        key, False, fetch
-                    )
-                except KeyNotFoundError:
-                    self._check_absent(key)
-                    raise
-            if self.freshness is not None:
-                self.freshness.check_read(key, payload.mac)
-            self._cache_fill(key, value, k_operation, payload)
-            self.operations += 1
-        except BaseException as exc:
-            # Whatever failed, the cached entry no longer has a story
-            # that ends in a valid hit (detected staleness, a confirmed
-            # miss, an unreachable shard): drop it so the next read
-            # revalidates from the store.
-            self._cache_invalidate(key)
-            self._observe(key, "get", t0_ns, ok=False)
-            self._end_context(context, f"error:{type(exc).__name__}")
-            if trace is not None:
-                trace.abort()
-            raise
-        self._observe(key, "get", t0_ns, ok=True)
-        self._end_context(context, "ok")
-        if trace is not None:
-            trace.finish()
-        return value
-
-    def delete(self, key: bytes) -> None:
-        """Delete ``key``, retrying once after an epoch bump."""
-        trace = self._start_trace("delete")
-        context = self._begin_context("delete")
-        t0_ns = self.obs.tracer.clock.now_ns()
-        try:
-            try:
-                self._failover_retry(key, False, lambda c: c.delete(key))
-            except KeyNotFoundError:
-                if not self.refresh_map():
-                    # An acked value that cannot be deleted because it is
-                    # already gone is a detected loss, not a miss.
-                    self._check_absent(key)
-                    raise
-                self._note_stale()
-                try:
-                    self._failover_retry(key, False, lambda c: c.delete(key))
-                except KeyNotFoundError:
-                    self._check_absent(key)
-                    raise
-            if self.freshness is not None:
-                self.freshness.note_delete(key)
-            self._cache_invalidate(key)
-            self._note_claimed_lsn(key)
-            self.operations += 1
-        except KeyNotFoundError as exc:
-            self._observe(key, "delete", t0_ns, ok=False)
-            self._end_context(context, f"error:{type(exc).__name__}")
-            if trace is not None:
-                trace.abort()
-            raise
-        except BaseException as exc:
-            if self.freshness is not None:
-                self.freshness.forget(key)
-            self._cache_invalidate(key)
-            self._observe(key, "delete", t0_ns, ok=False)
-            self._end_context(context, f"error:{type(exc).__name__}")
-            if trace is not None:
-                trace.abort()
-            raise
-        self._observe(key, "delete", t0_ns, ok=True)
-        self._end_context(context, "ok")
-        if trace is not None:
-            trace.finish()
-
-    # -- batched operations ------------------------------------------------
-
-    def _group_by_shard(self, keys) -> Dict[str, List[int]]:
-        """Request indices per owning shard, under the cached map."""
-        groups: Dict[str, List[int]] = {}
-        for index, key in enumerate(keys):
-            groups.setdefault(self._map.owner(key), []).append(index)
-        return groups
-
-    def put_many(self, items) -> int:
-        """Fan a batch of puts out per shard; returns the stored count.
-
-        Epoch-fenced like :meth:`put`: the whole batch runs under one map
-        snapshot validated up front, so every item lands on its owner.
-        """
-        items = list(items)
-        if self.cluster.shard_map.epoch != self._map.epoch:
-            self.refresh_map()
-            self._note_stale()
-        if self.freshness is not None:
-            # The batch API returns no per-key MACs; batched keys stop
-            # anchoring staleness claims (single-key puts restore them)
-            # and their cached entries die with the claims.
-            for key, _value in items:
-                self.freshness.forget(key)
-                self._cache_invalidate(key)
-        groups = self._group_by_shard([key for key, _value in items])
-        stored = 0
-        for shard, indices in groups.items():
-            stored += self._client(shard).put_many(
-                [items[i] for i in indices]
-            )
-            counter = self._obs_routed.get(shard)
-            if counter is not None:
-                counter.inc(len(indices))
-        self.operations += len(items)
-        return stored
-
-    def get_many(self, keys) -> list:
-        """Fan a batch of gets out per shard; replies merge in key order.
-
-        Retries the remaining misses once when a concurrent epoch bump is
-        detected mid-batch.
+        consulted on fallback.  The rest run as windows per shard,
+        surviving a shard's death and retried once after an epoch bump
+        (:meth:`_settle`).  :attr:`last_read_path` records which lane
+        answered the last key (``cache`` | ``backup`` | ``primary``).
+        Raises the first failure in key order; a failed key's cached
+        entry is dropped, so its next read revalidates from the store.
         """
         keys = list(keys)
-        groups = self._group_by_shard(keys)
-        values: List[Optional[bytes]] = [None] * len(keys)
+        for key in keys:
+            PrecursorClient._check_key(key)
+        t0_ns = self.obs.tracer.clock.now_ns()
+        outcomes = [None] * len(keys)
+        bases = [None] * len(keys)
+        lanes = ["primary"] * len(keys)
+        for i, key in enumerate(keys):
+            if self.cache is not None:
+                cached, bases[i] = self._cache_lookup(key)
+                if cached is not None:
+                    outcomes[i], lanes[i] = (cached, None), "cache"
+                    continue
+            if self._offload:
+                outcomes[i] = self._offload_read(key, bases[i])
+                if outcomes[i] is not None:
+                    lanes[i] = "backup"
+        if keys:
+            self.last_read_path = lanes[-1]
         try:
-            for shard, indices in groups.items():
-                fetched = self._client(shard).get_many(
-                    [keys[i] for i in indices]
-                )
-                for index, value in zip(indices, fetched):
-                    values[index] = value
-        except KeyNotFoundError:
-            if not self.refresh_map():
-                raise
-            self._note_stale()
-            # The aborted window may have left replies queued on the
-            # session that raised; drop them before re-issuing.
-            for client in self._clients.values():
-                client.drain_replies()
-            missing = [i for i, v in enumerate(values) if v is None]
-            for shard, indices in self._group_by_shard(
-                [keys[i] for i in missing]
-            ).items():
-                fetched = self._client(shard).get_many(
-                    [keys[missing[j]] for j in indices]
-                )
-                for j, value in zip(indices, fetched):
-                    values[missing[j]] = value
-        self.operations += len(keys)
-        return values
+            self._settle(
+                keys,
+                [i for i, outcome in enumerate(outcomes) if outcome is None],
+                lambda client, group: self._reads(
+                    client, [keys[i] for i in group], [bases[i] for i in group]
+                ),
+                outcomes,
+            )
+            error = None
+        except BaseException as exc:
+            error = exc
+        for i, key in enumerate(keys):
+            outcome = outcomes[i]
+            if isinstance(outcome, tuple):
+                if lanes[i] == "primary" and self.freshness is not None:
+                    try:
+                        self.freshness.check_read(key, outcome[1][1].mac)
+                    except StaleReadError as exc:
+                        outcome = outcomes[i] = exc
+            if not isinstance(outcome, tuple):
+                self._cache_invalidate(key)
+                self._observe(key, "get", t0_ns, ok=False)
+                continue
+            if lanes[i] != "cache":
+                value, (k_operation, payload) = outcome
+                self._cache_fill(key, value, k_operation, payload)
+            self.operations += 1
+            self._observe(key, "get", t0_ns, ok=True)
+        failure = _first_failure(outcomes, error) or error
+        if failure is not None:
+            raise failure
+        return [value for value, _record in outcomes]

@@ -21,14 +21,13 @@ class TestResponseValidation:
         ))
         client._oid += 1
         server.process_pending()
-        client._submit(client._seal_control(
-            ControlData(opcode=OpCode.GET, oid=client._oid + 1, key=b"k")
-        ))
+        second = ControlData(opcode=OpCode.GET, oid=client._oid + 1, key=b"k")
+        client._submit(client._seal_control(second))
         client._oid += 1
         server.process_pending()
-        response = client._await_response()  # reply to the FIRST get
+        # The collector meets the reply to the FIRST get.
         with pytest.raises(ProtocolError, match="oid"):
-            client._open_response(response)
+            client._collect([(second, None)], [])
 
     def test_operations_counter(self, pair):
         _, client = pair

@@ -121,10 +121,10 @@ class TestEquivalence:
     @pytest.mark.parametrize("strict", [False, True], ids=["mac", "strict"])
     def test_basis_changes_nothing_observable(self, strict, monkeypatch):
         with_basis = _run(strict)
-        plain_get = PrecursorClient.get
+        plain_gets = PrecursorClient._gets
         monkeypatch.setattr(
-            PrecursorClient, "get",
-            lambda self, key, basis=None: plain_get(self, key),
+            PrecursorClient, "_gets",
+            lambda self, keys, bases=None: plain_gets(self, keys),
         )
         without = _run(strict)
         assert with_basis.pop("unchanged") > 0

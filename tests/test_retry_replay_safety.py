@@ -3,12 +3,14 @@
 A retried PUT re-seals the *same* oid and re-ships the *same* ciphertext,
 so the server either applies it once or recognises the duplicate via the
 replay filter and re-sends the cached ack.  These tests pin that
-machinery directly (duplicate frames, lost acks, oid resync, the
-``_APPLIED`` sentinel) and property-test it under seeded random fault
-schedules.  The duplicate and lost-ack classes run once per payload
+machinery directly (duplicate frames, lost acks, oid resync, applied
+requests whose ack is gone) and property-test it under seeded random
+fault schedules.  The duplicate and lost-ack classes run once per payload
 scheme: the server-encryption variant shares the dispatch and the retry
 engine, so it inherits the same contract.
 """
+
+import random
 
 import pytest
 
@@ -157,42 +159,48 @@ class TestLostAckRecoveryServerEncryption(TestLostAckRecovery):
     scheme = "server_encryption"
 
 
-class TestAppliedSentinel:
-    """REPLAY on a retry with no cached ack == applied, ack unrecoverable."""
+def _lose_replies(server, client, cached_ack_too=False):
+    """The next collect finds its requests applied and their replies lost.
 
-    def _lose_reply_and_cache(self, server, client, op):
-        """Simulate: attempt 0 applied, but both the reply and the
-        server's cached ack are gone (e.g. crash after apply)."""
-        original = client._collect_reply
-        state = {"first": True}
+    With ``cached_ack_too`` the server's cached ack is gone as well (e.g.
+    a crash after apply).  ``del client._collect`` restores the client.
+    """
+    state = {"first": True}
 
-        def collect(expected_oid):
-            if state["first"]:
-                state["first"] = False
+    def collect(entries, replies, resent=False):
+        if state["first"]:
+            state["first"] = False
+            server.process_pending()
+            client.drain_replies()
+            if cached_ack_too:
                 channel = server._channel(client.client_id)
-                channel.last_oid = None
-                channel.last_digest = None
-                channel.last_reply_control = None
-                channel.last_reply_payload = None
-                raise OperationTimeoutError("simulated lost reply")
-            return original(expected_oid)
+                channel.last_oid = channel.last_digest = None
+                channel.last_reply_control = channel.last_reply_payload = None
+            raise OperationTimeoutError("simulated lost replies")
+        return PrecursorClient._collect(client, entries, replies, resent)
 
-        client._collect_reply = collect
+    client._collect = collect
+
+
+class TestAppliedSentinel:
+    """REPLAY on a resend with no cached ack == applied, ack unrecoverable."""
 
     def test_put_reports_success_when_applied_but_ack_gone(self):
         server, client = _pair(max_retries=3)
-        self._lose_reply_and_cache(server, client, "put")
+        _lose_replies(server, client, cached_ack_too=True)
         client.put(b"k", b"v")  # must NOT raise: the put took effect
-        client._collect_reply = client.__class__._collect_reply.__get__(client)
+        del client._collect
+        assert server.stats.replay_rejections == 1  # the resend hit REPLAY
         assert client.get(b"k") == b"v"
         assert server.stats.puts == 1  # never double-applied
 
     def test_delete_reports_success_when_applied_but_ack_gone(self):
         server, client = _pair(max_retries=3)
         client.put(b"k", b"v")
-        self._lose_reply_and_cache(server, client, "delete")
+        _lose_replies(server, client, cached_ack_too=True)
         client.delete(b"k")
-        client._collect_reply = client.__class__._collect_reply.__get__(client)
+        del client._collect
+        assert server.stats.deletes == 1
         from repro.errors import KeyNotFoundError
 
         with pytest.raises(KeyNotFoundError):
@@ -201,9 +209,13 @@ class TestAppliedSentinel:
     def test_get_reissues_under_fresh_oid(self):
         server, client = _pair(max_retries=3)
         client.put(b"k", b"v")
-        self._lose_reply_and_cache(server, client, "get")
+        _lose_replies(server, client, cached_ack_too=True)
+        oid = client._oid
         assert client.get(b"k") == b"v"  # re-issued, idempotent
-        client._collect_reply = client.__class__._collect_reply.__get__(client)
+        del client._collect
+        assert client._oid == oid + 2  # the lost get's oid, then a fresh one
+        assert server.stats.gets == 2
+        assert client.retries == 2  # the reconnect, then the re-issue
 
     def test_first_attempt_replay_still_raises(self):
         # REPLAY on attempt 0 is a real protocol violation (stale client),
@@ -261,6 +273,59 @@ class TestOidResync:
         client.put(b"k", b"v")
         assert client._oid == oid_before + 1  # one op, one oid
         assert server.stats.puts == 2
+
+
+class TestWindowsUnderFaults:
+    """put_many/get_many windows run the single ops' retry engine."""
+
+    @pytest.mark.parametrize("scheme", sorted(_SCHEMES))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_windows_match_the_shadow_and_apply_once(self, scheme, seed):
+        server, client = _pair(scheme=scheme)
+        engine = FaultEngine(
+            FaultSchedule.parse("drop:0.05,duplicate:0.05,delay:0.05"),
+            seed=seed,
+        )
+        engine.install(fabrics=[server.fabric], clients=[client])
+        rng = random.Random(seed)
+        shadow, puts = {}, 0
+        for batch in range(6):
+            items = [
+                (b"key-%02d" % rng.randrange(48), b"v%d-%d" % (batch, i))
+                for i in range(rng.randint(8, 40))
+            ]
+            assert client.put_many(items) == len(items)
+            puts += len(items)
+            shadow.update(items)
+            keys = rng.sample(sorted(shadow), min(len(shadow), 40))
+            assert client.get_many(keys) == [shadow[key] for key in keys]
+        engine.uninstall()
+        assert engine.counts["drop"] and engine.counts["duplicate"]
+        assert client.retries > 0
+        assert server.stats.puts == puts  # nothing applied twice
+        keys = sorted(shadow)
+        assert client.get_many(keys) == [shadow[key] for key in keys]
+
+    @pytest.mark.parametrize("scheme", sorted(_SCHEMES))
+    def test_applied_prefix_counts_puts_done_and_reissues_gets(self, scheme):
+        server, client = _pair(scheme=scheme)
+        items = [(b"k%d" % i, b"v%d" % i) for i in range(4)]
+        _lose_replies(server, client)
+        assert client.put_many(items) == 4
+        del client._collect
+        # The filter expects the oid after the window: the first three
+        # puts are done, the last one's cached reply is re-sent.
+        assert server.stats.puts == 4
+        assert server.stats.duplicate_replies == 1
+        _lose_replies(server, client)
+        assert client.get_many([key for key, _ in items]) == [
+            value for _, value in items
+        ]
+        del client._collect
+        # Three gets re-issued under fresh oids, one cached reply.
+        assert server.stats.gets == 4 + 3
+        assert server.stats.duplicate_replies == 2
+        assert client.retries == 1 + 1 + 3
 
 
 class TestPropertyRandomSchedules:

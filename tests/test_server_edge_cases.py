@@ -105,6 +105,20 @@ class TestWarmLoad:
         server.warm_load([(b"warm", b"loaded-value")], client_id=client.client_id)
         assert client.get(b"warm") == b"loaded-value"
 
+    def test_warm_load_stores_through_the_server_encryption_step(self):
+        """The SE server seals warm-loaded values under its master key,
+        so its own GET step opens them like any put value."""
+        server, client = make_pair(server_encryption=True, seed=5)
+        loaded = server.warm_load(
+            [(b"warm-%d" % i, b"value-%d" % i) for i in range(3)],
+            client_id=client.client_id,
+        )
+        assert loaded == 3
+        assert server.enclave_crypto_bytes == 2 * 3 * len(b"value-0")
+        assert client.get_many([b"warm-%d" % i for i in range(3)]) == [
+            b"value-%d" % i for i in range(3)
+        ]
+
 
 class TestTrustedAccounting:
     def test_table_growth_charges_allocator_once_per_doubling(self):
