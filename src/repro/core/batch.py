@@ -38,8 +38,32 @@ import struct
 
 from repro.core.protocol import Request, Response, reply_aad, request_aad
 from repro.errors import CapacityError, ConfigurationError, ProtocolError
+from repro.obs.span import run_stage
 
 __all__ = ["BatchPipeline"]
+
+_CREDIT = struct.Struct(">Q")
+
+
+class _Cycle:
+    """One drain cycle's private state, handed through the dispatch.
+
+    ``trace`` is the calling thread's current trace (or None) and
+    ``hops`` whether a causal context is current.  Both are read once
+    per cycle: a cycle runs on one thread, and nothing it calls starts
+    or ends either, so a frame pays for no tracer lookup when nothing
+    is traced.  ``replies`` stages ``(channel, control, payload)`` per
+    reply for the seal phase.  The state belongs to the cycle's own
+    call, so trusted threads draining other rings at the same time
+    (:class:`~repro.core.threading.ServerThreadPool`) never see it.
+    """
+
+    __slots__ = ("trace", "hops", "replies")
+
+    def __init__(self, trace, hops: bool):
+        self.trace = trace
+        self.hops = hops
+        self.replies = []
 
 
 class BatchPipeline:
@@ -95,34 +119,38 @@ class BatchPipeline:
         credit = consumer.credits_due()
         if credit is not None:
             server._rdma_write(
-                channel, channel.credit_rkey, 0, struct.pack(">Q", credit)
+                channel, channel.credit_rkey, 0, _CREDIT.pack(credit)
             )
         return handled
 
     def _run_cycle(self, channel, frames) -> None:
         """Parse, open, dispatch and seal one drained frame set."""
         server = self.server
+        obs = server.obs
         stats = server.stats
         rejects = server._obs_rejects
         count = len(frames)
         self._obs_cycles.inc()
         self._obs_batch_size.record(count)
         self._obs_messages.inc(count)
+        cycle = _Cycle(obs.tracer.current, obs.ctxlog.current is not None)
 
         # Parse: decode the untrusted framing and apply credits.
-        aad = request_aad(channel.client_id)
+        client_id = channel.client_id
+        credit_update = channel.reply_producer.credit_update
+        aad = request_aad(client_id)
         requests = []
         live = []  # (sealed control, aad) of the frames that parsed
         for frame in frames:
             try:
                 request = Request.decode(frame)
-                if request.client_id != channel.client_id:
+                if request.client_id != client_id:
                     # A client cannot speak for another: its frames
                     # arrive only in its own ring.
                     raise ProtocolError("client id does not match its ring")
                 # The credit rides outside the sealed segment, so a
                 # corrupted frame can carry an impossible value.
-                channel.reply_producer.credit_update(request.reply_credit)
+                credit_update(request.reply_credit)
             except (ProtocolError, ConfigurationError):
                 stats.protocol_errors += 1
                 rejects.inc()
@@ -133,56 +161,56 @@ class BatchPipeline:
 
         # Open: one fused call authenticates every surviving segment.
         if live:
-            with server.obs.tracer.stage("server.unseal_control"):
-                opened = iter(
-                    server.provider.transport_open_many(
-                        server._sessions[channel.client_id], live
-                    )
+            opened = iter(
+                run_stage(
+                    cycle.trace,
+                    "server.unseal_control",
+                    server.provider.transport_open_many,
+                    server._sessions[client_id],
+                    live,
                 )
+            )
+            if client_id not in server._reservoirs_charged:
+                server._charge_reservoirs(client_id)
 
         # Dispatch in frame order, replies staged.  Every drained frame
         # -- dropped ones included -- gets its service hook call and its
         # server_handle_ns sample (per-frame dispatch time), so
         # modeled-latency harnesses observe one event per frame.
-        clock = server.obs.tracer.clock
-        staged = []
-        server._reply_sink = staged
-        try:
-            for request in requests:
-                entered_ns = clock.now_ns()
-                try:
-                    if request is not None:
-                        blob = next(opened)
-                        if blob is None:
-                            # Failed authentication: dropped alone, its
-                            # batch-mates proceed.
-                            stats.auth_failures += 1
-                            rejects.inc()
-                        else:
-                            server._process_control_blob(channel, blob, request)
-                    hook = server.service_hook
-                    if hook is not None:
-                        hook()
-                finally:
-                    server._obs_handle_ns.record(
-                        max(0, clock.now_ns() - entered_ns)
-                    )
-        finally:
-            server._reply_sink = None
-        self._reply_phase(channel, staged)
+        now_ns = obs.tracer.clock.now_ns
+        handle_ns = server._obs_handle_ns
+        dispatch = server._process_control_blob
+        for request in requests:
+            entered_ns = now_ns()
+            try:
+                if request is not None:
+                    blob = next(opened)
+                    if blob is None:
+                        # Failed authentication: dropped alone, its
+                        # batch-mates proceed.
+                        stats.auth_failures += 1
+                        rejects.inc()
+                    else:
+                        dispatch(channel, blob, request, cycle)
+                hook = server.service_hook
+                if hook is not None:
+                    hook()
+            finally:
+                handle_ns.record(max(0, now_ns() - entered_ns))
+        self._reply_phase(channel, cycle.replies, cycle.trace)
 
-    def _reply_phase(self, cycle_channel, staged) -> None:
+    def _reply_phase(self, cycle_channel, staged, trace=None) -> None:
         """Seal staged replies in dispatch order; coalesce the writes.
 
         Seal keys and reply rings are per-channel state, so both are
         keyed off each staged entry's *own* channel, never the cycle
         argument: dispatch always replies on the cycle channel today,
         but an entry staged for a different channel must never be sealed
-        under the wrong session or land in the wrong ring.
+        under the wrong session or land in the wrong ring.  ``trace`` is
+        the cycle's trace, which times the seal and the write.
         """
         del cycle_channel  # sealing is keyed per staged entry, see above
         server = self.server
-        tracer = server.obs.tracer
         # Group by entry channel, preserving dispatch order within each
         # group and first-appearance order across groups.
         groups = {}
@@ -191,22 +219,34 @@ class BatchPipeline:
         for entries in groups.values():
             channel = entries[0][0]
             aad = reply_aad(channel.client_id)
-            with tracer.stage("server.seal_reply"):
-                sealed = server.provider.transport_seal_many(
-                    server._sessions[channel.client_id],
-                    [(control.encode(), aad) for _ch, control, _pl in entries],
-                )
+            sealed = run_stage(
+                trace,
+                "server.seal_reply",
+                server.provider.transport_seal_many,
+                server._sessions[channel.client_id],
+                [(control.encode(), aad) for _ch, control, _pl in entries],
+            )
             encoded = [
-                Response(sealed_control=blob, payload=payload).encode()
+                Response(blob, payload).encode()
                 for (_ch, _control, payload), blob in zip(entries, sealed)
             ]
-            with tracer.stage("server.reply_write"):
-                try:
-                    channel.reply_producer.produce_many(encoded)
-                except CapacityError:
-                    # produce_many is all-or-nothing and raises before
-                    # writing anything, so replay the group per frame:
-                    # the leading replies that fit are delivered and the
-                    # failure surfaces on the frame that did not fit.
-                    for blob in encoded:
-                        channel.reply_producer.produce(blob)
+            run_stage(
+                trace,
+                "server.reply_write",
+                self._write_replies,
+                channel.reply_producer,
+                encoded,
+            )
+
+    @staticmethod
+    def _write_replies(producer, encoded) -> None:
+        """One gather write of a group's replies, or the serial fallback."""
+        try:
+            producer.produce_many(encoded)
+        except CapacityError:
+            # produce_many is all-or-nothing and raises before writing
+            # anything, so replay the group per frame: the leading
+            # replies that fit are delivered and the failure surfaces on
+            # the frame that did not fit.
+            for blob in encoded:
+                producer.produce(blob)

@@ -16,7 +16,6 @@ credit word.
 
 from __future__ import annotations
 
-import dataclasses
 import hmac
 import itertools
 import struct
@@ -337,7 +336,10 @@ class PrecursorClient:
 
     def _submit(self, request: Request) -> None:
         frame = request.encode()
-        self._refresh_credits()
+        if self._producer.free_slots <= 0:
+            # Credits only ever free slots, so the credit word matters
+            # only when the producer's last view shows the ring full.
+            self._refresh_credits()
         try:
             self._producer.produce(frame)
         except CapacityError:
@@ -715,10 +717,7 @@ class PrecursorClient:
             # the expected oid so the two sides resume in lockstep.
             for offset, i in enumerate(resend):
                 control, payload = entries[i]
-                entries[i] = (
-                    dataclasses.replace(control, oid=expected + offset),
-                    payload,
-                )
+                entries[i] = (control._replace(oid=expected + offset), payload)
             self._oid = expected + len(resend) - 1
         return resend, stranded
 

@@ -18,17 +18,15 @@ triples -- the ``ptr`` the enclave's hash table stores next to
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, List, NamedTuple, Optional
 
 from repro.errors import CapacityError, ConfigurationError
 
 __all__ = ["PayloadPointer", "PayloadStore"]
 
 
-@dataclass(frozen=True)
-class PayloadPointer:
-    """Location of one stored payload in untrusted memory."""
+class PayloadPointer(NamedTuple):
+    """Location of one stored payload in untrusted memory (immutable)."""
 
     arena: int
     offset: int

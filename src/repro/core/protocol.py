@@ -20,24 +20,10 @@ from __future__ import annotations
 
 import enum
 import struct
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from repro.crypto.provider import EncryptedPayload, SealedMessage
 from repro.errors import ProtocolError
-
-def _checked_unpack(fmt, data):
-    """struct.unpack that reports truncation as a protocol violation.
-
-    Malformed frames from rogue clients must surface as ProtocolError (the
-    polling loop's drop-and-count path), never as a struct.error that
-    would crash a trusted thread.
-    """
-    try:
-        return struct.unpack(fmt, data)
-    except struct.error as exc:
-        raise ProtocolError(f"truncated field: {exc}") from exc
-
 
 __all__ = [
     "OpCode",
@@ -59,36 +45,67 @@ END_SIGN = 0x5A
 
 _MAC_SIZE = 16
 _KOP_SIZE = 32
+#: A sealed segment is at least an IV plus a GCM tag; anything shorter
+#: cannot authenticate and must not reach the crypto.
+_MIN_SEALED = 12 + 16
+_END = bytes((END_SIGN,))
+#: Payload-length word of a frame without a payload.
+_NO_PAYLOAD = 0xFFFFFFFF
+
+# Fixed heads of the four records.  Every decoder checks a head's length
+# before unpacking it, so malformed frames from rogue clients surface as
+# ProtocolError (the polling loop's drop-and-count path), never as a
+# struct.error that would crash a trusted thread.
+_CONTROL_HEAD = struct.Struct(">BQHB")  # opcode, oid, key_len, kop_len
+_REPLY_HEAD = struct.Struct(">BQB")  # status, oid, kop_len
+_REQUEST_HEAD = struct.Struct(">BIIH")  # start, client, credit, sealed_len
+_RESPONSE_HEAD = struct.Struct(">BH")  # start, sealed_len
+_U32 = struct.Struct(">I")
 
 
 def request_aad(client_id: int) -> bytes:
     """AAD of a request's sealed control segment: the sender's id."""
-    return struct.pack(">I", client_id)
+    return _U32.pack(client_id)
 
 
 def reply_aad(client_id: int) -> bytes:
     """AAD of a reply's sealed control segment: a direction tag and the
     addressee's id, so a request can never open as a reply."""
-    return b"resp" + struct.pack(">I", client_id)
+    return b"resp" + _U32.pack(client_id)
 
 
-def _encode_value(value: Optional[bytes]) -> bytes:
-    """The optional trailing ``value_len u32 | value`` field of a sealed
-    segment: nothing at all when ``value`` is None."""
-    if value is None:
-        return b""
-    return struct.pack(">I", len(value)) + value
-
-
-def _decode_value(blob: bytes, cursor: int, what: str) -> Optional[bytes]:
-    """Parse the optional trailing value field at ``cursor``, which must
-    end ``blob`` exactly."""
-    if cursor == len(blob):
-        return None
-    (value_len,) = _checked_unpack(">I", blob[cursor : cursor + 4])
+def _decode_value(blob: bytes, cursor: int, what: str) -> bytes:
+    """Parse the optional trailing ``value_len u32 | value`` field at
+    ``cursor`` (short of ``blob``'s end), which must end ``blob`` exactly."""
+    if cursor + 4 > len(blob):
+        raise ProtocolError(f"{what} truncated in its value length")
+    (value_len,) = _U32.unpack_from(blob, cursor)
     if cursor + 4 + value_len != len(blob):
         raise ProtocolError(f"{what} length mismatch")
     return blob[cursor + 4 :]
+
+
+def _decode_payload(blob: bytes, cursor: int, what: str):
+    """Parse ``payload_len u32 | ciphertext | MAC`` (or the no-payload
+    word) at ``cursor``: ``(payload or None, end)``."""
+    if cursor + 4 > len(blob):
+        raise ProtocolError(f"{what} truncated in its payload length")
+    (payload_len,) = _U32.unpack_from(blob, cursor)
+    cursor += 4
+    if payload_len == _NO_PAYLOAD:
+        return None, cursor
+    mac_at = cursor + payload_len
+    end = mac_at + _MAC_SIZE
+    if end > len(blob):
+        raise ProtocolError(f"{what} truncated in payload")
+    return EncryptedPayload(blob[cursor:mac_at], blob[mac_at:end]), end
+
+
+def _encode_payload(payload: Optional[EncryptedPayload]) -> bytes:
+    """The payload field of a frame, as :func:`_decode_payload` reads it."""
+    if payload is None:
+        return _U32.pack(_NO_PAYLOAD)
+    return _U32.pack(len(payload.ciphertext)) + payload.ciphertext + payload.mac
 
 
 class OpCode(enum.IntEnum):
@@ -108,8 +125,16 @@ class Status(enum.IntEnum):
     ERROR = 3
 
 
-@dataclass(frozen=True)
-class ControlData:
+# Wire byte -> member: a dict lookup, not an enum call, per decoded record.
+_OPCODES = {int(op): op for op in OpCode}
+_STATUSES = {int(status): status for status in Status}
+
+
+# The wire records are named tuples: immutable, and cheap to build,
+# which counts on a path that builds several per frame.
+
+
+class ControlData(NamedTuple):
     """Plaintext of the sealed request control segment (Algorithm 1, l.7).
 
     ``k_operation`` is present for a Precursor PUT (the fresh one-time
@@ -126,53 +151,59 @@ class ControlData:
     value: Optional[bytes] = None
 
     def encode(self) -> bytes:
-        """Serialise to the byte layout sealed under the session key."""
-        if not self.key:
+        """Serialise to the byte layout sealed under the session key.
+
+        ``opcode u8 | oid u64 | key_len u16 | kop_len u8 | K_operation |
+        key | [value_len u32 | value]``.
+        """
+        key, kop, value = self.key, self.k_operation, self.value
+        if not key:
             raise ProtocolError("empty key")
-        if len(self.key) > 0xFFFF:
-            raise ProtocolError(f"key too long: {len(self.key)} bytes")
-        has_kop = self.k_operation is not None
-        if self.opcode is OpCode.PUT and not has_kop and self.value is None:
-            raise ProtocolError("PUT control data requires K_operation or a value")
-        if self.opcode is not OpCode.PUT and self.value is not None:
+        if len(key) > 0xFFFF:
+            raise ProtocolError(f"key too long: {len(key)} bytes")
+        if self.opcode is OpCode.PUT:
+            if kop is None and value is None:
+                raise ProtocolError(
+                    "PUT control data requires K_operation or a value"
+                )
+        elif value is not None:
             raise ProtocolError("only a PUT carries a value")
-        if has_kop and len(self.k_operation) != _KOP_SIZE:
+        if kop is None:
+            kop = b""
+        elif len(kop) != _KOP_SIZE:
             raise ProtocolError(
-                f"K_operation must be {_KOP_SIZE} bytes, got {len(self.k_operation)}"
+                f"K_operation must be {_KOP_SIZE} bytes, got {len(kop)}"
             )
-        head = struct.pack(
-            ">BQH", int(self.opcode), self.oid, len(self.key)
-        )
-        kop = self.k_operation if has_kop else b""
-        return head + bytes([len(kop)]) + kop + self.key + _encode_value(self.value)
+        head = _CONTROL_HEAD.pack(self.opcode, self.oid, len(key), len(kop))
+        if value is None:
+            return head + kop + key
+        return head + kop + key + _U32.pack(len(value)) + value
 
     @classmethod
     def decode(cls, blob: bytes) -> "ControlData":
         """Parse the sealed-and-opened control segment."""
-        if len(blob) < 12:
+        if len(blob) < _CONTROL_HEAD.size:
             raise ProtocolError("control data truncated")
-        opcode_raw, oid, key_len = _checked_unpack(">BQH", blob[:11])
-        try:
-            opcode = OpCode(opcode_raw)
-        except ValueError as exc:
-            raise ProtocolError(f"unknown opcode {opcode_raw}") from exc
-        kop_len = blob[11]
-        cursor = 12
+        opcode_raw, oid, key_len, kop_len = _CONTROL_HEAD.unpack_from(blob)
+        opcode = _OPCODES.get(opcode_raw)
+        if opcode is None:
+            raise ProtocolError(f"unknown opcode {opcode_raw}")
+        cursor = _CONTROL_HEAD.size
         k_operation = None
         if kop_len:
             if kop_len != _KOP_SIZE:
                 raise ProtocolError(f"bad K_operation length {kop_len}")
             k_operation = blob[cursor : cursor + kop_len]
             cursor += kop_len
-        key = blob[cursor : cursor + key_len]
-        if len(key) != key_len:
+        end = cursor + key_len
+        if end > len(blob):
             raise ProtocolError("control data length mismatch")
-        value = _decode_value(blob, cursor + key_len, "control data")
-        if value is not None and opcode is not OpCode.PUT:
-            raise ProtocolError("only a PUT carries a value")
-        return cls(
-            opcode=opcode, oid=oid, key=key, k_operation=k_operation, value=value
-        )
+        value = None
+        if end != len(blob):
+            value = _decode_value(blob, end, "control data")
+            if opcode is not OpCode.PUT:
+                raise ProtocolError("only a PUT carries a value")
+        return cls(opcode, oid, blob[cursor:end], k_operation, value)
 
 
 #: Nominal size of the control segment for a PUT with a 16-byte key:
@@ -180,8 +211,7 @@ class ControlData:
 CONTROL_DATA_SIZE = 12 + _KOP_SIZE + 16
 
 
-@dataclass(frozen=True)
-class ResponseControl:
+class ResponseControl(NamedTuple):
     """Plaintext of the sealed response control segment.
 
     A Precursor GET reply carries the one-time key so the client can
@@ -198,34 +228,37 @@ class ResponseControl:
     value: Optional[bytes] = None
 
     def encode(self) -> bytes:
-        """Serialise to the sealed-response byte layout."""
+        """Serialise to the sealed-response byte layout.
+
+        ``status u8 | oid u64 | kop_len u8 | K_operation | mac_len u8 |
+        MAC | [value_len u32 | value]``.
+        """
         kop = self.k_operation or b""
         if kop and len(kop) != _KOP_SIZE:
             raise ProtocolError(f"bad K_operation length {len(kop)}")
         mac = self.mac or b""
         if mac and len(mac) != _MAC_SIZE:
             raise ProtocolError(f"bad MAC length {len(mac)}")
-        return (
-            struct.pack(">BQ", int(self.status), self.oid)
-            + bytes([len(kop)])
+        blob = (
+            _REPLY_HEAD.pack(self.status, self.oid, len(kop))
             + kop
-            + bytes([len(mac)])
+            + bytes((len(mac),))
             + mac
-            + _encode_value(self.value)
         )
+        if self.value is None:
+            return blob
+        return blob + _U32.pack(len(self.value)) + self.value
 
     @classmethod
     def decode(cls, blob: bytes) -> "ResponseControl":
-        if len(blob) < 10:
+        """Parse the sealed-and-opened response control segment."""
+        if len(blob) < _REPLY_HEAD.size:
             raise ProtocolError("response control truncated")
-        status_raw, oid = _checked_unpack(">BQ", blob[:9])
-        try:
-            status = Status(status_raw)
-        except ValueError as exc:
-            raise ProtocolError(f"unknown status {status_raw}") from exc
-        cursor = 9
-        kop_len = blob[cursor]
-        cursor += 1
+        status_raw, oid, kop_len = _REPLY_HEAD.unpack_from(blob)
+        status = _STATUSES.get(status_raw)
+        if status is None:
+            raise ProtocolError(f"unknown status {status_raw}")
+        cursor = _REPLY_HEAD.size
         k_operation = blob[cursor : cursor + kop_len] if kop_len else None
         cursor += kop_len
         if cursor >= len(blob):
@@ -236,14 +269,13 @@ class ResponseControl:
         cursor += mac_len
         if cursor > len(blob):
             raise ProtocolError("response control length mismatch")
-        value = _decode_value(blob, cursor, "response control")
-        return cls(
-            status=status, oid=oid, k_operation=k_operation, mac=mac, value=value
-        )
+        value = None
+        if cursor != len(blob):
+            value = _decode_value(blob, cursor, "response control")
+        return cls(status, oid, k_operation, mac, value)
 
 
-@dataclass(frozen=True)
-class Request:
+class Request(NamedTuple):
     """A framed request as it sits in the server's ring buffer slot.
 
     ``reply_credit`` piggybacks the client's reply-ring consumption count so
@@ -259,66 +291,45 @@ class Request:
 
     def encode(self) -> bytes:
         """Frame: start | client | credit | sealed | payload? | end."""
-        sealed_blob = self.sealed_control.iv + self.sealed_control.sealed
-        parts = [
-            struct.pack(
-                ">BIIH",
+        iv, sealed = self.sealed_control
+        payload = self.payload
+        if payload is not None and len(payload.mac) != _MAC_SIZE:
+            raise ProtocolError("payload MAC must be 16 bytes")
+        return b"".join((
+            _REQUEST_HEAD.pack(
                 START_SIGN,
                 self.client_id,
                 self.reply_credit,
-                len(sealed_blob),
+                len(iv) + len(sealed),
             ),
-            sealed_blob,
-        ]
-        if self.payload is not None:
-            if len(self.payload.mac) != _MAC_SIZE:
-                raise ProtocolError("payload MAC must be 16 bytes")
-            parts.append(struct.pack(">I", len(self.payload.ciphertext)))
-            parts.append(self.payload.ciphertext)
-            parts.append(self.payload.mac)
-        else:
-            parts.append(struct.pack(">I", 0xFFFFFFFF))
-        parts.append(bytes([END_SIGN]))
-        return b"".join(parts)
+            iv,
+            sealed,
+            _encode_payload(payload),
+            _END,
+        ))
 
     @classmethod
     def decode(cls, blob: bytes) -> "Request":
+        """Parse a ring slot's frame; :class:`ProtocolError` if malformed."""
         if len(blob) < 12 or blob[0] != START_SIGN:
             raise ProtocolError("bad request frame: missing start_sign")
         if blob[-1] != END_SIGN:
             raise ProtocolError("bad request frame: missing end_sign")
-        _, client_id, reply_credit, sealed_len = _checked_unpack(
-            ">BIIH", blob[:11]
-        )
-        cursor = 11
-        sealed_blob = blob[cursor : cursor + sealed_len]
-        if len(sealed_blob) != sealed_len:
+        _, client_id, reply_credit, sealed_len = _REQUEST_HEAD.unpack_from(blob)
+        cursor = _REQUEST_HEAD.size
+        end = cursor + sealed_len
+        if end > len(blob):
             raise ProtocolError("request frame truncated in control segment")
-        if sealed_len < 12 + 16:
-            # A sealed segment is at least an IV plus a GCM tag; anything
-            # shorter cannot authenticate and must not reach the crypto.
+        if sealed_len < _MIN_SEALED:
             raise ProtocolError("sealed control segment impossibly short")
-        cursor += sealed_len
-        (payload_len,) = _checked_unpack(">I", blob[cursor : cursor + 4])
-        cursor += 4
-        payload = None
-        if payload_len != 0xFFFFFFFF:
-            ciphertext = blob[cursor : cursor + payload_len]
-            cursor += payload_len
-            mac = blob[cursor : cursor + _MAC_SIZE]
-            cursor += _MAC_SIZE
-            if len(ciphertext) != payload_len or len(mac) != _MAC_SIZE:
-                raise ProtocolError("request frame truncated in payload")
-            payload = EncryptedPayload(ciphertext=ciphertext, mac=mac)
-        if cursor + 1 != len(blob):
+        payload, after = _decode_payload(blob, end, "request frame")
+        if after + 1 != len(blob):
             raise ProtocolError("request frame length mismatch")
         return cls(
-            client_id=client_id,
-            sealed_control=SealedMessage(
-                iv=sealed_blob[:12], sealed=sealed_blob[12:]
-            ),
-            payload=payload,
-            reply_credit=reply_credit,
+            client_id,
+            SealedMessage(blob[cursor : cursor + 12], blob[cursor + 12 : end]),
+            payload,
+            reply_credit,
         )
 
     def control_size(self) -> int:
@@ -330,8 +341,7 @@ class Request:
         return self.payload.size() if self.payload else 0
 
 
-@dataclass(frozen=True)
-class Response:
+class Response(NamedTuple):
     """A framed response written back into the client's reply buffer."""
 
     sealed_control: SealedMessage
@@ -339,48 +349,31 @@ class Response:
 
     def encode(self) -> bytes:
         """Frame: start | sealed | payload? | end."""
-        sealed_blob = self.sealed_control.iv + self.sealed_control.sealed
-        parts = [
-            struct.pack(">BH", START_SIGN, len(sealed_blob)),
-            sealed_blob,
-        ]
-        if self.payload is not None:
-            parts.append(struct.pack(">I", len(self.payload.ciphertext)))
-            parts.append(self.payload.ciphertext)
-            parts.append(self.payload.mac)
-        else:
-            parts.append(struct.pack(">I", 0xFFFFFFFF))
-        parts.append(bytes([END_SIGN]))
-        return b"".join(parts)
+        iv, sealed = self.sealed_control
+        return b"".join((
+            _RESPONSE_HEAD.pack(START_SIGN, len(iv) + len(sealed)),
+            iv,
+            sealed,
+            _encode_payload(self.payload),
+            _END,
+        ))
 
     @classmethod
     def decode(cls, blob: bytes) -> "Response":
+        """Parse a reply slot's frame; :class:`ProtocolError` if malformed."""
         if len(blob) < 4 or blob[0] != START_SIGN:
             raise ProtocolError("bad response frame: missing start_sign")
         if blob[-1] != END_SIGN:
             raise ProtocolError("bad response frame: missing end_sign")
-        _, sealed_len = _checked_unpack(">BH", blob[:3])
-        cursor = 3
-        sealed_blob = blob[cursor : cursor + sealed_len]
-        if len(sealed_blob) != sealed_len or sealed_len < 12 + 16:
+        _, sealed_len = _RESPONSE_HEAD.unpack_from(blob)
+        cursor = _RESPONSE_HEAD.size
+        end = cursor + sealed_len
+        if end > len(blob) or sealed_len < _MIN_SEALED:
             raise ProtocolError("response sealed segment truncated or short")
-        cursor += sealed_len
-        (payload_len,) = _checked_unpack(">I", blob[cursor : cursor + 4])
-        cursor += 4
-        payload = None
-        if payload_len != 0xFFFFFFFF:
-            ciphertext = blob[cursor : cursor + payload_len]
-            cursor += payload_len
-            mac = blob[cursor : cursor + _MAC_SIZE]
-            cursor += _MAC_SIZE
-            if len(ciphertext) != payload_len or len(mac) != _MAC_SIZE:
-                raise ProtocolError("response frame truncated in payload")
-            payload = EncryptedPayload(ciphertext=ciphertext, mac=mac)
-        if cursor + 1 != len(blob):
+        payload, after = _decode_payload(blob, end, "response frame")
+        if after + 1 != len(blob):
             raise ProtocolError("response frame length mismatch")
         return cls(
-            sealed_control=SealedMessage(
-                iv=sealed_blob[:12], sealed=sealed_blob[12:]
-            ),
-            payload=payload,
+            SealedMessage(blob[cursor : cursor + 12], blob[cursor + 12 : end]),
+            payload,
         )

@@ -42,16 +42,10 @@ class RingLayout:
             )
         self.slot_count = slot_count
         self.slot_size = slot_size
-
-    @property
-    def total_bytes(self) -> int:
-        """Bytes of registered memory one ring occupies."""
-        return self.slot_count * self.slot_size
-
-    @property
-    def max_frame(self) -> int:
-        """Largest frame that fits one slot."""
-        return self.slot_size - _HEADER.size
+        #: Bytes of registered memory one ring occupies.
+        self.total_bytes = slot_count * slot_size
+        #: Largest frame that fits one slot.
+        self.max_frame = slot_size - _HEADER.size
 
     def slot_offset(self, index: int) -> int:
         """Byte offset of slot ``index`` within the region."""
@@ -90,7 +84,7 @@ class RingProducer:
     @property
     def free_slots(self) -> int:
         """Slots the producer may still write without overrunning."""
-        return self.layout.slot_count - self.outstanding
+        return self.layout.slot_count - (self._sequence - self._consumed)
 
     def produce(self, frame: bytes) -> int:
         """Write one frame into the next slot; returns its sequence number.
@@ -98,17 +92,20 @@ class RingProducer:
         Raises :class:`CapacityError` when no credit is available -- the
         caller must pump the consumer (or wait for a credit update).
         """
-        if len(frame) > self.layout.max_frame:
+        layout = self.layout
+        if len(frame) > layout.max_frame:
             raise CapacityError(
                 f"frame of {len(frame)} B exceeds slot payload "
-                f"{self.layout.max_frame} B"
+                f"{layout.max_frame} B"
             )
-        if self.free_slots <= 0:
+        produced = self._sequence
+        if produced - self._consumed >= layout.slot_count:
             raise CapacityError("ring full: no consumer credit")
-        self._sequence += 1
-        seq = self._sequence
-        offset = self.layout.slot_offset(seq - 1)
-        self._write_remote(offset, _HEADER.pack(len(frame), seq) + frame)
+        self._sequence = seq = produced + 1
+        self._write_remote(
+            produced % layout.slot_count * layout.slot_size,
+            _HEADER.pack(len(frame), seq) + frame,
+        )
         return seq
 
     def produce_many(self, frames: Iterable[bytes]) -> List[int]:
@@ -134,35 +131,34 @@ class RingProducer:
         staged = list(frames)
         if len(staged) <= 1:
             return [self.produce(frame) for frame in staged]
+        layout = self.layout
         for frame in staged:
-            if len(frame) > self.layout.max_frame:
+            if len(frame) > layout.max_frame:
                 raise CapacityError(
                     f"frame of {len(frame)} B exceeds slot payload "
-                    f"{self.layout.max_frame} B"
+                    f"{layout.max_frame} B"
                 )
         if self.free_slots < len(staged):
             raise CapacityError(
                 f"ring cannot take {len(staged)} frames: only "
                 f"{self.free_slots} credits free"
             )
-        seqs: List[int] = []
-        writes: List[Tuple[int, bytes]] = []
-        for frame in staged:
-            self._sequence += 1
-            seq = self._sequence
-            seqs.append(seq)
-            writes.append(
-                (
-                    self.layout.slot_offset(seq - 1),
-                    _HEADER.pack(len(frame), seq) + frame,
-                )
+        first = self._sequence + 1
+        self._sequence += len(staged)
+        slot_count, slot_size = layout.slot_count, layout.slot_size
+        writes: List[Tuple[int, bytes]] = [
+            (
+                (seq - 1) % slot_count * slot_size,
+                _HEADER.pack(len(frame), seq) + frame,
             )
+            for seq, frame in enumerate(staged, first)
+        ]
         if self._write_remote_many is not None:
             self._write_remote_many(writes)
         else:
             for offset, payload in writes:
                 self._write_remote(offset, payload)
-        return seqs
+        return list(range(first, first + len(staged)))
 
     def credit_update(self, consumed: int) -> None:
         """Apply a credit write from the consumer (monotonic)."""
@@ -191,28 +187,42 @@ class RingConsumer:
             )
         self.layout = layout
         self._region = region
+        #: The ring's slots, read in place: the layout fits the region,
+        #: so a slot read needs no bounds check and only a frame is copied.
+        self._view = region.view()
         self._next_seq = 1
         self._reported = 0
         self.polls = 0
         self.frames_consumed = 0
 
+    def idle(self) -> bool:
+        """True when no frame is ready and no credit is due.
+
+        One header read, so a poller skips an empty ring without a
+        drain; a garbage slot reads as not idle, for the drain to skip.
+        """
+        seq = self._next_seq
+        if self._reported != seq - 1:
+            return False
+        offset = self.layout.slot_offset(seq - 1)
+        return _HEADER.unpack_from(self._view, offset)[1] != seq
+
     def poll_one(self) -> Optional[bytes]:
         """Return the next ready frame, or None."""
         self.polls += 1
         layout = self.layout
-        offset = layout.slot_offset(self._next_seq - 1)
-        header = self._region.read_local(offset, _HEADER.size)
-        length, seq = _HEADER.unpack(header)
-        if seq != self._next_seq:
+        seq = self._next_seq
+        offset = (seq - 1) % layout.slot_count * layout.slot_size
+        length, stored = _HEADER.unpack_from(self._view, offset)
+        if stored != seq:
             return None
+        self._next_seq = seq + 1
         if length > layout.max_frame:
             # Garbage from a rogue producer; skip the slot defensively.
-            self._next_seq += 1
             return None
-        frame = self._region.read_local(offset + _HEADER.size, length)
-        self._next_seq += 1
         self.frames_consumed += 1
-        return frame
+        start = offset + _HEADER.size
+        return self._view[start : start + length].tobytes()
 
     def poll(self, limit: int = 64) -> List[bytes]:
         """Drain up to ``limit`` ready frames."""
@@ -250,9 +260,9 @@ class RingConsumer:
         count = 0
         seq = self._next_seq
         while count < limit:
-            offset = layout.slot_offset(seq - 1)
-            header = self._region.read_local(offset, _HEADER.size)
-            length, stored = _HEADER.unpack(header)
+            length, stored = _HEADER.unpack_from(
+                self._view, layout.slot_offset(seq - 1)
+            )
             if stored != seq or length > layout.max_frame:
                 break
             count += 1
@@ -266,7 +276,8 @@ class RingConsumer:
 
     def credits_due(self) -> Optional[int]:
         """Credit value to push to the producer, or None if unchanged."""
-        if self.consumed == self._reported:
+        consumed = self._next_seq - 1
+        if consumed == self._reported:
             return None
-        self._reported = self.consumed
-        return self.consumed
+        self._reported = consumed
+        return consumed

@@ -54,6 +54,7 @@ from repro.errors import (
 )
 from repro.htable import ReadWriteLock, RobinHoodTable
 from repro.obs import ObsContext
+from repro.obs.span import run_stage
 from repro.rdma.fabric import Fabric
 from repro.rdma.memory import AccessFlags, MemoryRegion
 from repro.rdma.qp import QueuePair
@@ -147,7 +148,7 @@ class ServerStats:
     entries_imported: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class _Entry:
     """Enclave hash-table value: the security metadata for one key.
 
@@ -356,12 +357,6 @@ class PrecursorServer:
         #: by a modelled per-shard service latency, which is what makes
         #: deterministic hot-shard p99 experiments possible.
         self.service_hook: Optional[Callable[[], None]] = None
-        #: Reply staging seam (exposed as the thread-local
-        #: :attr:`_reply_sink` property): each drain cycle installs a
-        #: staging list, :meth:`_send_response` appends
-        #: ``(channel, control, payload)`` to it, and the pipeline seals
-        #: the whole cycle in dispatch order afterwards.
-        self._reply_staging = threading.local()
         #: The polling engine every ring drains through.
         self._batcher = BatchPipeline(self, self.config.ecall_batch)
 
@@ -433,9 +428,8 @@ class PrecursorServer:
         if client_id in self._sessions and not reconnect:
             raise ConfigurationError(f"client {client_id} already registered")
         session = SessionKey(key=session_key, client_id=client_id | _SERVER_IV_BIT)
-        charge = functools.partial(self._charge_reservoirs, client_id)
-        session.seal_reservoir.watch(self._obs_keystream["seal"], charge)
-        session.open_reservoir.watch(self._obs_keystream["open"], charge)
+        session.seal_reservoir.watch(self._obs_keystream["seal"])
+        session.open_reservoir.watch(self._obs_keystream["open"])
         self._sessions[client_id] = session
         if not self._replay.is_registered(client_id):
             # Fresh admission -- or a reconnect after crash-restart where
@@ -449,16 +443,20 @@ class PrecursorServer:
         """Charge a client's keystream reservoirs to the enclave.
 
         The masks are derived key material, so they live in trusted
-        memory.  Charged on the client's first reservoir fill -- not at
-        admission -- and once per enclave lifetime: a reconnect refills
-        reservoirs of the same size.
+        memory.  Charged when the enclave first opens a message from the
+        client -- not at admission -- on engines that keep reservoirs,
+        and once per enclave lifetime: a reconnect refills reservoirs of
+        the same size.  Charging at the first *fill* instead would make
+        the total a matter of thread timing: only a one-frame drain
+        cycle fills them.
         """
         with self._reservoir_lock:
             if client_id not in self._reservoirs_charged:
                 self._reservoirs_charged.add(client_id)
-                self.enclave.allocator.allocate(
-                    RESERVOIR_BYTES, "transport_reservoir"
-                )
+                if self.provider.engine.keystream_reservoirs:
+                    self.enclave.allocator.allocate(
+                        RESERVOIR_BYTES, "transport_reservoir"
+                    )
 
     def _ocall_grow_pool(self, nbytes: int) -> None:
         # The single batched ocall of §4; PayloadStore performs the actual
@@ -584,11 +582,9 @@ class PrecursorServer:
         )
         channel.reply_producer = RingProducer(
             layout,
-            write_remote=lambda offset, data, ch=channel: self._rdma_write(
-                ch, ch.reply_rkey, offset, data
-            ),
-            write_remote_many=lambda writes, ch=channel: self._rdma_write_gather(
-                ch, ch.reply_rkey, writes
+            write_remote=functools.partial(self._rdma_write, channel, reply_rkey),
+            write_remote_many=functools.partial(
+                self._rdma_write_gather, channel, reply_rkey
             ),
         )
         old = self._channels.get(client_id) if reconnect else None
@@ -646,7 +642,7 @@ class PrecursorServer:
         self,
         channel: _ClientChannel,
         rkey: int,
-        writes: Iterable[Tuple[int, bytes]],
+        writes: List[Tuple[int, bytes]],
     ) -> None:
         """Post one gather WRITE landing several ``(offset, data)`` slices.
 
@@ -656,8 +652,7 @@ class PrecursorServer:
         wire behaviour (and fault-injection judgement sequence) matches
         the pre-pipeline serial server.
         """
-        writes = list(writes)
-        data = b"".join(payload for _offset, payload in writes)
+        data = b"".join([payload for _offset, payload in writes])
         self.fabric.post_send(
             channel.qp,
             WorkRequest(
@@ -669,7 +664,7 @@ class PrecursorServer:
                 signaled=False,
                 inline=len(data) <= channel.qp.max_inline,
                 segments=tuple(
-                    (offset, len(payload)) for offset, payload in writes
+                    [(offset, len(payload)) for offset, payload in writes]
                 ),
             ),
         )
@@ -693,27 +688,34 @@ class PrecursorServer:
         Returns the number of requests handled.  In the real system this
         loop runs forever inside the enclave; in-process callers pump it.
         Clients are visited in admission order and each is drained
-        before the next.
+        before the next; one header read passes over an idle ring.
         """
         self._check_alive()
         if not self._started:
             raise ConfigurationError("server not started")
         drain = self._batcher.process_client
         handled = 0
-        for client_id in list(self._channels):
-            handled += drain(client_id, batch)
+        for client_id, channel in list(self._channels.items()):
+            if not channel.request_consumer.idle():
+                handled += drain(client_id, batch)
         return handled
 
     # -- request handling (trusted side) ------------------------------------
 
     def _process_control_blob(
-        self, channel: _ClientChannel, control_blob: bytes, request: Request
+        self,
+        channel: _ClientChannel,
+        control_blob: bytes,
+        request: Request,
+        cycle,
     ) -> None:
         """Dispatch an authenticated control segment.
 
         The one dispatch of both payload schemes: replay filter, duplicate-
         reply cache, hop, request counter and the entry lifecycle run here;
         a scheme differs only in :meth:`_put_entry` and :meth:`_get_reply`.
+        ``cycle`` is the drain cycle's state (:mod:`repro.core.batch`):
+        its trace, whether hops are recorded, and its staged replies.
         """
         try:
             control = ControlData.decode(control_blob)
@@ -744,36 +746,40 @@ class PrecursorServer:
                     oid=control.oid,
                 )
                 self._send_response(
+                    cycle,
                     channel,
                     channel.last_reply_control,
                     channel.last_reply_payload,
                 )
             else:
                 self._send_response(
+                    cycle,
                     channel,
                     ResponseControl(status=Status.REPLAY, oid=control.oid),
                 )
             return
         channel.last_digest = digest
-        self.obs.hop(
-            "server",
-            shard=self.shard_name or self.HOST_NAME,
-            op=control.opcode.name.lower(),
-            oid=control.oid,
-        )
+        if cycle.hops:
+            self.obs.hop(
+                "server",
+                shard=self.shard_name or self.HOST_NAME,
+                op=control.opcode.name.lower(),
+                oid=control.oid,
+            )
 
         counter = self._obs_requests.get(control.opcode)
         if counter is not None:
             counter.inc()
         if control.opcode is OpCode.PUT:
-            self._handle_put(channel, control, request.payload)
+            self._handle_put(cycle, channel, control, request.payload)
         elif control.opcode is OpCode.GET:
-            self._handle_get(channel, control)
+            self._handle_get(cycle, channel, control)
         elif control.opcode is OpCode.DELETE:
-            self._handle_delete(channel, control)
+            self._handle_delete(cycle, channel, control)
 
     def _handle_put(
         self,
+        cycle,
         channel: _ClientChannel,
         control: ControlData,
         payload: Optional[EncryptedPayload],
@@ -785,29 +791,40 @@ class PrecursorServer:
             # (sealed) rather than dropped, and nothing is stored.
             self.stats.protocol_errors += 1
             self._send_response(
-                channel, ResponseControl(status=Status.ERROR, oid=control.oid)
+                cycle,
+                channel,
+                ResponseControl(status=Status.ERROR, oid=control.oid),
             )
             return
         entry, blob = built
         cfg = self.config
         inline = cfg.inline_small_values and len(blob) <= cfg.inline_threshold
-        with self.obs.tracer.stage("server.payload_store"):
-            # Payload bytes go to the untrusted pool -- never the enclave
-            # -- unless they are small enough to live inline (§5.2).
-            self._place(entry, blob, inline)
+        # Payload bytes go to the untrusted pool -- never the enclave --
+        # unless they are small enough to live inline (§5.2).
+        run_stage(
+            cycle.trace, "server.payload_store", self._place, entry, blob, inline
+        )
         if inline:
             self.stats.inline_stores += 1
-        with self.obs.tracer.stage("server.table_update"):
-            stored = self._install(control.key, entry, owner=channel.client_id)
+        stored = run_stage(
+            cycle.trace,
+            "server.table_update",
+            self._install,
+            control.key,
+            entry,
+            channel.client_id,
+        )
         if not stored:
             # Cross-tenant overwrite: only the owner may update.
             self._send_response(
-                channel, ResponseControl(status=Status.ERROR, oid=control.oid)
+                cycle,
+                channel,
+                ResponseControl(status=Status.ERROR, oid=control.oid),
             )
             return
         self._notify_replication("put", control.key)
         self._send_response(
-            channel, ResponseControl(status=Status.OK, oid=control.oid)
+            cycle, channel, ResponseControl(status=Status.OK, oid=control.oid)
         )
 
     def _put_entry(
@@ -883,38 +900,58 @@ class PrecursorServer:
         self._notify_replication("put", key)
 
     def _access_allowed(self, entry: _Entry, key: bytes, client_id: int) -> bool:
-        if not self.config.tenant_isolation:
-            return True
+        """Whether tenant isolation lets ``client_id`` read ``entry``."""
         if entry.client_id == client_id:
             return True
         return client_id in self._grants.get(bytes(key), ())
 
-    def _handle_get(self, channel: _ClientChannel, control: ControlData) -> None:
-        self.stats.gets += 1
-        with self.obs.tracer.stage("server.table_lookup"), \
-                self._table_lock.read():
-            entry = self._lookup(control.key)
-            if entry is not None and not self._access_allowed(
-                entry, control.key, channel.client_id
+    def _read_entry(self, key: bytes, client_id: int):
+        """``(entry, blob)`` under ``key`` if ``client_id`` may read it,
+        else ``(None, None)``: a denial reads as a miss, leaking nothing
+        about the key's existence."""
+        with self._table_lock.read():
+            entry = self._lookup(key)
+            if entry is None or (
+                self.config.tenant_isolation
+                and not self._access_allowed(entry, key, client_id)
             ):
-                # Deny without leaking existence: same answer as a miss.
-                entry = None
-            blob = self._load(entry) if entry is not None else None
+                return None, None
+            return entry, self._load(entry)
+
+    def _handle_get(
+        self, cycle, channel: _ClientChannel, control: ControlData
+    ) -> None:
+        self.stats.gets += 1
+        entry, blob = run_stage(
+            cycle.trace,
+            "server.table_lookup",
+            self._read_entry,
+            control.key,
+            channel.client_id,
+        )
         if entry is None:
             self.stats.misses += 1
             self._send_response(
+                cycle,
                 channel,
                 ResponseControl(status=Status.NOT_FOUND, oid=control.oid),
             )
             return
         self.stats.hits += 1
-        self._send_response(channel, *self._get_reply(control, entry, blob))
+        self._send_response(cycle, channel, *self._get_reply(control, entry, blob))
 
-    def _handle_delete(self, channel: _ClientChannel, control: ControlData) -> None:
+    def _handle_delete(
+        self, cycle, channel: _ClientChannel, control: ControlData
+    ) -> None:
         self.stats.deletes += 1
-        with self.obs.tracer.stage("server.table_update"):
-            # Only the owner may delete; denials read as misses.
-            entry = self._remove(control.key, owner=channel.client_id)
+        # Only the owner may delete; denials read as misses.
+        entry = run_stage(
+            cycle.trace,
+            "server.table_update",
+            self._remove,
+            control.key,
+            channel.client_id,
+        )
         if entry is None:
             self.stats.misses += 1
             status = Status.NOT_FOUND
@@ -922,7 +959,7 @@ class PrecursorServer:
             status = Status.OK
             self._notify_replication("delete", control.key)
         self._send_response(
-            channel, ResponseControl(status=status, oid=control.oid)
+            cycle, channel, ResponseControl(status=status, oid=control.oid)
         )
 
     @staticmethod
@@ -942,34 +979,14 @@ class PrecursorServer:
             h.update(payload.mac)
         return h.digest()
 
-    @property
-    def _reply_sink(self) -> Optional[list]:
-        """The *calling thread's* reply staging list (or ``None``).
-
-        Thread-local on purpose: :class:`~repro.core.threading.ServerThreadPool`
-        runs :meth:`process_client` from several trusted threads at
-        once, and each worker stages the replies of its own drain
-        cycle.  A process-wide attribute would let one
-        thread's cycle capture (and, via its ``finally`` clause, then
-        discard) replies another thread's dispatch was staging, sealing
-        them under the wrong session and writing them into the wrong
-        reply ring.  Per-thread sinks keep every cycle's staging
-        private; per-channel state stays single-owner because the pool
-        partitions clients over threads.
-        """
-        return getattr(self._reply_staging, "sink", None)
-
-    @_reply_sink.setter
-    def _reply_sink(self, sink: Optional[list]) -> None:
-        self._reply_staging.sink = sink
-
     def _send_response(
         self,
+        cycle,
         channel: _ClientChannel,
         control: ResponseControl,
         payload: Optional[EncryptedPayload] = None,
     ) -> None:
-        """Stage one reply for the current drain cycle's seal phase."""
+        """Stage one reply for ``cycle``'s seal phase."""
         if control.status is not Status.REPLAY:
             # Cache the reply for the duplicate filter BEFORE any reply
             # bytes exist: if the write is later lost to a transport
@@ -980,7 +997,7 @@ class PrecursorServer:
             channel.last_oid = control.oid
             channel.last_reply_control = control
             channel.last_reply_payload = payload
-        self._reply_sink.append((channel, control, payload))
+        cycle.replies.append((channel, control, payload))
 
     # -- the entry lifecycle: every table mutation runs through these -------
 
@@ -1026,7 +1043,8 @@ class PrecursorServer:
 
         With ``owner`` given under tenant isolation, another client's
         entry is not overwritten: ``entry`` is released instead and the
-        call returns False.
+        call returns False.  Otherwise one table probe both installs the
+        entry and finds the one it replaces.
         """
         with self._table_lock.write():
             if self._table is None:
@@ -1037,15 +1055,12 @@ class PrecursorServer:
                     initial_capacity=self.config.initial_table_capacity
                 )
                 self._charge_table_growth()
-            old = self._lookup(key)
-            allowed = (
-                owner is None
-                or old is None
-                or not self.config.tenant_isolation
-                or old.client_id == owner
-            )
-            if allowed:
-                self._table.put(key, entry)
+            allowed = True
+            if owner is not None and self.config.tenant_isolation:
+                resident = self._lookup(key)
+                allowed = resident is None or resident.client_id == owner
+            old = self._table.put(key, entry, swap=True) if allowed else None
+            if self._table.capacity != self._table_capacity_charged:
                 self._charge_table_growth()
         released = old if allowed else entry
         if released is not None:
@@ -1105,9 +1120,8 @@ class PrecursorServer:
     # -- trusted memory accounting -----------------------------------------
 
     def _charge_table_growth(self) -> None:
+        """Charge the table's current capacity in place of the last one."""
         capacity = self._table.capacity
-        if capacity == self._table_capacity_charged:
-            return
         slot_bytes = self.config.table_slot_bytes
         if self._table_capacity_charged:
             self.enclave.allocator.free(

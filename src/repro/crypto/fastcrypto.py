@@ -535,14 +535,21 @@ def _counter_words(nblocks: int) -> tuple:
     return tuple([struct.pack(">I", c) for c in range(1, nblocks + 2)])
 
 
-def _counter_blocks(iv: bytes, nblocks: int) -> bytes:
-    """J0 (counter 1) then the ``nblocks`` CTR counter blocks (2, 3, ...)."""
-    return iv + iv.join(_counter_words(nblocks))
-
-
 def _keystream_blocks(size: int) -> int:
     """CTR blocks a ``size``-byte message needs (none for ``size <= 0``)."""
     return (size + 15) // 16 if size > 0 else 0
+
+
+def _xor(data: bytes, mask: bytes) -> bytes:
+    """``data`` XOR the keystream after ``mask``'s E_K(J0) block."""
+    n = len(data)
+    return (
+        int.from_bytes(data, "big") ^ int.from_bytes(mask[16 : 16 + n], "big")
+    ).to_bytes(n, "big")
+
+
+#: GHASH's final block: the AAD and ciphertext lengths in bits.
+_GHASH_LENGTHS = struct.Struct(">QQ")
 
 
 class FastAesGcm:
@@ -557,10 +564,11 @@ class FastAesGcm:
     Every operation runs one body.  A message's AES work depends only on
     the key and its IV, so :meth:`masks` does it first -- E_K(J0) and the
     keystream blocks of any number of IVs in one :func:`_aes_blocks`
-    pass -- and :meth:`seal_masked`/:meth:`open_masked` XOR the message
-    and GHASH the tag.  The transport's keystream reservoirs
+    pass -- then the messages are XORed and :meth:`_tags` GHASHes every
+    tag of the batch in one loop.  The transport's keystream reservoirs
     (:class:`~repro.crypto.keys.KeystreamReservoir`) call :meth:`masks`
-    before the messages exist.
+    before the messages exist, and :meth:`seal_masked`/:meth:`open_masked`
+    once they do.
     """
 
     IV_SIZE = 12
@@ -571,22 +579,6 @@ class FastAesGcm:
         self._tables = _broadcast_tables(self._aes._rk)
         h = int.from_bytes(self._aes.encrypt_block(b"\x00" * 16), "big")
         self._ghash_tables = _build_ghash_tables(h)
-
-    def _ghash(self, data: bytes) -> int:
-        """GHASH of ``data``, a whole number of 16-byte blocks."""
-        (p0, p1, p2, p3, p4, p5, p6, p7,
-         p8, p9, p10, p11, p12, p13, p14, p15) = self._ghash_tables
-        fb = int.from_bytes
-        y = 0
-        for i in range(0, len(data), 16):
-            w = (y ^ fb(data[i : i + 16], "big")).to_bytes(16, "big")
-            y = (
-                p0[w[0]] ^ p1[w[1]] ^ p2[w[2]] ^ p3[w[3]]
-                ^ p4[w[4]] ^ p5[w[5]] ^ p6[w[6]] ^ p7[w[7]]
-                ^ p8[w[8]] ^ p9[w[9]] ^ p10[w[10]] ^ p11[w[11]]
-                ^ p12[w[12]] ^ p13[w[13]] ^ p14[w[14]] ^ p15[w[15]]
-            )
-        return y
 
     def masks(self, ivs, nblocks) -> list:
         """Per IV, E_K(J0) then its first keystream blocks: one AES pass.
@@ -600,10 +592,13 @@ class FastAesGcm:
                 raise ConfigurationError(
                     f"IV must be {iv_size} bytes, got {len(iv)}"
                 )
+        # Per IV: J0 (counter 1), then the CTR counter blocks 2, 3, ...
         blocks = _aes_blocks(
             self._aes._rk,
             self._tables,
-            b"".join([_counter_blocks(iv, n) for iv, n in zip(ivs, nblocks)]),
+            b"".join(
+                [iv + iv.join(_counter_words(n)) for iv, n in zip(ivs, nblocks)]
+            ),
         )
         out = []
         pos = 0
@@ -613,28 +608,55 @@ class FastAesGcm:
             pos = end
         return out
 
-    def _tag(self, mask: bytes, aad: bytes, ciphertext: bytes) -> bytes:
-        """GHASH over ``aad`` and ``ciphertext``, masked with E_K(J0)."""
-        digest = self._ghash(
-            aad
-            + b"\x00" * ((-len(aad)) % 16)
-            + ciphertext
-            + b"\x00" * ((-len(ciphertext)) % 16)
-            + struct.pack(">QQ", len(aad) * 8, len(ciphertext) * 8)
-        )
-        return (digest ^ int.from_bytes(mask[:16], "big")).to_bytes(16, "big")
+    def _tags(self, masks, aads, ciphertexts) -> list:
+        """Per message, GHASH over its AAD and ciphertext masked with its
+        E_K(J0): the tags of a whole batch in one loop, with the sixteen
+        tables unpacked once.
+
+        GHASH starts from zero, so its state after the AAD blocks depends
+        on the AAD alone; a batch whose messages share an AAD (a
+        session's requests or replies) hashes those blocks once.
+        """
+        (p0, p1, p2, p3, p4, p5, p6, p7,
+         p8, p9, p10, p11, p12, p13, p14, p15) = self._ghash_tables
+        fb = int.from_bytes
+        lengths = _GHASH_LENGTHS.pack
+        zeros = b"\x00" * 15
+        after_aad = {}  # AAD -> GHASH state after its blocks
+        tags = []
+        for mask, aad, ciphertext in zip(masks, aads, ciphertexts):
+            body = b"".join((
+                ciphertext,
+                zeros[: -len(ciphertext) % 16],
+                lengths(len(aad) * 8, len(ciphertext) * 8),
+            ))
+            y = after_aad.get(aad)
+            if y is None:
+                # Hash the AAD blocks too, noting the state they leave.
+                head = aad + zeros[: -len(aad) % 16]
+                data, y, cut = head + body, 0, len(head)
+            else:
+                data, cut = body, -1
+            for i in range(0, len(data), 16):
+                if i == cut:
+                    after_aad[aad] = y
+                w = (y ^ fb(data[i : i + 16], "big")).to_bytes(16, "big")
+                y = (
+                    p0[w[0]] ^ p1[w[1]] ^ p2[w[2]] ^ p3[w[3]]
+                    ^ p4[w[4]] ^ p5[w[5]] ^ p6[w[6]] ^ p7[w[7]]
+                    ^ p8[w[8]] ^ p9[w[9]] ^ p10[w[10]] ^ p11[w[11]]
+                    ^ p12[w[12]] ^ p13[w[13]] ^ p14[w[14]] ^ p15[w[15]]
+                )
+            tags.append((y ^ fb(mask[:16], "big")).to_bytes(16, "big"))
+        return tags
 
     def seal_masked(self, mask: bytes, plaintext: bytes, aad: bytes = b"") -> bytes:
         """Seal under one :meth:`masks` entry; returns ``ciphertext || tag``.
 
         The entry must hold every keystream block ``plaintext`` needs.
         """
-        n = len(plaintext)
-        fb = int.from_bytes
-        ciphertext = (fb(plaintext, "big") ^ fb(mask[16 : 16 + n], "big")).to_bytes(
-            n, "big"
-        )
-        return ciphertext + self._tag(mask, aad, ciphertext)
+        ciphertext = _xor(plaintext, mask)
+        return ciphertext + self._tags((mask,), (aad,), (ciphertext,))[0]
 
     def open_masked(
         self, mask: bytes, sealed: bytes, aad: bytes = b""
@@ -649,30 +671,22 @@ class FastAesGcm:
         if len(sealed) < tag_size:
             return None
         ciphertext = sealed[:-tag_size]
-        if not hmac.compare_digest(
-            self._tag(mask, aad, ciphertext), sealed[-tag_size:]
-        ):
+        (tag,) = self._tags((mask,), (aad,), (ciphertext,))
+        if not hmac.compare_digest(tag, sealed[-tag_size:]):
             return None
-        n = len(ciphertext)
-        fb = int.from_bytes
-        return (fb(ciphertext, "big") ^ fb(mask[16 : 16 + n], "big")).to_bytes(
-            n, "big"
-        )
+        return _xor(ciphertext, mask)
 
     def seal(self, iv: bytes, plaintext: bytes, aad: bytes = b"") -> bytes:
         """Encrypt and authenticate; returns ``ciphertext || tag``."""
-        (mask,) = self.masks([iv], [_keystream_blocks(len(plaintext))])
-        return self.seal_masked(mask, plaintext, aad)
+        return self.seal_many([(iv, plaintext, aad)])[0]
 
     def open(self, iv: bytes, sealed: bytes, aad: bytes = b"") -> bytes:
         """Verify and decrypt ``ciphertext || tag``; raises on tampering."""
-        size = len(sealed) - self.TAG_SIZE
-        (mask,) = self.masks([iv], [_keystream_blocks(size)])
-        plaintext = self.open_masked(mask, sealed, aad)
+        (plaintext,) = self.open_many([(iv, sealed, aad)])
         if plaintext is None:
             raise GcmFailure(
                 "message shorter than the authentication tag"
-                if size < 0
+                if len(sealed) < self.TAG_SIZE
                 else "authentication tag mismatch"
             )
         return plaintext
@@ -681,18 +695,20 @@ class FastAesGcm:
         """Seal a batch of ``(iv, plaintext, aad)`` triples, in order.
 
         One :meth:`masks` pass covers the J0 and counter blocks of every
-        message; outputs are byte-identical to one :meth:`seal` per item.
+        message and one :meth:`_tags` loop every tag; outputs are
+        byte-identical to one :meth:`seal` per item.
         """
         items = list(items)
         masks = self.masks(
             [iv for iv, _plaintext, _aad in items],
             [_keystream_blocks(len(plaintext)) for _iv, plaintext, _aad in items],
         )
-        seal = self.seal_masked
-        return [
-            seal(mask, plaintext, aad)
-            for mask, (_iv, plaintext, aad) in zip(masks, items)
+        ciphertexts = [
+            _xor(plaintext, mask)
+            for mask, (_iv, plaintext, _aad) in zip(masks, items)
         ]
+        tags = self._tags(masks, [aad for _iv, _pt, aad in items], ciphertexts)
+        return [c + t for c, t in zip(ciphertexts, tags)]
 
     def open_many(self, items) -> list:
         """Open a batch of ``(iv, sealed, aad)`` triples, in order.
@@ -711,10 +727,16 @@ class FastAesGcm:
                 for _iv, sealed, _aad in items
             ],
         )
-        open_masked = self.open_masked
+        ciphertexts = [sealed[:-tag_size] for _iv, sealed, _aad in items]
+        tags = self._tags(masks, [aad for _iv, _sealed, aad in items], ciphertexts)
+        compare = hmac.compare_digest
         return [
-            open_masked(mask, sealed, aad)
-            for mask, (_iv, sealed, aad) in zip(masks, items)
+            _xor(ciphertext, mask)
+            if len(sealed) >= tag_size and compare(tag, sealed[-tag_size:])
+            else None
+            for mask, (_iv, sealed, _aad), ciphertext, tag in zip(
+                masks, items, ciphertexts, tags
+            )
         ]
 
 

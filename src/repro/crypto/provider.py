@@ -22,7 +22,7 @@ instead), so correctness and performance modelling stay decoupled.
 from __future__ import annotations
 
 import hmac
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.crypto.engine import resolve_engine
 from repro.crypto.gcm import GcmFailure
@@ -37,9 +37,11 @@ __all__ = ["CryptoProvider", "SealedMessage", "EncryptedPayload"]
 _ONE_TIME_NONCE = b"\x00" * 8
 
 
-@dataclass(frozen=True)
-class SealedMessage:
-    """Transport-encrypted control data: IV plus GCM ciphertext-and-tag."""
+class SealedMessage(NamedTuple):
+    """Transport-encrypted control data: IV plus GCM ciphertext-and-tag.
+
+    Immutable; a named tuple because every frame builds one on each end.
+    """
 
     iv: bytes
     sealed: bytes
@@ -49,8 +51,7 @@ class SealedMessage:
         return len(self.iv) + len(self.sealed)
 
 
-@dataclass(frozen=True)
-class EncryptedPayload:
+class EncryptedPayload(NamedTuple):
     """Client-encrypted value plus its MAC (the untrusted half of a request)."""
 
     ciphertext: bytes
@@ -220,18 +221,19 @@ class CryptoProvider:
         batched (the fast engine runs its fused phase-grouped kernels
         over the whole set).
         """
-        staged = [
-            (session.next_iv(), plaintext, aad) for plaintext, aad in messages
-        ]
+        ivs = session.next_ivs(len(messages))
         gcm = self.engine.gcm(session.key)
-        if len(staged) == 1 and self.engine.keystream_reservoirs:
-            sealed = [session.seal_reservoir.seal(gcm, *staged[0])]
+        if len(ivs) == 1 and self.engine.keystream_reservoirs:
+            ((plaintext, aad),) = messages
+            sealed = [session.seal_reservoir.seal(gcm, ivs[0], plaintext, aad)]
         else:
-            sealed = gcm.seal_many(staged)
-        return [
-            SealedMessage(iv=iv, sealed=blob)
-            for (iv, _plaintext, _aad), blob in zip(staged, sealed)
-        ]
+            sealed = gcm.seal_many(
+                [
+                    (iv, plaintext, aad)
+                    for iv, (plaintext, aad) in zip(ivs, messages)
+                ]
+            )
+        return list(map(SealedMessage, ivs, sealed))
 
     def transport_open_many(
         self, session: SessionKey, messages
@@ -243,7 +245,7 @@ class CryptoProvider:
         tamper: the batched server path must keep processing the intact
         batch-mates and fail only the poisoned frame.
         """
-        items = [(message.iv, message.sealed, aad) for message, aad in messages]
+        items = [(iv, sealed, aad) for (iv, sealed), aad in messages]
         gcm = self.engine.gcm(session.key)
         if len(items) == 1 and self.engine.keystream_reservoirs:
             return [session.open_reservoir.open(gcm, *items[0])]

@@ -25,6 +25,10 @@ from repro.errors import ConfigurationError
 
 __all__ = ["RobinHoodTable"]
 
+#: What :meth:`RobinHoodTable._insert_hashed` displaces when it creates
+#: a new entry.
+_MISSING = object()
+
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
@@ -92,8 +96,9 @@ class RobinHoodTable:
             if key is not None:
                 self._insert_hashed(key, value, h)
 
-    def _insert_hashed(self, key: bytes, value: Any, h: int) -> bool:
-        """Insert with known hash; returns True if a new entry was created."""
+    def _insert_hashed(self, key: bytes, value: Any, h: int) -> Any:
+        """Insert with known hash; returns the value replaced, or
+        :data:`_MISSING` when a new entry was created."""
         mask = self._capacity - 1
         slot = h & mask
         distance = 0
@@ -105,10 +110,10 @@ class RobinHoodTable:
                 values[slot] = value
                 hashes[slot] = h
                 self._count += 1
-                return True
+                return _MISSING
             if resident == key and hashes[slot] == h:
-                values[slot] = value
-                return False
+                old, values[slot] = values[slot], value
+                return old
             resident_distance = (slot - hashes[slot]) & mask
             if resident_distance < distance:
                 # Rob the rich: swap with the resident and keep probing.
@@ -122,13 +127,21 @@ class RobinHoodTable:
 
     # -- public API --------------------------------------------------------
 
-    def put(self, key: bytes, value: Any) -> bool:
-        """Insert or update; returns True when a *new* entry was created."""
+    def put(self, key: bytes, value: Any, *, swap: bool = False) -> Any:
+        """Insert or update; returns True when a *new* entry was created.
+
+        With ``swap=True`` it returns the value it replaced instead, or
+        None when it created a new entry: one probe serves a caller that
+        must release what the new value displaces.
+        """
         if not isinstance(key, (bytes, bytearray)):
             raise ConfigurationError("keys must be bytes")
         if (self._count + 1) > self._max_load * self._capacity:
             self._grow()
-        return self._insert_hashed(bytes(key), value, _fnv1a(key))
+        old = self._insert_hashed(bytes(key), value, _fnv1a(key))
+        if swap:
+            return None if old is _MISSING else old
+        return old is _MISSING
 
     def get(self, key: bytes) -> Any:
         """Return the value for ``key`` or raise ``KeyError``."""

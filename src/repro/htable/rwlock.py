@@ -11,11 +11,31 @@ to reason about contention.
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
 
 from repro.errors import PrecursorError
 
 __all__ = ["ReadWriteLock"]
+
+
+class _Guard:
+    """``with`` support for one side of a :class:`ReadWriteLock`.
+
+    Each lock holds one guard per side for its whole life, so a
+    ``with lock.read():`` builds no generator and no context object.
+    """
+
+    __slots__ = ("_acquire", "_release")
+
+    def __init__(self, acquire, release) -> None:
+        self._acquire = acquire
+        self._release = release
+
+    def __enter__(self) -> None:
+        self._acquire()
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        self._release()
+        return False
 
 
 class ReadWriteLock:
@@ -28,15 +48,23 @@ class ReadWriteLock:
         self._active_readers = 0
         self._active_writer = False
         self._waiting_writers = 0
+        # Waiting readers are counted so that a release wakes a
+        # condition only when someone waits on it.
+        self._waiting_readers = 0
         #: Total acquisitions, for contention diagnostics.
         self.read_acquisitions = 0
         self.write_acquisitions = 0
+        self._read_guard = _Guard(self.acquire_read, self.release_read)
+        self._write_guard = _Guard(self.acquire_write, self.release_write)
 
     def acquire_read(self) -> None:
         """Block until no writer is active or waiting, then enter."""
         with self._lock:
-            while self._active_writer or self._waiting_writers > 0:
-                self._readers_ok.wait()
+            if self._active_writer or self._waiting_writers > 0:
+                self._waiting_readers += 1
+                while self._active_writer or self._waiting_writers > 0:
+                    self._readers_ok.wait()
+                self._waiting_readers -= 1
             self._active_readers += 1
             self.read_acquisitions += 1
 
@@ -46,7 +74,7 @@ class ReadWriteLock:
             if self._active_readers <= 0:
                 raise PrecursorError("release_read without acquire_read")
             self._active_readers -= 1
-            if self._active_readers == 0:
+            if self._active_readers == 0 and self._waiting_writers > 0:
                 self._writers_ok.notify()
 
     def acquire_write(self) -> None:
@@ -67,23 +95,13 @@ class ReadWriteLock:
             self._active_writer = False
             if self._waiting_writers > 0:
                 self._writers_ok.notify()
-            else:
+            elif self._waiting_readers > 0:
                 self._readers_ok.notify_all()
 
-    @contextmanager
-    def read(self):
+    def read(self) -> _Guard:
         """``with lock.read(): ...`` context manager."""
-        self.acquire_read()
-        try:
-            yield
-        finally:
-            self.release_read()
+        return self._read_guard
 
-    @contextmanager
-    def write(self):
+    def write(self) -> _Guard:
         """``with lock.write(): ...`` context manager."""
-        self.acquire_write()
-        try:
-            yield
-        finally:
-            self.release_write()
+        return self._write_guard

@@ -31,7 +31,7 @@ from typing import Any, Dict, List, Optional
 from repro.errors import ObservabilityError
 from repro.obs.clock import Clock, WallClock
 
-__all__ = ["Stage", "Trace", "Tracer", "UNTRACKED_STAGE"]
+__all__ = ["Stage", "Trace", "Tracer", "UNTRACKED_STAGE", "run_stage"]
 
 #: Name of the synthetic gap-filling stage.
 UNTRACKED_STAGE = "(untracked)"
@@ -222,6 +222,19 @@ class Trace:
             f"Trace(id={self.trace_id}, op={self.op!r}, "
             f"stages={len(self.stages)}, {state})"
         )
+
+
+def run_stage(trace: Optional["Trace"], name: str, step, *args):
+    """``step(*args)``, timed as stage ``name`` of ``trace`` when given.
+
+    For hot paths that read :attr:`Tracer.current` once for many steps:
+    with no trace a step costs nothing more than its own call, where
+    :meth:`Tracer.stage` costs a lookup and a null handle per stage.
+    """
+    if trace is None:
+        return step(*args)
+    with trace.stage(name):
+        return step(*args)
 
 
 class _NullHandle:

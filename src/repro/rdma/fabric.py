@@ -81,7 +81,9 @@ class Fabric:
         self._obs = registry
         self._obs_handles = {}
 
-    def _record_obs(self, wr: WorkRequest, qp: QueuePair, ok: bool) -> None:
+    def _record_obs(
+        self, wr: WorkRequest, qp: QueuePair, ok: bool, nbytes: int
+    ) -> None:
         registry = self._obs
         if registry is None:
             return
@@ -106,7 +108,7 @@ class Fabric:
             )
         posted, outcome, depth = handles
         posted.inc()
-        outcome.inc(wr.byte_len if ok else 1)
+        outcome.inc(nbytes if ok else 1)
         depth.set(len(qp.send_cq))
 
     def inject_faults(self, count: int = 1) -> None:
@@ -156,8 +158,6 @@ class Fabric:
         self.bytes_moved += wr.byte_len
 
     def _tick_delayed(self) -> None:
-        if not self._delayed:
-            return
         due = []
         still = []
         for countdown, qp, wr in self._delayed:
@@ -215,8 +215,12 @@ class Fabric:
         if qp.remote is None or qp.remote.state is not QpState.RTS:
             raise AccessError(f"QP {qp.qp_num} has no connected remote")
         qp.sends_posted += 1
-        self._tick_delayed()
-        action, detail = self._judge(qp, wr)
+        if self._delayed:
+            self._tick_delayed()
+        if self._faults_pending or self._fault_hook is not None:
+            action, detail = self._judge(qp, wr)
+        else:
+            action = detail = None
         status = "success"
         executed = False
         result: bytes = b""
@@ -240,18 +244,19 @@ class Fabric:
                 status = str(exc)
                 qp.error_out()
         self.ops_executed += 1
+        nbytes = wr.byte_len
         if executed:
-            self.bytes_moved += wr.byte_len
+            self.bytes_moved += nbytes
         if qp.want_signal(wr) or status != "success":
             qp.send_cq.push(
                 WorkCompletion(
                     wr_id=wr.wr_id,
                     opcode=wr.opcode,
                     status=status,
-                    byte_len=len(result) if wr.opcode is Opcode.RDMA_READ else wr.byte_len,
+                    byte_len=len(result) if wr.opcode is Opcode.RDMA_READ else nbytes,
                 )
             )
-        self._record_obs(wr, qp, ok=status == "success")
+        self._record_obs(wr, qp, status == "success", nbytes)
         if status != "success":
             raise AccessError(status)
         if wr.opcode is Opcode.RDMA_READ:
@@ -260,19 +265,19 @@ class Fabric:
     def _judge(
         self, qp: QueuePair, wr: WorkRequest
     ) -> Tuple[Optional[str], Optional[int]]:
-        """Decide the fault (if any) for one post.
+        """Decide the fault for one post made while faults are armed.
 
-        Legacy ``inject_faults`` counts take precedence (they model the
-        always-available "link flap" shape); otherwise the installed hook
-        is consulted.  Hooks may return an action string or an
-        ``(action, detail)`` pair -- ``detail`` is the byte offset for
-        CORRUPT and the op countdown for DELAY.
+        :meth:`post_send` asks only while an ``inject_faults`` count is
+        pending or a hook is installed.  Legacy ``inject_faults`` counts
+        take precedence (they model the always-available "link flap"
+        shape); otherwise the installed hook is consulted.  Hooks may
+        return an action string or an ``(action, detail)`` pair --
+        ``detail`` is the byte offset for CORRUPT and the op countdown
+        for DELAY.
         """
         if self._faults_pending > 0:
             self._faults_pending -= 1
             return FaultAction.QP_ERROR, None
-        if self._fault_hook is None:
-            return None, None
         verdict = self._fault_hook(qp, wr)
         if verdict is None:
             return None, None

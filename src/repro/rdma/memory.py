@@ -55,6 +55,12 @@ class MemoryRegion:
         #: True for enclave (EPC) memory: remote access must be refused.
         self.trusted = trusted
         self._buf = bytearray(length)
+        # Remote permissions are fixed at registration, so they are
+        # decided once here rather than by an enum.Flag test per access.
+        self._remote_read = not trusted and bool(flags & AccessFlags.REMOTE_READ)
+        self._remote_write = not trusted and bool(
+            flags & AccessFlags.REMOTE_WRITE
+        )
 
     # -- local access (host CPU, no permission checks beyond bounds) -------
 
@@ -68,28 +74,39 @@ class MemoryRegion:
         self._check_bounds(offset, len(data))
         self._buf[offset : offset + len(data)] = data
 
+    def view(self) -> memoryview:
+        """The region's bytes as the host CPU sees them, without a copy.
+
+        For a local poller that reads fixed slots of its own region many
+        times over (a ring consumer): it indexes the view within
+        :attr:`length` itself, so no access is bounds-checked again.
+        """
+        return memoryview(self._buf)
+
     # -- remote access (via the fabric, permission-checked) ----------------
 
     def remote_read(self, offset: int, length: int) -> bytes:
         """DMA read by a remote peer; enforces REMOTE_READ and bounds."""
-        self._check_remote(AccessFlags.REMOTE_READ, offset, length)
+        if not self._remote_read:
+            self._refuse(AccessFlags.REMOTE_READ)
+        self._check_bounds(offset, length)
         return bytes(self._buf[offset : offset + length])
 
     def remote_write(self, offset: int, data: bytes) -> None:
         """DMA write by a remote peer; enforces REMOTE_WRITE and bounds."""
-        self._check_remote(AccessFlags.REMOTE_WRITE, offset, len(data))
+        if not self._remote_write:
+            self._refuse(AccessFlags.REMOTE_WRITE)
+        self._check_bounds(offset, len(data))
         self._buf[offset : offset + len(data)] = data
 
-    def _check_remote(self, needed: AccessFlags, offset: int, length: int) -> None:
+    def _refuse(self, needed: AccessFlags) -> None:
         if self.trusted:
             raise AccessError(
                 "DMA to enclave memory: SGX forbids device access to the EPC"
             )
-        if not self.flags & needed:
-            raise AccessError(
-                f"region rkey={self.rkey:#x} lacks {needed.name} permission"
-            )
-        self._check_bounds(offset, length)
+        raise AccessError(
+            f"region rkey={self.rkey:#x} lacks {needed.name} permission"
+        )
 
     def _check_bounds(self, offset: int, length: int) -> None:
         if offset < 0 or length < 0 or offset + length > self.length:

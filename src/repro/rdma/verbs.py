@@ -30,7 +30,7 @@ class Opcode(enum.Enum):
     RDMA_READ = "rdma_read"
 
 
-@dataclass
+@dataclass(slots=True)
 class WorkRequest:
     """One entry of a send queue.
 

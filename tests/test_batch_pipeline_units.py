@@ -27,7 +27,7 @@ from repro.core.protocol import OpCode
 from repro.core.server import PrecursorServer, ServerConfig
 from repro.core.threading import ServerThreadPool
 from repro.crypto.engine import get_engine
-from repro.crypto.keys import KeyGenerator, SessionKey
+from repro.crypto.keys import RESERVOIR_BYTES, KeyGenerator, SessionKey
 from repro.crypto.provider import CryptoProvider
 from repro.errors import ConfigurationError
 from repro.rdma import AccessFlags, Fabric, Opcode, WorkRequest
@@ -356,32 +356,39 @@ class TestBatchedServerObservability:
         assert counter.value == 24
 
 
-class TestReplySinkThreadLocal:
-    def test_sink_is_private_to_each_thread(self):
-        """The staging seam must never leak across trusted threads: a
-        cycle on thread B installing its sink while thread A is
-        mid-dispatch would capture A's replies (wrong session, wrong
-        ring) and then discard A's remaining staged entries."""
-        server = PrecursorServer()
-        mine = []
-        server._reply_sink = mine
-        seen = {}
+class TestReservoirCharge:
+    """The enclave charges a client's keystream reservoirs when it first
+    opens a message from it, whatever the cycle size -- not when a
+    one-frame cycle first fills them, which is a matter of timing."""
 
-        def probe():
-            seen["inherited"] = server._reply_sink
-            theirs = []
-            server._reply_sink = theirs
-            seen["own"] = server._reply_sink is theirs
+    @staticmethod
+    def _window(server, client, value):
+        entries = client._put_requests(
+            [(b"charge-%02d" % i, value) for i in range(32)]
+        )
+        client._send(entries)
+        assert server.process_pending() == 32
+        client._collect(entries, [])
 
-        worker = threading.Thread(target=probe)
-        worker.start()
-        worker.join(timeout=5)
-        assert seen["inherited"] is None
-        assert seen["own"] is True
-        # The other thread's assignments never touched this thread's sink.
-        assert server._reply_sink is mine
-        server._reply_sink = None
-        assert server._reply_sink is None
+    def test_charged_after_the_first_batched_window(self):
+        server = PrecursorServer(config=ServerConfig(ecall_batch=16))
+        client = PrecursorClient(server, keygen=KeyGenerator(5), auto_pump=False)
+        allocator = server.enclave.allocator
+        assert allocator.bytes_for("transport_reservoir") == 0
+        self._window(server, client, b"v" * 32)
+        assert allocator.bytes_for("transport_reservoir") == RESERVOIR_BYTES
+        # Two 16-frame cycles, neither of which touched a reservoir.
+        session = server._sessions[client.client_id]
+        assert session.open_reservoir.hits + session.open_reservoir.misses == 0
+        self._window(server, client, b"w")
+        assert allocator.bytes_for("transport_reservoir") == RESERVOIR_BYTES
+
+    def test_reference_engine_has_no_reservoirs_to_charge(self):
+        keygen = KeyGenerator(6, engine="reference")
+        server = PrecursorServer(keygen=keygen)
+        client = PrecursorClient(server, keygen=KeyGenerator(7, engine="reference"))
+        client.put(b"charge-key", b"v")
+        assert server.enclave.allocator.bytes_for("transport_reservoir") == 0
 
 
 def _stress_workload(client, tag, windows):

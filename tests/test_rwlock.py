@@ -125,3 +125,49 @@ class TestExclusion:
         wt.join(timeout=5)
         rt.join(timeout=5)
         assert order[0] == "w"
+
+
+class TestWakeUps:
+    def test_mixed_storm_loses_no_waiter(self):
+        """A release wakes a condition only when someone waits on it, so
+        a waiter it failed to count would sleep forever.  Readers and
+        writers contend under a forced-short switch interval; every
+        thread must finish, writers stay exclusive, and no update is
+        lost."""
+        import sys
+
+        lock = ReadWriteLock()
+        state = {"value": 0, "writing": 0, "violations": 0}
+
+        def writer():
+            for _ in range(300):
+                with lock.write():
+                    state["writing"] += 1
+                    state["value"] += 1
+                    state["writing"] -= 1
+
+        def reader():
+            for _ in range(300):
+                with lock.read():
+                    if state["writing"]:
+                        state["violations"] += 1
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=role, daemon=True)
+                for role in [writer] * 4 + [reader] * 4
+            ]
+            for thread in threads:
+                thread.start()
+            deadline = time.monotonic() + 30
+            for thread in threads:
+                thread.join(timeout=max(0.0, deadline - time.monotonic()))
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert state["value"] == 4 * 300
+        assert state["violations"] == 0
+        assert lock.write_acquisitions == 4 * 300
+        assert lock.read_acquisitions == 4 * 300
