@@ -70,11 +70,13 @@ replica-smoke:
 # Telemetry pipeline smoke (docs/OBSERVABILITY.md): a clean sharded +
 # replicated run must produce an OK windowed SLO report (exit 1 on any
 # breach), then the breach scenario must freeze a parseable
-# flight-recorder dump and replay it offline.
+# flight-recorder dump and replay it offline; a committed version-1
+# dump must still load and render one of its records.
 health-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.cli health --shards 2 --replicas 1 --ops 240
 	PYTHONPATH=src $(PYTHON) -m repro.cli flightrec --out bench_reports > /dev/null
 	PYTHONPATH=src $(PYTHON) -m repro.cli flightrec --load bench_reports/flightrec.json
+	PYTHONPATH=src $(PYTHON) -m repro.cli flightrec --load tests/fixtures/flightrec-v1.json --trace c1-181
 
 # Open-loop traffic smoke (docs/TRAFFIC.md): a short flash-crowd
 # scenario on 2 shards must hold a loose SLO with the correction

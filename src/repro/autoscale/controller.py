@@ -12,8 +12,8 @@ proposal per tick survives the guard.
 Every proposal becomes a :class:`Decision` record whether it was
 applied or refused, with a canonical one-line rendering
 (:meth:`Decision.line`) -- the unit of the byte-identical-per-seed
-bench gate.  Applied actions additionally emit a causal ``autoscale``
-trace context (decide -> actuate -> installed hops), an
+bench gate.  Applied actions additionally emit an ``autoscale`` trace
+record (decide -> actuate -> installed hops), an
 ``autoscale_decision`` flight-recorder event, and bump the
 ``autoscale_*`` metric families.
 
@@ -41,6 +41,7 @@ The guard's invariants, in refusal-priority order:
 from __future__ import annotations
 
 import hashlib
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
@@ -425,21 +426,23 @@ class AutoScaler:
         self, snapshot: ClusterTelemetry, proposal: Proposal
     ) -> Decision:
         cluster = self.cluster
-        # Applied actions carry a causal trace of their own unless the
-        # controller fired inside someone else's context (it never does
-        # in the shipped wiring -- ticks run between operations).
-        owns_context = self.obs.ctxlog.current is None
-        if owns_context:
-            self.obs.ctxlog.begin("autoscale", client_id=-1)
-        self.obs.hop(
-            "autoscale_decide",
-            shard=proposal.shard,
-            action=proposal.action,
-            rule=proposal.rule,
-        )
-        detail: Dict[str, Any] = {}
-        touched: List[str] = []
-        try:
+        # Applied actions carry a trace record of their own unless the
+        # controller fired inside someone else's (it never does in the
+        # shipped wiring -- ticks run between operations).
+        tracer = self.obs.tracer
+        with (
+            tracer.start("autoscale", client_id=-1)
+            if tracer.current is None
+            else nullcontext()
+        ):
+            self.obs.hop(
+                "autoscale_decide",
+                shard=proposal.shard,
+                action=proposal.action,
+                rule=proposal.rule,
+            )
+            detail: Dict[str, Any] = {}
+            touched: List[str] = []
             if proposal.action == "scale-out":
                 before = set(cluster.shards)
                 report = cluster.add_shard()
@@ -469,9 +472,6 @@ class AutoScaler:
                 epoch=cluster.epoch,
                 shards=len(cluster.shards),
             )
-        finally:
-            if owns_context:
-                self.obs.ctxlog.end("ok")
         self.guard.mark_applied(self.tick, touched)
         self._shard_points.append((snapshot.t_ns, len(cluster.shards)))
         self._obs_shards.set(len(cluster.shards))

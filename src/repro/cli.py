@@ -503,10 +503,10 @@ def run_flightrec_cmd(
     unexpectedly stayed clean.
 
     With ``--load PATH``, reads a previously written dump instead:
-    validates it, prints its summary, and with ``--trace ID``
-    reconstructs that request's causal hop timeline from the frozen
-    contexts.  An unreadable or invalid dump and an unknown trace id
-    are configuration errors (exit code 2).
+    validates it (version 1 or 2), prints its summary, and with
+    ``--trace ID`` renders that request's record -- its hop timeline,
+    and its stages in a version-2 dump.  An unreadable or invalid dump
+    and an unknown trace id are configuration errors (exit code 2).
     """
     from repro.errors import ObservabilityError
     from repro.faults import run_health

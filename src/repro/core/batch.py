@@ -48,21 +48,21 @@ _CREDIT = struct.Struct(">Q")
 class _Cycle:
     """One drain cycle's private state, handed through the dispatch.
 
-    ``trace`` is the calling thread's current trace (or None) and
-    ``hops`` whether a causal context is current.  Both are read once
-    per cycle: a cycle runs on one thread, and nothing it calls starts
-    or ends either, so a frame pays for no tracer lookup when nothing
-    is traced.  ``replies`` stages ``(channel, control, payload)`` per
-    reply for the seal phase.  The state belongs to the cycle's own
-    call, so trusted threads draining other rings at the same time
+    ``trace`` is the calling thread's current trace (or None), read
+    once per cycle: a cycle runs on one thread, and nothing it calls
+    starts or finishes a trace, so a frame pays for no tracer lookup
+    when nothing is traced, and records its stages and hops exactly
+    when ``trace`` is set.  ``replies`` stages
+    ``(channel, control, payload)`` per reply for the seal phase.  The
+    state belongs to the cycle's own call, so trusted threads draining
+    other rings at the same time
     (:class:`~repro.core.threading.ServerThreadPool`) never see it.
     """
 
-    __slots__ = ("trace", "hops", "replies")
+    __slots__ = ("trace", "replies")
 
-    def __init__(self, trace, hops: bool):
+    def __init__(self, trace):
         self.trace = trace
-        self.hops = hops
         self.replies = []
 
 
@@ -133,7 +133,7 @@ class BatchPipeline:
         self._obs_cycles.inc()
         self._obs_batch_size.record(count)
         self._obs_messages.inc(count)
-        cycle = _Cycle(obs.tracer.current, obs.ctxlog.current is not None)
+        cycle = _Cycle(obs.tracer.current)
 
         # Parse: decode the untrusted framing and apply credits.
         client_id = channel.client_id

@@ -20,6 +20,7 @@ import hmac
 import itertools
 import struct
 import time
+from contextlib import nullcontext
 from typing import Callable, Optional, Tuple
 
 from repro.core.protocol import (
@@ -148,7 +149,8 @@ class PrecursorClient:
         operation land in the same trace (``docs/OBSERVABILITY.md``).
     trace_ops:
         When True (default), every single-key ``get``/``put``/``delete``
-        records an end-to-end span trace.  ``put_many``/``get_many``
+        records one trace: its stages end to end and its hops (the
+        server's among them).  ``put_many``/``get_many``
         start none; their windows record the client stages into a trace
         that is already current.  Disable for micro-benchmarks that
         cannot afford the few clock reads per operation.
@@ -809,24 +811,17 @@ class PrecursorClient:
         """``batch(*args)``'s outcomes, raising its first failure in order.
 
         ``op`` names a single-key operation, traced end to end when
-        tracing is on and no trace is active; a batch passes None, and
+        tracing is on and no trace is active (a failure retires the
+        record with its ``error:`` status); a batch passes None, and
         its windows record their stages into whatever trace is active.
         """
         tracer = self.obs.tracer
-        trace = None
-        if op is not None and self._trace_ops and tracer.current is None:
-            trace = tracer.start(op, client_id=self.client_id)
-        try:
+        traced = op is not None and self._trace_ops and tracer.current is None
+        with tracer.start(op, client_id=self.client_id) if traced else nullcontext():
             outcomes, error = batch(*args)
             failure = _first_failure(outcomes, error)
             if failure is not None:
                 raise failure
-        except BaseException:
-            if trace is not None:
-                trace.abort()
-            raise
-        if trace is not None:
-            trace.finish()
         return outcomes
 
     # -- key-value API --------------------------------------------------------

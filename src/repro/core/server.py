@@ -759,7 +759,7 @@ class PrecursorServer:
                 )
             return
         channel.last_digest = digest
-        if cycle.hops:
+        if cycle.trace is not None:
             self.obs.hop(
                 "server",
                 shard=self.shard_name or self.HOST_NAME,

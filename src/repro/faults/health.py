@@ -14,7 +14,7 @@ flight-recorder dumps.
 This is the backing for ``python -m repro.cli health`` (clean-run SLO
 report, CI's ``health-smoke``) and ``python -m repro.cli flightrec``
 (breach scenario producing a parseable dump).  A run wires the full
-pipeline: causal contexts per routed operation, windowed per-shard
+pipeline: a trace record per routed operation, windowed per-shard
 aggregates on a fixed operation cadence, declarative SLO rules
 (:mod:`repro.obs.slo`), and a flight recorder that freezes its rings on
 the first breaching tick.
@@ -88,7 +88,7 @@ class HealthReport:
     slo_report: str = ""
     #: Last published snapshot (``ClusterTelemetry.to_dict``).
     last_snapshot: Optional[dict] = None
-    #: The first trace context carrying a retry/failover-class hop.
+    #: The first trace record carrying a retry/failover-class hop.
     affected_trace: Optional[dict] = None
     #: Flight-recorder dump frozen at the first breach, if any.
     dump: Optional[dict] = None
@@ -287,6 +287,12 @@ def run_health(
             # fed to the pipeline as an error sample by the router.
             # Anything untyped is a bug and propagates.
             report.errors += 1
+        # Picked as records retire: the tracer keeps only the latest.
+        trace = obs.tracer.last
+        if report.affected_trace is None and any(
+            k in _AFFECTED_KINDS for k in trace.hop_kinds()
+        ):
+            report.affected_trace = trace.to_dict()
         clock.advance(_THINK_NS)
         if (op_index + 1) % tick_every == 0:
             pipeline.tick()
@@ -303,10 +309,6 @@ def run_health(
     report.slo_report = engine.report()
     if pipeline.last is not None:
         report.last_snapshot = pipeline.last.to_dict()
-    for context in obs.ctxlog.recent():
-        if any(k in _AFFECTED_KINDS for k in context.hop_kinds()):
-            report.affected_trace = context.to_dict()
-            break
     if engine.breaches:
         report.dump = obs.flight.last_dump
     return report

@@ -1,27 +1,26 @@
 """``repro.obs``: unified tracing and metrics across every layer.
 
-The subsystem has three parts (see ``docs/OBSERVABILITY.md``):
+The subsystem has these parts (see ``docs/OBSERVABILITY.md``):
 
-- **spans** (:mod:`repro.obs.span`): a :class:`Tracer` follows one
-  operation end to end -- client key-gen/encrypt, RDMA write, enclave
-  processing, reply, client MAC verify -- as named stages whose top-level
-  durations tile the end-to-end latency exactly;
+- **trace records** (:mod:`repro.obs.span`): a :class:`Tracer` keeps one
+  record per request -- its timed stages (client key-gen/encrypt, RDMA
+  write, enclave processing, reply, client MAC verify), whose top-level
+  durations tile the end-to-end latency exactly, and its causal hops
+  across the cluster: which shards it touched, in what order, and why
+  it was retried;
 - **metrics** (:mod:`repro.obs.metrics`): a :class:`MetricsRegistry` of
   counters, gauges and bounded log-linear histograms, bound lazily by the
   core/RDMA/SGX/sim layers;
 - **exporters** (:mod:`repro.obs.exporters`): JSON-lines traces,
   Prometheus text exposition, and human-readable stage tables, surfaced
   through ``python -m repro.cli trace`` / ``python -m repro.cli metrics``;
-- **causal tracing** (:mod:`repro.obs.telemetry`): a :class:`ContextLog`
-  of cross-layer :class:`TraceContext` hop lists -- which shards a
-  request touched, in what order, and why it was retried;
 - **telemetry** (:mod:`repro.obs.telemetry`): a sliding-window
   :class:`TelemetryPipeline` publishing per-shard
   :class:`ClusterTelemetry` snapshots on a deterministic tick;
 - **SLO engine** (:mod:`repro.obs.slo`): declarative latency/error-budget/
   staleness rules evaluated against every snapshot;
 - **flight recorder** (:mod:`repro.obs.flightrec`): bounded rings of
-  recent contexts, faults and topology events dumped as one JSON
+  recent trace records, faults and topology events dumped as one JSON
   artifact on SLO breach, shard crash or a red chaos run.
 """
 
@@ -47,14 +46,7 @@ from repro.obs.slo import (
     parse_slo,
 )
 from repro.obs.span import Stage, Trace, Tracer, UNTRACKED_STAGE
-from repro.obs.telemetry import (
-    ClusterTelemetry,
-    ContextLog,
-    Hop,
-    ShardSample,
-    TelemetryPipeline,
-    TraceContext,
-)
+from repro.obs.telemetry import ClusterTelemetry, ShardSample, TelemetryPipeline
 
 __all__ = [
     "Clock",
@@ -78,9 +70,6 @@ __all__ = [
     "lint_prometheus",
     "stage_latency_table",
     "stage_breakdown",
-    "Hop",
-    "TraceContext",
-    "ContextLog",
     "ShardSample",
     "ClusterTelemetry",
     "TelemetryPipeline",

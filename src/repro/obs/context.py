@@ -1,18 +1,17 @@
-"""The observability context: tracer, registry, contexts -- threaded everywhere.
+"""The observability context: tracer and registry -- threaded everywhere.
 
-An :class:`ObsContext` is the single object the ISSUE's "cross-layer"
-requirement refers to: the server creates (or receives) one, shares it with
-the enclave, the RDMA fabric and its clients, and every layer records into
-the same sinks.  Experiments that want isolated measurement construct their
-own context; components that were never given one fall back to cheap no-op
-behavior (``tracer.stage`` / ``ctxlog.hop`` with nothing active).
+An :class:`ObsContext` is the single object every layer records into: the
+server creates (or receives) one, shares it with the enclave, the RDMA
+fabric and its clients, and every layer records into the same sinks.
+Experiments that want isolated measurement construct their own context;
+components that were never given one fall back to cheap no-op behavior
+(``tracer.stage`` / ``tracer.hop`` with nothing active).
 
-Since the telemetry PR the bundle holds up to five sinks:
+The bundle holds up to four sinks:
 
-- ``tracer`` -- per-operation span traces (:mod:`repro.obs.span`);
+- ``tracer`` -- one record per request: its timed stages and its causal
+  hops across the cluster (:mod:`repro.obs.span`);
 - ``registry`` -- counters/gauges/histograms (:mod:`repro.obs.metrics`);
-- ``ctxlog`` -- causal trace contexts with cross-layer hop lists
-  (:mod:`repro.obs.telemetry`), always present;
 - ``telemetry`` -- the sliding-window pipeline, attached on demand via
   :meth:`ObsContext.attach_telemetry`;
 - ``flight`` -- the flight recorder, attached via
@@ -31,7 +30,6 @@ from typing import Any, Optional
 from repro.obs.clock import Clock
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.span import Tracer
-from repro.obs.telemetry import ContextLog
 
 __all__ = ["ObsContext"]
 
@@ -42,15 +40,12 @@ class ObsContext:
 
     tracer: Tracer = field(default_factory=Tracer)
     registry: MetricsRegistry = field(default_factory=MetricsRegistry)
-    ctxlog: ContextLog = field(default_factory=ContextLog)
     telemetry: Optional[Any] = None
     flight: Optional[Any] = None
 
     def __post_init__(self):
-        """Put every sink on the tracer's clock and bind drop counters."""
-        self.ctxlog.clock = self.tracer.clock
+        """Bind the tracer's drop counter into the registry."""
         self.tracer.bind_obs(self.registry)
-        self.ctxlog.bind_obs(self.registry)
 
     @classmethod
     def create(cls, clock: Clock = None, trace_capacity: int = 256) -> "ObsContext":
@@ -60,8 +55,8 @@ class ObsContext:
     # -- causal tracing convenience ---------------------------------------
 
     def hop(self, kind: str, shard: str = None, **detail: Any) -> None:
-        """Append a causal hop to the active trace context (no-op when idle)."""
-        self.ctxlog.hop(kind, shard=shard, **detail)
+        """Append a causal hop to the current trace (no-op when idle)."""
+        self.tracer.hop(kind, shard=shard, **detail)
 
     def record_event(self, kind: str, **fields: Any) -> None:
         """Record a topology event into the flight recorder, if attached."""
@@ -76,7 +71,7 @@ class ObsContext:
         """Wire a flight recorder into this context (and the pipeline)."""
         self.flight = flight
         flight.clock = self.tracer.clock
-        self.ctxlog.on_retire = flight.record_context
+        self.tracer.on_retire = flight.record_context
         if self.telemetry is not None:
             self.telemetry.attach_flight(flight)
             flight.pipeline = self.telemetry

@@ -4,7 +4,7 @@ Three consumers, three formats:
 
 - **JSON lines** for machine post-processing: one trace per line,
   round-trippable through :func:`trace_from_json` (timestamps, stages,
-  attributes all preserved);
+  hops, status and attributes all preserved);
 - **Prometheus text exposition** (version 0.0.4) for scraping a registry:
   ``# HELP`` / ``# TYPE`` headers, labelled samples, histograms as
   cumulative ``_bucket{le=...}`` series plus ``_sum`` / ``_count``;
@@ -39,29 +39,8 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def trace_to_dict(trace: Trace) -> dict:
-    """Serializable view of a finished trace."""
-    if not trace.finished:
-        raise ObservabilityError("cannot export an unfinished trace")
-    return {
-        "trace_id": trace.trace_id,
-        "op": trace.op,
-        "attrs": dict(trace.attrs),
-        "start_ns": trace.start_ns,
-        "end_ns": trace.end_ns,
-        "total_ns": trace.total_ns,
-        "stages": [
-            {
-                "name": s.name,
-                "start_ns": s.start_ns,
-                "end_ns": s.end_ns,
-                "depth": s.depth,
-                "meta": dict(s.meta),
-            }
-            for s in trace.stages
-            if s.closed
-        ],
-    }
+#: The serialised record of a finished trace (raises on an open one).
+trace_to_dict = Trace.to_dict
 
 
 def trace_to_json(trace: Trace) -> str:
@@ -94,6 +73,8 @@ def trace_from_json(line: str) -> Trace:
         trace.start_ns = data["start_ns"]
         trace.end_ns = data["end_ns"]
         trace._tiled_until = data["end_ns"]
+        trace.status = data["status"]
+        trace.hops = [dict(hop) for hop in data["hops"]]
         for record in data["stages"]:
             stage = Stage(
                 record["name"],
@@ -351,13 +332,16 @@ def stage_breakdown(
 ) -> Dict[tuple, Dict[str, float]]:
     """Mean per-stage duration (ns) grouped by trace attributes.
 
-    ``group_by`` names trace attributes; traces sharing those attribute
-    values are averaged together.  Returns ``{group key: {stage: mean ns}}``
+    ``group_by`` names trace attributes; ``ok`` traces sharing those
+    attribute values are averaged together (a failed operation's stages
+    stop where it failed).  Returns ``{group key: {stage: mean ns}}``
     (the group key is the tuple of attribute values, ``()`` when ungrouped).
     """
     sums: Dict[tuple, Dict[str, float]] = {}
     counts: Dict[tuple, int] = {}
     for trace in traces:
+        if trace.status != "ok":
+            continue
         key = tuple(trace.attrs.get(attr) for attr in group_by)
         bucket = sums.setdefault(key, {})
         for name, duration in trace.stage_durations().items():
@@ -372,10 +356,13 @@ def stage_breakdown(
 def stage_latency_table(
     traces: Sequence[Trace], title: str = "Per-stage latency breakdown"
 ) -> str:
-    """Render mean/min/max per-stage durations and end-to-end shares."""
-    if not traces:
+    """Render mean/min/max per-stage durations and end-to-end shares.
+
+    Reads the ``ok`` traces only, as :func:`stage_breakdown` does.
+    """
+    finished = [t for t in traces if t.status == "ok"]
+    if not finished:
         return f"{title}\n(no traces recorded)"
-    finished = [t for t in traces if t.finished]
     stage_sums: Dict[str, int] = {}
     stage_mins: Dict[str, int] = {}
     stage_maxs: Dict[str, int] = {}

@@ -2,8 +2,8 @@
 
 The recorder keeps small bounded ring buffers of the most recent
 
-* finished trace contexts (fed by :class:`~repro.obs.telemetry.ContextLog`
-  via its ``on_retire`` hook),
+* finished trace records (fed by :class:`~repro.obs.span.Tracer` via its
+  ``on_retire`` hook),
 * fault-log entries (fed by :class:`~repro.faults.engine.FaultEngine`),
 * topology events (epoch installs, crashes, promotions, migrations --
   fed by the cluster/replica layers through ``ObsContext.record_event``),
@@ -12,11 +12,14 @@ and on :meth:`FlightRecorder.trigger` -- SLO breach, shard crash, or a
 red ``chaos`` run -- freezes them all into one JSON-able dump together
 with the recent telemetry snapshots and accumulated SLO breaches.  The
 dump is everything needed to debug the incident offline: which fault
-fired, which requests it hurt (with their full causal hop lists), what
-the windowed percentiles looked like, and how the topology reacted.
+fired, which requests it hurt (with their stages and full causal hop
+lists), what the windowed percentiles looked like, and how the topology
+reacted.
 
 Dumps are deterministic under a seeded run on a manual clock, so tests
-pin their structure and CI archives them as artifacts.
+pin their structure and CI archives them as artifacts.  Version 2 dumps
+carry each record's ``stages`` beside its ``hops``; version 1 dumps
+(hops only) still load and render.
 """
 
 from __future__ import annotations
@@ -27,10 +30,13 @@ from typing import Any, Dict, List, Optional
 
 from repro.errors import ObservabilityError
 from repro.obs.clock import Clock, WallClock
+from repro.obs.span import render_record
 
 __all__ = ["FlightRecorder"]
 
-_DUMP_VERSION = 1
+_DUMP_VERSION = 2
+#: Versions :meth:`FlightRecorder.load` reads.
+_LOADABLE_VERSIONS = (1, 2)
 _REQUIRED_KEYS = ("version", "trigger", "contexts", "faults", "events")
 
 
@@ -60,9 +66,9 @@ class FlightRecorder:
 
     # -- intake ------------------------------------------------------------
 
-    def record_context(self, context) -> None:
-        """Ring-buffer one finished trace context (``on_retire`` hook)."""
-        self.contexts.append(context.to_dict())
+    def record_context(self, trace) -> None:
+        """Ring-buffer one finished trace record (``on_retire`` hook)."""
+        self.contexts.append(trace.to_dict())
 
     def record_fault(self, entry: str, t_ns: Optional[int] = None) -> None:
         """Ring-buffer one fault-log entry (``kind`` or ``kind:detail``)."""
@@ -153,7 +159,7 @@ class FlightRecorder:
             raise ObservabilityError(
                 f"flight-recorder dump missing key(s): {missing}"
             )
-        if dump["version"] != _DUMP_VERSION:
+        if dump["version"] not in _LOADABLE_VERSIONS:
             raise ObservabilityError(
                 f"unsupported dump version {dump['version']!r}"
             )
@@ -165,34 +171,10 @@ class FlightRecorder:
 
     @staticmethod
     def render_trace(dump: dict, trace_id: str) -> str:
-        """Re-render one context from a dump as its causal story."""
-        for context in dump.get("contexts", []):
-            if context.get("trace_id") != trace_id:
-                continue
-            start = context.get("start_ns") or 0
-            end = context.get("end_ns")
-            head = (
-                f"trace {trace_id} op={context.get('op')} "
-                f"client={context.get('client_id')} "
-                f"status={context.get('status')}"
-            )
-            if end is not None:
-                head += f" total={(end - start) / 1e6:.3f}ms"
-            lines = [head]
-            for hop in context.get("hops", []):
-                rel_ms = (hop.get("t_ns", start) - start) / 1e6
-                shard = hop.get("shard")
-                detail = hop.get("detail") or {}
-                detail_text = " ".join(
-                    f"{k}={v}" for k, v in sorted(detail.items())
-                )
-                lines.append(
-                    f"  {hop.get('seq', 0):02d} +{rel_ms:8.3f}ms "
-                    f"{hop.get('kind', '?'):<18}"
-                    f"{' shard=' + shard if shard else ''}"
-                    f"{' ' + detail_text if detail_text else ''}"
-                )
-            return "\n".join(lines)
+        """Re-render one record from a dump (:func:`~repro.obs.span.render_record`)."""
+        for record in dump.get("contexts", []):
+            if record.get("trace_id") == trace_id:
+                return render_record(record)
         raise ObservabilityError(
             f"trace {trace_id!r} not present in flight-recorder dump"
         )

@@ -1,25 +1,33 @@
-"""Span-based tracing: follow one operation end to end, stage by stage.
+"""One record per request: where the time went, and which machines it touched.
 
 A :class:`Trace` is the record of one logical operation (a ``get()``, a
-``put()``, one simulated request).  It is made of **stages** -- named,
-timed intervals -- opened and closed in strict LIFO order.  Top-level
-stages *tile* the trace: whenever a top-level stage opens after a gap (or
-the trace finishes with trailing untimed work), the gap is recorded as an
-explicit ``(untracked)`` stage.  The invariant the exporters and the
-Figure-8 runner rely on is therefore exact::
+routed ``put()``, an autoscale action, one modelled request).  It holds:
 
-    sum(stage.duration_ns for top-level stages) == trace.total_ns
+- **stages** -- named, timed intervals opened and closed in strict LIFO
+  order.  Top-level stages *tile* the trace: whenever a top-level stage
+  opens after a gap (or the trace finishes with trailing untimed work),
+  the gap is recorded as an explicit ``(untracked)`` stage.  The
+  invariant the exporters and the Figure-8 runner rely on is therefore
+  exact::
 
-Nested stages (depth > 0) attribute time *within* their parent and do not
-participate in the tiling sum.
+      sum(stage.duration_ns for top-level stages) == trace.total_ns
 
-The :class:`Tracer` owns a clock, a bounded buffer of finished traces, and
-the *current* trace of each thread.  Cross-layer attribution works because
-the server shares the client's tracer: while the client's operation is the
-current trace, server-side code calls ``tracer.stage("server.xyz")`` and
-its stages land inside the same trace.  When no trace is current (e.g. a
-threaded server handling frames on another thread) ``tracer.stage`` is a
-no-op, so instrumentation never needs guarding at call sites.
+  Nested stages (depth > 0) attribute time *within* their parent and do
+  not participate in the tiling sum;
+- **hops** -- zero-duration causal steps appended by every layer the
+  request crosses: routing decisions, server dispatch, replication
+  acks, client retries and reconnects, failover re-routes, promotions;
+- a **status** once it finishes: ``ok``, or ``error:<ExceptionName>``
+  for a failed operation.
+
+The :class:`Tracer` owns a clock, the *current* trace of each thread and
+a bounded buffer of finished traces.  Cross-layer attribution works
+because the server shares the client's tracer: while the client's
+operation is the current trace, server-side code calls
+``tracer.stage("server.xyz")`` and ``tracer.hop("server", ...)`` and
+both land in the same record.  When no trace is current (e.g. a threaded
+server handling frames on another thread) both are no-ops, so
+instrumentation never needs guarding at call sites.
 """
 
 from __future__ import annotations
@@ -31,7 +39,14 @@ from typing import Any, Dict, List, Optional
 from repro.errors import ObservabilityError
 from repro.obs.clock import Clock, WallClock
 
-__all__ = ["Stage", "Trace", "Tracer", "UNTRACKED_STAGE", "run_stage"]
+__all__ = [
+    "Stage",
+    "Trace",
+    "Tracer",
+    "UNTRACKED_STAGE",
+    "render_record",
+    "run_stage",
+]
 
 #: Name of the synthetic gap-filling stage.
 UNTRACKED_STAGE = "(untracked)"
@@ -87,11 +102,11 @@ class _StageHandle:
 
 
 class Trace:
-    """The record of one operation: ordered stages plus attributes."""
+    """The record of one operation: stages, hops, status and attributes."""
 
     def __init__(
         self,
-        trace_id: int,
+        trace_id: str,
         op: str,
         clock: Clock,
         attrs: Dict[str, Any],
@@ -104,12 +119,22 @@ class Trace:
         self._on_finish = on_finish
         self.start_ns = clock.now_ns()
         self.end_ns: Optional[int] = None
+        #: ``ok`` or ``error:<ExceptionName>`` once finished.
+        self.status: Optional[str] = None
         self.stages: List[Stage] = []
+        #: Causal hops in order, each already in its serialised shape
+        #: (``seq``, ``kind``, ``t_ns``, then ``shard``/``detail`` if set).
+        self.hops: List[dict] = []
         self._open: List[Stage] = []
         #: End of the last closed *top-level* stage (for gap filling).
         self._tiled_until = self.start_ns
 
     # -- lifecycle ---------------------------------------------------------
+
+    @property
+    def client_id(self) -> int:
+        """The client the operation ran for (``attrs["client_id"]``, or 0)."""
+        return self.attrs.get("client_id", 0)
 
     @property
     def finished(self) -> bool:
@@ -158,15 +183,22 @@ class Trace:
         if stage.depth == 0:
             self._tiled_until = stage.end_ns
 
-    def finish(self) -> "Trace":
-        """Seal the trace; rejects open stages, records any trailing gap."""
+    def finish(self, status: str = "ok") -> "Trace":
+        """Seal the trace with ``status`` and retire it; records any trailing gap.
+
+        An ``ok`` finish rejects open stages.  A failed operation
+        (``error:<ExceptionName>``) has unwound past whatever it had
+        open, so those stages are left out of the record.
+        """
         if self.finished:
             raise ObservabilityError(f"trace {self.trace_id} already finished")
         if self._open:
-            names = ", ".join(s.name for s in self._open)
-            raise ObservabilityError(
-                f"finish with open stages: {names} (close them first)"
-            )
+            if status == "ok":
+                names = ", ".join(s.name for s in self._open)
+                raise ObservabilityError(
+                    f"finish with open stages: {names} (close them first)"
+                )
+            self._open.clear()
         now = self._clock.now_ns()
         if now > self._tiled_until:
             gap = Stage(UNTRACKED_STAGE, self._tiled_until, 0, {})
@@ -174,16 +206,10 @@ class Trace:
             self.stages.append(gap)
             self._tiled_until = now
         self.end_ns = now
+        self.status = status
         if self._on_finish is not None:
             self._on_finish(self)
         return self
-
-    def abort(self) -> None:
-        """Discard the trace (error paths): close nothing, record nothing."""
-        self._open.clear()
-        self.end_ns = self.start_ns
-        if self._on_finish is not None:
-            self._on_finish(self, aborted=True)
 
     # -- queries -----------------------------------------------------------
 
@@ -206,22 +232,100 @@ class Trace:
             out[stage.name] = out.get(stage.name, 0) + stage.duration_ns
         return out
 
+    def hop_kinds(self) -> List[str]:
+        """Hop kinds in causal order."""
+        return [hop["kind"] for hop in self.hops]
+
+    def shards_touched(self) -> List[str]:
+        """Distinct shards this request crossed, in first-touch order."""
+        seen: List[str] = []
+        for hop in self.hops:
+            shard = hop.get("shard")
+            if shard is not None and shard not in seen:
+                seen.append(shard)
+        return seen
+
+    def to_dict(self) -> dict:
+        """The serialised record of a finished trace (JSON lines, dumps)."""
+        if not self.finished:
+            raise ObservabilityError("cannot export an unfinished trace")
+        return {
+            "trace_id": self.trace_id,
+            "op": self.op,
+            "client_id": self.client_id,
+            "status": self.status,
+            "attrs": dict(self.attrs),
+            "start_ns": self.start_ns,
+            "end_ns": self.end_ns,
+            "total_ns": self.total_ns,
+            "stages": [
+                {
+                    "name": s.name,
+                    "start_ns": s.start_ns,
+                    "end_ns": s.end_ns,
+                    "depth": s.depth,
+                    "meta": dict(s.meta),
+                }
+                for s in self.stages
+                if s.closed
+            ],
+            "hops": [dict(hop) for hop in self.hops],
+        }
+
+    def describe(self) -> str:
+        """Human-readable record: see :func:`render_record`."""
+        return render_record(self.to_dict())
+
     def __enter__(self) -> "Trace":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        if exc_type is None:
-            self.finish()
-        else:
-            self.abort()
+        self.finish("ok" if exc_type is None else f"error:{exc_type.__name__}")
         return False
 
     def __repr__(self) -> str:
-        state = "finished" if self.finished else "open"
+        state = self.status if self.finished else "open"
         return (
-            f"Trace(id={self.trace_id}, op={self.op!r}, "
-            f"stages={len(self.stages)}, {state})"
+            f"Trace(id={self.trace_id!r}, op={self.op!r}, "
+            f"stages={len(self.stages)}, hops={len(self.hops)}, {state})"
         )
+
+
+def render_record(record: dict) -> str:
+    """One record as text: a head line, its hops, then its stages.
+
+    ``record`` is :meth:`Trace.to_dict`'s shape, or a context from a
+    version-1 flight-recorder dump, which has hops and no stages.
+    """
+    start = record.get("start_ns") or 0
+    end = record.get("end_ns")
+    head = (
+        f"trace {record.get('trace_id')} op={record.get('op')} "
+        f"client={record.get('client_id')} status={record.get('status')}"
+    )
+    if end is not None:
+        head += f" total={(end - start) / 1e6:.3f}ms"
+    lines = [head]
+    for hop in record.get("hops", []):
+        rel_ms = (hop.get("t_ns", start) - start) / 1e6
+        shard = hop.get("shard")
+        detail = " ".join(
+            f"{k}={v}" for k, v in sorted((hop.get("detail") or {}).items())
+        )
+        lines.append(
+            f"  {hop.get('seq', 0):02d} +{rel_ms:8.3f}ms "
+            f"{hop.get('kind', '?'):<18}"
+            f"{' shard=' + shard if shard else ''}"
+            f"{' ' + detail if detail else ''}"
+        )
+    for stage in record.get("stages", []):
+        rel_ms = (stage["start_ns"] - start) / 1e6
+        dur_ms = (stage["end_ns"] - stage["start_ns"]) / 1e6
+        lines.append(
+            f"  stage +{rel_ms:8.3f}ms {dur_ms:8.3f}ms "
+            f"{'  ' * stage['depth']}{stage['name']}"
+        )
+    return "\n".join(lines)
 
 
 def run_stage(trace: Optional["Trace"], name: str, step, *args):
@@ -253,10 +357,14 @@ _NULL_HANDLE = _NullHandle()
 
 
 class Tracer:
-    """Creates traces, tracks the current one per thread, keeps finished ones.
+    """Starts records, tracks the current one per thread, keeps finished ones.
 
-    ``capacity`` bounds the finished-trace buffer (oldest evicted first) so
-    million-operation runs do not accumulate unbounded trace state.
+    ``capacity`` bounds the finished buffer (oldest evicted first, counted
+    in ``dropped_total``) so million-operation runs do not accumulate
+    unbounded trace state.  Failed operations are kept too, counted in
+    ``aborted_total``: an error status is exactly what the flight
+    recorder wants.  A record's id is ``c<client_id>-<seq>``, with one
+    sequence per tracer, so it is deterministic under a fixed workload.
     """
 
     def __init__(self, clock: Clock = None, capacity: int = 256):
@@ -272,13 +380,14 @@ class Tracer:
         self._ids = itertools.count(1)
         self._local = threading.local()
         self._obs_dropped = None
+        #: Called with each retired record (the flight recorder's feed).
+        self.on_retire = None
 
     def bind_obs(self, registry) -> None:
         """Export trace-drop accounting into ``registry`` (idempotent).
 
-        Finished traces evicted because the buffer hit ``capacity`` were
-        previously invisible truncation; after binding they surface as
-        the ``trace_dropped_total`` counter.
+        Finished traces evicted because the buffer hit ``capacity``
+        surface as the ``trace_dropped_total`` counter.
         """
         self._obs_dropped = registry.counter(
             "trace_dropped_total",
@@ -303,23 +412,26 @@ class Tracer:
         """Begin a new trace and make it this thread's current one."""
         if self.current is not None:
             raise ObservabilityError(
-                f"trace {self.current.trace_id} still active; finish or "
-                "abort it before starting another"
+                f"trace {self.current.trace_id} still active; finish it "
+                "before starting another"
             )
         trace = Trace(
-            next(self._ids), op, self.clock, attrs, on_finish=self._retire
+            f"c{attrs.get('client_id', 0)}-{next(self._ids)}",
+            op,
+            self.clock,
+            attrs,
+            on_finish=self._retire,
         )
         self.started_total += 1
         self._set_current(trace)
         return trace
 
-    def _retire(self, trace: Trace, aborted: bool = False) -> None:
+    def _retire(self, trace: Trace) -> None:
         if self.current is trace:
             self._set_current(None)
-        if aborted:
-            self.aborted_total += 1
-            return
         self.finished_total += 1
+        if trace.status != "ok":
+            self.aborted_total += 1
         self.finished.append(trace)
         overflow = len(self.finished) - self.capacity
         if overflow > 0:
@@ -327,14 +439,10 @@ class Tracer:
             self.dropped_total += overflow
             if self._obs_dropped is not None:
                 self._obs_dropped.inc(overflow)
+        if self.on_retire is not None:
+            self.on_retire(trace)
 
-    def abort_current(self) -> None:
-        """Abort this thread's active trace, if any (error-path cleanup)."""
-        trace = self.current
-        if trace is not None:
-            trace.abort()
-
-    # -- convenience -------------------------------------------------------
+    # -- recording into the current trace ----------------------------------
 
     def stage(self, name: str, **meta: Any):
         """Open a stage on the current trace; no-op when none is active."""
@@ -342,6 +450,20 @@ class Tracer:
         if trace is None:
             return _NULL_HANDLE
         return trace.stage(name, **meta)
+
+    def hop(self, kind: str, shard: Optional[str] = None, **detail: Any) -> None:
+        """Append a causal hop to the current trace; no-op when none is active."""
+        trace = self.current
+        if trace is None:
+            return
+        hop = {"seq": len(trace.hops), "kind": kind, "t_ns": self.clock.now_ns()}
+        if shard is not None:
+            hop["shard"] = shard
+        if detail:
+            hop["detail"] = detail
+        trace.hops.append(hop)
+
+    # -- queries -----------------------------------------------------------
 
     @property
     def last(self) -> Optional[Trace]:

@@ -1,27 +1,15 @@
-"""Causal request tracing and the sliding-window telemetry pipeline.
+"""The sliding-window telemetry pipeline.
 
-Two layers live here (see ``docs/OBSERVABILITY.md``):
-
-**Causal tracing.**  A :class:`TraceContext` is the cross-layer story of
-one logical request: a ``trace_id`` minted at the edge (the shard
-router), an ordered list of :class:`Hop` records appended by every layer
-the request crosses -- routing decisions, server dispatch, replication
-acks, client retries/reconnects, failover re-routes, promotions -- and a
-final status.  Where span traces (:mod:`repro.obs.span`) answer "where
-did the nanoseconds go *inside* one exchange", a context answers "which
-machines did this request touch, in what order, and why was it retried".
-The :class:`ContextLog` owns the per-thread current context and a
-bounded buffer of finished ones, exactly like the tracer does for spans.
-
-**Sliding-window telemetry.**  A :class:`TelemetryPipeline` collects
-per-shard latency/outcome samples into per-tick buckets (the existing
-log-linear :class:`~repro.obs.metrics.Histogram` does the heavy
-lifting), and on every deterministic :meth:`~TelemetryPipeline.tick`
-publishes a :class:`ClusterTelemetry` snapshot: windowed p50/p99 per
-shard, queue depth, EPC working set, replication lag and fault counts.
-Snapshots feed the SLO engine (:mod:`repro.obs.slo`) and the flight
-recorder (:mod:`repro.obs.flightrec`) -- and are precisely the input
-signal the ROADMAP's elastic autoscaler needs.
+A :class:`TelemetryPipeline` collects per-shard latency/outcome samples
+into per-tick buckets (the existing log-linear
+:class:`~repro.obs.metrics.Histogram` does the heavy lifting), and on
+every deterministic :meth:`~TelemetryPipeline.tick` publishes a
+:class:`ClusterTelemetry` snapshot: windowed p50/p99 per shard, queue
+depth, EPC working set, replication lag and fault counts.  Snapshots
+feed the SLO engine (:mod:`repro.obs.slo`) and the flight recorder
+(:mod:`repro.obs.flightrec`) -- and are precisely the input signal the
+elastic autoscaler needs.  A request's causal hops live in its trace
+record (:mod:`repro.obs.span`); see ``docs/OBSERVABILITY.md``.
 
 Determinism: the pipeline reads time from the same clock as its obs
 context, so a run driven on a :class:`~repro.obs.clock.ManualClock` (the
@@ -30,308 +18,23 @@ context, so a run driven on a :class:`~repro.obs.clock.ManualClock` (the
 
 from __future__ import annotations
 
-import threading
 from collections import deque
-from typing import Any, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.errors import ConfigurationError, ObservabilityError
 from repro.obs.clock import Clock, WallClock
 from repro.obs.metrics import Histogram, MetricsRegistry
+from repro.obs.span import Tracer
 
 __all__ = [
-    "Hop",
-    "TraceContext",
-    "ContextLog",
     "ShardSample",
     "ClusterTelemetry",
     "TelemetryPipeline",
 ]
 
-
-class Hop:
-    """One causal step of a request: which layer touched it, and why."""
-
-    __slots__ = ("seq", "kind", "shard", "t_ns", "detail")
-
-    def __init__(
-        self,
-        seq: int,
-        kind: str,
-        shard: Optional[str],
-        t_ns: int,
-        detail: Dict[str, Any],
-    ):
-        self.seq = seq
-        self.kind = kind
-        self.shard = shard
-        self.t_ns = t_ns
-        self.detail = detail
-
-    def to_dict(self) -> dict:
-        """JSON-shaped view of this hop."""
-        out = {"seq": self.seq, "kind": self.kind, "t_ns": self.t_ns}
-        if self.shard is not None:
-            out["shard"] = self.shard
-        if self.detail:
-            out["detail"] = dict(self.detail)
-        return out
-
-    def __repr__(self) -> str:
-        return f"Hop({self.seq}, {self.kind!r}, shard={self.shard!r})"
-
-
-class TraceContext:
-    """The causal record of one logical request across the cluster.
-
-    Minted by the client edge (the shard router), carried implicitly as
-    the thread's current context while the operation runs, and appended
-    to by every layer via :meth:`ContextLog.hop`.  ``parent`` links a
-    context spawned on behalf of another (e.g. repair traffic).
-    """
-
-    __slots__ = (
-        "trace_id",
-        "op",
-        "client_id",
-        "parent",
-        "start_ns",
-        "end_ns",
-        "status",
-        "hops",
-    )
-
-    def __init__(
-        self,
-        trace_id: str,
-        op: str,
-        client_id: int,
-        start_ns: int,
-        parent: Optional[str] = None,
-    ):
-        self.trace_id = trace_id
-        self.op = op
-        self.client_id = client_id
-        self.parent = parent
-        self.start_ns = start_ns
-        self.end_ns: Optional[int] = None
-        self.status: Optional[str] = None
-        self.hops: List[Hop] = []
-
-    @property
-    def finished(self) -> bool:
-        """True once :meth:`ContextLog.end` sealed this context."""
-        return self.end_ns is not None
-
-    @property
-    def total_ns(self) -> int:
-        """End-to-end latency; raises while the context is still open."""
-        if self.end_ns is None:
-            raise ObservabilityError(
-                f"context {self.trace_id} is still open"
-            )
-        return self.end_ns - self.start_ns
-
-    def add_hop(
-        self, kind: str, shard: Optional[str], t_ns: int, **detail: Any
-    ) -> Hop:
-        """Append one causal hop (layers call this via the log)."""
-        hop = Hop(len(self.hops), kind, shard, t_ns, detail)
-        self.hops.append(hop)
-        return hop
-
-    def hop_kinds(self) -> List[str]:
-        """Hop kinds in causal order (test/report introspection)."""
-        return [hop.kind for hop in self.hops]
-
-    def shards_touched(self) -> List[str]:
-        """Distinct shards this request crossed, in first-touch order."""
-        seen: List[str] = []
-        for hop in self.hops:
-            if hop.shard is not None and hop.shard not in seen:
-                seen.append(hop.shard)
-        return seen
-
-    def to_dict(self) -> dict:
-        """JSON-shaped view of the whole causal story."""
-        return {
-            "trace_id": self.trace_id,
-            "op": self.op,
-            "client_id": self.client_id,
-            "parent": self.parent,
-            "status": self.status,
-            "start_ns": self.start_ns,
-            "end_ns": self.end_ns,
-            "hops": [hop.to_dict() for hop in self.hops],
-        }
-
-    def describe(self) -> str:
-        """Human-readable causal story: one line per hop."""
-        head = (
-            f"trace {self.trace_id} op={self.op} client={self.client_id} "
-            f"status={self.status or 'open'}"
-        )
-        if self.finished:
-            head += f" total={self.total_ns / 1e6:.3f}ms"
-        lines = [head]
-        for hop in self.hops:
-            rel_ms = (hop.t_ns - self.start_ns) / 1e6
-            detail = " ".join(
-                f"{k}={v}" for k, v in sorted(hop.detail.items())
-            )
-            shard = f" shard={hop.shard}" if hop.shard is not None else ""
-            lines.append(
-                f"  {hop.seq:02d} +{rel_ms:8.3f}ms {hop.kind:<18}"
-                f"{shard}{' ' + detail if detail else ''}"
-            )
-        return "\n".join(lines)
-
-    def __repr__(self) -> str:
-        state = self.status if self.finished else "open"
-        return (
-            f"TraceContext({self.trace_id!r}, op={self.op!r}, "
-            f"hops={len(self.hops)}, {state})"
-        )
-
-
-class ContextLog:
-    """Mints trace contexts, tracks the current one per thread.
-
-    Mirrors the :class:`~repro.obs.span.Tracer` contract: ``begin`` while
-    a context is active raises (the router guards), ``hop`` with no
-    active context is a cheap no-op so instrumentation never needs
-    guarding at call sites, and the finished buffer is bounded --
-    evictions are counted (``dropped_total``) and exported once
-    :meth:`bind_obs` runs.  Unlike span traces, *failed* requests are
-    retired too: an error status is exactly what the flight recorder
-    wants to keep.
-    """
-
-    def __init__(self, clock: Optional[Clock] = None, capacity: int = 512):
-        if capacity < 1:
-            raise ObservabilityError(
-                f"capacity must be >= 1, got {capacity}"
-            )
-        #: Time source; an :class:`~repro.obs.ObsContext` rebinds this to
-        #: its tracer's clock so spans and hops share one timeline.
-        self.clock = clock if clock is not None else WallClock()
-        self.capacity = capacity
-        self.finished: List[TraceContext] = []
-        self.started_total = 0
-        self.finished_total = 0
-        self.dropped_total = 0
-        self._seq = 0
-        self._local = threading.local()
-        self._obs_dropped = None
-        #: Called with each retired context (the flight recorder's feed).
-        self.on_retire = None
-
-    def bind_obs(self, registry: MetricsRegistry) -> None:
-        """Export drop accounting into ``registry`` (idempotent)."""
-        self._obs_dropped = registry.counter(
-            "trace_context_dropped_total",
-            "finished trace contexts evicted because the log hit capacity",
-        )
-        if self.dropped_total:
-            self._obs_dropped.inc(self.dropped_total)
-
-    # -- current-context plumbing ------------------------------------------
-
-    @property
-    def current(self) -> Optional[TraceContext]:
-        """This thread's active context, if any."""
-        return getattr(self._local, "context", None)
-
-    def _set_current(self, context: Optional[TraceContext]) -> None:
-        self._local.context = context
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def begin(
-        self,
-        op: str,
-        client_id: int = 0,
-        parent: Optional[str] = None,
-    ) -> TraceContext:
-        """Mint a new context and make it this thread's current one."""
-        if self.current is not None:
-            raise ObservabilityError(
-                f"context {self.current.trace_id} still active; end it "
-                "before beginning another"
-            )
-        self._seq += 1
-        context = TraceContext(
-            trace_id=f"c{client_id}-{self._seq}",
-            op=op,
-            client_id=client_id,
-            start_ns=self.clock.now_ns(),
-            parent=parent,
-        )
-        self.started_total += 1
-        self._set_current(context)
-        return context
-
-    def end(self, status: str = "ok") -> Optional[TraceContext]:
-        """Seal the current context with ``status`` and retire it.
-
-        Returns the sealed context, or None when none was active (safe
-        on error paths that may or may not own a context).
-        """
-        context = self.current
-        if context is None:
-            return None
-        context.end_ns = self.clock.now_ns()
-        context.status = status
-        self._set_current(None)
-        self.finished_total += 1
-        self.finished.append(context)
-        overflow = len(self.finished) - self.capacity
-        if overflow > 0:
-            del self.finished[:overflow]
-            self.dropped_total += overflow
-            if self._obs_dropped is not None:
-                self._obs_dropped.inc(overflow)
-        if self.on_retire is not None:
-            self.on_retire(context)
-        return context
-
-    def hop(self, kind: str, shard: Optional[str] = None, **detail: Any) -> None:
-        """Append a hop to the current context; no-op when none is active."""
-        context = self.current
-        if context is None:
-            return
-        context.add_hop(kind, shard, self.clock.now_ns(), **detail)
-
-    # -- queries -----------------------------------------------------------
-
-    def get(self, trace_id: str) -> Optional[TraceContext]:
-        """Finished (or current) context by id, or None."""
-        current = self.current
-        if current is not None and current.trace_id == trace_id:
-            return current
-        for context in reversed(self.finished):
-            if context.trace_id == trace_id:
-                return context
-        return None
-
-    def recent(self, n: Optional[int] = None) -> List[TraceContext]:
-        """The most recently finished contexts, oldest first."""
-        if n is None:
-            return list(self.finished)
-        return self.finished[-n:]
-
-    @property
-    def last(self) -> Optional[TraceContext]:
-        """Most recently finished context."""
-        return self.finished[-1] if self.finished else None
-
-    def clear(self) -> None:
-        """Drop all finished contexts (keeps lifetime counters)."""
-        self.finished.clear()
-
-
-# ---------------------------------------------------------------------------
-# Sliding-window telemetry
-# ---------------------------------------------------------------------------
+#: ``perf/layers.py`` imports this name to time ``hop``; it goes once
+#: that table names ``Tracer`` directly.
+ContextLog = Tracer
 
 
 class ShardSample:

@@ -29,6 +29,7 @@ protocol-equivalent to a direct client.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from typing import Dict, Optional, Tuple
 
 from repro.cache import NearCache
@@ -486,31 +487,20 @@ class ShardedClient:
     # -- tracing -----------------------------------------------------------
 
     def _traced(self, op: str, run, arg):
-        """``run(arg)`` as one routed operation: its trace and causal context.
+        """``run(arg)`` as one routed operation, with its trace record.
 
-        Each starts only when tracing is on and none is active on this
-        thread (a caller running under its own context keeps it -- the
-        hops nest there).
+        The record starts only when tracing is on and none is active on
+        this thread (a caller running under its own record keeps it --
+        the stages and hops nest there).
         """
-        tracer, ctxlog = self.obs.tracer, self.obs.ctxlog
-        trace = context = None
-        if self._trace_ops and tracer.current is None:
-            trace = tracer.start(op, client_id=self.client_id, routed=True)
-        if self._trace_ops and ctxlog.current is None:
-            context = ctxlog.begin(op, client_id=self.client_id)
-        try:
-            result = run(arg)
-        except BaseException as exc:
-            if context is not None:
-                ctxlog.end(f"error:{type(exc).__name__}")
-            if trace is not None:
-                trace.abort()
-            raise
-        if context is not None:
-            ctxlog.end("ok")
-        if trace is not None:
-            trace.finish()
-        return result
+        tracer = self.obs.tracer
+        traced = self._trace_ops and tracer.current is None
+        with (
+            tracer.start(op, client_id=self.client_id, routed=True)
+            if traced
+            else nullcontext()
+        ):
+            return run(arg)
 
     def _observe(self, key: bytes, op: str, t0_ns: int, ok: bool) -> None:
         """Feed the routed operation's latency to the telemetry pipeline."""

@@ -159,7 +159,7 @@ class TestAutoScaler:
         assert [d.outcome for d in made] == ["applied"]
         assert len(cluster.shards) == 2
         assert cluster.epoch == 2
-        context = cluster.obs.ctxlog.last
+        context = cluster.obs.tracer.last
         assert context.op == "autoscale"
         assert "autoscale_decide" in context.hop_kinds()
         assert "autoscale_installed" in context.hop_kinds()

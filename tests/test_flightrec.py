@@ -1,25 +1,26 @@
 """Flight recorder: rings, triggers, dump round-trips, offline replay."""
 
 import json
+import pathlib
 
 import pytest
 
 from repro.errors import ObservabilityError
 from repro.obs import (
-    ContextLog,
     FlightRecorder,
     ManualClock,
     ObsContext,
     SloEngine,
     TelemetryPipeline,
+    Tracer,
 )
 
 
 def finished_context(trace_id_client=1, clock=None):
-    log = ContextLog(clock=clock or ManualClock())
-    log.begin("get", client_id=trace_id_client)
+    log = Tracer(clock=clock or ManualClock())
+    trace = log.start("get", client_id=trace_id_client)
     log.hop("route", shard="shard-0")
-    return log.end()
+    return trace.finish()
 
 
 class TestRings:
@@ -62,7 +63,7 @@ class TestDumps:
         flight.record_context(finished_context())
         dump = flight.trigger("slo_breach", tick=3)
         FlightRecorder.validate(dump)  # must not raise
-        assert dump["version"] == 1
+        assert dump["version"] == 2
         assert dump["trigger"]["reason"] == "slo_breach"
         assert dump["trigger"]["tick"] == 3
         json.dumps(dump)  # fully serialisable
@@ -92,7 +93,7 @@ class TestDumps:
         "mutate",
         [
             lambda d: d.pop("version"),
-            lambda d: d.update(version=2),
+            lambda d: d.update(version=3),
             lambda d: d.pop("contexts"),
             lambda d: d.update(faults="nope"),
             lambda d: d.update(trigger={}),
@@ -115,6 +116,46 @@ class TestDumps:
         with pytest.raises(ObservabilityError):
             FlightRecorder.render_trace(dump, "c9-999")
 
+    def test_record_renders_like_its_trace(self):
+        # One renderer: a dumped record reads as Trace.describe() does,
+        # its stages beside its hops.
+        clock = ManualClock()
+        tracer = Tracer(clock=clock)
+        flight = FlightRecorder()
+        tracer.on_retire = flight.record_context
+        with tracer.start("get", client_id=4) as trace:
+            tracer.hop("route", shard="shard-0")
+            with trace.stage("server.table_lookup"):
+                clock.advance(2_000)
+        dump = flight.trigger("manual")
+        assert [s["name"] for s in dump["contexts"][0]["stages"]] == [
+            "server.table_lookup"
+        ]
+        text = FlightRecorder.render_trace(dump, "c4-1")
+        assert text == trace.describe()
+        assert text.splitlines() == [
+            "trace c4-1 op=get client=4 status=ok total=0.002ms",
+            "  00 +   0.000ms route              shard=shard-0",
+            "  stage +   0.000ms    0.002ms server.table_lookup",
+        ]
+
+    def test_version_1_dump_still_loads_and_renders(self):
+        # Written by the recorder before records carried stages.
+        path = pathlib.Path(__file__).parent / "fixtures" / "flightrec-v1.json"
+        dump = FlightRecorder.load(str(path))
+        assert dump["version"] == 1
+        assert all("stages" not in c for c in dump["contexts"])
+        assert FlightRecorder.render_trace(dump, "c1-181").splitlines() == [
+            "trace c1-181 op=put client=1 status=ok total=2.706ms",
+            "  00 +   0.000ms route              shard=shard-0 epoch=1 fenced=True",
+            "  01 +   0.000ms retry              shard=shard-0 op=put",
+            "  02 +   0.000ms reconnect          shard=shard-0",
+            "  03 +   0.000ms retry              shard=shard-0 op=put",
+            "  04 +   0.000ms reconnect          shard=shard-0",
+            "  05 +   0.000ms server             shard=shard-0 oid=117 op=put",
+            "  06 +   0.000ms replicate          shard=shard-0 lag=0 lsn=68 mode=sync",
+        ]
+
 
 class TestAutoTriggers:
     def test_slo_breach_freezes_dump_with_snapshots(self):
@@ -136,9 +177,9 @@ class TestAutoTriggers:
     def test_finished_contexts_flow_into_recorder(self):
         obs = ObsContext.create(clock=ManualClock())
         obs.attach_flight(FlightRecorder())
-        obs.ctxlog.begin("put", client_id=2)
+        trace = obs.tracer.start("put", client_id=2)
         obs.hop("route", shard="shard-0")
-        obs.ctxlog.end()
+        trace.finish()
         dump = obs.flight.trigger("manual")
         assert dump["contexts"][-1]["trace_id"] == "c2-1"
 

@@ -134,4 +134,24 @@ def test_untraced_frames_open_no_stage(costs):
         drain = costs[kind][0]
         assert drain["obs/span.py:stage"] == 0
         assert drain["obs/span.py:__enter__"] == 0
-        assert drain["obs/telemetry.py:hop"] == 0
+        assert drain["obs/span.py:hop"] == 0
+
+
+def test_traced_frame_records_one_server_hop():
+    """The twin: with a trace current, a window of one records exactly
+    one ``server`` hop on the server, into that trace."""
+    server = PrecursorServer(
+        config=ServerConfig(ecall_batch=16), keygen=KeyGenerator(seed=3)
+    )
+    client = PrecursorClient(server, auto_pump=False, keygen=KeyGenerator(seed=4))
+    entries = client._put_requests([(b"user00000000", b"v" * 32)])
+    trace = server.obs.tracer.start("put", client_id=client.client_id)
+    client._send(entries)
+    drain = _count_calls(server.process_pending)
+    replies = []
+    client._collect(entries, replies)
+    trace.finish()
+    assert len(replies) == 1
+    assert drain["obs/span.py:hop"] == 1
+    assert trace.hop_kinds() == ["server"]
+    assert trace.hops[0]["detail"] == {"op": "put", "oid": 1}

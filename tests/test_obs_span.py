@@ -112,7 +112,9 @@ class TestStageLifecycle:
             with tracer.start("boom"):
                 raise RuntimeError("x")
         assert tracer.aborted_total == 1
-        assert tracer.last is trace  # aborted trace not retained
+        failed = tracer.last  # a failed record is kept, with its status
+        assert failed is not trace and failed.op == "boom"
+        assert failed.status == "error:RuntimeError" and trace.status == "ok"
 
 
 class TestTracer:
@@ -132,10 +134,11 @@ class TestTracer:
         tracer, _ = make_tracer()
         trace = tracer.start("get")
         trace.stage("open").__enter__()
-        tracer.abort_current()
+        trace.finish("error:RuntimeError")
         assert tracer.current is None
         assert tracer.aborted_total == 1
-        assert tracer.finished == []
+        assert tracer.finished == [trace]  # kept, minus the open stage
+        assert trace.stage_names() == []
 
     def test_capacity_bounds_finished_buffer(self):
         tracer, clock = make_tracer()

@@ -1,95 +1,93 @@
-"""Causal contexts and the sliding-window telemetry pipeline."""
+"""Trace-record hops and the sliding-window telemetry pipeline."""
 
 import pytest
 
 from repro.errors import ObservabilityError
 from repro.obs import (
-    ContextLog,
     ManualClock,
     MetricsRegistry,
     ObsContext,
     TelemetryPipeline,
+    Tracer,
 )
 from repro.sim import Simulator, Timeout
 
 
 class TestContextLog:
+    """The causal side of the trace record: hops, ids and retirement."""
+
     def test_begin_hop_end_lifecycle(self):
         clock = ManualClock()
-        log = ContextLog(clock=clock)
-        ctx = log.begin("put", client_id=3)
+        log = Tracer(clock=clock)
+        ctx = log.start("put", client_id=3)
         assert ctx.trace_id == "c3-1"
         assert log.current is ctx
         clock.advance(500)
         log.hop("route", shard="shard-0", epoch=1)
         clock.advance(500)
         log.hop("server", shard="shard-0")
-        finished = log.end("ok")
+        finished = ctx.finish()
         assert finished is ctx
         assert log.current is None
         assert ctx.finished and ctx.status == "ok"
         assert ctx.total_ns == 1000
         assert ctx.hop_kinds() == ["route", "server"]
         assert ctx.shards_touched() == ["shard-0"]
-        assert ctx.hops[0].t_ns == 500
-        assert log.get("c3-1") is ctx and log.last is ctx
+        assert ctx.hops[0]["t_ns"] == 500
+        assert log.last is ctx
 
     def test_trace_ids_deterministic_under_client_id(self):
         ids = []
         for _ in range(2):
-            log = ContextLog(clock=ManualClock())
+            log = Tracer(clock=ManualClock())
             for _ in range(3):
-                log.begin("get", client_id=7)
-                log.end()
-            ids.append([c.trace_id for c in log.recent()])
+                log.start("get", client_id=7).finish()
+            ids.append([c.trace_id for c in log.finished])
         assert ids[0] == ids[1] == ["c7-1", "c7-2", "c7-3"]
 
     def test_nested_begin_rejected(self):
-        log = ContextLog(clock=ManualClock())
-        log.begin("get")
+        log = Tracer(clock=ManualClock())
+        log.start("get")
         with pytest.raises(ObservabilityError):
-            log.begin("put")
+            log.start("put")
 
     def test_hop_and_end_noop_when_idle(self):
-        log = ContextLog(clock=ManualClock())
+        log = Tracer(clock=ManualClock())
         log.hop("route", shard="shard-0")  # must not raise
-        assert log.end() is None
+        assert log.current is None
         assert log.finished_total == 0
 
     def test_capacity_evicts_and_counts_drops(self):
         registry = MetricsRegistry()
-        log = ContextLog(clock=ManualClock(), capacity=4)
+        log = Tracer(clock=ManualClock(), capacity=4)
         log.bind_obs(registry)
         for _ in range(10):
-            log.begin("get")
-            log.end()
-        assert len(log.recent()) == 4
+            log.start("get").finish()
+        assert len(log.finished) == 4
         assert log.dropped_total == 6
         counter = registry.counter(
-            "trace_context_dropped_total",
-            "finished contexts evicted because the log hit capacity",
+            "trace_dropped_total",
+            "finished traces evicted because the tracer hit capacity",
         )
         assert counter.value == 6
         # Oldest were evicted, newest survive.
-        assert [c.trace_id for c in log.recent()][-1] == "c0-10"
+        assert [c.trace_id for c in log.finished][-1] == "c0-10"
 
     def test_on_retire_callback_sees_every_finish(self):
         seen = []
-        log = ContextLog(clock=ManualClock(), capacity=2)
+        log = Tracer(clock=ManualClock(), capacity=2)
         log.on_retire = seen.append
         for _ in range(5):
-            log.begin("get")
-            log.end()
+            log.start("get").finish()
         assert len(seen) == 5
 
     def test_describe_renders_hops(self):
         clock = ManualClock()
-        log = ContextLog(clock=clock)
-        log.begin("get", client_id=1)
+        log = Tracer(clock=clock)
+        ctx = log.start("get", client_id=1)
         clock.advance(1_000_000)
         log.hop("route", shard="shard-1", epoch=2)
-        ctx = log.end()
-        text = ctx.describe()
+        text = ctx.finish().describe()
         assert "trace c1-1" in text
         assert "route" in text and "shard=shard-1" in text
         assert "epoch=2" in text

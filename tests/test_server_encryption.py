@@ -247,10 +247,9 @@ class TestSharedMachinery:
 
     def test_requests_count_trace_and_emit_the_server_hop(self, se_pair):
         server, client = se_pair
-        ctxlog = server.obs.ctxlog
-        ctxlog.begin("put", client_id=client.client_id)
+        trace = server.obs.tracer.start("put", client_id=client.client_id)
         client.put(b"k", b"v")
-        assert "server" in ctxlog.end().hop_kinds()
+        assert "server" in trace.finish().hop_kinds()
         client.get(b"k")
         assert "server.payload_crypto" in client.obs.tracer.last.stage_names()
         client.delete(b"k")

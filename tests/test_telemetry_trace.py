@@ -1,7 +1,7 @@
 """Causal trace-context continuity across retries, duplicates, failover.
 
 The acceptance criterion from the telemetry ISSUE: a request that hits a
-fault must carry its *whole* recovery inside one ``TraceContext`` -- the
+fault must carry its *whole* recovery inside one trace record -- the
 retry, the reconnect, the failover re-route, the promotion follow -- so
 the flight recorder can replay the request's path after the fact.
 """
@@ -55,7 +55,7 @@ class TestRetryContinuity:
         server.fabric.install_fault_hook(None)
         assert not state["armed"]  # the fault actually fired
 
-        ctx = obs.ctxlog.last
+        ctx = obs.tracer.last
         kinds = ctx.hop_kinds()
         assert ctx.status == "ok"
         assert "route" in kinds
@@ -63,12 +63,12 @@ class TestRetryContinuity:
         assert kinds.index("route") < kinds.index("retry")
         assert ctx.shards_touched() == [shard]
         # Exactly one context for the one logical operation.
-        assert obs.ctxlog.finished_total == 1
+        assert obs.tracer.finished_total == 1
 
     def test_clean_op_has_no_recovery_hops(self):
         obs, cluster, client = _cluster_client()
         client.put(b"k", b"v")
-        kinds = obs.ctxlog.last.hop_kinds()
+        kinds = obs.tracer.last.hop_kinds()
         assert "route" in kinds and "server" in kinds
         assert not {"retry", "reconnect", "failover"} & set(kinds)
 
@@ -90,7 +90,7 @@ class TestDuplicateReplyContinuity:
         # The replay-filter hit was recorded into a live context.
         all_kinds = [
             kind
-            for ctx in obs.ctxlog.recent()
+            for ctx in obs.tracer.finished
             for kind in ctx.hop_kinds()
         ]
         assert "dup_reply" in all_kinds
@@ -107,7 +107,7 @@ class TestFailoverContinuity:
         cluster.crash_shard(victim)  # backup promotes behind the name
 
         assert client.get(key) == b"before"
-        ctx = obs.ctxlog.last
+        ctx = obs.tracer.last
         kinds = ctx.hop_kinds()
         # The router notices the swapped primary at session lookup and
         # re-attests inside the same request context.
@@ -124,7 +124,7 @@ class TestFailoverContinuity:
         cluster.server(victim).crash()  # no backup: ring must shrink
 
         client.put(key, b"v")  # router fails over to the survivor
-        ctx = obs.ctxlog.last
+        ctx = obs.tracer.last
         kinds = ctx.hop_kinds()
         assert "failover" in kinds
         assert ctx.status == "ok"
@@ -149,7 +149,7 @@ class TestFailoverContinuity:
         assert client.stale_retries >= 1
         all_kinds = [
             kind
-            for ctx in obs.ctxlog.recent()
+            for ctx in obs.tracer.finished
             for kind in ctx.hop_kinds()
         ]
         assert "stale_retry" in all_kinds
@@ -164,7 +164,7 @@ class TestTraceIdDeterminism:
                 client.get(b"k%02d" % i)
             return [
                 (c.trace_id, c.op, tuple(c.hop_kinds()))
-                for c in obs.ctxlog.recent()
+                for c in obs.tracer.finished
             ]
 
         assert run() == run()
