@@ -58,7 +58,9 @@ chaos-smoke:
 # Replicated failover chaos under three fixed seeds: sync groups must
 # lose nothing across promotions (exit 1 on any acked loss), then a
 # 2-replica scaleout smoke proves migration x replication coexistence
-# and the modelled ack-mode cost table regenerates (docs/REPLICATION.md).
+# and the modelled ack-mode cost table must hold its bounds and
+# regenerate its committed quick artifact byte for byte
+# (docs/REPLICATION.md).
 replica-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.cli replica --seed 7 --ops 150
 	PYTHONPATH=src $(PYTHON) -m repro.cli replica --seed 23 --ops 150 --replicas 2 \
@@ -66,6 +68,7 @@ replica-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.cli replica --seed 42 --ops 150 --ack-mode semi-sync
 	PYTHONPATH=src $(PYTHON) -m repro.cli shard --shards 2 --ops 400 --workload b
 	PYTHONPATH=src $(PYTHON) -m repro.cli replicate --quick
+	git diff --exit-code -- bench_reports/BENCH_replication_quick.json
 
 # Telemetry pipeline smoke (docs/OBSERVABILITY.md): a clean sharded +
 # replicated run must produce an OK windowed SLO report (exit 1 on any
@@ -97,7 +100,7 @@ cryptobench-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.cli cryptobench --quick
 
 # Request pipeline gate (docs/BATCHING.md): the reduced benchmark must
-# keep its identity self-check green and clear the quick run's relaxed
+# hold its identity bounds and clear the quick run's relaxed
 # 1.05x speedup floor at K=16 (the committed artifact
 # BENCH_batching.json holds the full-run numbers against the 1.3x
 # acceptance floor).  The equivalence and chaos suites run with the

@@ -24,7 +24,7 @@ def main() -> None:
     server.start()
     report = measure_working_set(server.enclave, "precursor", 0)
     print(f"  {report}")
-    client = PrecursorClient(server, client_id=1)
+    PrecursorClient(server, client_id=1)  # admits client 1 for warm_load
     inserted = 0
     value = make_value(0, 32)
     for checkpoint in checkpoints[1:]:

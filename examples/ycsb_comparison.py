@@ -47,7 +47,7 @@ def functional_comparison() -> None:
               f"{result.ops_per_second:,.0f} ops/s wall-clock (pure Python)")
 
     print("\n  server-side cryptographic work for the same workload:")
-    print(f"  precursor     payload bytes en/decrypted in enclave: 0")
+    print("  precursor     payload bytes en/decrypted in enclave: 0")
     print(f"  precursor-se  payload bytes en/decrypted in enclave: "
           f"{se_server.enclave_crypto_bytes:,}")
     print(f"  shieldstore   bucket-scan bytes decrypted: "

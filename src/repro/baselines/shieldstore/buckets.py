@@ -12,7 +12,7 @@ is the measurable server-side cost Figure 5 attributes to ShieldStore.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from repro.errors import ConfigurationError
 

@@ -30,7 +30,6 @@ from repro.crypto.engine import resolve_engine
 from repro.crypto.gcm import GcmFailure
 from repro.crypto.keys import KeyGenerator, SessionKey
 from repro.errors import (
-    AuthenticationError,
     ConfigurationError,
     IntegrityError,
     ProtocolError,

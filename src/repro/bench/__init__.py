@@ -8,6 +8,12 @@ the benches beyond the paper (``scaleout``, ``faulttail`` and the gated
 :func:`repro.bench.artifacts.write_artifact` writes its files.
 ``python -m repro.cli list`` prints the registry.
 
+Every result that checks itself -- the ablations, the extensions and
+each gated bench -- is a :class:`repro.bench.report.Bounded`: one map
+from statement to :class:`~repro.bench.report.Bound`, read alike by the
+exit code, the JSON verdict (``bounds``, ``ok``) and the ``FAILED
+bound:`` lines of the text.
+
 Throughput/latency numbers come from a discrete-event simulation of the
 testbed (:mod:`repro.bench.simulation`) whose cost constants are documented
 in :mod:`repro.bench.calibration`; Table 1 runs the *functional* servers and

@@ -13,7 +13,8 @@ calibrated model or on the functional servers -- and reports one line:
 - **strict_integrity**: enclave-held MACs (§3.9 hardening);
 - **epc_headroom**: the EPC-friendly metadata layout.
 
-Every ablation carries bounds; the result's ``exit_code`` is 1 when any
+Every ablation carries bounds; the result is
+:class:`~repro.bench.report.Bounded`, so its ``exit_code`` is 1 when any
 fails, and the report names it.
 """
 
@@ -24,7 +25,7 @@ from typing import Dict, List, Tuple
 
 from repro.bench.calibration import Calibration
 from repro.bench.costs import SystemCosts
-from repro.bench.report import Bounded
+from repro.bench.report import Bound, Bounded, above, equal
 from repro.bench.simulation import SimulationConfig, simulate
 from repro.core import ServerConfig, make_pair
 from repro.net.tcp import TcpCostModel
@@ -33,8 +34,8 @@ from repro.ycsb.workload import WORKLOAD_C
 
 __all__ = ["AblationsResult", "run_ablations"]
 
-#: One ablation's report line and its bounds (statement -> held).
-_Outcome = Tuple[str, Dict[str, bool]]
+#: One ablation's report line and its bounds.
+_Outcome = Tuple[str, Dict[str, Bound]]
 
 
 @dataclass
@@ -42,10 +43,7 @@ class AblationsResult(Bounded):
     """One report line per ablation, and every bound they check."""
 
     lines: List[str]
-    held: Dict[str, bool]
-
-    def bounds(self) -> Dict[str, bool]:
-        return self.held
+    checks: Dict[str, Bound]
 
     def report(self) -> str:
         """The ablation lines in order, then any failed bound."""
@@ -72,7 +70,11 @@ def _client_offload(quick: bool) -> _Outcome:
         f"client-side crypto offload: {with_offload:.0f} vs "
         f"{without_offload:.0f} Kops/s read-only "
         f"({gain:.2f}x; paper: up to 1.4x)",
-        {"client_offload: 1.15 < gain < 1.6": 1.15 < gain < 1.6},
+        {
+            "client_offload: 1.15 < gain < 1.6": Bound(
+                gain, [1.15, 1.6], 1.15 < gain < 1.6
+            )
+        },
     )
 
 
@@ -84,7 +86,11 @@ def _rdma_vs_tcp(quick: bool) -> _Outcome:
     return (
         f"one-way 64 B message: RDMA {rdma_ns} ns vs TCP {tcp_ns} ns "
         f"({ratio:.0f}x; paper: ~26x)",
-        {"rdma_vs_tcp: 20 < TCP/RDMA < 35": 20 < ratio < 35},
+        {
+            "rdma_vs_tcp: 20 < TCP/RDMA < 35": Bound(
+                ratio, [20, 35], 20 < ratio < 35
+            )
+        },
     )
 
 
@@ -102,7 +108,11 @@ def _enclave_transitions(quick: bool) -> _Outcome:
         f"in-enclave polling {polling:.0f} Kops/s vs per-request "
         f"ecall/ocall {transitions:.0f} Kops/s "
         f"({gain:.2f}x from avoiding transitions)",
-        {"enclave_transitions: polling/transitions > 1.4": gain > 1.4},
+        {
+            "enclave_transitions: polling/transitions > 1.4": above(
+                gain, 1.4
+            )
+        },
     )
 
 
@@ -121,8 +131,8 @@ def _pool_batching(quick: bool) -> _Outcome:
         f"{requests} puts triggered {ocalls} pool-growth ocalls "
         f"(naive design: {requests} ocalls, one per request)",
         {
-            "pool_batching: 1 <= ocalls < requests / 10": (
-                1 <= ocalls < requests / 10
+            "pool_batching: 1 <= ocalls < requests / 10": Bound(
+                ocalls, [1, requests / 10], 1 <= ocalls < requests / 10
             )
         },
     )
@@ -146,11 +156,11 @@ def _inline_small_values(quick: bool) -> _Outcome:
         f"enclave and {inline_untrusted} B untrusted; default stores 0 B "
         f"in-enclave, {plain_untrusted} B untrusted",
         {
-            "inline_small_values: inline mode stores 0 B untrusted": (
-                inline_untrusted == 0
+            "inline_small_values: inline mode stores 0 B untrusted": equal(
+                inline_untrusted, 0
             ),
-            "inline_small_values: default mode stores > 0 B untrusted": (
-                plain_untrusted > 0
+            "inline_small_values: default mode stores > 0 B untrusted": above(
+                plain_untrusted, 0
             ),
         },
     )
@@ -171,8 +181,8 @@ def _strict_integrity(quick: bool) -> _Outcome:
         "the MAC untrusted (client-verified only). Both verified "
         "functionally; throughput impact is one extra sealed field.",
         {
-            "strict_integrity: both modes store every key": (
-                server_strict.key_count == server_plain.key_count
+            "strict_integrity: both modes store every key": equal(
+                server_strict.key_count, server_plain.key_count
             )
         },
     )
@@ -192,7 +202,11 @@ def _epc_headroom(quick: bool) -> _Outcome:
     return (
         f"EPC fault probability at 3 M keys: compact metadata "
         f"{compact:.3f} vs value-carrying layout {fat:.3f}",
-        {"epc_headroom: value-carrying faults > 5x compact": fat > 5 * compact},
+        {
+            "epc_headroom: value-carrying faults > 5x compact": above(
+                fat, 5 * compact
+            )
+        },
     )
 
 
@@ -210,9 +224,9 @@ _ABLATIONS = (
 def run_ablations(quick: bool = False) -> AblationsResult:
     """Run every ablation in order; ``quick`` shortens the runs."""
     lines: List[str] = []
-    held: Dict[str, bool] = {}
+    checks: Dict[str, Bound] = {}
     for ablation in _ABLATIONS:
         line, bounds = ablation(quick)
         lines.append(line)
-        held.update(bounds)
-    return AblationsResult(lines=lines, held=held)
+        checks.update(bounds)
+    return AblationsResult(lines=lines, checks=checks)

@@ -43,9 +43,11 @@ __all__ = ["ARTIFACTS", "Artifact", "write_artifact"]
 class Artifact:
     """One regenerable artifact.
 
-    ``run(quick=...)`` returns a result with ``report()``; results that
-    check bounds expose ``exit_code``, and those of gated benches also
-    ``to_dict()``.
+    ``run(quick=...)`` returns a result with ``report()``.  Results that
+    check bounds -- every gated bench (``stem`` set), the ablations and
+    the extensions -- are :class:`~repro.bench.report.Bounded`, so they
+    expose ``exit_code``; those of gated benches also ``to_dict()``,
+    whose verdict keys are ``bounds`` and ``ok``.
     """
 
     run: Callable[..., Any]

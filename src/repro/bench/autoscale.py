@@ -13,13 +13,13 @@ seeded and deterministic:
    starts at the converged topology with the controller still live (a
    wrong scale-in would breach and fail the probe).  Cold-start
    transients are the recovery phase's subject, not the knee grid's.
-   The gate is a floor on the ratio: the elastic knee must be at least
+   The bound is a floor on the ratio: the elastic knee must be at least
    :data:`ELASTIC_KNEE_MIN` times the best static knee -- elasticity
    must not cost meaningful peak capacity.
 
 2. **Flash-crowd recovery** -- run ``flash-crowd`` at a fixed offered
    rate three ways: static-1 (under-provisioned), static-4
-   (over-provisioned) and elastic-from-1.  Gates: the elastic run must
+   (over-provisioned) and elastic-from-1.  Bounds: the elastic run must
    end inside the SLO that static-1 breaches, must actually scale out,
    must settle (last applied action) before the run ends, must log a
    bounded number of decisions with **zero flapping**, and must spend
@@ -45,9 +45,18 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import List
+from typing import Dict, List
 
-from repro.bench.report import Series, format_table
+from repro.bench.report import (
+    Bound,
+    Bounded,
+    Series,
+    at_least,
+    at_most,
+    below,
+    equal,
+    format_table,
+)
 from repro.shard.spec import ClusterSpec
 from repro.traffic.report import TRAFFIC_SLO_SPEC, find_knee
 from repro.traffic.scenarios import run_scenario
@@ -110,7 +119,7 @@ def _run_slice(report) -> dict:
 
 
 @dataclass
-class AutoscaleBenchResult:
+class AutoscaleBenchResult(Bounded):
     """Knee grid, recovery run, determinism + chaos verdicts."""
 
     quick: bool
@@ -121,17 +130,7 @@ class AutoscaleBenchResult:
     recovery: dict = field(default_factory=dict)
     determinism: dict = field(default_factory=dict)
     chaos: dict = field(default_factory=dict)
-    violations: List[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        """True when every gate held."""
-        return not self.violations
-
-    @property
-    def exit_code(self) -> int:
-        """0 when all gates held, 1 otherwise."""
-        return 0 if self.ok else 1
+    checks: Dict[str, Bound] = field(default_factory=dict, init=False)
 
     def to_dict(self) -> dict:
         """JSON-shaped view (the ``BENCH_autoscale.json`` payload)."""
@@ -142,21 +141,11 @@ class AutoscaleBenchResult:
             "ops_per_run": self.ops,
             "scenario": _SCENARIO,
             "slo_spec": self.slo_spec,
-            "gates": {
-                "elastic_knee_min": ELASTIC_KNEE_MIN,
-                "decisions_max": DECISIONS_MAX,
-                "zero_flapping": True,
-                "slo_recovery": True,
-                "shard_ms_dividend": True,
-                "deterministic_logs": True,
-                "chaos_with_controller": True,
-            },
             "knees": dict(self.knees),
             "recovery": dict(self.recovery),
             "determinism": dict(self.determinism),
             "chaos": dict(self.chaos),
-            "violations": list(self.violations),
-            "ok": self.ok,
+            **self.verdict(),
         }
 
     def report(self) -> str:
@@ -225,19 +214,7 @@ class AutoscaleBenchResult:
                 f"applied={cha.get('applied', 0)}, "
                 f"flapping={cha.get('flapping', 0)})"
             )
-        lines.append("")
-        if self.ok:
-            lines.append(
-                f"gates: OK (elastic knee >= {ELASTIC_KNEE_MIN}x best "
-                f"static, SLO recovery, shard-ms dividend vs static-4, "
-                f"zero flapping, <= {DECISIONS_MAX} decisions, "
-                f"byte-identical logs, chaos with controller live)"
-            )
-        else:
-            lines.append(f"gates: FAILED ({len(self.violations)})")
-            for violation in self.violations:
-                lines.append(f"  - {violation}")
-        return "\n".join(lines)
+        return "\n".join(lines) + self.failed_bounds()
 
 
 def _knee_phase(result: AutoscaleBenchResult, seed: int, ops: int) -> None:
@@ -307,12 +284,9 @@ def _knee_phase(result: AutoscaleBenchResult, seed: int, ops: int) -> None:
         "best_static_knee_ops_s": best,
         "ratio": round(ratio, 3),
     }
-    if ratio < ELASTIC_KNEE_MIN:
-        result.violations.append(
-            f"elastic knee {elastic.knee_ops_s} ops/s is only "
-            f"{ratio:.2f}x the best static knee {best} ops/s "
-            f"(min {ELASTIC_KNEE_MIN}x)"
-        )
+    result.checks[
+        f"elastic knee >= {ELASTIC_KNEE_MIN}x the best static knee"
+    ] = at_least(ratio, ELASTIC_KNEE_MIN)
 
 
 def _recovery_phase(
@@ -348,32 +322,21 @@ def _recovery_phase(
     rec["elastic"]["shard_ms"] = summ.get("shard_ms", 0.0)
     result.recovery = rec
 
-    if elastic.exit_code != 0:
-        result.violations.append(
-            "elastic flash-crowd run failed its verdict (corrected p99 "
-            f"{elastic.corrected_tail()['p99_ns'] / 1e6:.3f}ms, "
-            f"flapping={summ.get('flapping', 0)})"
-        )
-    if not applied:
-        result.violations.append(
-            "elastic flash-crowd run never applied a topology change"
-        )
-    elif settle_ms > elastic.duration_ns / 1e6:
-        result.violations.append(
-            f"controller still actuating at run end "
-            f"({settle_ms:.1f}ms of {elastic.duration_ns / 1e6:.1f}ms)"
-        )
-    if summ.get("decisions", 0) > DECISIONS_MAX:
-        result.violations.append(
-            f"decision log ran away: {summ['decisions']} logged "
-            f"decisions > {DECISIONS_MAX}"
-        )
-    if rec["elastic"]["shard_ms"] >= rec["static-4"]["shard_ms"]:
-        result.violations.append(
-            f"no elasticity dividend: elastic spent "
-            f"{rec['elastic']['shard_ms']:.1f} shard-ms vs static-4's "
-            f"{rec['static-4']['shard_ms']:.1f}"
-        )
+    result.checks["elastic recovery run passes"] = equal(
+        elastic.exit_code, 0
+    )
+    result.checks["elastic recovery run applies >= 1 change"] = at_least(
+        len(applied), 1
+    )
+    result.checks["elastic recovery run settles before it ends"] = at_most(
+        settle_ms, elastic.duration_ns / 1e6
+    )
+    result.checks[
+        f"elastic recovery run logs <= {DECISIONS_MAX} decisions"
+    ] = at_most(summ.get("decisions", 0), DECISIONS_MAX)
+    result.checks["elastic recovery shard-ms < static-4 shard-ms"] = below(
+        rec["elastic"]["shard_ms"], rec["static-4"]["shard_ms"]
+    )
 
 
 def _determinism_phase(
@@ -391,15 +354,12 @@ def _determinism_phase(
         "log_sha256": sha_a,
         "decisions": len(first.autoscale_decisions),
     }
-    if sha_a != sha_b or not sha_a:
-        result.violations.append(
-            f"decision logs differ across same-seed runs "
-            f"({sha_a[:16]} != {sha_b[:16]})"
-        )
-    if blob_a != blob_b:
-        result.violations.append(
-            "report JSON differs across same-seed elastic runs"
-        )
+    result.checks["same-seed decision logs equal"] = Bound(
+        sha_b, sha_a, bool(sha_a) and sha_b == sha_a
+    )
+    result.checks["same-seed report JSON equal"] = equal(
+        blob_a == blob_b, True
+    )
 
 
 def _chaos_phase(result: AutoscaleBenchResult) -> None:
@@ -422,23 +382,18 @@ def _chaos_phase(result: AutoscaleBenchResult) -> None:
         "flapping": chaos.autoscale_flapping,
         "log": list(chaos.autoscale_log),
     }
-    if chaos.exit_code:
-        result.violations.append(
-            f"chaos run with controller live failed its verdict "
-            f"(violations={chaos.violations}, "
-            f"lost_records={chaos.lost_records}, "
-            f"flapping={chaos.autoscale_flapping})"
-        )
-    if chaos.autoscale_applied < 1:
-        result.violations.append(
-            "chaos run with controller live never applied a change"
-        )
+    result.checks["chaos run with the controller passes"] = equal(
+        chaos.exit_code, 0
+    )
+    result.checks["chaos run with the controller applies >= 1 change"] = (
+        at_least(chaos.autoscale_applied, 1)
+    )
 
 
 def run_autoscalebench(
     quick: bool = False, seed: int = _SEED
 ) -> AutoscaleBenchResult:
-    """Run all four phases and their gates; see the module docstring."""
+    """Run all four phases and their bounds; see the module docstring."""
     ops = _OPS_QUICK if quick else _OPS
     result = AutoscaleBenchResult(
         quick=quick, seed=seed, ops=ops, slo_spec=TRAFFIC_SLO_SPEC

@@ -18,17 +18,17 @@ min-over-rounds ratio (least-contaminated absolute cost) and the
 the same round's K time; pairing cancels drift that min-of-N can still
 be unlucky about).
 
-A behavioural-identity self-check runs first: the steady traffic
-scenario must produce **byte-identical** report JSON at K=1 and K=16,
-and a seeded chaos run at K=1 must verify clean.  A benchmark of two
-windows that disagree on bytes would be meaningless, so identity failure
-fails the whole run (exit code 1), exactly like cryptobench's parity
-gate.
+A behavioural-identity check runs first: the steady traffic scenario
+must produce **byte-identical** report JSON at K=1 and K=16, and a
+seeded chaos run at K=1 must verify clean.  A benchmark of two windows
+that disagree on bytes would be meaningless, so identity failure stops
+the run and fails its unmeasured speedup bound too (exit code 1),
+exactly like cryptobench's parity check.
 
-The report also enforces a floor on the K=16 speedup (:data:`FLOOR`,
+The result also bounds the K=16 speedup from below (:data:`FLOOR`,
 1.3x on the full run) so CI catches a batching performance regression
 the way it catches a functional one.  Quick runs shrink op counts below
-the noise floor of a reliable ratio, so they gate at
+the noise floor of a reliable ratio, so their bound is
 :data:`QUICK_FLOOR` (1.05x).
 
 Entry points: :func:`run_batchbench` (library) and
@@ -43,6 +43,8 @@ import statistics
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
+
+from repro.bench.report import Bound, Bounded, at_least, equal
 
 __all__ = [
     "BatchBenchResult",
@@ -166,18 +168,13 @@ def _ycsb_a_pump(
     return pump_s
 
 
-def _identity_checks(scenario_ops: int, chaos_ops: int) -> List[str]:
-    """Byte-identity gate: K must not change observable behaviour.
-
-    Returns a list of human-readable failures (empty = all held).
-    """
+def _identity_checks(scenario_ops: int, chaos_ops: int) -> Dict[str, Bound]:
+    """Byte-identity bounds: K must not change observable behaviour."""
     import hashlib
 
     from repro.faults.harness import run_chaos
     from repro.shard.spec import ClusterSpec
     from repro.traffic.scenarios import run_scenario
-
-    failures: List[str] = []
 
     digests = {}
     for k in (1, 16):
@@ -190,15 +187,12 @@ def _identity_checks(scenario_ops: int, chaos_ops: int) -> List[str]:
         )
         blob = json.dumps(report.to_dict(), sort_keys=True).encode()
         digests[k] = hashlib.sha256(blob).hexdigest()
-    if digests[16] != digests[1]:
-        failures.append(
-            "steady scenario report diverged at K=16: "
-            f"{digests[16][:16]} != K=1 {digests[1][:16]}"
-        )
-
-    if not run_chaos(7, _CHAOS_SCHEDULE, ops=chaos_ops).ok:
-        failures.append("chaos verification failed during identity check")
-    return failures
+    return {
+        "steady report sha256 at K=16 == K=1": equal(digests[16], digests[1]),
+        "chaos run at K=1 verifies clean": equal(
+            run_chaos(7, _CHAOS_SCHEDULE, ops=chaos_ops).ok, True
+        ),
+    }
 
 
 def _kernel_bench(
@@ -249,11 +243,10 @@ def _kernel_bench(
 
 
 @dataclass
-class BatchBenchResult:
-    """Everything one benchmark run measured, plus the pass/fail verdict."""
+class BatchBenchResult(Bounded):
+    """Everything one benchmark run measured, and its bounds."""
 
     quick: bool
-    floor: float
     ks: Tuple[int, ...]
     #: Workload shape (ops, clients, wave, records, value_size, rounds).
     workload: Dict[str, int] = field(default_factory=dict)
@@ -261,25 +254,13 @@ class BatchBenchResult:
     per_k: Dict[int, Dict[str, float]] = field(default_factory=dict)
     #: Scalar-vs-fused transport-open kernel numbers.
     kernel: Dict[str, float] = field(default_factory=dict)
-    identity_failures: List[str] = field(default_factory=list)
-    floor_failures: List[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        """True when identity held and the K=16 floor was met."""
-        return not self.identity_failures and not self.floor_failures
-
-    @property
-    def exit_code(self) -> int:
-        """0 on success, 1 on identity or floor failure."""
-        return 0 if self.ok else 1
+    checks: Dict[str, Bound] = field(default_factory=dict, init=False)
 
     def to_dict(self) -> dict:
         """JSON-ready form (written to ``BENCH_batching.json``)."""
         return {
             "benchmark": "batchbench",
             "quick": self.quick,
-            "floor": self.floor,
             "ks": list(self.ks),
             "workload": dict(self.workload),
             "per_k": {
@@ -289,9 +270,7 @@ class BatchBenchResult:
             "kernel_transport_open": {
                 name: round(v, 4) for name, v in self.kernel.items()
             },
-            "identity_failures": self.identity_failures,
-            "floor_failures": self.floor_failures,
-            "ok": self.ok,
+            **self.verdict(),
         }
 
     def report(self) -> str:
@@ -300,11 +279,7 @@ class BatchBenchResult:
             "Request pipeline benchmark: K-frame drain vs K=1"
             + ("  [quick]" if self.quick else ""),
             "=" * 70,
-            "identity self-check (K=1 vs K=16 reports + chaos): "
-            + ("OK (byte-identical)" if not self.identity_failures
-               else f"FAILED: {self.identity_failures}"),
-            "",
-            f"workload: YCSB-A staged waves, "
+            "workload: YCSB-A staged waves, "
             + ", ".join(
                 f"{k}={v}" for k, v in sorted(self.workload.items())
             ),
@@ -330,20 +305,14 @@ class BatchBenchResult:
                 f"fused {self.kernel['batched_us_per_msg']:.2f} us/msg "
                 f"({self.kernel['speedup']:.2f}x)",
             ]
-        lines.append(
-            "verdict: "
-            + ("OK" if self.ok
-               else f"FAIL (floor {self.floor}x at K=16): "
-                    f"{self.identity_failures + self.floor_failures}")
-        )
-        return "\n".join(lines)
+        return "\n".join(lines) + self.failed_bounds()
 
 
 def run_batchbench(quick: bool = False) -> BatchBenchResult:
     """Run the full (or quick) benchmark; never raises on perf failure.
 
     ``quick`` shrinks op counts and the K sweep for CI smoke runs and
-    gates on :data:`QUICK_FLOOR` instead of :data:`FLOOR`.  The floor
+    is bounded by :data:`QUICK_FLOOR` instead of :data:`FLOOR`.  The floor
     applies to the *better* of the two estimators (min-of-rounds and
     paired median) -- on a drifting clock either one alone can be
     unlucky, but a real regression drags both down.
@@ -352,7 +321,7 @@ def run_batchbench(quick: bool = False) -> BatchBenchResult:
     rounds = _ROUNDS_QUICK if quick else _ROUNDS
     ops = _OPS_QUICK if quick else _OPS
     floor = QUICK_FLOOR if quick else FLOOR
-    result = BatchBenchResult(quick=quick, floor=floor, ks=ks)
+    result = BatchBenchResult(quick=quick, ks=ks)
     result.workload = {
         "ops": ops,
         "clients": 4,
@@ -362,12 +331,16 @@ def run_batchbench(quick: bool = False) -> BatchBenchResult:
         "rounds": rounds,
     }
 
-    result.identity_failures = _identity_checks(
-        scenario_ops=60 if quick else 120,
-        chaos_ops=60 if quick else 120,
+    result.checks.update(
+        _identity_checks(
+            scenario_ops=60 if quick else 120,
+            chaos_ops=60 if quick else 120,
+        )
     )
-    if result.identity_failures:
-        return result  # benchmarking divergent paths is meaningless
+    speedup = f"K=16 speedup >= {floor}x"
+    if not result.ok:  # benchmarking divergent paths is meaningless
+        result.checks[speedup] = at_least(None, floor)
+        return result
 
     times: Dict[int, List[float]] = {k: [] for k in ks}
     for _ in range(rounds):
@@ -385,14 +358,8 @@ def run_batchbench(quick: bool = False) -> BatchBenchResult:
         }
 
     result.kernel = _kernel_bench(repeats=2 if quick else 5)
-
-    if 16 in result.per_k:
-        gate = result.per_k[16]
-        achieved = max(gate["min_speedup"], gate["median_paired"])
-        if achieved < floor:
-            result.floor_failures.append(
-                f"K=16 speedup {achieved:.2f}x < floor {floor}x "
-                f"(min {gate['min_speedup']:.2f}x, "
-                f"paired {gate['median_paired']:.2f}x)"
-            )
+    k16 = result.per_k[16]
+    result.checks[speedup] = at_least(
+        max(k16["min_speedup"], k16["median_paired"]), floor
+    )
     return result

@@ -13,12 +13,12 @@ swings of +/- 40 % from frequency drift), so every timing is the
 the minimum is the least-contaminated estimate of the true cost, while
 means and medians fold scheduler noise in.
 
-A cross-engine parity self-check runs first; a benchmark of two engines
-that disagree on bytes would be meaningless, so parity failure fails the
-whole run (exit code 1).  The report also enforces a floor on the
-fast/reference speedup (:data:`FLOOR`, 5x on the 4 KiB payload path) so
-CI catches a performance regression of the fast kernels the way it
-catches a functional one.
+A cross-engine parity check runs first; a benchmark of two engines
+that disagree on bytes would be meaningless, so parity failure stops the
+run, and every bound it left unmeasured fails (exit code 1).  The result
+also bounds the fast/reference speedup from below (:data:`FLOOR`, 5x on
+the 4 KiB payload path) so CI catches a performance regression of the
+fast kernels the way it catches a functional one.
 
 Entry points: :func:`run_cryptobench` (library) and
 ``python -m repro.cli cryptobench`` (shell).
@@ -28,8 +28,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List
+from typing import Callable, Dict
 
+from repro.bench.report import Bound, Bounded, at_least, equal
 from repro.crypto.engine import get_engine, parity_check, use_engine
 
 __all__ = ["CryptoBenchResult", "run_cryptobench", "DEFAULT_SIZES", "FLOOR"]
@@ -43,6 +44,10 @@ FLOOR = 5.0
 DEFAULT_SIZES = (64, 256, 1024, 4096, 16384)
 
 _QUICK_SIZES = (256, 4096)
+
+#: The two speedups bounded by :data:`FLOOR`.
+_PAYLOAD = "payload_4096B_salsa20+cmac"
+_SEAL = "transport_4096B_gcm_seal"
 
 _ENGINES = ("reference", "fast")
 
@@ -95,11 +100,10 @@ def _min_times(
 
 
 @dataclass
-class CryptoBenchResult:
-    """Everything one benchmark run measured, plus the pass/fail verdict."""
+class CryptoBenchResult(Bounded):
+    """Everything one benchmark run measured, and its bounds."""
 
     quick: bool
-    floor: float
     #: ``primitives[engine][primitive][size] = MB/s``
     primitives: Dict[str, Dict[str, Dict[int, float]]] = field(
         default_factory=dict
@@ -108,25 +112,13 @@ class CryptoBenchResult:
     e2e: Dict[str, Dict[str, float]] = field(default_factory=dict)
     #: fast/reference wall-clock ratios per checkpoint
     speedups: Dict[str, float] = field(default_factory=dict)
-    parity_failures: List[str] = field(default_factory=list)
-    floor_failures: List[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        """True when parity held and every floor was met."""
-        return not self.parity_failures and not self.floor_failures
-
-    @property
-    def exit_code(self) -> int:
-        """0 on success, 1 on parity or floor failure."""
-        return 0 if self.ok else 1
+    checks: Dict[str, Bound] = field(default_factory=dict, init=False)
 
     def to_dict(self) -> dict:
         """JSON-ready form (written to ``BENCH_crypto.json``)."""
         return {
             "benchmark": "cryptobench",
             "quick": self.quick,
-            "floor": self.floor,
             "primitives_mb_per_s": {
                 eng: {
                     prim: {str(size): round(v, 4) for size, v in by_size.items()}
@@ -141,9 +133,7 @@ class CryptoBenchResult:
             "speedups_fast_over_reference": {
                 k: round(v, 2) for k, v in self.speedups.items()
             },
-            "parity_failures": self.parity_failures,
-            "floor_failures": self.floor_failures,
-            "ok": self.ok,
+            **self.verdict(),
         }
 
     def report(self) -> str:
@@ -152,10 +142,6 @@ class CryptoBenchResult:
             "Wall-clock crypto benchmark: reference vs fast engine"
             + ("  [quick]" if self.quick else ""),
             "=" * 70,
-            "parity self-check: "
-            + ("OK (engines byte-identical)" if not self.parity_failures
-               else f"FAILED: {self.parity_failures}"),
-            "",
             f"{'primitive':<18}{'size':>7}  "
             f"{'reference':>12}  {'fast':>12}  {'speedup':>8}",
             "-" * 70,
@@ -183,13 +169,7 @@ class CryptoBenchResult:
         lines.append("-" * 70)
         for name, ratio in sorted(self.speedups.items()):
             lines.append(f"speedup {name:<28} {ratio:>6.1f}x")
-        lines.append(
-            f"verdict: "
-            + ("OK" if self.ok
-               else f"FAIL (floor {self.floor}x): "
-                    f"{self.parity_failures + self.floor_failures}")
-        )
-        return "\n".join(lines)
+        return "\n".join(lines) + self.failed_bounds()
 
 
 def _bench_primitives(
@@ -278,17 +258,8 @@ def _bench_e2e(
     return out
 
 
-def run_cryptobench(quick: bool = False) -> CryptoBenchResult:
-    """Run the full (or quick) benchmark; never raises on perf failure.
-
-    ``quick`` shrinks sizes/repeats/op-counts for CI smoke runs; both
-    runs gate on :data:`FLOOR`.
-    """
-    result = CryptoBenchResult(quick=quick, floor=FLOOR)
-    result.parity_failures = parity_check()
-    if result.parity_failures:
-        return result  # benchmarking divergent engines is meaningless
-
+def _measure(result: CryptoBenchResult, quick: bool) -> None:
+    """Fill ``result``'s primitives, end-to-end runs and speedups."""
     sizes = _QUICK_SIZES if quick else DEFAULT_SIZES
     repeats = 2 if quick else 3
     inner = 1 if quick else 2
@@ -304,19 +275,14 @@ def run_cryptobench(quick: bool = False) -> CryptoBenchResult:
         )
 
     ref, fast = result.primitives["reference"], result.primitives["fast"]
-    probe = 4096 if 4096 in ref["salsa20"] else max(ref["salsa20"])
     # Payload path = Salsa20 encrypt + CMAC over the same bytes; compare
     # combined wall time (1/MBps is s/MB, so times add as reciprocals).
-    ref_payload = 1.0 / ref["salsa20"][probe] + 1.0 / ref["cmac"][probe]
-    fast_payload = 1.0 / fast["salsa20"][probe] + 1.0 / fast["cmac"][probe]
-    result.speedups[f"payload_{probe}B_salsa20+cmac"] = (
-        ref_payload / fast_payload
-    )
-    result.speedups[f"transport_{probe}B_gcm_seal"] = (
-        fast["gcm_seal"][probe] / ref["gcm_seal"][probe]
-    )
-    result.speedups[f"transport_{probe}B_gcm_open"] = (
-        fast["gcm_open"][probe] / ref["gcm_open"][probe]
+    ref_payload = 1.0 / ref["salsa20"][4096] + 1.0 / ref["cmac"][4096]
+    fast_payload = 1.0 / fast["salsa20"][4096] + 1.0 / fast["cmac"][4096]
+    result.speedups[_PAYLOAD] = ref_payload / fast_payload
+    result.speedups[_SEAL] = fast["gcm_seal"][4096] / ref["gcm_seal"][4096]
+    result.speedups["transport_4096B_gcm_open"] = (
+        fast["gcm_open"][4096] / ref["gcm_open"][4096]
     )
     re2e, fe2e = result.e2e["reference"], result.e2e["fast"]
     for metric in ("put_ops_per_s", "get_ops_per_s", "ycsb_a_ops_per_s"):
@@ -324,21 +290,28 @@ def run_cryptobench(quick: bool = False) -> CryptoBenchResult:
     for metric in ("chaos_wall_s", "ycsb_a_wall_s"):
         result.speedups[f"e2e_{metric}"] = re2e[metric] / fe2e[metric]
 
-    payload_key = f"payload_{probe}B_salsa20+cmac"
-    if result.speedups[payload_key] < FLOOR:
-        result.floor_failures.append(
-            f"{payload_key} speedup "
-            f"{result.speedups[payload_key]:.1f}x < floor {FLOOR}x"
-        )
-    seal_key = f"transport_{probe}B_gcm_seal"
-    if result.speedups[seal_key] < FLOOR:
-        result.floor_failures.append(
-            f"{seal_key} speedup "
-            f"{result.speedups[seal_key]:.1f}x < floor {FLOOR}x"
-        )
+
+def run_cryptobench(quick: bool = False) -> CryptoBenchResult:
+    """Run the full (or quick) benchmark; never raises on perf failure.
+
+    ``quick`` shrinks sizes/repeats/op-counts for CI smoke runs; both
+    runs are bounded by :data:`FLOOR`.
+    """
+    result = CryptoBenchResult(quick=quick)
+    diverged = parity_check()
+    if not diverged:  # benchmarking divergent engines is meaningless
+        _measure(result, quick)
+    result.checks = {
+        "engines byte-identical": equal(diverged, []),
+        f"{_PAYLOAD} speedup >= {FLOOR}x": at_least(
+            result.speedups.get(_PAYLOAD), FLOOR
+        ),
+        f"{_SEAL} speedup >= {FLOOR}x": at_least(
+            result.speedups.get(_SEAL), FLOOR
+        ),
+    }
     for eng in _ENGINES:
-        if result.e2e[eng].get("chaos_ok") != 1.0:
-            result.floor_failures.append(
-                f"chaos smoke failed under {eng} engine"
-            )
+        result.checks[f"chaos smoke passes under the {eng} engine"] = equal(
+            result.e2e.get(eng, {}).get("chaos_ok"), 1.0
+        )
     return result

@@ -12,8 +12,8 @@ with the same calibrated models:
   smaller than the control data inside the enclave -- modelled end to end:
   client savings, server cost, trusted-memory price.
 
-Each result checks its bounds: ``exit_code`` is 1 when any fails, and
-the report names it.
+Each result is :class:`~repro.bench.report.Bounded`: ``exit_code`` is 1
+when any bound fails, and the report names it.
 """
 
 from __future__ import annotations
@@ -22,7 +22,16 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 from repro.bench.calibration import Calibration
-from repro.bench.report import Bounded, Series, format_table
+from repro.bench.report import (
+    Bound,
+    Bounded,
+    Series,
+    above,
+    at_most,
+    below,
+    equal,
+    format_table,
+)
 from repro.bench.simulation import SimulationConfig, simulate
 from repro.core.protocol import CONTROL_DATA_SIZE
 from repro.ycsb.workload import WORKLOAD_C, WorkloadSpec
@@ -43,16 +52,16 @@ class ExtZipfianResult(Bounded):
     uniform_kops: List[float]
     zipfian_kops: List[float]
 
-    def bounds(self) -> Dict[str, bool]:
+    def bounds(self) -> Dict[str, Bound]:
         """Precursor is insensitive to skew; ShieldStore loses throughput."""
         p = list(self.systems).index("precursor")
         ss = list(self.systems).index("shieldstore")
         return {
-            "precursor zipfian > 0.9x uniform": (
-                self.zipfian_kops[p] > 0.9 * self.uniform_kops[p]
+            "precursor zipfian > 0.9x uniform": above(
+                self.zipfian_kops[p], 0.9 * self.uniform_kops[p]
             ),
-            "shieldstore zipfian < 0.95x uniform": (
-                self.zipfian_kops[ss] < 0.95 * self.uniform_kops[ss]
+            "shieldstore zipfian < 0.95x uniform": below(
+                self.zipfian_kops[ss], 0.95 * self.uniform_kops[ss]
             ),
         }
 
@@ -136,7 +145,7 @@ class ExtEpcSweepResult(Bounded):
     p99_us: List[float]
     kops: List[float]
 
-    def bounds(self) -> Dict[str, bool]:
+    def bounds(self) -> Dict[str, Bound]:
         """No paging below the EPC boundary, monotone fault growth above.
 
         Mild oversubscription (the second-largest dataset, ~30 % faults)
@@ -144,17 +153,18 @@ class ExtEpcSweepResult(Bounded):
         (the largest, ~65 % faults) finally moves the median too.
         """
         faults, p50, p99 = self.fault_fraction, self.p50_us, self.p99_us
+        onset = self.paging_onset_keys()
         return {
-            "no faults at the smallest dataset": faults[0] == 0.0,
-            "faults grow over the two largest datasets": (
-                faults[-1] > faults[-2] > 0
+            "no faults at the smallest dataset": equal(faults[0], 0.0),
+            "faults grow over the two largest datasets": Bound(
+                faults[-2:], 0, faults[-1] > faults[-2] > 0
             ),
-            "paging onset in [2.8 M, 3.0 M] keys (93 MiB / 34 B)": (
-                2_800_000 <= self.paging_onset_keys() <= 3_000_000
+            "paging onset in [2.8 M, 3.0 M] keys (93 MiB / 34 B)": Bound(
+                onset, [2_800_000, 3_000_000], 2_800_000 <= onset <= 3_000_000
             ),
-            "second-largest p50 < 1.6x smallest": p50[-2] < 1.6 * p50[0],
-            "largest p50 > 1.5x smallest": p50[-1] > 1.5 * p50[0],
-            "largest p99 > smallest": p99[-1] > p99[0],
+            "second-largest p50 < 1.6x smallest": below(p50[-2], 1.6 * p50[0]),
+            "largest p50 > 1.5x smallest": above(p50[-1], 1.5 * p50[0]),
+            "largest p99 > smallest": above(p99[-1], p99[0]),
         }
 
     def paging_onset_keys(self) -> int:
@@ -235,18 +245,22 @@ class ExtInlineResult(Bounded):
     client_cycles_inline: List[float]
     trusted_bytes_per_key_inline: List[int]
 
-    def bounds(self) -> Dict[str, bool]:
+    def bounds(self) -> Dict[str, Bound]:
         """Inline saves client cycles at every size, at a bounded
         trusted cost."""
         return {
-            "inline client cycles < external at every size": all(
-                inl < ext
-                for ext, inl in zip(
-                    self.client_cycles_external, self.client_cycles_inline
-                )
+            "inline client cycles < external at every size": Bound(
+                self.client_cycles_inline,
+                self.client_cycles_external,
+                all(
+                    inl < ext
+                    for ext, inl in zip(
+                        self.client_cycles_external, self.client_cycles_inline
+                    )
+                ),
             ),
-            "trusted bytes per key <= 60 + 16": (
-                max(self.trusted_bytes_per_key_inline) <= 60 + 16
+            "trusted bytes per key <= 60 + 16": at_most(
+                max(self.trusted_bytes_per_key_inline), 60 + 16
             ),
         }
 

@@ -31,7 +31,7 @@ from repro.bench.costs import SystemCosts
 from repro.bench.report import Series, format_table
 from repro.core.protocol import OpCode
 
-__all__ = ["FaultTailResult", "run_faulttail", "FAULT_RATES"]
+__all__ = ["FaultTailResult", "run_faulttail", "percentile", "FAULT_RATES"]
 
 #: Per-message fault probabilities swept by the experiment.
 FAULT_RATES = (0.0, 0.001, 0.01, 0.05)
@@ -90,9 +90,10 @@ class FaultTailResult:
         )
 
 
-def _percentile(sorted_ns: List[float], q: float) -> float:
-    index = min(len(sorted_ns) - 1, int(q * len(sorted_ns)))
-    return sorted_ns[index]
+def percentile(sorted_values: List[float], q: float) -> float:
+    """Nearest-rank ``q`` quantile of an ascending list."""
+    index = min(len(sorted_values) - 1, int(q * len(sorted_values)))
+    return sorted_values[index]
 
 
 def run_faulttail(
@@ -138,8 +139,8 @@ def run_faulttail(
                 latency += retry_fixed_ns + base_ns
             latencies.append(latency)
         latencies.sort()
-        result.p50_us.append(_percentile(latencies, 0.50) / 1000.0)
-        result.p99_us.append(_percentile(latencies, 0.99) / 1000.0)
-        result.p999_us.append(_percentile(latencies, 0.999) / 1000.0)
+        result.p50_us.append(percentile(latencies, 0.50) / 1000.0)
+        result.p99_us.append(percentile(latencies, 0.99) / 1000.0)
+        result.p999_us.append(percentile(latencies, 0.999) / 1000.0)
         result.retries_per_kop.append(retries / samples * 1000.0)
     return result

@@ -10,7 +10,7 @@ For each topology (1, 2 and 4 shards) this benchmark:
 2. re-runs at **50% of the knee** and at **2x the knee** and tabulates
    corrected vs. uncorrected p50/p99/p999 for both.
 
-Three gates make the coordinated-omission story falsifiable (any miss
+Three bounds make the coordinated-omission story falsifiable (any miss
 flips the exit code to 1):
 
 - at 2x the knee the corrected p99 must exceed the uncorrected p99 by
@@ -30,7 +30,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-from repro.bench.report import Series, format_table
+from repro.bench.report import (
+    Bound,
+    Bounded,
+    Series,
+    at_least,
+    at_most,
+    format_table,
+)
 from repro.shard.spec import ClusterSpec
 from repro.traffic.report import TRAFFIC_SLO_SPEC, find_knee
 from repro.traffic.scenarios import run_scenario
@@ -73,7 +80,7 @@ def _run_summary(report) -> dict:
 
 
 @dataclass
-class LoadKneeResult:
+class LoadKneeResult(Bounded):
     """Knee rates and corrected-tail tables across topologies."""
 
     quick: bool
@@ -81,17 +88,7 @@ class LoadKneeResult:
     ops: int
     slo_spec: str
     topologies: List[dict] = field(default_factory=list)
-    violations: List[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        """True when every gate held."""
-        return not self.violations
-
-    @property
-    def exit_code(self) -> int:
-        """0 when all gates held, 1 otherwise."""
-        return 0 if self.ok else 1
+    checks: Dict[str, Bound] = field(default_factory=dict, init=False)
 
     def to_dict(self) -> dict:
         """JSON-shaped view (the ``BENCH_traffic.json`` payload)."""
@@ -102,14 +99,8 @@ class LoadKneeResult:
             "ops_per_run": self.ops,
             "slo_spec": self.slo_spec,
             "scenario": "steady",
-            "gates": {
-                "overload_gap_min": OVERLOAD_GAP_MIN,
-                "half_gap_max": HALF_GAP_MAX,
-                "knee_monotone_in_shards": True,
-            },
             "topologies": list(self.topologies),
-            "violations": list(self.violations),
-            "ok": self.ok,
+            **self.verdict(),
         }
 
     def report(self) -> str:
@@ -156,21 +147,11 @@ class LoadKneeResult:
                     f"uncorrected p99="
                     f"{run['uncorrected']['p99_ns'] / 1e6:8.3f}ms"
                 )
-        lines.append("")
-        if self.ok:
-            lines.append(
-                f"gates: OK (overload gap >= {OVERLOAD_GAP_MIN}x, "
-                f"half-knee gap <= {HALF_GAP_MAX}x, knee monotone)"
-            )
-        else:
-            lines.append(f"gates: FAILED ({len(self.violations)})")
-            for violation in self.violations:
-                lines.append(f"  - {violation}")
-        return "\n".join(lines)
+        return "\n".join(lines) + self.failed_bounds()
 
 
 def run_loadknee(quick: bool = False, seed: int = _SEED) -> LoadKneeResult:
-    """Run the knee search and gate checks; see the module docstring."""
+    """Run the knee search and its bounds; see the module docstring."""
     ops = _PROBE_OPS_QUICK if quick else _PROBE_OPS
     topologies = _TOPOLOGIES_QUICK if quick else _TOPOLOGIES
     result = LoadKneeResult(
@@ -197,30 +178,24 @@ def run_loadknee(quick: bool = False, seed: int = _SEED) -> LoadKneeResult:
         knees[shards] = knee.knee_ops_s
         half = probe(max(1, knee.knee_ops_s // 2))
         overload = probe(2 * knee.knee_ops_s)
-        topo = {
-            "shards": shards,
-            "knee_ops_s": knee.knee_ops_s,
-            "knee_probes": [p.to_dict() for p in knee.probes],
-            "half": _run_summary(half),
-            "overload": _run_summary(overload),
-        }
-        result.topologies.append(topo)
-
-        if overload.omission_gap() < OVERLOAD_GAP_MIN:
-            result.violations.append(
-                f"{shards} shard(s): overload omission gap "
-                f"{overload.omission_gap():.2f}x < {OVERLOAD_GAP_MIN}x"
-            )
-        if half.omission_gap() > HALF_GAP_MAX:
-            result.violations.append(
-                f"{shards} shard(s): half-knee omission gap "
-                f"{half.omission_gap():.2f}x > {HALF_GAP_MAX}x"
-            )
+        result.topologies.append(
+            {
+                "shards": shards,
+                "knee_ops_s": knee.knee_ops_s,
+                "knee_probes": [p.to_dict() for p in knee.probes],
+                "half": _run_summary(half),
+                "overload": _run_summary(overload),
+            }
+        )
+        result.checks[
+            f"{shards} shard(s): overload omission gap >= {OVERLOAD_GAP_MIN}x"
+        ] = at_least(overload.omission_gap(), OVERLOAD_GAP_MIN)
+        result.checks[
+            f"{shards} shard(s): half-knee omission gap <= {HALF_GAP_MAX}x"
+        ] = at_most(half.omission_gap(), HALF_GAP_MAX)
     ordered = sorted(knees)
     for prev, nxt in zip(ordered, ordered[1:]):
-        if knees[nxt] < knees[prev]:
-            result.violations.append(
-                f"knee decreased with scale: {knees[prev]} ops/s at "
-                f"{prev} shard(s) -> {knees[nxt]} ops/s at {nxt}"
-            )
+        result.checks[
+            f"{nxt} shard(s): knee >= the {prev}-shard knee"
+        ] = at_least(knees[nxt], knees[prev])
     return result

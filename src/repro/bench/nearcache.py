@@ -7,14 +7,14 @@ returns.  Three phases, all seeded and reproducible bit-for-bit:
 
 1. **Knee shift** -- for each topology (1, 2, 4 shards, one backup
    each) binary-search the SLO-bounded knee of the ``hot-key-storm``
-   scenario twice: both features off vs. cache+offload on.  The gate is
-   a floor on the ratio: the cached knee must be at least
+   scenario twice: both features off vs. cache+offload on.  The bound
+   is a floor on the ratio: the cached knee must be at least
    :data:`KNEE_RATIO_MIN` times the baseline knee on every topology.
 
 2. **Fixed-rate shed** -- run ``hot-key-storm`` and
    ``multi-tenant-contention`` at a fixed offered rate under four
    configurations (off / cache / offload / cache+offload) and tabulate
-   corrected p99, primary GET frames and backup GET frames.  Gates:
+   corrected p99, primary GET frames and backup GET frames.  Bounds:
    cache+offload must cut primary GETs to at most :data:`SHED_MAX` of
    baseline and must not worsen corrected p99; the offload-only config
    must actually serve reads from backups on the read-heavy scenario.
@@ -38,9 +38,17 @@ Everything derives from one seed, so the committed
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import List
+from typing import Dict, List
 
-from repro.bench.report import Series, format_table
+from repro.bench.report import (
+    Bound,
+    Bounded,
+    Series,
+    at_least,
+    at_most,
+    equal,
+    format_table,
+)
 from repro.shard.spec import ClusterSpec
 from repro.traffic.report import TRAFFIC_SLO_SPEC, find_knee
 from repro.traffic.scenarios import run_scenario
@@ -117,7 +125,7 @@ def _run_summary(report) -> dict:
 
 
 @dataclass
-class NearCacheBenchResult:
+class NearCacheBenchResult(Bounded):
     """Knee ratios, shed tables and equivalence verdicts."""
 
     quick: bool
@@ -128,17 +136,7 @@ class NearCacheBenchResult:
     topologies: List[dict] = field(default_factory=list)
     fixed_rate: List[dict] = field(default_factory=list)
     equivalence: dict = field(default_factory=dict)
-    violations: List[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        """True when every gate held."""
-        return not self.violations
-
-    @property
-    def exit_code(self) -> int:
-        """0 when all gates held, 1 otherwise."""
-        return 0 if self.ok else 1
+    checks: Dict[str, Bound] = field(default_factory=dict, init=False)
 
     def to_dict(self) -> dict:
         """JSON-shaped view (the ``BENCH_nearcache.json`` payload)."""
@@ -150,19 +148,10 @@ class NearCacheBenchResult:
             "slo_spec": self.slo_spec,
             "cache_lease_ms": self.lease_ms,
             "knee_scenario": _KNEE_SCENARIO,
-            "gates": {
-                "knee_ratio_min": KNEE_RATIO_MIN,
-                "primary_shed_max": SHED_MAX,
-                "p99_not_worse": True,
-                "offload_serves_reads": True,
-                "state_equivalence": True,
-                "chaos_verified": True,
-            },
             "topologies": list(self.topologies),
             "fixed_rate": list(self.fixed_rate),
             "equivalence": dict(self.equivalence),
-            "violations": list(self.violations),
-            "ok": self.ok,
+            **self.verdict(),
         }
 
     def report(self) -> str:
@@ -216,18 +205,7 @@ class NearCacheBenchResult:
                 f"(seed {equiv.get('chaos_seed')}, "
                 f"{equiv.get('chaos_offload_served', 0)} offloaded reads)"
             )
-            lines.append("")
-        if self.ok:
-            lines.append(
-                f"gates: OK (knee ratio >= {KNEE_RATIO_MIN}x, primary "
-                f"shed <= {SHED_MAX}x, p99 not worse, offload serves, "
-                f"state equivalence + chaos verification)"
-            )
-        else:
-            lines.append(f"gates: FAILED ({len(self.violations)})")
-            for violation in self.violations:
-                lines.append(f"  - {violation}")
-        return "\n".join(lines)
+        return "\n".join(lines) + self.failed_bounds()
 
 
 def _knee_phase(result: NearCacheBenchResult, seed: int, ops: int) -> None:
@@ -283,12 +261,10 @@ def _knee_phase(result: NearCacheBenchResult, seed: int, ops: int) -> None:
                 "cached_probes": [p.to_dict() for p in cached.probes],
             }
         )
-        if ratio < KNEE_RATIO_MIN:
-            result.violations.append(
-                f"{shards} shard(s): knee ratio {ratio:.2f}x < "
-                f"{KNEE_RATIO_MIN}x (baseline {baseline.knee_ops_s}, "
-                f"cached {cached.knee_ops_s} ops/s)"
-            )
+        result.checks[
+            f"{shards} shard(s): cached knee >= {KNEE_RATIO_MIN}x "
+            f"baseline knee"
+        ] = at_least(ratio, KNEE_RATIO_MIN)
 
 
 def _fixed_rate_phase(
@@ -321,30 +297,19 @@ def _fixed_rate_phase(
         base = configs["off"]
         both = configs["cache+offload"]
         shed = both["primary_gets"] / max(1, base["primary_gets"])
-        if shed > SHED_MAX:
-            result.violations.append(
-                f"{scenario}: cache+offload kept {shed:.2f}x of baseline "
-                f"primary GETs ({both['primary_gets']} vs "
-                f"{base['primary_gets']}), max {SHED_MAX}x"
-            )
-        if both["corrected_p99_ns"] > base["corrected_p99_ns"]:
-            result.violations.append(
-                f"{scenario}: cache+offload corrected p99 "
-                f"{both['corrected_p99_ns'] / 1e6:.3f}ms worse than "
-                f"baseline {base['corrected_p99_ns'] / 1e6:.3f}ms"
-            )
-    # The read-heavy mixed-tenant scenario is where claim-matched backup
-    # reads should actually land: require the offload-only config to
-    # have served at least one GET from a backup there.
-    for block in result.fixed_rate:
-        if block["scenario"] != "multi-tenant-contention":
-            continue
-        served = block["configs"]["offload"]["offload_served"]
-        if served < 1:
-            result.violations.append(
-                "multi-tenant-contention: offload-only config served "
-                "no backup reads"
-            )
+        result.checks[
+            f"{scenario}: cache+offload primary GETs <= {SHED_MAX}x baseline"
+        ] = at_most(shed, SHED_MAX)
+        result.checks[
+            f"{scenario}: cache+offload corrected p99 <= baseline"
+        ] = at_most(both["corrected_p99_ns"], base["corrected_p99_ns"])
+        # The read-heavy mixed-tenant scenario is where claim-matched
+        # backup reads should actually land: require the offload-only
+        # config to have served at least one GET from a backup there.
+        if scenario == "multi-tenant-contention":
+            result.checks[
+                f"{scenario}: offload-only serves >= 1 backup read"
+            ] = at_least(configs["offload"]["offload_served"], 1)
 
 
 def _equivalence_phase(result: NearCacheBenchResult) -> None:
@@ -389,27 +354,21 @@ def _equivalence_phase(result: NearCacheBenchResult) -> None:
         "chaos_offload_fallbacks": chaos.offload_fallbacks,
         "chaos_fingerprint": chaos.fault_fingerprint,
     }
-    if plain.exit_code or cached.exit_code:
-        result.violations.append(
-            "clean chaos run failed its verdict "
-            f"(plain exit={plain.exit_code}, cached exit={cached.exit_code})"
-        )
-    if plain.state_digest != cached.state_digest:
-        result.violations.append(
-            "cache+offload changed final store state on the clean run: "
-            f"{plain.state_digest[:16]} != {cached.state_digest[:16]}"
-        )
-    if chaos.exit_code:
-        result.violations.append(
-            f"faulted chaos run with cache+offload failed its verdict: "
-            f"{chaos.violations}"
-        )
+    result.checks["clean chaos runs pass, plain and cache+offload"] = equal(
+        [plain.exit_code, cached.exit_code], [0, 0]
+    )
+    result.checks["clean state digests equal, plain and cache+offload"] = (
+        equal(cached.state_digest, plain.state_digest)
+    )
+    result.checks["faulted chaos run with cache+offload passes"] = equal(
+        chaos.exit_code, 0
+    )
 
 
 def run_nearcachebench(
     quick: bool = False, seed: int = _SEED
 ) -> NearCacheBenchResult:
-    """Run all three phases and their gates; see the module docstring."""
+    """Run all three phases and their bounds; see the module docstring."""
     ops = _PROBE_OPS_QUICK if quick else _PROBE_OPS
     result = NearCacheBenchResult(
         quick=quick,

@@ -29,12 +29,24 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from repro.bench.calibration import Calibration
 from repro.bench.costs import SystemCosts
-from repro.bench.faulttail import RECONNECT_NS, REATTEST_NS, TIMEOUT_NS
-from repro.bench.report import Series, format_table
+from repro.bench.faulttail import (
+    RECONNECT_NS,
+    REATTEST_NS,
+    TIMEOUT_NS,
+    percentile,
+)
+from repro.bench.report import (
+    Bound,
+    Bounded,
+    Series,
+    above,
+    equal,
+    format_table,
+)
 from repro.core.protocol import OpCode
 from repro.replica import ACK_MODES
 
@@ -57,7 +69,7 @@ MAX_LAG_RECORDS = 6
 
 
 @dataclass
-class ReplicationResult:
+class ReplicationResult(Bounded):
     """Write-ack latency, failover latency and acked loss per config."""
 
     value_size: int
@@ -71,17 +83,8 @@ class ReplicationResult:
     failover_p50_us: Dict[Tuple[str, int], float] = field(default_factory=dict)
     failover_p99_us: Dict[Tuple[str, int], float] = field(default_factory=dict)
     lost_per_failover: Dict[Tuple[str, int], float] = field(default_factory=dict)
-    model_failures: List[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        """True when the model reproduced every contract invariant."""
-        return not self.model_failures
-
-    @property
-    def exit_code(self) -> int:
-        """0 when every invariant held, 1 otherwise."""
-        return 0 if self.ok else 1
+    #: The contract invariants the model must reproduce.
+    checks: Dict[str, Bound] = field(default_factory=dict, init=False)
 
     def to_dict(self) -> dict:
         """JSON-shaped view (the ``BENCH_replication.json`` schema)."""
@@ -103,8 +106,7 @@ class ReplicationResult:
             "samples": self.samples,
             "failovers": self.failovers,
             "configs": per_config,
-            "model_failures": self.model_failures,
-            "ok": self.ok,
+            **self.verdict(),
         }
 
     def report(self) -> str:
@@ -164,12 +166,6 @@ class ReplicationResult:
             ],
             row_header="replicas",
         )
-        verdict = (
-            "OK: sync/semi-sync lost nothing; async tail is "
-            "client-detectable"
-            if self.ok
-            else f"FAIL: {self.model_failures}"
-        )
         return (
             mode_table
             + "\n\n"
@@ -177,14 +173,9 @@ class ReplicationResult:
             + "\nDetection dominates failover (the crashed primary NAKs "
             "nothing, so the\nclient burns its response timeout); shipping "
             "rides the 40 Gbit server\nfabric and costs round trips, not "
-            "bandwidth.\nverdict: "
-            + verdict
+            "bandwidth."
+            + self.failed_bounds()
         )
-
-
-def _percentile(sorted_values: List[float], q: float) -> float:
-    index = min(len(sorted_values) - 1, int(q * len(sorted_values)))
-    return sorted_values[index]
 
 
 def run_replication(
@@ -240,10 +231,10 @@ def run_replication(
             latencies.sort()
             result.ack_overhead_us[config] = round(pre_ack / 1000.0, 2)
             result.put_p50_us[config] = round(
-                _percentile(latencies, 0.50) / 1000.0, 2
+                percentile(latencies, 0.50) / 1000.0, 2
             )
             result.put_p99_us[config] = round(
-                _percentile(latencies, 0.99) / 1000.0, 2
+                percentile(latencies, 0.99) / 1000.0, 2
             )
             # -- failover latency + acked loss ----------------------------
             failover_ns: List[float] = []
@@ -263,37 +254,33 @@ def run_replication(
                 )
             failover_ns.sort()
             result.failover_p50_us[config] = round(
-                _percentile(failover_ns, 0.50) / 1000.0, 1
+                percentile(failover_ns, 0.50) / 1000.0, 1
             )
             result.failover_p99_us[config] = round(
-                _percentile(failover_ns, 0.99) / 1000.0, 1
+                percentile(failover_ns, 0.99) / 1000.0, 1
             )
             result.lost_per_failover[config] = round(
                 lost_total / failovers, 3
             )
 
     # -- contract invariants the model must reproduce ----------------------
-    for config in result.configs:
-        mode, replicas = config
-        if mode in ("sync", "semi-sync") and result.lost_per_failover[config]:
-            result.model_failures.append(
-                f"{mode}/r{replicas}: lost acked records "
-                f"({result.lost_per_failover[config]})"
+    lost = result.lost_per_failover
+    for mode, replicas in result.configs:
+        if mode in ("sync", "semi-sync"):
+            result.checks[f"{mode}/r{replicas}: no acked loss"] = equal(
+                lost[(mode, replicas)], 0
             )
     for replicas in REPLICA_COUNTS:
         ordered = [
             result.ack_overhead_us[(m, replicas)]
             for m in ("sync", "semi-sync", "async")
         ]
-        if not ordered[0] >= ordered[1] >= ordered[2]:
-            result.model_failures.append(
-                f"r{replicas}: ack overhead not ordered "
-                f"sync >= semi-sync >= async ({ordered})"
-            )
-    if not any(
-        result.lost_per_failover[("async", r)] > 0 for r in REPLICA_COUNTS
-    ):
-        result.model_failures.append(
-            "async: model produced no acked loss to detect"
+        result.checks[
+            f"r{replicas}: ack overhead sync >= semi-sync >= async"
+        ] = Bound(
+            ordered, "non-increasing", ordered[0] >= ordered[1] >= ordered[2]
         )
+    result.checks["async: some acked loss to detect"] = above(
+        max(lost[("async", r)] for r in REPLICA_COUNTS), 0
+    )
     return result

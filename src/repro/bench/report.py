@@ -1,38 +1,109 @@
-"""Plain-text reporting: the rows/series the paper's figures show.
+"""Plain-text reporting and the one verdict shape of every bench.
 
 Every experiment renders to an ASCII table with a ``paper`` column next to
 the simulated/measured one, so EXPERIMENTS.md (and CI logs) show the
 comparison at a glance.
+
+Every result that checks itself -- the ablations, the extensions and the
+gated ``BENCH_*.json`` benches -- is a :class:`Bounded`: one map from
+statement to :class:`Bound`, read by the exit code, the JSON verdict and
+the ``FAILED bound:`` lines alike.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Dict, NamedTuple, Optional, Sequence
 
-__all__ = ["Bounded", "format_table", "format_ratio", "Series"]
+__all__ = [
+    "Bound",
+    "Bounded",
+    "above",
+    "at_least",
+    "at_most",
+    "below",
+    "equal",
+    "format_table",
+    "format_ratio",
+    "Series",
+]
+
+
+class Bound(NamedTuple):
+    """One checked statement: the measured value, its threshold, the verdict.
+
+    The comparators below build one; a value of None -- unmeasured,
+    because the run stopped first -- never holds.
+    """
+
+    value: Any
+    bound: Any
+    held: bool
+
+
+def at_least(value: Any, bound: Any) -> Bound:
+    """``value >= bound``."""
+    return Bound(value, bound, value is not None and value >= bound)
+
+
+def at_most(value: Any, bound: Any) -> Bound:
+    """``value <= bound``."""
+    return Bound(value, bound, value is not None and value <= bound)
+
+
+def above(value: Any, bound: Any) -> Bound:
+    """``value > bound``."""
+    return Bound(value, bound, value is not None and value > bound)
+
+
+def below(value: Any, bound: Any) -> Bound:
+    """``value < bound``."""
+    return Bound(value, bound, value is not None and value < bound)
+
+
+def equal(value: Any, bound: Any) -> Bound:
+    """``value == bound``."""
+    return Bound(value, bound, value is not None and value == bound)
 
 
 class Bounded:
     """A result checked against fixed bounds.
 
-    Subclasses implement :meth:`bounds`; the verdict rule lives here.
+    :meth:`bounds` maps each statement -- a check and its threshold,
+    never a measured value, so the keys are the same on every run -- to
+    its :class:`Bound`.  By default that is the ``checks`` map the runner
+    fills in as it measures; a result that derives its bounds from its
+    own data overrides :meth:`bounds` instead.
     """
 
-    def bounds(self) -> Dict[str, bool]:
-        """Each bound's statement, mapped to whether this run holds it."""
-        raise NotImplementedError
+    checks: Dict[str, Bound]
+
+    def bounds(self) -> Dict[str, Bound]:
+        """Each bound's statement, mapped to its value, bound and verdict."""
+        return self.checks
+
+    @property
+    def ok(self) -> bool:
+        """True when every bound holds."""
+        return all(b.held for b in self.bounds().values())
 
     @property
     def exit_code(self) -> int:
         """0 when every bound holds, 1 otherwise."""
-        return 0 if all(self.bounds().values()) else 1
+        return 0 if self.ok else 1
+
+    def verdict(self) -> Dict[str, Any]:
+        """The JSON verdict: every bound, and whether all of them held."""
+        return {
+            "bounds": {s: b._asdict() for s, b in self.bounds().items()},
+            "ok": self.ok,
+        }
 
     def failed_bounds(self) -> str:
         """One ``FAILED bound:`` line per bound this run breaks."""
         return "".join(
             f"\nFAILED bound: {statement}"
-            for statement, held in self.bounds().items()
-            if not held
+            for statement, bound in self.bounds().items()
+            if not bound.held
         )
 
 

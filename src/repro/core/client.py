@@ -35,7 +35,7 @@ from repro.core.protocol import (
 )
 from repro.core.ring_buffer import RingConsumer, RingProducer
 from repro.core.server import PrecursorServer
-from repro.crypto.keys import KeyGenerator, SessionKey
+from repro.crypto.keys import KeyGenerator
 from repro.crypto.provider import CryptoProvider, EncryptedPayload
 from repro.errors import (
     AccessError,

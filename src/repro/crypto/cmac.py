@@ -28,9 +28,9 @@ def _shift_left_one(block: bytes) -> bytes:
 
 def _generate_subkeys(aes: AES128) -> tuple:
     """RFC 4493 subkey generation: K1 for full final blocks, K2 otherwise."""
-    l = aes.encrypt_block(b"\x00" * _BLOCK)
-    k1 = _shift_left_one(l)
-    if l[0] & 0x80:
+    l_block = aes.encrypt_block(b"\x00" * _BLOCK)
+    k1 = _shift_left_one(l_block)
+    if l_block[0] & 0x80:
         k1 = k1[:-1] + bytes([k1[-1] ^ _RB])
     k2 = _shift_left_one(k1)
     if k1[0] & 0x80:

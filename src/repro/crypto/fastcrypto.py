@@ -1070,8 +1070,8 @@ class FastCmac:
             )
         self._aes = FastAES128(key)
         self._rk = self._aes._rk
-        l = int.from_bytes(self._aes.encrypt_block(b"\x00" * 16), "big")
-        k1 = ((l << 1) & _MASK128) ^ (0x87 if l >> 127 else 0)
+        l_int = int.from_bytes(self._aes.encrypt_block(b"\x00" * 16), "big")
+        k1 = ((l_int << 1) & _MASK128) ^ (0x87 if l_int >> 127 else 0)
         k2 = ((k1 << 1) & _MASK128) ^ (0x87 if k1 >> 127 else 0)
         self._k1 = k1
         self._k2 = k2

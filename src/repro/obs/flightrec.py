@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from repro.errors import ObservabilityError
 from repro.obs.clock import Clock, WallClock

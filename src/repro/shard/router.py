@@ -227,9 +227,11 @@ class ShardedClient:
 
     # -- connections -------------------------------------------------------
 
-    def _connect(self, shard: str) -> PrecursorClient:
-        client = PrecursorClient(
-            self.cluster.server(shard),
+    def _session(self, server) -> PrecursorClient:
+        """A fresh attested session with ``server`` under this router's
+        identity and retry policy."""
+        return PrecursorClient(
+            server,
             client_id=self.client_id,
             keygen=self.keygen,
             auto_pump=self._auto_pump,
@@ -240,6 +242,9 @@ class ShardedClient:
             retry_backoff_s=self._retry_backoff_s,
             retry_backoff_cap_s=self._retry_backoff_cap_s,
         )
+
+    def _connect(self, shard: str) -> PrecursorClient:
+        client = self._session(self.cluster.server(shard))
         self._clients[shard] = client
         self._by_server[id(client.server)] = client
         return client
@@ -644,18 +649,7 @@ class ShardedClient:
             self._backup_sessions[id(backup)] = session
             return session
         try:
-            session = PrecursorClient(
-                backup,
-                client_id=self.client_id,
-                keygen=self.keygen,
-                auto_pump=self._auto_pump,
-                expected_measurement=self._expected_measurement,
-                obs=self.obs,
-                trace_ops=False,
-                max_retries=self._max_retries,
-                retry_backoff_s=self._retry_backoff_s,
-                retry_backoff_cap_s=self._retry_backoff_cap_s,
-            )
+            session = self._session(backup)
         except PrecursorError:
             return None
         self._backup_sessions[id(backup)] = session

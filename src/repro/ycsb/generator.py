@@ -9,7 +9,6 @@ under a seed so experiments are exactly repeatable.
 from __future__ import annotations
 
 import hashlib
-import math
 import random
 from typing import Iterator, Tuple
 

@@ -163,5 +163,5 @@ def test_batchbench_floor_follows_quick(
     assert main(argv) == 0
     name = "BENCH_batching_quick.json" if quick else "BENCH_batching.json"
     payload = json.loads((tmp_path / name).read_text())
-    assert payload["floor"] == floor
+    assert payload["bounds"][f"K=16 speedup >= {floor}x"]["bound"] == floor
     assert payload["per_k"]["16"]["min_speedup"] == 2.0

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core import PrecursorClient, PrecursorServer, ServerConfig, make_pair
 from repro.core.protocol import ControlData, OpCode
-from repro.errors import PrecursorError, ProtocolError
+from repro.errors import ProtocolError
 
 
 class TestResponseValidation:

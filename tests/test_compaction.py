@@ -1,7 +1,5 @@
 """Untrusted-pool compaction: garbage reclamation with pointer rewrite."""
 
-import pytest
-
 from repro.core import ServerConfig, make_pair
 from repro.core.threading import ServerThreadPool
 from repro.core import PrecursorClient, PrecursorServer
@@ -69,7 +67,6 @@ class TestCompaction:
         with pool:
             for i in range(20):
                 client.put(b"k", f"v{i}".encode() * 20)
-            import threading
 
             errors = []
 

@@ -7,10 +7,9 @@ by ``make cryptobench-smoke`` / the CI job instead.
 
 import json
 
-import pytest
-
 from repro.bench import cryptobench
 from repro.bench.artifacts import write_artifact
+from repro.bench.report import at_least, equal
 from repro.bench.cryptobench import (
     CryptoBenchResult,
     _bench_primitives,
@@ -43,9 +42,9 @@ class TestPrimitiveStage:
                 assert out[eng][prim][64] > 0
 
 
-def _synthetic(floor=5.0, payload_ratio=8.0):
+def _synthetic(payload_ratio=8.0):
     """A CryptoBenchResult with hand-set numbers (no timing)."""
-    r = CryptoBenchResult(quick=True, floor=floor)
+    r = CryptoBenchResult(quick=True)
     base = {"salsa20": {4096: 1.0}, "cmac": {4096: 1.0},
             "gcm_seal": {4096: 1.0}, "gcm_open": {4096: 1.0}}
     fast = {p: {4096: payload_ratio} for p in base}
@@ -62,10 +61,10 @@ class TestResultObject:
     def test_ok_and_exit_code(self):
         r = _synthetic()
         assert r.ok and r.exit_code == 0
-        r.floor_failures.append("too slow")
+        r.checks["too slow"] = at_least(1.0, 5.0)
         assert not r.ok and r.exit_code == 1
         r2 = _synthetic()
-        r2.parity_failures.append("diverged")
+        r2.checks["diverged"] = equal(["salsa20"], [])
         assert r2.exit_code == 1
 
     def test_to_dict_roundtrips_through_json(self):
@@ -77,10 +76,10 @@ class TestResultObject:
     def test_report_mentions_verdict_and_engines(self):
         text = _synthetic().report()
         assert "reference" in text and "fast" in text
-        assert "verdict: OK" in text
+        assert "FAILED bound" not in text
         bad = _synthetic()
-        bad.floor_failures.append("payload too slow")
-        assert "FAIL" in bad.report()
+        bad.checks["payload too slow"] = at_least(1.0, 5.0)
+        assert "FAILED bound: payload too slow" in bad.report()
 
     def test_write_json(self, tmp_path):
         write_artifact(
@@ -111,8 +110,9 @@ class TestRunWiring:
                 "ycsb_a_wall_s": 1.0, "chaos_ok": 1.0,
             })
         r = run_cryptobench(quick=True)
-        assert r.floor == 5.0
-        assert r.floor_failures and r.exit_code == 1
+        payload = r.bounds()["payload_4096B_salsa20+cmac speedup >= 5.0x"]
+        assert payload.bound == 5.0
+        assert not payload.held and r.exit_code == 1
         # A 2x engine passes a 2x floor.
         monkeypatch.setattr(cryptobench, "FLOOR", 2.0)
         assert run_cryptobench(quick=True).exit_code == 0

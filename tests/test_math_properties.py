@@ -5,7 +5,6 @@ algebraic laws; violating any of these would be silent corruption, so they
 get their own property tests independent of the vector tests.
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -16,7 +16,6 @@ from repro.errors import (
     AttestationError,
     IntegrityError,
     ProtocolError,
-    ReplayError,
 )
 
 
@@ -183,7 +182,6 @@ class TestStrictIntegrityMode:
         # and remembers K_operation and the ciphertext format.
         attacker_known_value = b"old-value!"
         victim.put(b"k", attacker_known_value)
-        old_entry_kop = server._table.get(b"k").k_operation
         old_blob = server.payload_store.load(server._table.get(b"k").ptr)
         # Value is updated after the attacker's exclusion.
         victim.put(b"k", b"new-value-after-exclusion")

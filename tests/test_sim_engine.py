@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Event, Resource, Simulator, Store, Timeout
+from repro.sim import Resource, Simulator, Store, Timeout
 
 
 class TestScheduling:
