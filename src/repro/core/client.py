@@ -51,7 +51,6 @@ from repro.errors import (
 )
 from repro.obs import ObsContext
 from repro.rdma.memory import AccessFlags
-from repro.rdma.verbs import Opcode as RdmaOpcode
 from repro.rdma.verbs import WorkRequest
 from repro.sgx.attestation import attest_and_establish_session
 
@@ -140,9 +139,6 @@ class PrecursorClient:
         *same* oids, so the server's replay filter deduplicates a request
         that was already applied -- retried PUTs never double-apply and
         GETs are idempotent (:meth:`_window`, ``docs/FAULTS.md``).
-    retry_backoff_s / retry_backoff_cap_s:
-        Capped exponential backoff between attempts: the Nth retry sleeps
-        ``min(cap, backoff * 2**(N-1))`` seconds.
     obs:
         Observability context to trace operations into; defaults to the
         *server's* context so client- and server-side stages of one
@@ -167,13 +163,9 @@ class PrecursorClient:
         obs: Optional[ObsContext] = None,
         trace_ops: bool = True,
         max_retries: int = 0,
-        retry_backoff_s: float = 0.0002,
-        retry_backoff_cap_s: float = 0.01,
     ):
         self.response_timeout_s = response_timeout_s
         self.max_retries = max_retries
-        self.retry_backoff_s = retry_backoff_s
-        self.retry_backoff_cap_s = retry_backoff_cap_s
         self.obs = obs if obs is not None else server.obs
         self._trace_ops = trace_ops
         self.client_id = client_id if client_id is not None else next(_client_ids)
@@ -313,16 +305,7 @@ class PrecursorClient:
 
     def _write_request(self, offset: int, data: bytes) -> None:
         self.fabric.post_send(
-            self._qp,
-            WorkRequest(
-                wr_id=self._oid,
-                opcode=RdmaOpcode.RDMA_WRITE,
-                data=data,
-                remote_rkey=self._request_rkey,
-                remote_offset=offset,
-                signaled=False,
-                inline=len(data) <= self._qp.max_inline,
-            ),
+            self._qp, WorkRequest(data, self._request_rkey, offset)
         )
 
     def _refresh_credits(self) -> None:
@@ -410,15 +393,6 @@ class PrecursorClient:
         return ResponseControl.decode(blob)
 
     # -- retry engine ----------------------------------------------------------
-
-    def _backoff(self, attempt: int) -> None:
-        if self.retry_backoff_s <= 0:
-            return
-        delay = min(
-            self.retry_backoff_cap_s,
-            self.retry_backoff_s * (2 ** (attempt - 1)),
-        )
-        time.sleep(delay)
 
     def _count_retry(self, op: str) -> None:
         self.retries += 1
@@ -665,7 +639,6 @@ class PrecursorClient:
                     break
                 attempt += 1
                 self._count_retry(op)
-                self._backoff(attempt)
                 try:
                     expected = self.reconnect()
                 except PrecursorError as exc:

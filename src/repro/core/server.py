@@ -58,7 +58,6 @@ from repro.obs.span import run_stage
 from repro.rdma.fabric import Fabric
 from repro.rdma.memory import AccessFlags, MemoryRegion
 from repro.rdma.qp import QueuePair
-from repro.rdma.verbs import Opcode as RdmaOpcode
 from repro.rdma.verbs import WorkRequest
 from repro.sgx.enclave import Enclave
 from repro.sgx.sealing import seal_data, unseal_data
@@ -244,15 +243,24 @@ class _ClientChannel:
     credit_rkey: int
     reply_producer: RingProducer = field(default=None)
     revoked: bool = False
-    #: At-most-once duplicate filter (retry support): the oid, request
-    #: digest and reply of the most recently *applied* request.  A
-    #: retransmission -- same oid, same digest -- gets the cached ack
-    #: re-sent instead of a REPLAY rejection, so a client whose reply was
-    #: lost can retry without double-applying.
-    last_oid: Optional[int] = None
-    last_digest: Optional[bytes] = None
-    last_reply_control: Optional[ResponseControl] = None
-    last_reply_payload: Optional[EncryptedPayload] = None
+
+
+@dataclass
+class _LastReply:
+    """Trusted per-client duplicate filter (retry support).
+
+    The oid, request digest and reply of the client's most recently
+    *applied* request.  A retransmission -- same oid, same digest -- gets
+    the cached ack re-sent instead of a REPLAY rejection, so a client
+    whose reply was lost can retry without double-applying.  The reply
+    control carries ``K_operation``, so the cache lives in the enclave,
+    beside the replay expectation, and survives a reconnect with it.
+    """
+
+    oid: Optional[int] = None
+    digest: Optional[bytes] = None
+    control: Optional[ResponseControl] = None
+    payload: Optional[EncryptedPayload] = None
 
 
 class PrecursorServer:
@@ -386,6 +394,7 @@ class PrecursorServer:
         self._table: Optional[RobinHoodTable] = None
         self._sessions: Dict[int, SessionKey] = {}
         self._replay = ReplayGuard()
+        self._last_replies: Dict[int, _LastReply] = {}
         self._client_state_allocated = False
         self._table_capacity_charged = 0
         #: Clients whose keystream reservoirs this enclave has charged.
@@ -431,13 +440,16 @@ class PrecursorServer:
         session.seal_reservoir.watch(self._obs_keystream["seal"])
         session.open_reservoir.watch(self._obs_keystream["open"])
         self._sessions[client_id] = session
+        self._last_replies.setdefault(client_id, _LastReply())
         if not self._replay.is_registered(client_id):
             # Fresh admission -- or a reconnect after crash-restart where
             # the restored checkpoint did not know this client yet.
             self._replay.register_client(client_id)
-        # On a plain reconnect (QP flap) the replay expectation is *kept*:
-        # the client resumes its oid sequence, so a request lost before the
-        # flap can be retried under its original oid.
+        # On a plain reconnect (QP flap) the replay expectation and the
+        # duplicate-reply cache are *kept*: the client resumes its oid
+        # sequence, so a request lost before the flap can be retried under
+        # its original oid -- and the very reason it reconnects may be a
+        # reply it never saw for a request the enclave already applied.
 
     def _charge_reservoirs(self, client_id: int) -> None:
         """Charge a client's keystream reservoirs to the enclave.
@@ -587,15 +599,6 @@ class PrecursorServer:
                 self._rdma_write_gather, channel, reply_rkey
             ),
         )
-        old = self._channels.get(client_id) if reconnect else None
-        if old is not None:
-            # The duplicate-reply cache must survive reconnection: the
-            # very reason the client reconnects may be a reply it never
-            # saw for a request the enclave already applied.
-            channel.last_oid = old.last_oid
-            channel.last_digest = old.last_digest
-            channel.last_reply_control = old.last_reply_control
-            channel.last_reply_payload = old.last_reply_payload
         self._channels[client_id] = channel
         return request_region.rkey, layout
 
@@ -625,18 +628,7 @@ class PrecursorServer:
     def _rdma_write(
         self, channel: _ClientChannel, rkey: int, offset: int, data: bytes
     ) -> None:
-        self.fabric.post_send(
-            channel.qp,
-            WorkRequest(
-                wr_id=channel.client_id,
-                opcode=RdmaOpcode.RDMA_WRITE,
-                data=data,
-                remote_rkey=rkey,
-                remote_offset=offset,
-                signaled=False,
-                inline=len(data) <= channel.qp.max_inline,
-            ),
-        )
+        self.fabric.post_send(channel.qp, WorkRequest(data, rkey, offset))
 
     def _rdma_write_gather(
         self,
@@ -653,20 +645,9 @@ class PrecursorServer:
         the pre-pipeline serial server.
         """
         data = b"".join([payload for _offset, payload in writes])
+        segments = tuple([(offset, len(payload)) for offset, payload in writes])
         self.fabric.post_send(
-            channel.qp,
-            WorkRequest(
-                wr_id=channel.client_id,
-                opcode=RdmaOpcode.RDMA_WRITE,
-                data=data,
-                remote_rkey=rkey,
-                remote_offset=writes[0][0],
-                signaled=False,
-                inline=len(data) <= channel.qp.max_inline,
-                segments=tuple(
-                    [(offset, len(payload)) for offset, payload in writes]
-                ),
-            ),
+            channel.qp, WorkRequest(data, rkey, writes[0][0], segments)
         )
 
     # -- the polling loop ------------------------------------------------------
@@ -725,15 +706,16 @@ class PrecursorServer:
             return
 
         digest = self._request_digest(control_blob, request.payload)
+        last = self._last_replies[channel.client_id]
         try:
             self._replay.check_and_advance(channel.client_id, control.oid)
         except ReplayError:
             self.stats.replay_rejections += 1
             self._obs_rejects.inc()
             if (
-                control.oid == channel.last_oid
-                and digest == channel.last_digest
-                and channel.last_reply_control is not None
+                control.oid == last.oid
+                and digest == last.digest
+                and last.control is not None
             ):
                 # Byte-identical retransmission of the last applied
                 # request: the client never saw our reply.  Re-send the
@@ -745,12 +727,7 @@ class PrecursorServer:
                     shard=self.shard_name or self.HOST_NAME,
                     oid=control.oid,
                 )
-                self._send_response(
-                    cycle,
-                    channel,
-                    channel.last_reply_control,
-                    channel.last_reply_payload,
-                )
+                self._send_response(cycle, channel, last.control, last.payload)
             else:
                 self._send_response(
                     cycle,
@@ -758,7 +735,7 @@ class PrecursorServer:
                     ResponseControl(status=Status.REPLAY, oid=control.oid),
                 )
             return
-        channel.last_digest = digest
+        last.digest = digest
         if cycle.trace is not None:
             self.obs.hop(
                 "server",
@@ -994,9 +971,10 @@ class PrecursorServer:
             # -- and a retransmission later in the *same* cycle sees it.
             # (REPLAY rejections are never cached: a replayed frame must
             # not overwrite the genuine reply it duplicates.)
-            channel.last_oid = control.oid
-            channel.last_reply_control = control
-            channel.last_reply_payload = payload
+            last = self._last_replies[channel.client_id]
+            last.oid = control.oid
+            last.control = control
+            last.payload = payload
         cycle.replies.append((channel, control, payload))
 
     # -- the entry lifecycle: every table mutation runs through these -------

@@ -267,7 +267,6 @@ class _ChaosRun:
                 self.server,
                 keygen=KeyGenerator(seed),
                 max_retries=_MAX_RETRIES,
-                retry_backoff_s=0.0,
             )
             fabrics = [self.server.fabric]
             sessions = [self.target]
@@ -286,7 +285,6 @@ class _ChaosRun:
                 self.cluster,
                 keygen=KeyGenerator(seed),
                 max_retries=_MAX_RETRIES,
-                retry_backoff_s=0.0,
                 # The client-centric failover check: losses must be caught
                 # by the client's own MAC record, not the shadow oracle.
                 track_freshness=cluster.replicas > 0,

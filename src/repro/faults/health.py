@@ -248,7 +248,6 @@ def run_health(
         client_id=1,
         keygen=KeyGenerator(seed),
         max_retries=_MAX_RETRIES,
-        retry_backoff_s=0.0,
     )
     if schedule:
         faults = FaultEngine(FaultSchedule.parse(schedule), seed, obs=obs)

@@ -3,13 +3,12 @@
 RDMA requires applications to register buffers with the NIC before any
 remote access (paper §2.2): the OS pins the region and hands out keys -- an
 ``lkey`` for local use and an ``rkey`` that remote peers must present.  A
-peer holding the rkey and the region bounds can read/write the memory
-without involving the host CPU, subject to the access flags set at
-registration.
+peer holding the rkey and the region bounds can write the memory without
+involving the host CPU, subject to the access flags set at registration.
 
 Two security-relevant behaviours are modelled faithfully:
 
-- access outside the registered bounds or without the matching permission
+- a write outside the registered bounds or without REMOTE_WRITE
   completes with an error (remote access violations);
 - regions can be flagged ``trusted`` -- enclave memory.  The fabric refuses
   remote access to them, just as SGX forbids DMA to the EPC, which is the
@@ -32,7 +31,6 @@ class AccessFlags(enum.Flag):
 
     LOCAL_WRITE = enum.auto()
     REMOTE_WRITE = enum.auto()
-    REMOTE_READ = enum.auto()
 
 
 class MemoryRegion:
@@ -55,9 +53,8 @@ class MemoryRegion:
         #: True for enclave (EPC) memory: remote access must be refused.
         self.trusted = trusted
         self._buf = bytearray(length)
-        # Remote permissions are fixed at registration, so they are
-        # decided once here rather than by an enum.Flag test per access.
-        self._remote_read = not trusted and bool(flags & AccessFlags.REMOTE_READ)
+        # Remote permission is fixed at registration, so it is decided
+        # once here rather than by an enum.Flag test per access.
         self._remote_write = not trusted and bool(
             flags & AccessFlags.REMOTE_WRITE
         )
@@ -85,28 +82,18 @@ class MemoryRegion:
 
     # -- remote access (via the fabric, permission-checked) ----------------
 
-    def remote_read(self, offset: int, length: int) -> bytes:
-        """DMA read by a remote peer; enforces REMOTE_READ and bounds."""
-        if not self._remote_read:
-            self._refuse(AccessFlags.REMOTE_READ)
-        self._check_bounds(offset, length)
-        return bytes(self._buf[offset : offset + length])
-
     def remote_write(self, offset: int, data: bytes) -> None:
         """DMA write by a remote peer; enforces REMOTE_WRITE and bounds."""
         if not self._remote_write:
-            self._refuse(AccessFlags.REMOTE_WRITE)
+            if self.trusted:
+                raise AccessError(
+                    "DMA to enclave memory: SGX forbids device access to the EPC"
+                )
+            raise AccessError(
+                f"region rkey={self.rkey:#x} lacks REMOTE_WRITE permission"
+            )
         self._check_bounds(offset, len(data))
         self._buf[offset : offset + len(data)] = data
-
-    def _refuse(self, needed: AccessFlags) -> None:
-        if self.trusted:
-            raise AccessError(
-                "DMA to enclave memory: SGX forbids device access to the EPC"
-            )
-        raise AccessError(
-            f"region rkey={self.rkey:#x} lacks {needed.name} permission"
-        )
 
     def _check_bounds(self, offset: int, length: int) -> None:
         if offset < 0 or length < 0 or offset + length > self.length:
@@ -142,12 +129,6 @@ class ProtectionDomain:
         )
         self._regions[rkey] = region
         return region
-
-    def deregister(self, region: MemoryRegion) -> None:
-        """Remove a registration; later remote access fails."""
-        if region.rkey not in self._regions:
-            raise ConfigurationError(f"rkey {region.rkey:#x} not registered")
-        del self._regions[region.rkey]
 
     def lookup(self, rkey: int) -> MemoryRegion:
         """Resolve an rkey as the NIC would; raises AccessError if unknown."""

@@ -1,201 +1,40 @@
-"""Queue pairs, completion queues and the verbs state machine.
+"""Connected queue pairs and the one state change that matters.
 
-Endpoints communicate by posting work requests to asynchronous queue pairs
-(paper §2.2).  Each QP has a send and a receive queue and is associated with
-a completion queue that optionally reports an operation's final status.
-
-The QP state machine matters for security: Precursor "can revoke access to
-corrupted clients using RDMA queue pair state transitions" (paper §3.9,
-citing DARE) -- driving a QP to ERR makes all subsequent posts fail.
+Endpoints communicate by posting work requests to queue pairs (paper
+§2.2).  A QP here is born connected, ready to send (RTS); the only other
+state is ERR.  That transition matters for security: Precursor "can
+revoke access to corrupted clients using RDMA queue pair state
+transitions" (paper §3.9, citing DARE) -- a QP in ERR refuses every
+later post, and recovery means a fresh QP pair.
 """
 
 from __future__ import annotations
 
 import enum
-from collections import deque
 from dataclasses import dataclass
-from typing import Deque, List, Optional
+from typing import Optional
 
-from repro.errors import AccessError, ConfigurationError
-from repro.rdma.verbs import Opcode, WorkRequest
+from repro.rdma.memory import ProtectionDomain
 
-__all__ = ["QpState", "WorkCompletion", "CompletionQueue", "QueuePair"]
+__all__ = ["QpState", "QueuePair"]
 
 
 class QpState(enum.Enum):
-    """ibv_qp_state subset, in legal transition order."""
+    """The two states a connected QP can be in."""
 
-    RESET = 0
-    INIT = 1
-    RTR = 2  # ready to receive
-    RTS = 3  # ready to send
-    ERR = 4
+    RTS = "rts"  # ready to send
+    ERR = "err"
 
 
-_LEGAL_TRANSITIONS = {
-    QpState.RESET: {QpState.INIT, QpState.ERR},
-    QpState.INIT: {QpState.RTR, QpState.ERR, QpState.RESET},
-    QpState.RTR: {QpState.RTS, QpState.ERR, QpState.RESET},
-    QpState.RTS: {QpState.ERR, QpState.RESET},
-    QpState.ERR: {QpState.RESET},
-}
-
-
-@dataclass(frozen=True)
-class WorkCompletion:
-    """Completion entry: identifies the request and its final status."""
-
-    wr_id: int
-    opcode: Opcode
-    status: str  # "success" or an error string
-    byte_len: int
-
-    @property
-    def ok(self) -> bool:
-        """True when the operation completed successfully."""
-        return self.status == "success"
-
-
-class CompletionQueue:
-    """FIFO of work completions, polled by the application."""
-
-    def __init__(self, depth: int = 4096):
-        if depth < 1:
-            raise ConfigurationError(f"CQ depth must be >= 1, got {depth}")
-        self.depth = depth
-        self._entries: Deque[WorkCompletion] = deque()
-        self.overflows = 0
-
-    def push(self, completion: WorkCompletion) -> None:
-        """Add a completion; counts (and drops) on overflow."""
-        if len(self._entries) >= self.depth:
-            self.overflows += 1
-            return
-        self._entries.append(completion)
-
-    def poll(self, max_entries: int = 16) -> List[WorkCompletion]:
-        """Remove and return up to ``max_entries`` completions."""
-        out = []
-        while self._entries and len(out) < max_entries:
-            out.append(self._entries.popleft())
-        return out
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
+@dataclass(eq=False)
 class QueuePair:
-    """One endpoint of a reliable connection (RC) queue pair."""
+    """One endpoint of a reliable connection, owned by ``pd``'s host."""
 
-    def __init__(
-        self,
-        qp_num: int,
-        send_cq: CompletionQueue,
-        recv_cq: CompletionQueue = None,
-        max_inline: int = 912,
-        signal_interval: int = 64,
-    ):
-        self.qp_num = qp_num
-        self.state = QpState.RESET
-        self.send_cq = send_cq
-        self.recv_cq = recv_cq if recv_cq is not None else send_cq
-        #: Largest payload the NIC copies into the WQE (paper: 912 B).
-        self.max_inline = max_inline
-        #: With selective signaling, one completion per this many sends.
-        self.signal_interval = signal_interval
-        self.remote: Optional["QueuePair"] = None
-        self._recv_queue: Deque[int] = deque()  # posted receive wr_ids
-        self._inbox: Deque[bytes] = deque()  # SEND payloads awaiting recv
-        self._unsignaled_since = 0
-        self.sends_posted = 0
-        self.recvs_posted = 0
-
-    # -- state machine -----------------------------------------------------
-
-    def transition(self, new_state: QpState) -> None:
-        """Move the QP through the verbs state machine; rejects bad hops."""
-        if new_state not in _LEGAL_TRANSITIONS[self.state]:
-            raise ConfigurationError(
-                f"illegal QP transition {self.state.name} -> {new_state.name}"
-            )
-        self.state = new_state
-        if new_state is QpState.RESET:
-            self._recv_queue.clear()
-            self._inbox.clear()
-            self._unsignaled_since = 0
-
-    def connect(self, remote: "QueuePair") -> None:
-        """Wire two QPs into a reliable connection (both end RTS)."""
-        for qp in (self, remote):
-            if qp.state is not QpState.RESET:
-                raise ConfigurationError(
-                    f"QP {qp.qp_num} not in RESET (is {qp.state.name})"
-                )
-        for qp in (self, remote):
-            qp.transition(QpState.INIT)
-            qp.transition(QpState.RTR)
-            qp.transition(QpState.RTS)
-        self.remote = remote
-        remote.remote = self
+    qp_num: int
+    pd: ProtectionDomain
+    remote: Optional["QueuePair"] = None
+    state: QpState = QpState.RTS
 
     def error_out(self) -> None:
         """Force ERR -- how the server revokes a rogue client (§3.9)."""
         self.state = QpState.ERR
-
-    # -- posting ---------------------------------------------------------------
-
-    def check_can_send(self, wr: WorkRequest) -> None:
-        """Validate a send-side post against QP state and inline limits."""
-        if self.state is not QpState.RTS:
-            raise AccessError(
-                f"QP {self.qp_num} cannot send in state {self.state.name}"
-            )
-        if wr.inline and wr.byte_len > self.max_inline:
-            raise ConfigurationError(
-                f"inline payload of {wr.byte_len} B exceeds "
-                f"max_inline={self.max_inline}"
-            )
-
-    def want_signal(self, wr: WorkRequest) -> bool:
-        """Apply selective signaling: emit one CQE per signal_interval."""
-        if wr.signaled:
-            self._unsignaled_since = 0
-            return True
-        self._unsignaled_since += 1
-        if self._unsignaled_since >= self.signal_interval:
-            self._unsignaled_since = 0
-            return True
-        return False
-
-    def post_recv(self, wr_id: int) -> None:
-        """Post a receive buffer for an incoming SEND."""
-        if self.state not in (QpState.RTR, QpState.RTS, QpState.INIT):
-            raise AccessError(
-                f"QP {self.qp_num} cannot recv in state {self.state.name}"
-            )
-        self._recv_queue.append(wr_id)
-        self.recvs_posted += 1
-
-    # -- two-sided delivery (used by the fabric) ------------------------------
-
-    def deliver_send(self, data: bytes) -> None:
-        """Match an incoming SEND against a posted receive."""
-        if not self._recv_queue:
-            # RC semantics: receiver not ready -> RNR; simplified to error.
-            raise AccessError(
-                f"QP {self.qp_num}: receiver-not-ready (no posted receive)"
-            )
-        wr_id = self._recv_queue.popleft()
-        self._inbox.append(data)
-        self.recv_cq.push(
-            WorkCompletion(
-                wr_id=wr_id,
-                opcode=Opcode.SEND,
-                status="success",
-                byte_len=len(data),
-            )
-        )
-
-    def consume_received(self) -> Optional[bytes]:
-        """Pop the oldest received SEND payload, if any."""
-        return self._inbox.popleft() if self._inbox else None

@@ -97,8 +97,6 @@ class ShardedClient:
         expected_measurement: Optional[bytes] = None,
         trace_ops: bool = True,
         max_retries: int = 0,
-        retry_backoff_s: float = 0.0002,
-        retry_backoff_cap_s: float = 0.01,
         track_freshness: bool = False,
         near_cache: bool = False,
         cache_entries: int = 256,
@@ -116,8 +114,6 @@ class ShardedClient:
         self._expected_measurement = expected_measurement
         self._trace_ops = trace_ops
         self._max_retries = max_retries
-        self._retry_backoff_s = retry_backoff_s
-        self._retry_backoff_cap_s = retry_backoff_cap_s
         self._map = cluster.shard_map
         self._clients: Dict[str, PrecursorClient] = {}
         # Every session ever opened, keyed by server identity: failing
@@ -239,8 +235,6 @@ class ShardedClient:
             obs=self.obs,
             trace_ops=False,  # the router traces whole routed operations
             max_retries=self._max_retries,
-            retry_backoff_s=self._retry_backoff_s,
-            retry_backoff_cap_s=self._retry_backoff_cap_s,
         )
 
     def _connect(self, shard: str) -> PrecursorClient:

@@ -274,7 +274,6 @@ class SessionModel:
                     client_id=client_id,
                     keygen=KeyGenerator(seed),
                     max_retries=4,
-                    retry_backoff_s=0.0,
                 )
 
     @property

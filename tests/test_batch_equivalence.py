@@ -197,17 +197,15 @@ def _run_sequence(k, seed, ops=180, clients=3, wave=10, keyspace=24):
             reply_digest.update(len(frame).to_bytes(4, "big") + frame)
 
     dup_cache = []
-    for client_id in sorted(server._channels):
-        channel = server._channels[client_id]
-        payload = channel.last_reply_payload
+    for client_id in sorted(server._last_replies):
+        last = server._last_replies[client_id]
+        payload = last.payload
         dup_cache.append(
             (
                 client_id,
-                channel.last_oid,
-                channel.last_digest,
-                channel.last_reply_control.encode()
-                if channel.last_reply_control is not None
-                else None,
+                last.oid,
+                last.digest,
+                last.control.encode() if last.control is not None else None,
                 (payload.ciphertext, payload.mac)
                 if payload is not None
                 else None,

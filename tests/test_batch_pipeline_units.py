@@ -30,29 +30,16 @@ from repro.crypto.engine import get_engine
 from repro.crypto.keys import RESERVOIR_BYTES, KeyGenerator, SessionKey
 from repro.crypto.provider import CryptoProvider
 from repro.errors import ConfigurationError
-from repro.rdma import AccessFlags, Fabric, Opcode, WorkRequest
+from repro.rdma import AccessFlags, Fabric, WorkRequest
 
 
 class TestGatherSegmentsValidation:
-    def _wr(self, data, segments, opcode=Opcode.RDMA_WRITE):
-        return WorkRequest(
-            wr_id=1, opcode=opcode, data=data, segments=segments
-        )
+    def _wr(self, data, segments):
+        return WorkRequest(data=data, segments=segments)
 
     def test_valid_tiling_accepted(self):
-        wr = self._wr(b"abcdef", ((0, 2), (100, 3), (10, 1)))
-        assert wr.byte_len == 6
-
-    def test_only_rdma_write_may_gather(self):
-        with pytest.raises(ConfigurationError, match="RDMA_WRITE"):
-            self._wr(b"ab", ((0, 2),), opcode=Opcode.SEND)
-        with pytest.raises(ConfigurationError):
-            WorkRequest(
-                wr_id=1,
-                opcode=Opcode.RDMA_READ,
-                length=4,
-                segments=((0, 4),),
-            )
+        segments = ((0, 2), (100, 3), (10, 1))
+        assert self._wr(b"abcdef", segments).segments == segments
 
     def test_empty_gather_list_rejected(self):
         with pytest.raises(ConfigurationError, match="empty"):
@@ -89,8 +76,6 @@ class TestFabricGatherWrite:
         fabric.post_send(
             qp_c,
             WorkRequest(
-                wr_id=1,
-                opcode=Opcode.RDMA_WRITE,
                 data=b"AAAABBBBBBCC",
                 remote_rkey=region.rkey,
                 segments=((0, 4), (64, 6), (200, 2)),
@@ -111,8 +96,6 @@ class TestFabricGatherWrite:
         fabric_a.post_send(
             qp_a,
             WorkRequest(
-                wr_id=1,
-                opcode=Opcode.RDMA_WRITE,
                 data=b"".join(frames),
                 remote_rkey=region_a.rkey,
                 segments=tuple(
@@ -120,12 +103,10 @@ class TestFabricGatherWrite:
                 ),
             ),
         )
-        for i, (off, frame) in enumerate(zip(offsets, frames)):
+        for off, frame in zip(offsets, frames):
             fabric_b.post_send(
                 qp_b,
                 WorkRequest(
-                    wr_id=10 + i,
-                    opcode=Opcode.RDMA_WRITE,
                     data=frame,
                     remote_rkey=region_b.rkey,
                     remote_offset=off,

@@ -43,7 +43,7 @@ _WINDOW = 32
 
 #: Calls per frame the path may make: (server drain, client send +
 #: collect), per window kind.
-_BOUNDS = {"put": (50, 34), "get": (45, 34)}
+_BOUNDS = {"put": (50, 28), "get": (45, 28)}
 
 
 def _count_calls(fn, *args):

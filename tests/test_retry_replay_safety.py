@@ -21,6 +21,7 @@ from repro.core import (
     ServerEncryptionClient,
 )
 from repro.core.persistence import CheckpointManager
+from repro.core.protocol import ControlData, OpCode
 from repro.errors import (
     OperationTimeoutError,
     PrecursorError,
@@ -28,6 +29,7 @@ from repro.errors import (
 )
 from repro.faults import FaultEngine, FaultSchedule, run_chaos
 from repro.faults.recovery import crash_restart
+from repro.rdma import MemoryRegion
 
 
 _SCHEMES = {
@@ -42,7 +44,6 @@ def _pair(max_retries=3, scheme="precursor", **kwargs):
     client = client_cls(
         server,
         max_retries=max_retries,
-        retry_backoff_s=0.0,
         trace_ops=False,
         **kwargs,
     )
@@ -149,6 +150,40 @@ class TestLostAckRecovery:
         assert server.stats.duplicate_replies == 1
 
 
+class TestDuplicateCacheIsTrusted:
+    """A cached GET reply carries ``K_operation``: it lives in the enclave."""
+
+    def test_get_leaves_no_reply_secret_in_the_channel(self):
+        server, client = _pair()
+        client.put(b"k", b"v")
+        assert client.get(b"k") == b"v"
+        cached = server._last_replies[client.client_id].control
+        assert cached.oid == client._oid and cached.k_operation
+        channel = server._channel(client.client_id)
+        for name, value in vars(channel).items():
+            assert value is not cached, name
+            if isinstance(value, MemoryRegion):
+                value = value.read_local(0, value.length)
+            if isinstance(value, (bytes, bytearray)):
+                assert cached.k_operation not in value, name
+
+    def test_reconnect_still_resends_the_cached_ack(self):
+        server, client = _pair()
+        client.put(b"k", b"v")
+        client.get(b"k")
+        gets = server.stats.gets
+        cached = server._last_replies[client.client_id].control
+        client.reconnect()
+        # The GET again under its applied oid, as a lost-reply retry sends it.
+        entries = [(ControlData(OpCode.GET, client._oid, b"k"), None)]
+        client._send(entries)
+        replies = []
+        client._collect(entries, replies, resent=True)
+        assert server.stats.duplicate_replies == 1
+        assert server.stats.gets == gets
+        assert replies[0][1] == cached
+
+
 class TestDuplicateNeverDoubleAppliesServerEncryption(
     TestDuplicateNeverDoubleApplies
 ):
@@ -173,9 +208,8 @@ def _lose_replies(server, client, cached_ack_too=False):
             server.process_pending()
             client.drain_replies()
             if cached_ack_too:
-                channel = server._channel(client.client_id)
-                channel.last_oid = channel.last_digest = None
-                channel.last_reply_control = channel.last_reply_payload = None
+                last = server._last_replies[client.client_id]
+                last.oid = last.digest = last.control = last.payload = None
             raise OperationTimeoutError("simulated lost replies")
         return PrecursorClient._collect(client, entries, replies, resent)
 
@@ -228,12 +262,12 @@ class TestAppliedSentinel:
 
 
 class TestOidResync:
-    def test_failed_op_does_not_wedge_the_session(self):
+    def test_failed_op_does_not_wedge_the_session(self, fail_next_post):
         # An op that exhausts its budget leaves an orphaned oid; the
         # resync must step the counter back so later ops line up again.
         server, client = _pair(max_retries=0)
         client.put(b"k", b"v1")
-        server.fabric.inject_faults(1)
+        fail_next_post(server.fabric)
         with pytest.raises(PrecursorError):
             client.put(b"k", b"v2")
         client.reconnect()
@@ -264,12 +298,12 @@ class TestOidResync:
         for i in range(4):
             assert client.get(b"key-%d" % i) == b"val-%d" % i
 
-    def test_retry_reuses_same_oid(self):
+    def test_retry_reuses_same_oid(self, fail_next_post):
         # The replay-safety core: a retried PUT re-seals the same oid.
         server, client = _pair(max_retries=3)
         client.put(b"warm", b"up")
         oid_before = client._oid
-        server.fabric.inject_faults(1)
+        fail_next_post(server.fabric)
         client.put(b"k", b"v")
         assert client._oid == oid_before + 1  # one op, one oid
         assert server.stats.puts == 2

@@ -259,9 +259,7 @@ class TestSharedMachinery:
 
     def test_crash_restart_then_every_key_reads(self):
         server = PrecursorServerEncryption()
-        client = ServerEncryptionClient(
-            server, max_retries=3, retry_backoff_s=0.0
-        )
+        client = ServerEncryptionClient(server, max_retries=3)
         items = {b"c-%02d" % i: b"value-%d" % i for i in range(12)}
         client.put_many(items.items())
         assert crash_restart(server, CheckpointManager()) == len(items)

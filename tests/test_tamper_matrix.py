@@ -181,7 +181,6 @@ class TestRequestControlTamper:
 
         server, client = _pair()
         client.max_retries = 2
-        client.retry_backoff_s = 0.0
         client.put(b"k", b"v1")
         state = {"armed": True}
 

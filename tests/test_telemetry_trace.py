@@ -14,9 +14,7 @@ from repro.shard import ShardedCluster, ShardedClient
 def _cluster_client(shards=2, replicas=0, seed=3, **kwargs):
     obs = ObsContext.create(clock=ManualClock())
     cluster = ShardedCluster(shards=shards, seed=seed, obs=obs, replicas=replicas)
-    client = ShardedClient(
-        cluster, client_id=1, max_retries=3, retry_backoff_s=0.0, **kwargs
-    )
+    client = ShardedClient(cluster, client_id=1, max_retries=3, **kwargs)
     return obs, cluster, client
 
 

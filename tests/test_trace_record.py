@@ -40,8 +40,7 @@ class TestRoutedRecord:
         obs = ObsContext.create()  # the wall clock: stages take real time
         cluster = spec.build(seed, obs)
         client = spec.router(
-            cluster, client_id=1, keygen=KeyGenerator(seed),
-            max_retries=4, retry_backoff_s=0.0,
+            cluster, client_id=1, keygen=KeyGenerator(seed), max_retries=4
         )
         FaultEngine(FaultSchedule.parse(HOT["schedule"]), seed, obs=obs).install(
             fabrics=[cluster.server(n).fabric for n in cluster.shards],
