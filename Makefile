@@ -128,8 +128,20 @@ autoscale-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.cli autoscalebench --quick
 	git diff --exit-code -- bench_reports/BENCH_autoscale_quick.json
 
+# Every example runs end to end: it must exit 0, print something, and
+# print no `!!` marker (the security examples print one when the
+# property they check is violated, and would still exit 0).
 examples:
-	for script in examples/*.py; do echo "== $$script =="; $(PYTHON) $$script || exit 1; done
+	@for script in examples/*.py; do \
+		echo "== $$script =="; \
+		out=$$(PYTHONPATH=src $(PYTHON) "$$script") || { \
+			echo "$$out"; echo "examples: FAILED, $$script exited non-zero" >&2; exit 1; }; \
+		echo "$$out"; \
+		if [ -z "$$out" ]; then \
+			echo "examples: FAILED, $$script printed nothing" >&2; exit 1; fi; \
+		if echo "$$out" | grep -q '!!'; then \
+			echo "examples: FAILED, $$script printed a !! marker" >&2; exit 1; fi; \
+	done
 
 # Prefer ruff, fall back to pyflakes; with neither installed, fail: a
 # syntax-only pass would report a lint that never ran as clean.

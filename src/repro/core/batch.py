@@ -24,7 +24,7 @@ over one client's ring runs five phases:
 
 Equivalence contract: K=1 reproduces the pre-pipeline serial server
 byte for byte (pinned digests) -- same frame order, same per-message
-seals, same single-frame reply writes (``produce_many`` falls back to
+seals, same single-frame reply writes (a cycle's one reply is a plain
 ``produce``), same credit write, fault-injection judgements included --
 and every K > 1 is observably identical to it.
 ``tests/test_batch_equivalence.py`` holds store digests, raw reply-ring
@@ -111,9 +111,15 @@ class BatchPipeline:
         k = self.k
         handled = 0
         while handled < batch:
-            frames = consumer.poll(min(k, batch - handled))
-            if not frames:
-                break
+            if k == 1:
+                frame = consumer.poll_one()
+                if frame is None:
+                    break
+                frames = (frame,)
+            else:
+                frames = consumer.poll(min(k, batch - handled))
+                if not frames:
+                    break
             self._run_cycle(channel, frames)
             handled += len(frames)
         credit = consumer.credits_due()
@@ -126,14 +132,14 @@ class BatchPipeline:
     def _run_cycle(self, channel, frames) -> None:
         """Parse, open, dispatch and seal one drained frame set."""
         server = self.server
-        obs = server.obs
+        tracer = server.obs.tracer
         stats = server.stats
         rejects = server._obs_rejects
         count = len(frames)
-        self._obs_cycles.inc()
+        self._obs_cycles.value += 1
         self._obs_batch_size.record(count)
-        self._obs_messages.inc(count)
-        cycle = _Cycle(obs.tracer.current)
+        self._obs_messages.value += count
+        cycle = _Cycle(tracer.current)
 
         # Parse: decode the untrusted framing and apply credits.
         client_id = channel.client_id
@@ -177,7 +183,7 @@ class BatchPipeline:
         # -- dropped ones included -- gets its service hook call and its
         # server_handle_ns sample (per-frame dispatch time), so
         # modeled-latency harnesses observe one event per frame.
-        now_ns = obs.tracer.clock.now_ns
+        now_ns = tracer.clock.now_ns
         handle_ns = server._obs_handle_ns
         dispatch = server._process_control_blob
         for request in requests:
@@ -240,7 +246,13 @@ class BatchPipeline:
 
     @staticmethod
     def _write_replies(producer, encoded) -> None:
-        """One gather write of a group's replies, or the serial fallback."""
+        """One gather write of a group's replies, or the serial fallback.
+
+        A single reply is a plain write, the serial path's.
+        """
+        if len(encoded) == 1:
+            producer.produce(encoded[0])
+            return
         try:
             producer.produce_many(encoded)
         except CapacityError:

@@ -20,7 +20,6 @@ import hmac
 import itertools
 import struct
 import time
-from contextlib import nullcontext
 from typing import Callable, Optional, Tuple
 
 from repro.core.protocol import (
@@ -50,6 +49,7 @@ from repro.errors import (
     ShardUnavailableError,
 )
 from repro.obs import ObsContext
+from repro.obs.span import run_stage
 from repro.rdma.memory import AccessFlags
 from repro.rdma.verbs import WorkRequest
 from repro.sgx.attestation import attest_and_establish_session
@@ -528,13 +528,18 @@ class PrecursorClient:
         (request,) = self._seal([(control, None)])
         return request
 
-    def _send(self, entries) -> None:
-        """The submit half of a window: seal ``entries``, write them in order."""
-        with self.obs.tracer.stage("client.seal_request"):
-            requests = self._seal(entries)
-        with self.obs.tracer.stage("client.rdma_write"):
-            for request in requests:
-                self._submit(request)
+    def _send(self, entries, trace=None) -> None:
+        """The submit half of a window: seal ``entries``, write them in order.
+
+        ``trace`` is the window's trace, if any, which times both steps.
+        """
+        requests = run_stage(trace, "client.seal_request", self._seal, entries)
+        run_stage(trace, "client.rdma_write", self._submit_all, requests)
+
+    def _submit_all(self, requests) -> None:
+        """Write sealed ``requests`` into the server's ring, in order."""
+        for request in requests:
+            self._submit(request)
 
     def _collect(self, entries, replies: list, resent: bool = False) -> None:
         """The collect half: await ``entries``' replies, open them in one pass.
@@ -549,6 +554,7 @@ class PrecursorClient:
         submission order, with ``replies`` holding what came before it.
         """
         aad = reply_aad(self.client_id)
+        trace = self.obs.tracer.current
         while len(replies) < len(entries):
             responses, error, blobs = [], None, []
             for _ in range(len(entries) - len(replies)):
@@ -558,11 +564,13 @@ class PrecursorClient:
                     error = exc
                     break
             if responses:
-                with self.obs.tracer.stage("client.open_response"):
-                    blobs = self.provider.transport_open_many(
-                        self.session,
-                        [(response.sealed_control, aad) for response in responses],
-                    )
+                blobs = run_stage(
+                    trace,
+                    "client.open_response",
+                    self.provider.transport_open_many,
+                    self.session,
+                    [(response.sealed_control, aad) for response in responses],
+                )
             for response, blob in zip(responses, blobs):
                 if blob is None:
                     raise AuthenticationError("authentication tag mismatch")
@@ -584,7 +592,7 @@ class PrecursorClient:
             if error is not None:
                 raise error
 
-    def _window(self, entries, op: str):
+    def _window(self, entries, op: str, trace=None):
         """Run one window of ``(control, payload)`` requests to completion.
 
         Returns ``(replies, error)``: per entry its ``(response,
@@ -608,21 +616,30 @@ class PrecursorClient:
 
         A retry thus re-ships the same bytes under the same oids, and the
         server applies each request at most once.  ``max_retries`` bounds
-        the consecutive retries that settle nothing.
+        the consecutive retries that settle nothing.  ``trace`` is the
+        window's trace, if any, which times its client stages.
+
+        A first attempt that raises nothing answers every entry, so only
+        a failed one enters the retry engine, :meth:`_retry`.
         """
+        got = []
+        try:
+            self._send(entries, trace)
+            self._collect(entries, got)
+        except PrecursorError as exc:
+            return self._retry(entries, op, trace, got, exc)
+        return got, None
+
+    def _retry(self, entries, op: str, trace, got: list, error):
+        """:meth:`_window` after a first attempt that collected ``got``
+        and then raised ``error``: the settlement rules, one attempt per
+        pass, until every entry settles or ``error`` stands."""
         replies = [None] * len(entries)
         reissues = [0] * len(entries)
         pending = list(range(len(entries)))
         attempt = 0
-        error = None
-        while pending:
-            got, stranded = [], []
-            try:
-                batch = [entries[i] for i in pending]
-                self._send(batch)
-                self._collect(batch, got, resent=attempt > 0)
-            except PrecursorError as exc:
-                error = exc
+        while True:
+            stranded = []
             refused = []  # gets refused on a resend: no recoverable reply
             for i, reply in zip(pending, got):
                 if reply[0] is None and entries[i][0].opcode is OpCode.GET:
@@ -660,6 +677,15 @@ class PrecursorClient:
                 entries[i] = (self._next_control(OpCode.GET, entries[i][0].key), None)
                 self.operations += 1
                 pending.append(i)
+            if not pending:
+                break
+            got = []
+            try:
+                batch = [entries[i] for i in pending]
+                self._send(batch, trace)
+                self._collect(batch, got, resent=attempt > 0)
+            except PrecursorError as exc:
+                error = exc
         if error is not None:
             # Hand back the oids the server never consumed, so the next
             # window lines up with the filter.
@@ -709,11 +735,16 @@ class PrecursorClient:
         """
         outcomes = [None] * len(items)
         window = self._batch_window()
+        trace = self.obs.tracer.current
         for start in range(0, len(items), window):
-            with self.obs.tracer.stage("client.encrypt_payload"):
-                entries = self._put_requests(items[start : start + window])
+            entries = run_stage(
+                trace,
+                "client.encrypt_payload",
+                self._put_requests,
+                items[start : start + window],
+            )
             self.operations += len(entries)
-            replies, error = self._window(entries, "put")
+            replies, error = self._window(entries, "put", trace)
             failed = error is not None
             for offset, ((control, payload), reply) in enumerate(
                 zip(entries, replies)
@@ -741,13 +772,14 @@ class PrecursorClient:
         """
         outcomes = [None] * len(keys)
         window = self._batch_window()
+        trace = self.obs.tracer.current
         for start in range(0, len(keys), window):
             chunk = keys[start : start + window]
             entries = [
                 (self._next_control(OpCode.GET, key), None) for key in chunk
             ]
             self.operations += len(entries)
-            replies, error = self._window(entries, "get")
+            replies, error = self._window(entries, "get", trace)
             found, failure = [], None
             for reply, key in zip(replies, chunk):
                 failure = reply and _refusal("get", key, reply[1])
@@ -756,10 +788,13 @@ class PrecursorClient:
                     break
                 found.append(reply)
             if found:
-                with self.obs.tracer.stage("client.verify_decrypt"):
-                    values, records = self._get_values(
-                        found, bases and bases[start : start + len(found)]
-                    )
+                values, records = run_stage(
+                    trace,
+                    "client.verify_decrypt",
+                    self._get_values,
+                    found,
+                    bases and bases[start : start + len(found)],
+                )
                 for offset, (value, record) in enumerate(zip(values, records)):
                     if value is None:
                         self.integrity_failures += 1
@@ -775,7 +810,9 @@ class PrecursorClient:
         """A DELETE window of one: ``([outcome], error)`` as :meth:`_puts`."""
         control = self._next_control(OpCode.DELETE, key)
         self.operations += 1
-        (reply,), error = self._window([(control, None)], "delete")
+        (reply,), error = self._window(
+            [(control, None)], "delete", self.obs.tracer.current
+        )
         # (None, None): applied with only the ack lost -- the key is gone
         # either way.
         return [reply and _refusal("delete", key, reply[1]) or reply], error
@@ -789,12 +826,13 @@ class PrecursorClient:
         its windows record their stages into whatever trace is active.
         """
         tracer = self.obs.tracer
-        traced = op is not None and self._trace_ops and tracer.current is None
-        with tracer.start(op, client_id=self.client_id) if traced else nullcontext():
-            outcomes, error = batch(*args)
-            failure = _first_failure(outcomes, error)
-            if failure is not None:
-                raise failure
+        if op is not None and self._trace_ops and tracer.current is None:
+            with tracer.start(op, client_id=self.client_id):
+                return self._run(None, batch, *args)
+        outcomes, error = batch(*args)
+        failure = _first_failure(outcomes, error)
+        if failure is not None:
+            raise failure
         return outcomes
 
     # -- key-value API --------------------------------------------------------

@@ -19,6 +19,7 @@ control data is authoritative; the outer byte only routes the frame.
 from __future__ import annotations
 
 import enum
+import functools
 import struct
 from typing import NamedTuple, Optional
 
@@ -63,11 +64,14 @@ _RESPONSE_HEAD = struct.Struct(">BH")  # start, sealed_len
 _U32 = struct.Struct(">I")
 
 
+# Both AADs are cached per client id: every frame of a session needs one.
+@functools.lru_cache(maxsize=4096)
 def request_aad(client_id: int) -> bytes:
     """AAD of a request's sealed control segment: the sender's id."""
     return _U32.pack(client_id)
 
 
+@functools.lru_cache(maxsize=4096)
 def reply_aad(client_id: int) -> bytes:
     """AAD of a reply's sealed control segment: a direction tag and the
     addressee's id, so a request can never open as a reply."""

@@ -130,7 +130,7 @@ class RingProducer:
         """
         staged = list(frames)
         if len(staged) <= 1:
-            return [self.produce(frame) for frame in staged]
+            return [self.produce(staged[0])] if staged else []
         layout = self.layout
         for frame in staged:
             if len(frame) > layout.max_frame:
@@ -204,7 +204,8 @@ class RingConsumer:
         seq = self._next_seq
         if self._reported != seq - 1:
             return False
-        offset = self.layout.slot_offset(seq - 1)
+        layout = self.layout
+        offset = (seq - 1) % layout.slot_count * layout.slot_size
         return _HEADER.unpack_from(self._view, offset)[1] != seq
 
     def poll_one(self) -> Optional[bytes]:

@@ -72,6 +72,9 @@ _SERVER_IV_BIT = 0x8000_0000
 #: any other enclave-sealed blob can never be replayed into import_entry.
 _MIGRATION_AAD = b"precursor-migrate-v1"
 
+#: Each operation's name in metric labels and ``server`` hops.
+_OP_NAMES = {op: op.name.lower() for op in OpCode}
+
 
 @dataclass(frozen=True)
 class ServerConfig:
@@ -309,21 +312,12 @@ class PrecursorServer:
         shard_labels = {"shard": shard_name} if shard_name is not None else {}
         registry = self.obs.registry
         self._obs_requests = {
-            OpCode.PUT: registry.counter(
+            op: registry.counter(
                 "server_requests_total",
                 "requests handled",
-                {"op": "put", **shard_labels},
-            ),
-            OpCode.GET: registry.counter(
-                "server_requests_total",
-                "requests handled",
-                {"op": "get", **shard_labels},
-            ),
-            OpCode.DELETE: registry.counter(
-                "server_requests_total",
-                "requests handled",
-                {"op": "delete", **shard_labels},
-            ),
+                {"op": name, **shard_labels},
+            )
+            for op, name in _OP_NAMES.items()
         }
         self._obs_rejects = registry.counter(
             "server_rejected_requests_total",
@@ -676,9 +670,9 @@ class PrecursorServer:
             raise ConfigurationError("server not started")
         drain = self._batcher.process_client
         handled = 0
-        for client_id, channel in list(self._channels.items()):
+        for channel in tuple(self._channels.values()):
             if not channel.request_consumer.idle():
-                handled += drain(client_id, batch)
+                handled += drain(channel.client_id, batch)
         return handled
 
     # -- request handling (trusted side) ------------------------------------
@@ -737,16 +731,14 @@ class PrecursorServer:
             return
         last.digest = digest
         if cycle.trace is not None:
-            self.obs.hop(
+            self.obs.tracer.hop(
                 "server",
                 shard=self.shard_name or self.HOST_NAME,
-                op=control.opcode.name.lower(),
+                op=_OP_NAMES[control.opcode],
                 oid=control.oid,
             )
 
-        counter = self._obs_requests.get(control.opcode)
-        if counter is not None:
-            counter.inc()
+        self._obs_requests[control.opcode].value += 1
         if control.opcode is OpCode.PUT:
             self._handle_put(cycle, channel, control, request.payload)
         elif control.opcode is OpCode.GET:
@@ -950,11 +942,11 @@ class PrecursorServer:
         an attack) hashes differently and is rejected as a replay instead
         of being acked with a stale cached reply.
         """
-        h = hashlib.sha256(control_blob)
-        if payload is not None:
-            h.update(payload.ciphertext)
-            h.update(payload.mac)
-        return h.digest()
+        if payload is None:
+            return hashlib.sha256(control_blob).digest()
+        return hashlib.sha256(
+            b"".join((control_blob, payload.ciphertext, payload.mac))
+        ).digest()
 
     def _send_response(
         self,

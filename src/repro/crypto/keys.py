@@ -148,7 +148,7 @@ class KeystreamReservoir:
         else:
             self.misses += 1
         if self._tally is not None:
-            self._tally[0 if hit else 1].inc()
+            self._tally[0 if hit else 1].value += 1
 
     def _take(self, iv: int) -> Optional[bytes]:
         """The mask held for ``iv``, dropped with every earlier entry."""

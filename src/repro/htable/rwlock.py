@@ -17,24 +17,73 @@ from repro.errors import PrecursorError
 __all__ = ["ReadWriteLock"]
 
 
-class _Guard:
-    """``with`` support for one side of a :class:`ReadWriteLock`.
+class _ReadSide:
+    """``with lock.read():`` -- the read side of a :class:`ReadWriteLock`.
 
-    Each lock holds one guard per side for its whole life, so a
-    ``with lock.read():`` builds no generator and no context object.
+    Each lock holds one guard per side for its whole life, and a guard's
+    ``__enter__``/``__exit__`` *are* the acquire and release, so a
+    ``with`` block costs two calls beyond the one it guards.
     """
 
-    __slots__ = ("_acquire", "_release")
+    __slots__ = ("_rw",)
 
-    def __init__(self, acquire, release) -> None:
-        self._acquire = acquire
-        self._release = release
+    def __init__(self, rw: "ReadWriteLock") -> None:
+        self._rw = rw
 
     def __enter__(self) -> None:
-        self._acquire()
+        """Block until no writer is active or waiting, then enter."""
+        rw = self._rw
+        with rw._lock:
+            if rw._active_writer or rw._waiting_writers > 0:
+                rw._waiting_readers += 1
+                while rw._active_writer or rw._waiting_writers > 0:
+                    rw._readers_ok.wait()
+                rw._waiting_readers -= 1
+            rw._active_readers += 1
+            rw.read_acquisitions += 1
 
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self._release()
+    def __exit__(self, exc_type=None, exc=None, tb=None) -> bool:
+        """Leave the read side; wakes a waiting writer when last out."""
+        rw = self._rw
+        with rw._lock:
+            if rw._active_readers <= 0:
+                raise PrecursorError("release_read without acquire_read")
+            rw._active_readers -= 1
+            if rw._active_readers == 0 and rw._waiting_writers > 0:
+                rw._writers_ok.notify()
+        return False
+
+
+class _WriteSide:
+    """``with lock.write():`` -- the write side, shaped as :class:`_ReadSide`."""
+
+    __slots__ = ("_rw",)
+
+    def __init__(self, rw: "ReadWriteLock") -> None:
+        self._rw = rw
+
+    def __enter__(self) -> None:
+        """Block until exclusive, then enter."""
+        rw = self._rw
+        with rw._lock:
+            rw._waiting_writers += 1
+            while rw._active_writer or rw._active_readers > 0:
+                rw._writers_ok.wait()
+            rw._waiting_writers -= 1
+            rw._active_writer = True
+            rw.write_acquisitions += 1
+
+    def __exit__(self, exc_type=None, exc=None, tb=None) -> bool:
+        """Leave the write side; prefers waking writers over readers."""
+        rw = self._rw
+        with rw._lock:
+            if not rw._active_writer:
+                raise PrecursorError("release_write without acquire_write")
+            rw._active_writer = False
+            if rw._waiting_writers > 0:
+                rw._writers_ok.notify()
+            elif rw._waiting_readers > 0:
+                rw._readers_ok.notify_all()
         return False
 
 
@@ -54,54 +103,29 @@ class ReadWriteLock:
         #: Total acquisitions, for contention diagnostics.
         self.read_acquisitions = 0
         self.write_acquisitions = 0
-        self._read_guard = _Guard(self.acquire_read, self.release_read)
-        self._write_guard = _Guard(self.acquire_write, self.release_write)
+        self._read_side = _ReadSide(self)
+        self._write_side = _WriteSide(self)
 
     def acquire_read(self) -> None:
         """Block until no writer is active or waiting, then enter."""
-        with self._lock:
-            if self._active_writer or self._waiting_writers > 0:
-                self._waiting_readers += 1
-                while self._active_writer or self._waiting_writers > 0:
-                    self._readers_ok.wait()
-                self._waiting_readers -= 1
-            self._active_readers += 1
-            self.read_acquisitions += 1
+        self._read_side.__enter__()
 
     def release_read(self) -> None:
         """Leave the read side; wakes a waiting writer when last out."""
-        with self._lock:
-            if self._active_readers <= 0:
-                raise PrecursorError("release_read without acquire_read")
-            self._active_readers -= 1
-            if self._active_readers == 0 and self._waiting_writers > 0:
-                self._writers_ok.notify()
+        self._read_side.__exit__()
 
     def acquire_write(self) -> None:
         """Block until exclusive, then enter."""
-        with self._lock:
-            self._waiting_writers += 1
-            while self._active_writer or self._active_readers > 0:
-                self._writers_ok.wait()
-            self._waiting_writers -= 1
-            self._active_writer = True
-            self.write_acquisitions += 1
+        self._write_side.__enter__()
 
     def release_write(self) -> None:
         """Leave the write side; prefers waking writers over readers."""
-        with self._lock:
-            if not self._active_writer:
-                raise PrecursorError("release_write without acquire_write")
-            self._active_writer = False
-            if self._waiting_writers > 0:
-                self._writers_ok.notify()
-            elif self._waiting_readers > 0:
-                self._readers_ok.notify_all()
+        self._write_side.__exit__()
 
-    def read(self) -> _Guard:
+    def read(self) -> _ReadSide:
         """``with lock.read(): ...`` context manager."""
-        return self._read_guard
+        return self._read_side
 
-    def write(self) -> _Guard:
+    def write(self) -> _WriteSide:
         """``with lock.write(): ...`` context manager."""
-        return self._write_guard
+        return self._write_side

@@ -20,7 +20,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ObservabilityError
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.span import Stage, Trace, UNTRACKED_STAGE
+from repro.obs.span import Trace, UNTRACKED_STAGE
 
 __all__ = [
     "trace_to_dict",
@@ -54,39 +54,12 @@ def traces_to_json_lines(traces: Iterable[Trace]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-class _FrozenClock:
-    """Clock for rehydrated traces: pinned to the recorded end time."""
-
-    def __init__(self, now_ns: int):
-        self._now = now_ns
-
-    def now_ns(self) -> int:
-        return self._now
-
-
 def trace_from_json(line: str) -> Trace:
     """Rehydrate one JSON-lines record into a finished :class:`Trace`."""
-    data = json.loads(line)
     try:
-        clock = _FrozenClock(data["end_ns"])
-        trace = Trace(data["trace_id"], data["op"], clock, dict(data["attrs"]))
-        trace.start_ns = data["start_ns"]
-        trace.end_ns = data["end_ns"]
-        trace._tiled_until = data["end_ns"]
-        trace.status = data["status"]
-        trace.hops = [dict(hop) for hop in data["hops"]]
-        for record in data["stages"]:
-            stage = Stage(
-                record["name"],
-                record["start_ns"],
-                record["depth"],
-                dict(record.get("meta", ())),
-            )
-            stage.end_ns = record["end_ns"]
-            trace.stages.append(stage)
+        return Trace.from_dict(json.loads(line))
     except (KeyError, TypeError) as exc:
         raise ObservabilityError(f"malformed trace record: {exc}") from exc
-    return trace
 
 
 # ---------------------------------------------------------------------------

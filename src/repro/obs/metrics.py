@@ -88,13 +88,6 @@ class Histogram:
 
     # -- bucket arithmetic -------------------------------------------------
 
-    def _index(self, value: int) -> int:
-        if value < self.resolution:
-            return value
-        shift = value.bit_length() - 1 - self._r_bits
-        sub = value >> shift  # in [resolution, 2 * resolution)
-        return (shift + 1) * self.resolution + (sub - self.resolution)
-
     def _bounds(self, index: int) -> Tuple[int, int]:
         """Half-open value range [lo, hi) covered by bucket ``index``."""
         if index < 2 * self.resolution:
@@ -116,7 +109,13 @@ class Histogram:
             raise ObservabilityError(f"negative sample: {value}")
         if count < 1:
             raise ObservabilityError(f"count must be >= 1, got {count}")
-        index = self._index(value)
+        resolution = self.resolution
+        if value < resolution:
+            index = value
+        else:
+            shift = value.bit_length() - 1 - self._r_bits
+            sub = value >> shift  # in [resolution, 2 * resolution)
+            index = (shift + 1) * resolution + (sub - resolution)
         self._buckets[index] = self._buckets.get(index, 0) + count
         self.count += count
         self.sum += value * count

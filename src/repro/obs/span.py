@@ -6,9 +6,10 @@ routed ``put()``, an autoscale action, one modelled request).  It holds:
 - **stages** -- named, timed intervals opened and closed in strict LIFO
   order.  Top-level stages *tile* the trace: whenever a top-level stage
   opens after a gap (or the trace finishes with trailing untimed work),
-  the gap is recorded as an explicit ``(untracked)`` stage.  The
-  invariant the exporters and the Figure-8 runner rely on is therefore
-  exact::
+  the gap reads as an explicit ``(untracked)`` stage.  A trace logs only
+  its named stages, one flat log entry each, and derives the gaps from
+  the logged times when the record is read.  The invariant the
+  exporters and the Figure-8 runner rely on is therefore exact::
 
       sum(stage.duration_ns for top-level stages) == trace.total_ns
 
@@ -34,10 +35,12 @@ from __future__ import annotations
 
 import itertools
 import threading
-from typing import Any, Dict, List, Optional
+from operator import attrgetter
+from types import MappingProxyType
+from typing import Any, Dict, List, Mapping, Optional
 
 from repro.errors import ObservabilityError
-from repro.obs.clock import Clock, WallClock
+from repro.obs.clock import Clock, ManualClock, WallClock
 
 __all__ = [
     "Stage",
@@ -51,6 +54,9 @@ __all__ = [
 #: Name of the synthetic gap-filling stage.
 UNTRACKED_STAGE = "(untracked)"
 
+#: The meta of every stage opened without any: one shared, read-only map.
+_NO_META: Mapping[str, Any] = MappingProxyType({})
+
 
 class Stage:
     """One named, timed interval inside a trace."""
@@ -58,11 +64,16 @@ class Stage:
     __slots__ = ("name", "start_ns", "end_ns", "depth", "meta")
 
     def __init__(
-        self, name: str, start_ns: int, depth: int, meta: Dict[str, Any]
+        self,
+        name: str,
+        start_ns: int,
+        depth: int,
+        meta: Mapping[str, Any],
+        end_ns: Optional[int] = None,
     ):
         self.name = name
         self.start_ns = start_ns
-        self.end_ns: Optional[int] = None
+        self.end_ns = end_ns
         self.depth = depth
         self.meta = meta
 
@@ -84,25 +95,54 @@ class Stage:
 
 
 class _StageHandle:
-    """Context manager for one stage; closes it in LIFO order."""
+    """A trace's one context manager for its stages.
 
-    __slots__ = ("_trace", "_stage")
+    ``with`` blocks nest, so the stage a block closes is always the
+    innermost one open: one handle serves every stage of its trace.  It
+    holds the trace's open-stage stack and clock, never the trace, so a
+    retired record holds no reference cycle and is freed as soon as the
+    tracer drops it.
+    """
 
-    def __init__(self, trace: "Trace", stage: Optional[Stage]):
-        self._trace = trace
-        self._stage = stage
+    __slots__ = ("_open", "_now")
 
-    def __enter__(self) -> Optional[Stage]:
-        return self._stage
+    def __init__(self, open_stages: List[Stage], now):
+        self._open = open_stages
+        self._now = now
+
+    def __enter__(self) -> Stage:
+        return self._open[-1]
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        if self._trace is not None and self._stage is not None:
-            self._trace.close_stage(self._stage)
+        if not self._open:
+            raise ObservabilityError("stage closed after its trace finished")
+        self._open.pop().end_ns = self._now()
         return False
 
 
 class Trace:
-    """The record of one operation: stages, hops, status and attributes."""
+    """The record of one operation: stages, hops, status and attributes.
+
+    The record logs only the stages opened through :meth:`stage`; the
+    ``(untracked)`` gaps between top-level stages are a function of the
+    logged times, derived whenever :attr:`stages` is read.
+    """
+
+    __slots__ = (
+        "trace_id",
+        "op",
+        "attrs",
+        "start_ns",
+        "end_ns",
+        "status",
+        "hops",
+        "_now",
+        "_on_finish",
+        "_log",
+        "_open",
+        "_handle",
+        "__weakref__",
+    )
 
     def __init__(
         self,
@@ -115,19 +155,43 @@ class Trace:
         self.trace_id = trace_id
         self.op = op
         self.attrs = attrs
-        self._clock = clock
+        self._now = now = clock.now_ns
         self._on_finish = on_finish
-        self.start_ns = clock.now_ns()
+        self.start_ns = now()
         self.end_ns: Optional[int] = None
         #: ``ok`` or ``error:<ExceptionName>`` once finished.
         self.status: Optional[str] = None
-        self.stages: List[Stage] = []
         #: Causal hops in order, each already in its serialised shape
         #: (``seq``, ``kind``, ``t_ns``, then ``shard``/``detail`` if set).
         self.hops: List[dict] = []
+        #: Every stage opened, in opening order (no gaps).
+        self._log: List[Stage] = []
         self._open: List[Stage] = []
-        #: End of the last closed *top-level* stage (for gap filling).
-        self._tiled_until = self.start_ns
+        self._handle = _StageHandle(self._open, now)
+
+    @classmethod
+    def from_dict(cls, record: dict) -> "Trace":
+        """Rebuild the finished trace :meth:`to_dict` serialised.
+
+        The record's gap stages are logged like any other: they tile the
+        trace already, so reading :attr:`stages` derives no more and the
+        record round-trips exactly.
+        """
+        clock = ManualClock(record["start_ns"])
+        trace = cls(record["trace_id"], record["op"], clock, dict(record["attrs"]))
+        trace.hops = [dict(hop) for hop in record["hops"]]
+        trace._log = [
+            Stage(
+                stage["name"],
+                stage["start_ns"],
+                stage["depth"],
+                dict(stage.get("meta", ())),
+                stage["end_ns"],
+            )
+            for stage in record["stages"]
+        ]
+        clock.advance(record["end_ns"] - record["start_ns"])
+        return trace.finish(record["status"])
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -150,22 +214,15 @@ class Trace:
 
     def stage(self, name: str, **meta: Any) -> _StageHandle:
         """Open stage ``name``; use as a context manager."""
-        if self.finished:
+        if self.end_ns is not None:
             raise ObservabilityError(
                 f"cannot open stage {name!r} on finished trace {self.trace_id}"
             )
-        now = self._clock.now_ns()
-        if not self._open and now > self._tiled_until:
-            # Gap between top-level stages: make the untimed interval an
-            # explicit stage so top-level durations always tile the trace.
-            gap = Stage(UNTRACKED_STAGE, self._tiled_until, 0, {})
-            gap.end_ns = now
-            self.stages.append(gap)
-            self._tiled_until = now
-        stage = Stage(name, now, len(self._open), dict(meta))
-        self.stages.append(stage)
-        self._open.append(stage)
-        return _StageHandle(self, stage)
+        open_stages = self._open
+        stage = Stage(name, self._now(), len(open_stages), meta or _NO_META)
+        self._log.append(stage)
+        open_stages.append(stage)
+        return self._handle
 
     def close_stage(self, stage: Stage) -> None:
         """Close ``stage``; must be the innermost open stage (LIFO)."""
@@ -179,18 +236,17 @@ class Trace:
                 f"{self._open[-1].name!r} is innermost"
             )
         self._open.pop()
-        stage.end_ns = self._clock.now_ns()
-        if stage.depth == 0:
-            self._tiled_until = stage.end_ns
+        stage.end_ns = self._now()
 
     def finish(self, status: str = "ok") -> "Trace":
-        """Seal the trace with ``status`` and retire it; records any trailing gap.
+        """Seal the trace with ``status`` and retire it.
 
         An ``ok`` finish rejects open stages.  A failed operation
         (``error:<ExceptionName>``) has unwound past whatever it had
-        open, so those stages are left out of the record.
+        open, so those stages are left out of the record.  A finished
+        record keeps its log and drops the machinery that opened stages.
         """
-        if self.finished:
+        if self.end_ns is not None:
             raise ObservabilityError(f"trace {self.trace_id} already finished")
         if self._open:
             if status == "ok":
@@ -199,19 +255,38 @@ class Trace:
                     f"finish with open stages: {names} (close them first)"
                 )
             self._open.clear()
-        now = self._clock.now_ns()
-        if now > self._tiled_until:
-            gap = Stage(UNTRACKED_STAGE, self._tiled_until, 0, {})
-            gap.end_ns = now
-            self.stages.append(gap)
-            self._tiled_until = now
-        self.end_ns = now
+        self._open = self._handle = None
+        self.end_ns = self._now()
         self.status = status
         if self._on_finish is not None:
             self._on_finish(self)
         return self
 
     # -- queries -----------------------------------------------------------
+
+    @property
+    def stages(self) -> List[Stage]:
+        """Every stage in time order, ``(untracked)`` gaps included.
+
+        A gap precedes each top-level stage that opens after the last
+        one closed (or after the trace started), and follows the last
+        one when the trace finished later, so top-level durations always
+        tile the trace.  A top-level stage a failure left open splits
+        the tiling at its start; the record then leaves it out.
+        """
+        out: List[Stage] = []
+        tiled = self.start_ns
+        for stage in self._log:
+            if stage.depth == 0:
+                if stage.start_ns > tiled:
+                    out.append(
+                        Stage(UNTRACKED_STAGE, tiled, 0, _NO_META, stage.start_ns)
+                    )
+                tiled = stage.start_ns if stage.end_ns is None else stage.end_ns
+            out.append(stage)
+        if self.end_ns is not None and self.end_ns > tiled:
+            out.append(Stage(UNTRACKED_STAGE, tiled, 0, _NO_META, self.end_ns))
+        return out
 
     def top_level_stages(self) -> List[Stage]:
         """Closed stages at depth 0, in time order (incl. gap stages)."""
@@ -334,11 +409,16 @@ def run_stage(trace: Optional["Trace"], name: str, step, *args):
     For hot paths that read :attr:`Tracer.current` once for many steps:
     with no trace a step costs nothing more than its own call, where
     :meth:`Tracer.stage` costs a lookup and a null handle per stage.
+    The stage opens through :meth:`Trace.stage` and closes as its
+    handle would close it, without entering the handle.
     """
     if trace is None:
         return step(*args)
-    with trace.stage(name):
+    trace.stage(name)
+    try:
         return step(*args)
+    finally:
+        trace._open.pop().end_ns = trace._now()
 
 
 class _NullHandle:
@@ -354,6 +434,12 @@ class _NullHandle:
 
 
 _NULL_HANDLE = _NullHandle()
+
+
+class _Current(threading.local):
+    """Each thread's current trace: None until the thread starts one."""
+
+    trace: Optional[Trace] = None
 
 
 class Tracer:
@@ -378,7 +464,7 @@ class Tracer:
         self.aborted_total = 0
         self.dropped_total = 0
         self._ids = itertools.count(1)
-        self._local = threading.local()
+        self._local = _Current()
         self._obs_dropped = None
         #: Called with each retired record (the flight recorder's feed).
         self.on_retire = None
@@ -398,21 +484,17 @@ class Tracer:
 
     # -- current-trace plumbing -------------------------------------------
 
-    @property
-    def current(self) -> Optional[Trace]:
-        """This thread's active trace, if any."""
-        return getattr(self._local, "trace", None)
-
-    def _set_current(self, trace: Optional[Trace]) -> None:
-        self._local.trace = trace
+    #: This thread's active trace, if any (read without a Python frame).
+    current = property(attrgetter("_local.trace"))
 
     # -- trace lifecycle ---------------------------------------------------
 
     def start(self, op: str, **attrs: Any) -> Trace:
         """Begin a new trace and make it this thread's current one."""
-        if self.current is not None:
+        local = self._local
+        if local.trace is not None:
             raise ObservabilityError(
-                f"trace {self.current.trace_id} still active; finish it "
+                f"trace {local.trace.trace_id} still active; finish it "
                 "before starting another"
             )
         trace = Trace(
@@ -423,12 +505,13 @@ class Tracer:
             on_finish=self._retire,
         )
         self.started_total += 1
-        self._set_current(trace)
+        local.trace = trace
         return trace
 
     def _retire(self, trace: Trace) -> None:
-        if self.current is trace:
-            self._set_current(None)
+        local = self._local
+        if local.trace is trace:
+            local.trace = None
         self.finished_total += 1
         if trace.status != "ok":
             self.aborted_total += 1
@@ -438,7 +521,7 @@ class Tracer:
             del self.finished[:overflow]
             self.dropped_total += overflow
             if self._obs_dropped is not None:
-                self._obs_dropped.inc(overflow)
+                self._obs_dropped.value += overflow
         if self.on_retire is not None:
             self.on_retire(trace)
 
@@ -446,14 +529,14 @@ class Tracer:
 
     def stage(self, name: str, **meta: Any):
         """Open a stage on the current trace; no-op when none is active."""
-        trace = self.current
+        trace = self._local.trace
         if trace is None:
             return _NULL_HANDLE
         return trace.stage(name, **meta)
 
     def hop(self, kind: str, shard: Optional[str] = None, **detail: Any) -> None:
         """Append a causal hop to the current trace; no-op when none is active."""
-        trace = self.current
+        trace = self._local.trace
         if trace is None:
             return
         hop = {"seq": len(trace.hops), "kind": kind, "t_ns": self.clock.now_ns()}

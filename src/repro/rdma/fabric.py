@@ -23,6 +23,7 @@ import itertools
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import AccessError, ConfigurationError
+from repro.obs.metrics import Counter
 from repro.rdma.memory import ProtectionDomain
 from repro.rdma.qp import QpState, QueuePair
 from repro.rdma.verbs import WorkRequest
@@ -57,9 +58,12 @@ class Fabric:
     def __init__(self) -> None:
         self._pds: Dict[str, ProtectionDomain] = {}
         self._qp_nums = itertools.count(1)
+        #: Payload bytes that landed in a remote region.
         self.bytes_moved = 0
         self._obs = None
-        self._obs_handles: Dict[bool, tuple] = {}
+        self._obs_posts: Optional[Counter] = None
+        self._obs_bytes: Optional[Counter] = None
+        self._obs_errors: Optional[Counter] = None
         # Deterministic fault-injection seam (repro.faults): an optional
         # hook consulted per post, plus writes held back by DELAY faults
         # as (countdown, qp, wr) entries.
@@ -70,40 +74,23 @@ class Fabric:
         self.delay_ops = 2
 
     def bind_obs(self, registry) -> None:
-        """Export write counts, bytes moved and failed writes into ``registry``.
+        """Export posts, bytes landed and failed writes into ``registry``.
 
-        Idempotent.  The metric handles are bound on the first post, and
-        the error counter on the first failed one, so it appears in the
-        exposition only once a write has failed; binding drops the
-        handles of an earlier registry, so later posts count in
-        ``registry`` alone.
+        Idempotent.  Each counter is bound when it first counts: the post
+        counter on the first post, the byte counter when bytes first
+        land (it counts what :attr:`bytes_moved` counts) and the error
+        counter on the first failed write, so each appears in the
+        exposition only from then on.  Binding drops the handles of an
+        earlier registry, so later posts count in ``registry`` alone.
         """
         self._obs = registry
-        self._obs_handles = {}
+        self._obs_posts = self._obs_bytes = self._obs_errors = None
 
-    def _record_obs(self, ok: bool, nbytes: int) -> None:
-        registry = self._obs
-        if registry is None:
-            return
-        handles = self._obs_handles.get(ok)
-        if handles is None:
-            handles = self._obs_handles[ok] = (
-                registry.counter(
-                    "rdma_verbs_total",
-                    "work requests posted",
-                    {"verb": "rdma_write"},
-                ),
-                registry.counter(
-                    "rdma_bytes_total", "payload bytes moved by the fabric"
-                )
-                if ok
-                else registry.counter(
-                    "rdma_verb_errors_total", "work requests completed in error"
-                ),
-            )
-        posted, outcome = handles
-        posted.inc()
-        outcome.inc(nbytes if ok else 1)
+    def _counter(self, name: str, help_text: str, labels=None) -> Counter:
+        """The bound registry's counter ``name``, or a detached one."""
+        if self._obs is None:
+            return Counter()
+        return self._obs.counter(name, help_text, labels)
 
     def install_fault_hook(
         self, hook: Optional[Callable[[QueuePair, WorkRequest], Optional[str]]]
@@ -137,7 +124,6 @@ class Fabric:
             self._execute(qp, wr)
         except AccessError:
             return
-        self.bytes_moved += len(wr.data)
 
     def _tick_delayed(self) -> None:
         due = []
@@ -191,13 +177,36 @@ class Fabric:
             raise AccessError(f"QP {qp.qp_num} has no connected remote")
         if self._delayed:
             self._tick_delayed()
-        action = detail = None
-        if self._fault_hook is not None:
-            action, detail = self._judge(qp, wr)
         error = None
+        try:
+            if self._fault_hook is None:
+                self._execute(qp, wr)
+            else:
+                self._post_judged(qp, wr)
+        except AccessError as exc:
+            error = exc
+        posts = self._obs_posts
+        if posts is None:
+            posts = self._obs_posts = self._counter(
+                "rdma_verbs_total", "work requests posted", {"verb": "rdma_write"}
+            )
+        posts.value += 1
+        if error is not None:
+            errors = self._obs_errors
+            if errors is None:
+                errors = self._obs_errors = self._counter(
+                    "rdma_verb_errors_total", "work requests completed in error"
+                )
+            errors.value += 1
+            qp.error_out()
+            raise error
+
+    def _post_judged(self, qp: QueuePair, wr: WorkRequest) -> None:
+        """Post ``wr`` as the fault hook's verdict on it says."""
+        action, detail = self._judge(qp, wr)
         if action == FaultAction.QP_ERROR:
-            error = "injected transport fault"
-        elif action == FaultAction.DELAY:
+            raise AccessError("injected transport fault")
+        if action == FaultAction.DELAY:
             self._delayed.append((detail or self.delay_ops, qp, wr))
         elif action != FaultAction.DROP:  # a drop lands no bytes, silently
             if action == FaultAction.CORRUPT and wr.data:
@@ -205,15 +214,7 @@ class Fabric:
                 data = bytearray(wr.data)
                 data[flip_at] ^= 0x01
                 wr.data = bytes(data)
-            try:
-                self._execute(qp, wr)
-                self.bytes_moved += len(wr.data)
-            except AccessError as exc:
-                error = str(exc)
-        self._record_obs(error is None, len(wr.data))
-        if error is not None:
-            qp.error_out()
-            raise AccessError(error)
+            self._execute(qp, wr)
 
     def _judge(
         self, qp: QueuePair, wr: WorkRequest
@@ -236,6 +237,7 @@ class Fabric:
         return action, detail
 
     def _execute(self, qp: QueuePair, wr: WorkRequest) -> None:
+        """Land ``wr`` in ``qp``'s remote host and count its bytes."""
         region = qp.remote.pd.lookup(wr.remote_rkey)
         if wr.segments:
             # Gather write: land each slice of the wire payload at its
@@ -248,3 +250,11 @@ class Fabric:
                 cursor += length
         else:
             region.remote_write(wr.remote_offset, wr.data)
+        nbytes = len(wr.data)
+        self.bytes_moved += nbytes
+        landed = self._obs_bytes
+        if landed is None:
+            landed = self._obs_bytes = self._counter(
+                "rdma_bytes_total", "payload bytes moved by the fabric"
+            )
+        landed.value += nbytes

@@ -92,8 +92,10 @@ class MemoryRegion:
             raise AccessError(
                 f"region rkey={self.rkey:#x} lacks REMOTE_WRITE permission"
             )
-        self._check_bounds(offset, len(data))
-        self._buf[offset : offset + len(data)] = data
+        end = offset + len(data)
+        if offset < 0 or end > self.length:
+            self._check_bounds(offset, len(data))  # raises
+        self._buf[offset:end] = data
 
     def _check_bounds(self, offset: int, length: int) -> None:
         if offset < 0 or length < 0 or offset + length > self.length:

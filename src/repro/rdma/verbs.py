@@ -18,7 +18,7 @@ from repro.errors import ConfigurationError
 __all__ = ["WorkRequest"]
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class WorkRequest:
     """One RDMA WRITE: ``data`` lands at ``remote_offset`` of ``remote_rkey``.
 
@@ -31,28 +31,41 @@ class WorkRequest:
     """
 
     data: bytes
-    remote_rkey: int = 0
-    remote_offset: int = 0
-    segments: Optional[Tuple[Tuple[int, int], ...]] = None
+    remote_rkey: int
+    remote_offset: int
+    segments: Optional[Tuple[Tuple[int, int], ...]]
 
-    def __post_init__(self) -> None:
-        if self.segments is None:
-            return
-        if not self.segments:
-            raise ConfigurationError("gather list must not be empty")
-        total = 0
-        for offset, length in self.segments:
-            if length <= 0:
-                raise ConfigurationError(
-                    f"gather segment length must be positive: {length}"
-                )
-            if offset < 0:
-                raise ConfigurationError(
-                    f"gather segment offset must be >= 0: {offset}"
-                )
-            total += length
-        if total != len(self.data):
+    def __init__(
+        self,
+        data: bytes,
+        remote_rkey: int = 0,
+        remote_offset: int = 0,
+        segments: Optional[Tuple[Tuple[int, int], ...]] = None,
+    ) -> None:
+        self.data = data
+        self.remote_rkey = remote_rkey
+        self.remote_offset = remote_offset
+        self.segments = segments
+        if segments is not None:
+            _check_gather(data, segments)
+
+
+def _check_gather(data: bytes, segments) -> None:
+    """Refuse a gather list that does not tile ``data`` in order."""
+    if not segments:
+        raise ConfigurationError("gather list must not be empty")
+    total = 0
+    for offset, length in segments:
+        if length <= 0:
             raise ConfigurationError(
-                f"gather segments cover {total} bytes but data "
-                f"holds {len(self.data)}"
+                f"gather segment length must be positive: {length}"
             )
+        if offset < 0:
+            raise ConfigurationError(
+                f"gather segment offset must be >= 0: {offset}"
+            )
+        total += length
+    if total != len(data):
+        raise ConfigurationError(
+            f"gather segments cover {total} bytes but data holds {len(data)}"
+        )

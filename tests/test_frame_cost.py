@@ -6,7 +6,9 @@ is bookkeeping.  These tests count the calls into ``repro`` functions
 (``sys.setprofile``) while:
 
 - a K=16 server drains one 32-frame PUT window, then one GET window;
-- the client runs ``_send`` and ``_collect`` for those windows.
+- the client runs ``_send`` and ``_collect`` for those windows;
+- one of four clients runs a traced ``put``, then a traced ``get``, end
+  to end against a K=1 server: the single-op path, a window of one.
 
 Only functions defined under ``src/repro`` are counted, and list, dict
 and set comprehensions are not (Python 3.12 inlines them), so the
@@ -20,6 +22,17 @@ server drain                  84.1   71.1
 client ``_send``              38.7   38.8
 client ``_collect``           19.5   19.5
 ============================  =====  =====
+
+The single-op path, by the same count, before its trace record became a
+flat log and its window, fabric post and K=1 cycle lost their
+per-request bookkeeping (in ``repro.obs`` alone in brackets):
+
+============================  =========  =========
+op                            before     after
+============================  =========  =========
+traced ``put``                332 (140)  212 (37)
+traced ``get``                284 (129)  172 (34)
+============================  =========  =========
 
 The bounds below hold today's counts with a little slack: a change that
 adds per-frame work to the hot path fails here and says where.
@@ -44,6 +57,10 @@ _WINDOW = 32
 #: Calls per frame the path may make: (server drain, client send +
 #: collect), per window kind.
 _BOUNDS = {"put": (50, 28), "get": (45, 28)}
+
+#: Calls one traced single-key operation may make end to end: (all of
+#: ``repro``, ``repro.obs`` alone).
+_SINGLE_BOUNDS = {"put": (224, 39), "get": (182, 36)}
 
 
 def _count_calls(fn, *args):
@@ -135,6 +152,36 @@ def test_untraced_frames_open_no_stage(costs):
         assert drain["obs/span.py:stage"] == 0
         assert drain["obs/span.py:__enter__"] == 0
         assert drain["obs/span.py:hop"] == 0
+
+
+@pytest.fixture(scope="module")
+def single_op_costs():
+    """Per op: the call tally of one traced ``put``/``get`` by one of
+    four clients on a K=1 server, the single-op path's shape."""
+    server = PrecursorServer(keygen=KeyGenerator(seed=3))
+    clients = [
+        PrecursorClient(server, keygen=KeyGenerator(seed=10 + i)) for i in range(4)
+    ]
+    client = clients[0]
+    keys = [b"user%08d" % i for i in range(8)]
+    for key in keys:  # warm up, as above
+        client.put(key, b"v" * 32)
+        client.get(key)
+    return {
+        "put": _count_calls(client.put, keys[1], b"w" * 32),
+        "get": _count_calls(client.get, keys[1]),
+    }
+
+
+@pytest.mark.parametrize("op", ["put", "get"])
+def test_traced_single_op_calls(single_op_costs, op):
+    tally = single_op_costs[op]
+    obs = collections.Counter(
+        {name: n for name, n in tally.items() if name.startswith("obs" + os.sep)}
+    )
+    total_bound, obs_bound = _SINGLE_BOUNDS[op]
+    assert sum(tally.values()) <= total_bound, tally.most_common(12)
+    assert sum(obs.values()) <= obs_bound, obs.most_common(12)
 
 
 def test_traced_frame_records_one_server_hop():

@@ -4,8 +4,9 @@ import pytest
 
 from repro.core.client import PrecursorClient
 from repro.core.server import PrecursorServer
+from repro.crypto.keys import KeyGenerator
 from repro.obs import ObsContext, lint_prometheus, prometheus_text
-from repro.rdma.fabric import Fabric
+from repro.rdma.fabric import Fabric, FaultAction
 
 
 @pytest.fixture()
@@ -128,6 +129,36 @@ class TestWiredMetrics:
             "# TYPE rdma_verbs_total counter",
             'rdma_verbs_total{verb="rdma_write"} 19',
         ]
+
+    def test_byte_total_counts_the_bytes_that_landed(self):
+        """A dropped write lands nothing and a delayed one lands when it is
+        delivered: ``rdma_bytes_total`` reads what ``bytes_moved`` reads,
+        while ``rdma_verbs_total`` still counts every post."""
+        fabric = Fabric()
+        server = PrecursorServer(fabric=fabric, keygen=KeyGenerator(seed=7))
+        client = PrecursorClient(server, keygen=KeyGenerator(seed=8), max_retries=2)
+        client.put(b"k", b"v" * 32)
+        posts = []  # every post judged from here on
+        for action in (FaultAction.DROP, FaultAction.DELAY):
+            state = {"armed": True}
+
+            def hook(qp, wr, state=state, action=action):
+                posts.append(wr)
+                if state["armed"]:
+                    state["armed"] = False
+                    return action
+                return None
+
+            fabric.install_fault_hook(hook)
+            client.put(b"k", b"w" * 32)
+        fabric.flush_delayed()
+        registry = server.obs.registry
+        assert client.retries == 2  # each fault cost its put one retry
+        assert registry.get("rdma_bytes_total").value == fabric.bytes_moved
+        assert registry.get("rdma_verbs_total", {"verb": "rdma_write"}).value == (
+            3 + len(posts)
+        )
+        assert client.get(b"k") == b"w" * 32
 
     def test_fabric_rebind_counts_only_in_the_new_registry(self):
         from repro.obs import MetricsRegistry

@@ -7,6 +7,9 @@ holding both; a direct client's failed op is kept with its error status
 and left out of the stage tables.
 """
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core.client import PrecursorClient
@@ -101,3 +104,26 @@ class TestFailedRecord:
         assert stage_breakdown([failed]) == {}
         table = stage_latency_table([failed], title="failed only")
         assert table == "failed only\n(no traces recorded)"
+
+
+class TestRetiredRecord:
+    def test_retired_record_is_freed_without_the_cyclic_collector(self):
+        """A record holds no reference cycle, so reference counting alone
+        frees it once the tracer drops it: a cycle per record would keep
+        every retired one alive until the cyclic collector ran, and peak
+        memory would grow with it."""
+        server = PrecursorServer(fabric=Fabric())
+        client = PrecursorClient(server)
+        tracer = client.obs.tracer
+        client.put(b"k", b"v")
+        gc.disable()
+        try:
+            client.put(b"k", b"w")
+            first = weakref.ref(tracer.last)
+            for _ in range(tracer.capacity - 1):
+                client.get(b"k")
+            assert first() is not None  # the tracer still keeps it
+            client.get(b"k")  # the 256th later record evicts it
+            assert first() is None
+        finally:
+            gc.enable()
