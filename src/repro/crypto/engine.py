@@ -264,8 +264,9 @@ def parity_check(seed: int = 2021, rounds: int = 8) -> List[str]:
 
     Encrypts with each engine and decrypts/verifies with the other over
     deterministic pseudo-random payload and transport messages, plus the
-    canonical empty/short/block-aligned edge sizes and single Salsa20
-    blocks at the edges of the block counter's two words.  An empty list
+    canonical empty/short/block-aligned edge sizes, single Salsa20
+    blocks at the edges of the block counter's two words, and one fast
+    GCM cipher reused across several AADs.  An empty list
     means the fast path cannot have silently diverged from the reference.
     """
     import hashlib
@@ -363,6 +364,7 @@ def parity_check(seed: int = 2021, rounds: int = 8) -> List[str]:
                 failures.append(f"salsa20 block differs at counter {counter:#x}")
     failures += _lane_parity(ref, fast, rand)
     failures += _reservoir_parity(ref, rand)
+    failures += _reused_cipher_parity(ref, rand)
     return failures
 
 
@@ -467,4 +469,56 @@ def _reservoir_parity(ref, rand) -> List[str]:
             failures.append(f"reservoir open wrong at {j}")
     if not (sealer.seal_reservoir.hits and opener.open_reservoir.hits):
         failures.append("reservoir parity never drew from a reservoir")
+    return failures
+
+
+def _reused_cipher_parity(ref, rand) -> List[str]:
+    """One fast GCM cipher meets several AADs, call after call.
+
+    Every size above seals under a key of its own, so no other case
+    reaches a cipher's kept post-AAD GHASH states with a second AAD.
+    Here one cipher seals and opens the same messages per call, as one
+    batch and through a pair of reservoirs, under alternating AADs of
+    zero, one and two blocks; every seal must equal the reference's.
+    A second key then seals under an AAD the first has kept.
+    """
+    from repro.crypto.fastcrypto import FastAesGcm
+    from repro.crypto.gcm import GcmFailure
+    from repro.crypto.keys import KeystreamReservoir
+
+    failures: List[str] = []
+    key = rand(b"reuse-key", 16)
+    gcm = FastAesGcm(key)
+    aads = (b"", rand(b"reuse-a4", 4), b"", rand(b"reuse-a24", 24))
+    items = [
+        ((0x5E55 + j).to_bytes(12, "big"), rand(b"reuse-m%d" % j, 9 * j), aad)
+        for j, aad in enumerate(aads + aads[1:])
+    ]
+    expected = [ref.gcm(key).seal(*item) for item in items]
+    if [gcm.seal(*item) for item in items] != expected:
+        failures.append("reused fast gcm seal differs from reference")
+    plaintexts = [plaintext for _iv, plaintext, _aad in items]
+    sealed = [(iv, blob, aad) for (iv, _pt, aad), blob in zip(items, expected)]
+    try:
+        opened = [gcm.open(*entry) for entry in sealed]
+    except GcmFailure:
+        opened = None
+    if opened != plaintexts:
+        failures.append("reused fast gcm open misdecrypts reference")
+    if gcm.seal_many(items) != expected:
+        failures.append("reused fast gcm seal_many differs from reference")
+    iv, blob, aad = sealed[2]
+    tampered = sealed[:2] + [(iv, blob[:-1] + bytes([blob[-1] ^ 1]), aad)]
+    opened = gcm.open_many(tampered + sealed[3:])
+    if opened != plaintexts[:2] + [None] + plaintexts[3:]:
+        failures.append("reused fast gcm open_many tamper isolation broke")
+    sealer, opener = KeystreamReservoir(), KeystreamReservoir()
+    for j, ((iv, plaintext, aad), blob) in enumerate(zip(items, expected)):
+        if sealer.seal(gcm, iv, plaintext, aad) != blob:
+            failures.append(f"reused fast gcm reservoir seal differs at {j}")
+        if opener.open(gcm, iv, blob, aad) != plaintext:
+            failures.append(f"reused fast gcm reservoir open wrong at {j}")
+    other = rand(b"reuse-key2", 16)
+    if FastAesGcm(other).seal(*items[1]) != ref.gcm(other).seal(*items[1]):
+        failures.append("a second fast gcm key took the first key's AAD state")
     return failures

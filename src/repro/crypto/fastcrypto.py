@@ -21,13 +21,14 @@ but optimised for CPython instead of mirroring the specifications:
   fuse SubBytes + ShiftRows + MixColumns per state-byte position
   (derived from the classic four 256-entry T-tables, pre-rotated to
   their output column), so a whole round is
-  ``M0[b0]^M1[b1]^...^M15[b15]^rk``; the final round is one
-  ``bytes.translate`` and one byte permutation.  At ~200 KB the tables
-  stay cache-resident under a real request mix, which beats wider
-  two-byte "pair" tables (~50 MB) that thrash the cache on varied
-  inputs.  They are key-independent, built lazily once per process, and
-  shared by every key.  The key schedule is ten steps on one 128-bit
-  integer, run once per cipher object.
+  ``M0[b0]^M1[b1]^...^M15[b15]^rk``, with the state's sixteen bytes
+  unpacked into locals once per round rather than subscripted one by
+  one; the final round is one ``bytes.translate`` and one byte
+  permutation.  At ~200 KB the tables stay cache-resident under a real
+  request mix, which beats wider two-byte "pair" tables (~50 MB) that
+  thrash the cache on varied inputs.  They are key-independent, built
+  lazily once per process, and shared by every key.  The key schedule
+  is ten steps on one 128-bit integer, run once per cipher object.
 - **Lane AES-128** (:func:`_lane_aes`): the batch kernel.  L blocks,
   each under its own key if need be, run through one pass with the
   state held as sixteen byte planes: SubBytes and the MixColumns
@@ -40,20 +41,23 @@ but optimised for CPython instead of mirroring the specifications:
   :data:`_LANE_MIN` blocks take the scalar kernel instead.
 - **GCM**: GHASH uses sixteen per-key 256-entry tables, one per byte
   position of a block (Shoup's method, with the byte-at-a-time Horner
-  reduction folded into the tables), so a block costs sixteen lookups
-  and their XOR instead of the spec's 128-iteration bit loop.  Every
-  seal and open is one body: ``masks`` runs the AES blocks of any number
-  of IVs (E_K(J0) and the CTR keystream) through one :func:`_aes_blocks`
-  pass, then the message is XORed with one wide-integer op and the tag
-  GHASHed.  ``seal_many``/``open_many`` cover a whole message set with
-  one such pass; the transport's keystream reservoirs run it ahead of
-  the messages.
+  reduction folded into the tables), so a block costs one unpack of its
+  sixteen bytes, sixteen lookups and their XOR instead of the spec's
+  128-iteration bit loop.  Each cipher keeps the GHASH state its AADs
+  leave (a handful, cleared when full), so a session's messages hash
+  only their own blocks.  Every seal and open is one body: ``masks``
+  runs the AES blocks of any number of IVs (E_K(J0) and the CTR
+  keystream) through one :func:`_aes_blocks` pass, then the message is
+  XORed with one wide-integer op and the tag GHASHed.
+  ``seal_many``/``open_many`` cover a whole message set with one such
+  pass; the transport's keystream reservoirs run it ahead of the
+  messages.
 - **CMAC**: the AES key schedule and the RFC 4493 subkeys are derived
-  once per cipher object (the engine caches those per key), and the
-  serial CBC chain is a single loop over the byte tables with the whole
-  message pre-split into 128-bit words.  :func:`_cmac_many` runs many
-  messages' chains side by side on the lane kernel, one lane per
-  message.
+  once per cipher object (the engine caches those per key), and a MAC
+  is one serial CBC chain: a loop over the byte tables with the whole
+  message, its subkey-masked last block included, pre-split into
+  128-bit words.  :func:`_cmac_many` runs many messages' chains side by
+  side on the lane kernel, one lane per message.
 
 Everything stays within the Python standard library; the cross-engine
 parity checks in :mod:`repro.crypto.engine` guarantee these kernels can
@@ -200,16 +204,26 @@ def _expand_key_128(key: bytes) -> tuple:
 
 def _encrypt_int(rk: tuple, st: int) -> int:
     """One AES-128 block on a 128-bit integer state (``st`` is the raw
-    plaintext block; this applies the ``rk[0]`` whitening itself)."""
+    plaintext block; this applies the ``rk[0]`` whitening itself).
+
+    Each middle round unpacks the state's sixteen bytes into locals
+    once: CPython 3.11 does not specialise ``bytes`` subscripts, so one
+    unpack is cheaper than sixteen generic lookups.
+    """
     tb = _TOB
+    m0, m1, m2, m3 = _M0, _M1, _M2, _M3
+    m4, m5, m6, m7 = _M4, _M5, _M6, _M7
+    m8, m9, m10, m11 = _M8, _M9, _M10, _M11
+    m12, m13, m14, m15 = _M12, _M13, _M14, _M15
     st ^= rk[0]
     for r in rk[1:10]:
-        w = tb(st, 16, "big")
+        (b0, b1, b2, b3, b4, b5, b6, b7,
+         b8, b9, b10, b11, b12, b13, b14, b15) = tb(st, 16, "big")
         st = (
-            _M0[w[0]] ^ _M1[w[1]] ^ _M2[w[2]] ^ _M3[w[3]]
-            ^ _M4[w[4]] ^ _M5[w[5]] ^ _M6[w[6]] ^ _M7[w[7]]
-            ^ _M8[w[8]] ^ _M9[w[9]] ^ _M10[w[10]] ^ _M11[w[11]]
-            ^ _M12[w[12]] ^ _M13[w[13]] ^ _M14[w[14]] ^ _M15[w[15]]
+            m0[b0] ^ m1[b1] ^ m2[b2] ^ m3[b3]
+            ^ m4[b4] ^ m5[b5] ^ m6[b6] ^ m7[b7]
+            ^ m8[b8] ^ m9[b9] ^ m10[b10] ^ m11[b11]
+            ^ m12[b12] ^ m13[b13] ^ m14[b14] ^ m15[b15]
             ^ r
         )
     w = tb(st, 16, "big").translate(_SUB)
@@ -217,13 +231,15 @@ def _encrypt_int(rk: tuple, st: int) -> int:
 
 
 def _cbc_chain(rk: tuple, message: bytes, x: int = 0) -> int:
-    """CBC-MAC chain over a block-aligned ``message``, fully unrolled.
+    """CBC-MAC chain over a block-aligned ``message``.
 
     Returns the running 128-bit CBC state after absorbing every 16-byte
     block of ``message`` (which must be a multiple of 16 bytes long).
     This is the serial hot loop of CMAC: everything -- round keys, the
     sixteen byte tables, the final round's S-box and ShiftRows, the
-    message as pre-combined 128-bit words -- is a local.
+    message as pre-combined 128-bit words -- is a local, and each block
+    loops over its nine middle rounds as :func:`_encrypt_int` does,
+    unpacking the state's bytes into locals once per round.
     """
     tb = _TOB
     fb = int.from_bytes
@@ -245,12 +261,13 @@ def _cbc_chain(rk: tuple, message: bytes, x: int = 0) -> int:
     for m in mwords:
         st = x ^ m
         for r in rounds:
-            w = tb(st, 16, "big")
+            (b0, b1, b2, b3, b4, b5, b6, b7,
+             b8, b9, b10, b11, b12, b13, b14, b15) = tb(st, 16, "big")
             st = (
-                m0[w[0]] ^ m1[w[1]] ^ m2[w[2]] ^ m3[w[3]]
-                ^ m4[w[4]] ^ m5[w[5]] ^ m6[w[6]] ^ m7[w[7]]
-                ^ m8[w[8]] ^ m9[w[9]] ^ m10[w[10]] ^ m11[w[11]]
-                ^ m12[w[12]] ^ m13[w[13]] ^ m14[w[14]] ^ m15[w[15]]
+                m0[b0] ^ m1[b1] ^ m2[b2] ^ m3[b3]
+                ^ m4[b4] ^ m5[b5] ^ m6[b6] ^ m7[b7]
+                ^ m8[b8] ^ m9[b9] ^ m10[b10] ^ m11[b11]
+                ^ m12[b12] ^ m13[b13] ^ m14[b14] ^ m15[b15]
                 ^ r
             )
         w = tb(st, 16, "big").translate(sub)
@@ -551,6 +568,11 @@ def _xor(data: bytes, mask: bytes) -> bytes:
 #: GHASH's final block: the AAD and ciphertext lengths in bits.
 _GHASH_LENGTHS = struct.Struct(">QQ")
 
+#: Post-AAD GHASH states one cipher keeps.  A transport session key
+#: meets two AADs (its requests' and its replies'), so a handful is
+#: plenty; the map is cleared when full, as the engine's key caches are.
+_AAD_STATES = 8
+
 
 class FastAesGcm:
     """AES-128-GCM, byte-compatible with :class:`repro.crypto.gcm.AesGcm`.
@@ -579,6 +601,8 @@ class FastAesGcm:
         self._tables = _broadcast_tables(self._aes._rk)
         h = int.from_bytes(self._aes.encrypt_block(b"\x00" * 16), "big")
         self._ghash_tables = _build_ghash_tables(h)
+        # AAD -> GHASH state after its blocks (see :meth:`_tags`).
+        self._after_aad: Dict[bytes, int] = {}
 
     def masks(self, ivs, nblocks) -> list:
         """Per IV, E_K(J0) then its first keystream blocks: one AES pass.
@@ -611,18 +635,22 @@ class FastAesGcm:
     def _tags(self, masks, aads, ciphertexts) -> list:
         """Per message, GHASH over its AAD and ciphertext masked with its
         E_K(J0): the tags of a whole batch in one loop, with the sixteen
-        tables unpacked once.
+        tables unpacked once and each block's sixteen bytes unpacked into
+        locals once.
 
         GHASH starts from zero, so its state after the AAD blocks depends
-        on the AAD alone; a batch whose messages share an AAD (a
-        session's requests or replies) hashes those blocks once.
+        on H and the AAD alone.  The cipher keeps that state per AAD
+        across calls -- at most :data:`_AAD_STATES` of them, cleared when
+        full -- so a session's requests or replies, which all carry one
+        AAD, hash only their ciphertext and lengths blocks.  Two threads
+        that race on a new AAD both compute the same state.
         """
         (p0, p1, p2, p3, p4, p5, p6, p7,
          p8, p9, p10, p11, p12, p13, p14, p15) = self._ghash_tables
         fb = int.from_bytes
         lengths = _GHASH_LENGTHS.pack
         zeros = b"\x00" * 15
-        after_aad = {}  # AAD -> GHASH state after its blocks
+        after_aad = self._after_aad
         tags = []
         for mask, aad, ciphertext in zip(masks, aads, ciphertexts):
             body = b"".join((
@@ -633,6 +661,8 @@ class FastAesGcm:
             y = after_aad.get(aad)
             if y is None:
                 # Hash the AAD blocks too, noting the state they leave.
+                if len(after_aad) >= _AAD_STATES:
+                    after_aad.clear()
                 head = aad + zeros[: -len(aad) % 16]
                 data, y, cut = head + body, 0, len(head)
             else:
@@ -640,12 +670,15 @@ class FastAesGcm:
             for i in range(0, len(data), 16):
                 if i == cut:
                     after_aad[aad] = y
-                w = (y ^ fb(data[i : i + 16], "big")).to_bytes(16, "big")
+                (b0, b1, b2, b3, b4, b5, b6, b7,
+                 b8, b9, b10, b11, b12, b13, b14, b15) = (
+                    y ^ fb(data[i : i + 16], "big")
+                ).to_bytes(16, "big")
                 y = (
-                    p0[w[0]] ^ p1[w[1]] ^ p2[w[2]] ^ p3[w[3]]
-                    ^ p4[w[4]] ^ p5[w[5]] ^ p6[w[6]] ^ p7[w[7]]
-                    ^ p8[w[8]] ^ p9[w[9]] ^ p10[w[10]] ^ p11[w[11]]
-                    ^ p12[w[12]] ^ p13[w[13]] ^ p14[w[14]] ^ p15[w[15]]
+                    p0[b0] ^ p1[b1] ^ p2[b2] ^ p3[b3]
+                    ^ p4[b4] ^ p5[b5] ^ p6[b6] ^ p7[b7]
+                    ^ p8[b8] ^ p9[b9] ^ p10[b10] ^ p11[b11]
+                    ^ p12[b12] ^ p13[b13] ^ p14[b14] ^ p15[b15]
                 )
             tags.append((y ^ fb(mask[:16], "big")).to_bytes(16, "big"))
         return tags
@@ -1052,9 +1085,10 @@ class FastSalsa20:
 class FastCmac:
     """AES-128-CMAC with the key schedule and RFC 4493 subkeys cached.
 
-    One instance per (folded) key; :meth:`mac` then runs the serial CBC
-    chain of :func:`_cbc_chain` -- one unrolled byte-position-table AES
-    block per 16 message bytes and nothing else.
+    One instance per (folded) key; :meth:`mac` masks the last block with
+    its subkey and then runs the whole message as one :func:`_cbc_chain`
+    -- one byte-position-table AES block per 16 message bytes, one
+    kernel setup per MAC and nothing else.
     """
 
     BLOCK = 16
@@ -1068,9 +1102,9 @@ class FastCmac:
             raise ConfigurationError(
                 f"CMAC key must be 16 or 32 bytes, got {len(key)}"
             )
-        self._aes = FastAES128(key)
-        self._rk = self._aes._rk
-        l_int = int.from_bytes(self._aes.encrypt_block(b"\x00" * 16), "big")
+        _ensure_round_tables()
+        self._rk = rk = _expand_key_128(bytes(key))
+        l_int = _encrypt_int(rk, 0)
         k1 = ((l_int << 1) & _MASK128) ^ (0x87 if l_int >> 127 else 0)
         k2 = ((k1 << 1) & _MASK128) ^ (0x87 if k1 >> 127 else 0)
         self._k1 = k1
@@ -1079,16 +1113,16 @@ class FastCmac:
     def mac(self, message: bytes) -> bytes:
         """Compute the 16-byte AES-CMAC of ``message``."""
         n = len(message)
-        n_blocks = max(1, (n + 15) // 16)
-        last = message[(n_blocks - 1) * 16 :]
-        if n > 0 and n % 16 == 0:
-            last_int = int.from_bytes(last, "big") ^ self._k1
+        if n and not n % 16:
+            cut = n - 16
+            last = int.from_bytes(message[cut:], "big") ^ self._k1
         else:
-            padded = last + b"\x80" + b"\x00" * (15 - len(last))
-            last_int = int.from_bytes(padded, "big") ^ self._k2
-        rk = self._rk
-        x = _cbc_chain(rk, message[: (n_blocks - 1) * 16])
-        return _encrypt_int(rk, x ^ last_int).to_bytes(16, "big")
+            cut = n - n % 16
+            padded = message[cut:] + b"\x80" + bytes(15 - n % 16)
+            last = int.from_bytes(padded, "big") ^ self._k2
+        return _cbc_chain(
+            self._rk, message[:cut] + last.to_bytes(16, "big")
+        ).to_bytes(16, "big")
 
 
 _ZERO16 = bytes(16)
@@ -1172,11 +1206,12 @@ def _cmac_lanes(items) -> list:
                 lo, hi = 16 * lane, 16 * lane + 16
                 rk = tuple(fb(r[lo:hi], "big") for r in lane_rks)
                 block = padded[lane]
-                chained = _cbc_chain(
-                    rk, block[16 * step : -16], fb(state[lo:hi], "big")
-                )
                 last = fb(block[-16:], "big") ^ fb(sub[lo:hi], "big")
-                macs[lane] = _encrypt_int(rk, chained ^ last).to_bytes(16, "big")
+                macs[lane] = _cbc_chain(
+                    rk,
+                    block[16 * step : -16] + last.to_bytes(16, "big"),
+                    fb(state[lo:hi], "big"),
+                ).to_bytes(16, "big")
             break
         # Chains whose last block is this step form the tail [ending, active).
         ending = active
